@@ -27,8 +27,8 @@ paper's evaluation datasets (Table II) and the protocol defaults (k = 32,
 that speedup is free of any accuracy trade-off (see
 ``tests/test_federated_engine_equivalence.py``); ``batched_fused`` is an
 exact sampler with a different RNG contract plus delayed within-window
-gradients, re-validated qualitatively by the table/figure gates under
-``REPRO_BENCH_SAMPLER=batched``.
+gradients, re-validated qualitatively by the table/figure gates (which run
+under the batched default, and under ``REPRO_BENCH_SAMPLER=permutation``).
 
 Results land in ``benchmarks/results/perf_engine.json`` / ``.txt`` and
 ``benchmarks/results/perf_attack.json`` / ``.txt``.
@@ -69,10 +69,13 @@ SHAPES: dict[str, tuple[int, int]] = {
     "steam-200k": (8, 2),
 }
 
-#: label -> FederatedConfig overrides of every measured configuration.
+#: label -> FederatedConfig overrides of every measured configuration.  The
+#: ``loop`` and ``vectorized`` cells pin the permutation sampler: they measure
+#: the engines on the historical per-client streams, against which the
+#: batched cells are compared.
 VARIANTS: dict[str, dict] = {
-    "loop": {"engine": "loop"},
-    "vectorized": {"engine": "vectorized"},
+    "loop": {"engine": "loop", "sampler": "permutation"},
+    "vectorized": {"engine": "vectorized", "sampler": "permutation"},
     "batched_fused": {
         "engine": "vectorized",
         "sampler": "batched",
@@ -81,8 +84,8 @@ VARIANTS: dict[str, dict] = {
 }
 
 ATTACK_VARIANTS: dict[str, dict] = {
-    "loop": {"engine": "loop"},
-    "vectorized": {"engine": "vectorized"},
+    "loop": {"engine": "loop", "sampler": "permutation"},
+    "vectorized": {"engine": "vectorized", "sampler": "permutation"},
     "batched": {"engine": "vectorized", "sampler": "batched"},
 }
 

@@ -44,6 +44,7 @@ __all__ = [
     "golden_int_field_values",
     "cli_flags",
     "readme_documents_field",
+    "readme_default_markers",
     "class_field_names",
 ]
 
@@ -518,6 +519,11 @@ def cli_flags(source: SourceFile) -> set[str]:
     return flags
 
 
+def _field_token(field_name: str) -> re.Pattern[str]:
+    """``field_name`` as a standalone token (not part of a longer name)."""
+    return re.compile(r"(?<![\w-])" + re.escape(field_name) + r"(?![\w-])")
+
+
 def readme_documents_field(text: str, field_name: str) -> bool:
     """Whether a README table row documents ``field_name``.
 
@@ -525,11 +531,31 @@ def readme_documents_field(text: str, field_name: str) -> bool:
     field name as a standalone token — ``engine`` does not match the
     ``eval_engine`` or ``--eval-engine`` rows.
     """
-    pattern = re.compile(r"(?<![\w-])" + re.escape(field_name) + r"(?![\w-])")
+    pattern = _field_token(field_name)
     for line in text.splitlines():
         if line.lstrip().startswith("|") and pattern.search(line):
             return True
     return False
+
+
+#: A backticked value followed by a ``(default)`` / ``(default: ...)`` marker.
+_DEFAULT_MARKER = re.compile(r"`([^`]+)`\s*\(default\b")
+
+
+def readme_default_markers(text: str, field_name: str) -> list[str]:
+    """Values the README marks as ``field_name``'s default.
+
+    Only the table rows *about* the field count — those whose first cell
+    names it — so a row that merely mentions the field elsewhere (say, in
+    its realization column) never contributes its own default.
+    """
+    pattern = _field_token(field_name)
+    markers: list[str] = []
+    for line in text.splitlines():
+        cells = line.strip().split("|")
+        if len(cells) > 2 and not cells[0] and pattern.search(cells[1]):
+            markers.extend(_DEFAULT_MARKER.findall(line))
+    return markers
 
 
 def class_field_names(source: SourceFile, class_name: str) -> set[str]:

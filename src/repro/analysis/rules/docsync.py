@@ -10,7 +10,9 @@ When the tree declares the switch registry
 every ``SwitchSpec`` entry is checked, and two extra legs apply:
 
 * both config dataclasses must declare the field, and any literal dataclass
-  default must equal the registry default (one default, stated once),
+  default must equal the registry default (one default, stated once); a
+  README row marking a value as the field's ``(default)`` must name that
+  same registry default,
 * the CLI leg is satisfied either by a literal ``--flag`` registration or
   by the registry idiom (``add_argument(spec.cli_flag, ...)``), which
   covers every registered switch at once.
@@ -145,6 +147,7 @@ class ConfigCliDocsSyncRule(Rule):
                     "from the switch registry)",
                 )
             yield from self._check_readme(registry, line, name, readme_text)
+            yield from self._check_readme_default(registry, switch, readme_text)
 
     def _check_legacy(self, project: Project, config: SourceFile) -> Iterator[Violation]:
         switch_names = [field.name for field in model.extract_switch_fields(config)]
@@ -205,6 +208,20 @@ class ConfigCliDocsSyncRule(Rule):
                 f"switch field {name!r} has no README engine-table row "
                 "(a markdown table line naming the field)",
             )
+
+    def _check_readme_default(
+        self, anchor: SourceFile, switch: model.RegistrySwitch, readme_text: str | None
+    ) -> Iterator[Violation]:
+        if readme_text is None:
+            return
+        for marked in model.readme_default_markers(readme_text, switch.name):
+            if switch.default is None or marked != str(switch.default):
+                yield self._violation(
+                    anchor,
+                    switch.line,
+                    f"README row for {switch.name!r} marks {marked!r} as the "
+                    f"default, but the registry default is {switch.default!r}",
+                )
 
     def _readme_text(self, project: Project) -> str | None:
         readme_path = project.root / model.README

@@ -25,12 +25,13 @@ switch as :attr:`repro.federated.config.FederatedConfig.engine`):
 
 Negative sampling is orthogonal to the engine and selected by ``sampler``
 (propagated from :attr:`repro.federated.config.FederatedConfig.sampler`):
-``"permutation"`` draws one catalog permutation per active user in loop
-order, ``"batched"`` draws the whole epoch's negatives in one stacked
-rejection-sampling pass.  Each epoch's draws happen up front in both cases,
-so the two computation engines consume the attack RNG identically and from
-identical seeds produce matching approximations up to floating-point
-summation order — per sampler.
+``"batched"`` (the default) draws the whole epoch's negatives in one stacked
+rejection-sampling pass, ``"permutation"`` (the historical stream) draws one
+catalog permutation per active user in loop order.  Each epoch's draws
+happen up front in both cases and come back as one CSR array, so the two
+computation engines consume the attack RNG identically and from identical
+seeds produce matching approximations up to floating-point summation order —
+per sampler.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.negative_sampling import (
+    DEFAULT_SAMPLER,
     sample_uniform_negatives,
     sample_uniform_negatives_batched,
 )
@@ -72,8 +74,8 @@ class UserMatrixApproximator:
         ``"loop"`` is the per-user reference path.  Identical RNG streams,
         matching results.
     sampler:
-        ``"permutation"`` (default) draws per user in loop order;
-        ``"batched"`` draws the epoch's negatives in one stacked pass.
+        ``"batched"`` (default) draws the epoch's negatives in one stacked
+        pass; ``"permutation"`` draws per user in loop order.
     """
 
     def __init__(
@@ -85,7 +87,7 @@ class UserMatrixApproximator:
         init_scale: float = 0.01,
         rng: np.random.Generator | int | None = None,
         engine: str = "vectorized",
-        sampler: str = "permutation",
+        sampler: str = DEFAULT_SAMPLER,
     ) -> None:
         if num_factors <= 0:
             raise AttackError("num_factors must be positive")
@@ -108,29 +110,39 @@ class UserMatrixApproximator:
         self.user_factors = self._rng.normal(0.0, init_scale, size=(num_users, num_factors))
         self._active_users = public.users_with_public_interactions()
         self._num_items = public.dataset.num_items
-        # The public set is static, so each active user's positives and the
-        # boolean mask the negative sampler consumes come from the public
-        # dataset's shared InteractionStore: the per-user positives are
-        # read-only views into its CSR indices, and the stacked masks of the
-        # active users are gathered out of its cached mask matrix once.
-        # Both engines share the cache, and it changes neither RNG stream
-        # nor numerics — only the per-call mask rebuild goes away.  The
-        # arrays are read-only: the masks and positives describe the same
-        # interactions, so a mutation through :attr:`active_public_items`
-        # would silently desynchronize them.
+        # The public set is static, so everything an epoch needs besides its
+        # negatives is built once from the public dataset's shared
+        # InteractionStore: per-user positives (read-only views into its CSR
+        # indices), the sampler's boolean masks (stacked over the *active*
+        # rows only — at realistic xi most users have no public
+        # interactions), and the flat pair positives with their segment ids.
+        # None of it changes an RNG stream or the numerics.  The arrays are
+        # read-only: they describe the same interactions, so a mutation
+        # through :attr:`active_public_items` would desynchronize them.
         store = public.dataset.interaction_store()
         self._positives: tuple[np.ndarray, ...] = tuple(
             store.positives(int(user)) for user in self._active_users
         )
-        # Stacked over the *active* rows only — at realistic xi most users
-        # have no public interactions, so building the store's full dense
-        # mask matrix just to gather a small subset would waste memory.
-        self._positive_masks = np.zeros(
-            (self._active_users.shape[0], self._num_items), dtype=bool
-        )
-        for row, positives in enumerate(self._positives):
-            self._positive_masks[row, positives] = True
+        # Users without public interactions have empty CSR slices, so the
+        # store's indices are exactly the active users' positives in row order.
+        self._counts = store.degrees[self._active_users]
+        num_rows = self._counts.shape[0]
+        segment_ids = np.repeat(np.arange(num_rows, dtype=np.int64), self._counts)
+        self._positive_masks = np.zeros((num_rows, self._num_items), dtype=bool)
+        self._positive_masks[segment_ids, store.indices] = True
         self._positive_masks.setflags(write=False)
+        # Each user gets min(|positives|, N - |positives|) negatives per epoch
+        # under either sampler; a user whose complement is shorter than its
+        # positive set trains on its first that-many positives only (rank
+        # mask), so the pair arrays align with every epoch's negative CSR.
+        quotas = np.minimum(self._counts, self._num_items - self._counts)
+        self._negative_offsets = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(quotas, out=self._negative_offsets[1:])
+        row_starts = store.indptr[self._active_users]
+        ranks = np.arange(segment_ids.shape[0], dtype=np.int64) - row_starts[segment_ids]
+        keep = ranks < quotas[segment_ids]
+        self._pair_positives = store.indices[keep]
+        self._pair_segments = segment_ids[keep]
 
     @property
     def active_users(self) -> np.ndarray:
@@ -168,36 +180,40 @@ class UserMatrixApproximator:
                 self._epoch_vectorized(item_factors)
         else:
             for _ in range(epochs):
-                negatives = self._draw_epoch_negatives()
+                negatives, offsets = self._draw_epoch_negatives()
                 for row in range(self._active_users.shape[0]):
-                    self._update_user(row, item_factors, negatives[row])
+                    self._update_user(
+                        row, item_factors, negatives[offsets[row] : offsets[row + 1]]
+                    )
 
     # ------------------------------------------------------------------ #
     # Epoch negative sampling (shared by both engines)
     # ------------------------------------------------------------------ #
-    def _draw_epoch_negatives(self) -> list[np.ndarray]:
+    def _draw_epoch_negatives(self) -> tuple[np.ndarray, np.ndarray]:
         """One epoch's negatives for every active user, drawn up front.
 
-        ``"permutation"``: one draw per user in loop order (the historical
-        stream).  ``"batched"``: one stacked rejection-sampling pass over all
-        active users.  Both engines call this at the top of an epoch, so the
-        attack RNG stream depends only on the sampler.
+        Returned CSR-style: row ``r``'s negatives are
+        ``values[offsets[r]:offsets[r + 1]]``.  ``"batched"``: one stacked
+        rejection-sampling pass over all active users.  ``"permutation"``:
+        one draw per user in loop order (the historical stream).  Both
+        engines call this at the top of an epoch, so the attack RNG stream
+        depends only on the sampler.
         """
         if self.sampler == "batched":
-            counts = np.array(
-                [positives.shape[0] for positives in self._positives], dtype=np.int64
+            return sample_uniform_negatives_batched(
+                self._rng, self._num_items, self._counts, self._positive_masks
             )
-            values, offsets = sample_uniform_negatives_batched(
-                self._rng, self._num_items, counts, self._positive_masks
+        offsets = self._negative_offsets
+        values = np.empty(int(offsets[-1]), dtype=np.int64)
+        for row, count in enumerate(self._counts.tolist()):
+            values[offsets[row] : offsets[row + 1]] = sample_uniform_negatives(
+                self._rng,
+                self._num_items,
+                count,
+                self._positive_masks[row],
+                num_positives=count,
             )
-            return [
-                values[offsets[row] : offsets[row + 1]]
-                for row in range(counts.shape[0])
-            ]
-        return [
-            self._sample_negatives(row, self._positives[row].shape[0])
-            for row in range(self._active_users.shape[0])
-        ]
+        return values, offsets
 
     # ------------------------------------------------------------------ #
     # Vectorized epoch: one batched BPR call over all active users
@@ -207,34 +223,20 @@ class UserMatrixApproximator:
 
         Negative samples are drawn up front through the configured sampler
         (keeping the attack RNG streams identical to the loop engine's); the
-        gradient math — the expensive part — runs once over the concatenated
-        pairs.
+        gradient math — the expensive part — runs once over the pairs, whose
+        positives and segment ids were aligned with the negative CSR in
+        ``__init__``.
         """
-        drawn = self._draw_epoch_negatives()
-        positives_list: list[np.ndarray] = []
-        negatives_list: list[np.ndarray] = []
-        counts = np.zeros(self._active_users.shape[0], dtype=np.int64)
-        for row in range(self._active_users.shape[0]):
-            positives = self._positives[row]
-            negatives = drawn[row]
-            if negatives.shape[0] < positives.shape[0]:
-                positives = positives[: negatives.shape[0]]
-            counts[row] = positives.shape[0]
-            positives_list.append(positives)
-            negatives_list.append(negatives)
-        total = int(counts.sum())
-        if total == 0:
+        negatives, _ = self._draw_epoch_negatives()
+        if negatives.shape[0] == 0:
             return
-        segment_ids = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
-        positives = np.concatenate(positives_list)
-        negatives = np.concatenate(negatives_list)
         # Only the user-vector gradients are needed, so the coefficients-only
         # kernel is used and the (nnz, k) item-gradient rows never exist.
         batched = bpr_coefficients_batched(
             self.user_factors[self._active_users],
             item_factors,
-            segment_ids,
-            positives,
+            self._pair_segments,
+            self._pair_positives,
             negatives,
             l2_reg=self.l2_reg,
         )
@@ -257,13 +259,4 @@ class UserMatrixApproximator:
         )
         self.user_factors[user] = (
             self.user_factors[user] - self.learning_rate * gradients.grad_user
-        )
-
-    def _sample_negatives(self, row: int, count: int) -> np.ndarray:
-        return sample_uniform_negatives(
-            self._rng,
-            self._num_items,
-            count,
-            self._positive_masks[row],
-            num_positives=self._positives[row].shape[0],
         )

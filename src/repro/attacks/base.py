@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
+from repro.data.negative_sampling import DEFAULT_SAMPLER
 from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
 from repro.federated.updates import ClientUpdate
@@ -76,11 +77,11 @@ class AttackContext:
         The negative-sampling engine the attack's internal BPR optimisations
         use, propagated from
         :attr:`repro.federated.config.FederatedConfig.sampler` by the
-        simulation.  ``"permutation"`` draws per user in loop order;
-        ``"batched"`` draws every active user's negatives in one stacked
-        rejection-sampling pass per epoch.  Either way the draws consume the
-        attack RNG identically under both computation engines, so engine
-        equivalence holds per sampler.
+        simulation.  ``"batched"`` (default) draws every active user's
+        negatives in one stacked rejection-sampling pass per epoch;
+        ``"permutation"`` draws per user in loop order.  Either way the draws
+        consume the attack RNG identically under both computation engines,
+        so engine equivalence holds per sampler.
     """
 
     num_items: int
@@ -93,7 +94,7 @@ class AttackContext:
     full_train: InteractionDataset | None = None
     rng: np.random.Generator = field(default_factory=lambda: ensure_rng(None))
     engine: str = "vectorized"
-    sampler: str = "permutation"
+    sampler: str = DEFAULT_SAMPLER
 
     def __post_init__(self) -> None:
         self.target_items = np.unique(np.asarray(self.target_items, dtype=np.int64))

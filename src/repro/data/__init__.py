@@ -10,14 +10,15 @@ side:
 * loaders for the real dataset files when they are available,
 * leave-one-out train/test splitting as used in the paper,
 * public-interaction sampling (the attacker's prior knowledge, ratio ``xi``),
-* negative sampling for BPR training (the per-user permutation engine and
-  the stacked batched rejection sampler),
+* negative sampling for BPR training (the stacked batched rejection
+  sampler, the default, and the historical per-user permutation engine),
 * dataset statistics reproducing Table II.
 """
 
 from repro.data.dataset import InteractionDataset
 from repro.data.loaders import load_dataset, load_movielens_file, load_steam_file
 from repro.data.negative_sampling import (
+    DEFAULT_SAMPLER,
     SAMPLER_ENGINES,
     NegativeSampler,
     sample_uniform_negatives,
@@ -40,6 +41,7 @@ __all__ = [
     "InteractionStore",
     "NegativeSampler",
     "SAMPLER_ENGINES",
+    "DEFAULT_SAMPLER",
     "sample_uniform_negatives",
     "sample_uniform_negatives_batched",
     "PublicInteractions",

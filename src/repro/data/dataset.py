@@ -62,7 +62,12 @@ class InteractionDataset:
                 raise DataError("user id out of range")
             if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= num_items:
                 raise DataError("item id out of range")
-        pairs = np.unique(pairs, axis=0)
+        # Row-major keys sort pairs exactly like ``np.unique(axis=0)`` does;
+        # a sort plus an adjacent-difference mask dedups them far faster than
+        # either ``np.unique`` call.
+        keys = np.sort(pairs[:, 0] * num_items + pairs[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        pairs = np.column_stack((keys // num_items, keys % num_items))
 
         self._name = name
         self._num_users = int(num_users)
@@ -221,17 +226,27 @@ class InteractionDataset:
     # Construction helpers
     # ------------------------------------------------------------------ #
     def with_interactions_removed(
-        self, removals: Sequence[tuple[int, int]], name: str | None = None
+        self, removals: Sequence[tuple[int, int]] | np.ndarray, name: str | None = None
     ) -> "InteractionDataset":
-        """Return a copy with the given (user, item) pairs removed."""
-        removal_set = {(int(u), int(i)) for u, i in removals}
-        kept = [
-            (int(u), int(i))
-            for u, i in self._pairs
-            if (int(u), int(i)) not in removal_set
-        ]
+        """Return a copy with the given (user, item) pairs removed.
+
+        Pairs absent from the dataset are ignored; ids outside the dataset
+        raise :class:`DataError` (a row-major key would alias them onto
+        another user's row).
+        """
+        removed = np.asarray(removals, dtype=np.int64).reshape(-1, 2)
+        if removed.shape[0] > 0 and (
+            removed.min() < 0
+            or removed[:, 0].max() >= self._num_users
+            or removed[:, 1].max() >= self._num_items
+        ):
+            raise DataError("removal pair id out of range")
+        keys = self._pairs[:, 0] * self._num_items + self._pairs[:, 1]
+        removed_keys = removed[:, 0] * self._num_items + removed[:, 1]
         return InteractionDataset(
-            self._num_users, self._num_items, np.array(kept, dtype=np.int64).reshape(-1, 2),
+            self._num_users,
+            self._num_items,
+            self._pairs[~np.isin(keys, removed_keys)],
             name=name or self._name,
         )
 

@@ -8,18 +8,18 @@ engines implement that draw (selected by ``FederatedConfig.sampler``):
   at a time, a random permutation of the catalog is filtered through the
   user's positive mask and truncated: an exact uniform draw without
   replacement, consumed from a *per-user* RNG stream.  This is the historical
-  engine and the default; its realizations are frozen by the engine
-  equivalence contract.
-* :func:`sample_uniform_negatives_batched` — the ``"batched"`` engine.  One
-  stacked rejection-sampling pass draws negatives for *many* users at once
-  from a *single shared* RNG stream: oversampled uniform candidates, masked
-  against the stacked positive masks, deduplicated in draw order, and
-  resampled until every user has its quota.  Accepting candidates in draw
-  order (skipping rejects and duplicates) is classic rejection sampling, so
-  each user's accepted set is still an exact uniform draw without
-  replacement from the complement of its positives — only the random
-  *stream* (and therefore every training realization) differs from the
-  permutation engine.
+  engine: the golden seed histories pin its realizations, so it stays
+  selectable by name.
+* :func:`sample_uniform_negatives_batched` — the ``"batched"`` engine and the
+  default (:data:`DEFAULT_SAMPLER`).  One stacked rejection-sampling pass
+  draws negatives for *many* users at once from a *single shared* RNG
+  stream: oversampled uniform candidates, masked against the stacked
+  positive masks, deduplicated in draw order, and resampled until every user
+  has its quota.  Accepting candidates in draw order (skipping rejects and
+  duplicates) is classic rejection sampling, so each user's accepted set is
+  still an exact uniform draw without replacement from the complement of its
+  positives — only the random *stream* (and therefore every training
+  realization) differs from the permutation engine.
 
 Both engines are exact; see ``docs/architecture.md`` for the two RNG
 contracts and which simulation streams feed them.
@@ -45,10 +45,15 @@ __all__ = [
     "sample_uniform_negatives_batched",
     "sample_ranking_negatives_batched",
     "SAMPLER_ENGINES",
+    "DEFAULT_SAMPLER",
 ]
 
 #: The valid values of every ``sampler`` switch in the package.
 SAMPLER_ENGINES = ("permutation", "batched")
+
+#: The library default of every ``sampler`` parameter outside the config
+#: dataclasses (whose defaults the switch registry declares).
+DEFAULT_SAMPLER = "batched"
 
 
 def sample_uniform_negatives(
@@ -302,17 +307,17 @@ def sample_ranking_negatives_batched(
 class NegativeSampler:
     """Samples negative items for users of an :class:`InteractionDataset`.
 
-    ``sampler`` selects the engine: ``"permutation"`` (default, one
-    catalog permutation per call) or ``"batched"`` (the stacked
+    ``sampler`` selects the engine: ``"batched"`` (default, the stacked
     rejection-sampling pass, here degenerate at batch size one but consuming
-    the same kind of stream as the federated round sampler).
+    the same kind of stream as the federated round sampler) or
+    ``"permutation"`` (one catalog permutation per call).
     """
 
     def __init__(
         self,
         dataset: InteractionDataset,
         rng: np.random.Generator | int | None = None,
-        sampler: str = "permutation",
+        sampler: str = DEFAULT_SAMPLER,
     ) -> None:
         if sampler not in SAMPLER_ENGINES:
             raise DataError(

@@ -56,7 +56,7 @@ class ExperimentConfig:
     aggregator: str = "sum"
     aggregator_options: dict[str, Any] = field(default_factory=dict)
     engine: str = "vectorized"
-    sampler: str = "permutation"
+    sampler: str = "batched"
     eval_engine: str = "vectorized"
     eval_sampler: str = "per-user"
     eval_path: str = "block"
@@ -137,7 +137,7 @@ class ExperimentProfile:
     ``fuse_rounds``, when set, override the negative-sampling engine and the
     cross-round fusion window of every run regenerated at this profile — this
     is how the qualitative table/figure gates are re-validated under the
-    ``"batched"`` sampler (see ``REPRO_BENCH_SAMPLER`` below).
+    historical ``"permutation"`` sampler (see ``REPRO_BENCH_SAMPLER`` below).
     """
 
     name: str
@@ -196,10 +196,10 @@ PAPER_PROFILE = ExperimentProfile(
 #:
 #: ``REPRO_BENCH_SAMPLER`` / ``REPRO_BENCH_FUSE_ROUNDS`` switch the sampler
 #: engine and fusion window of the whole benchmark suite without touching the
-#: tests — e.g. ``REPRO_BENCH_SAMPLER=batched pytest benchmarks/`` re-validates
-#: every qualitative table/figure gate under the batched sampler's
-#: realizations.  Unset, the profile pins nothing and runs keep the
-#: ``ExperimentConfig`` defaults (permutation, no fusion).
+#: tests — e.g. ``REPRO_BENCH_SAMPLER=permutation pytest benchmarks/``
+#: re-validates every qualitative table/figure gate under the historical
+#: permutation sampler's realizations.  Unset, the profile pins nothing and
+#: runs keep the ``ExperimentConfig`` defaults (batched sampler, no fusion).
 def _bench_fuse_rounds_from_env() -> int | None:
     """Parse ``REPRO_BENCH_FUSE_ROUNDS``, failing with a clear error.
 

@@ -227,11 +227,12 @@ class BenignClient(Client):
         """The round's aligned (positives, negatives) training pairs.
 
         Both the per-client and the vectorized round engine call this under
-        the ``"permutation"`` sampler, so the two engines consume identical
-        per-client random streams and train on identical pairs.  Under the
-        ``"batched"`` sampler the round engine draws every client's negatives
-        from the shared round stream instead and hands them to
-        :meth:`accept_negatives`.
+        the historical ``"permutation"`` sampler, so the two engines consume
+        identical per-client random streams and train on identical pairs.
+        Under the default ``"batched"`` sampler the round engine draws every
+        client's negatives from the shared round stream instead and hands
+        them to :meth:`accept_negatives`.  Either way the initial sample
+        drawn at construction comes from the client's own stream.
         """
         if self.needs_fresh_negatives:
             self._negatives = self._sample_negatives(

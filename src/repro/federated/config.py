@@ -63,16 +63,16 @@ class FederatedConfig:
         summation order.
     sampler:
         Which negative-sampling engine clients (and the attacker's
-        user-matrix approximation) draw from.  ``"permutation"`` (default)
-        keeps the historical per-user permutation draws and their per-client
-        RNG streams — training realizations are bit-identical to earlier
-        releases.  ``"batched"`` draws a whole round's negatives in one
-        stacked rejection-sampling pass from a shared round-level stream;
-        still an exact uniform draw, but a *different* realization (the
-        qualitative result gates are validated under both).  Either engine
-        works with either sampler: the loop engine under the batched sampler
-        consumes the same round-level stream, so loop/vectorized equivalence
-        holds per sampler.
+        user-matrix approximation) draw from.  ``"batched"`` (default) draws
+        a whole round's negatives in one stacked rejection-sampling pass from
+        a shared round-level stream.  ``"permutation"`` keeps the historical
+        per-user permutation draws and their per-client RNG streams — its
+        training realizations are bit-identical to earlier releases, which
+        is why the golden seed histories pin it.  Both are exact uniform
+        draws but *different* realizations (the qualitative result gates are
+        validated under both).  Either engine works with either sampler: the
+        loop engine under the batched sampler consumes the same round-level
+        stream, so loop/vectorized equivalence holds per sampler.
     eval_engine:
         Which evaluation engine computes the HR/NDCG/ER metrics at each
         evaluation epoch: ``"vectorized"`` (default) scores user blocks as
@@ -209,7 +209,7 @@ class FederatedConfig:
     use_learnable_scorer: bool = False
     scorer_hidden_units: int = 32
     engine: str = "vectorized"
-    sampler: str = "permutation"
+    sampler: str = "batched"
     eval_engine: str = "vectorized"
     eval_sampler: str = "per-user"
     eval_path: str = "block"

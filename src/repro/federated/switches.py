@@ -142,9 +142,12 @@ SWITCH_REGISTRY: tuple[SwitchSpec, ...] = (
     SwitchSpec(
         name="sampler",
         kind="choice",
-        default="permutation",
+        default="batched",
         choices=("permutation", "batched"),
-        help="negative-sampling engine: 'permutation' (default) or 'batched'",
+        help=(
+            "negative-sampling engine: 'batched' (default, one stacked draw "
+            "per round) or 'permutation' (historical per-client streams)"
+        ),
     ),
     SwitchSpec(
         name="eval_engine",

@@ -129,3 +129,42 @@ def test_clean_tree_without_registry_still_legacy(tmp_path) -> None:
     # No registry file -> the legacy extraction path must keep working.
     root = write_tree(tmp_path, CLEAN_TREE)
     assert messages(lint(root, select=["R2", "R5"])) == []
+
+
+def _readme_with_rows(sampler_values: str, workers_values: str) -> str:
+    readme = REGISTRY_TREE["README.md"].replace(
+        "| `sampler` | `--sampler` | `permutation`, `batched` |",
+        f"| `sampler` | `--sampler` | {sampler_values} |",
+    )
+    return readme.replace(
+        "| `workers` | `--workers` | positive int |",
+        f"| `workers` | `--workers` | {workers_values} |",
+    )
+
+
+def test_readme_default_marker_matching_registry_passes(tmp_path) -> None:
+    # The row of a field may also mention other switches: a row that merely
+    # names `sampler` outside its first cell never contributes a default.
+    readme = _readme_with_rows(
+        "`permutation` (default), `batched`",
+        "`1` (default), `W > 1`; identical for every engine/sampler",
+    )
+    root = write_tree(tmp_path, {**REGISTRY_TREE, "README.md": readme})
+    assert messages(lint(root, select=["R5"])) == []
+
+
+def test_readme_default_marker_must_name_registry_default(tmp_path) -> None:
+    # Flipping a registry default without the README row is a violation.
+    readme = _readme_with_rows("`batched` (default), `permutation`", "`1` (default)")
+    root = write_tree(tmp_path, {**REGISTRY_TREE, "README.md": readme})
+    found = messages(lint(root, select=["R5"]))
+    assert found and all(m.startswith("src/repro/federated/switches.py:") for m in found)
+    assert any(
+        "'sampler'" in m and "'batched'" in m and "registry default is 'permutation'" in m
+        for m in found
+    )
+
+    readme = _readme_with_rows("`permutation` (default), `batched`", "`2` (default: two)")
+    root = write_tree(tmp_path / "int", {**REGISTRY_TREE, "README.md": readme})
+    found = messages(lint(root, select=["R5"]))
+    assert any("'workers'" in m and "registry default is 1" in m for m in found)

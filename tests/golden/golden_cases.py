@@ -50,6 +50,8 @@ _BASE = dict(
     # Every protocol switch is pinned *explicitly* (not via config defaults)
     # so each realization below is a visible, statically checkable contract —
     # the switch-parity rule (R2) cross-checks this grid against the config.
+    # The historical permutation sampler is the base; the batched default
+    # pins its own cases below.
     sampler="permutation",
     eval_engine="vectorized",
     eval_sampler="per-user",
@@ -92,15 +94,17 @@ for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
         "eval_sampler": "batched",
         "eval_path": "candidates",
     }
-# The remaining switch realizations each pin one history: the batched
-# negative sampler (one stacked round-level draw instead of per-client
-# streams) and the loop evaluation engine (per-user scoring order).
-GOLDEN_CASES["mf-benign-sampler-batched"] = {
-    **_BASE,
-    **_BENIGN,
-    "engine": "vectorized",
-    "sampler": "batched",
-}
+# The remaining switch realizations each pin their histories: the batched
+# negative sampler, the default (one stacked round-level draw instead of
+# per-client streams, and one stacked draw per approximator epoch in the
+# attacked case), and the loop evaluation engine (per-user scoring order).
+for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
+    GOLDEN_CASES[f"mf-{_mode}-sampler-batched"] = {
+        **_BASE,
+        **_mode_kwargs,
+        "engine": "vectorized",
+        "sampler": "batched",
+    }
 GOLDEN_CASES["mf-benign-eval-loop"] = {
     **_BASE,
     **_BENIGN,

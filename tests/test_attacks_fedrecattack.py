@@ -16,7 +16,8 @@ from repro.attacks.fedrecattack import (
     g_derivative,
     g_function,
 )
-from repro.data.public import sample_public_interactions
+from repro.data.dataset import InteractionDataset
+from repro.data.public import PublicInteractions, sample_public_interactions
 from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
 
@@ -139,28 +140,84 @@ class TestUserMatrixApproximator:
         assert cosine > 0.5
 
 
+def _public_with_saturated_users(train):
+    """Public interactions with users whose complement is short or empty.
+
+    User 0 holds 60% of the catalog (fewer negatives exist than positives, so
+    its pairs are truncated) and user 1 holds all of it (no pairs at all);
+    the other users keep a sparse random 10% of their training profile.
+    """
+    num_items = train.num_items
+    sparse = sample_public_interactions(train, xi=0.10, rng=5).dataset.pairs
+    sparse = sparse[sparse[:, 0] > 1]
+    wide = np.arange(int(0.6 * num_items))
+    pairs = np.vstack(
+        [
+            np.column_stack([np.zeros_like(wide), wide]),
+            np.column_stack([np.ones(num_items, dtype=np.int64), np.arange(num_items)]),
+            sparse,
+        ]
+    )
+    dataset = InteractionDataset(train.num_users, num_items, pairs)
+    return PublicInteractions(dataset=dataset, xi=0.10)
+
+
 class TestVectorizedAttackerEquivalence:
     """The stacked attacker implementations must match the loop references."""
 
-    def test_approximator_engines_match(self, small_split, small_public, rng):
+    @pytest.mark.parametrize("sampler", ["permutation", "batched"])
+    def test_approximator_engines_match(self, small_split, small_public, rng, sampler):
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.4)
-        loop = UserMatrixApproximator(small_public, num_factors=8, rng=3, engine="loop")
-        vec = UserMatrixApproximator(small_public, num_factors=8, rng=3, engine="vectorized")
+        loop = UserMatrixApproximator(
+            small_public, num_factors=8, rng=3, engine="loop", sampler=sampler
+        )
+        vec = UserMatrixApproximator(
+            small_public, num_factors=8, rng=3, engine="vectorized", sampler=sampler
+        )
         loop.refresh(item_factors, epochs=5)
         vec.refresh(item_factors, epochs=5)
         np.testing.assert_allclose(loop.user_factors, vec.user_factors, atol=1e-12)
 
+    @pytest.mark.parametrize("sampler", ["permutation", "batched"])
     def test_approximator_engines_consume_identical_rng_streams(
-        self, small_split, small_public, rng
+        self, small_split, small_public, rng, sampler
     ):
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.4)
-        loop = UserMatrixApproximator(small_public, num_factors=8, rng=3, engine="loop")
-        vec = UserMatrixApproximator(small_public, num_factors=8, rng=3, engine="vectorized")
+        loop = UserMatrixApproximator(
+            small_public, num_factors=8, rng=3, engine="loop", sampler=sampler
+        )
+        vec = UserMatrixApproximator(
+            small_public, num_factors=8, rng=3, engine="vectorized", sampler=sampler
+        )
         loop.refresh(item_factors, epochs=2)
         vec.refresh(item_factors, epochs=2)
         # After identical work both private generators must be in the same
         # state — the property that keeps whole-simulation runs equivalent.
         assert loop._rng.integers(0, 2**60) == vec._rng.integers(0, 2**60)
+
+    @pytest.mark.parametrize("sampler", ["permutation", "batched"])
+    def test_approximator_engines_match_with_saturated_public_users(
+        self, small_split, rng, sampler
+    ):
+        # Exercises the vectorized epoch's truncation of users whose
+        # complement is shorter than their positive set.
+        public = _public_with_saturated_users(small_split.train)
+        item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.4)
+        loop = UserMatrixApproximator(
+            public, num_factors=8, rng=3, engine="loop", sampler=sampler
+        )
+        vec = UserMatrixApproximator(
+            public, num_factors=8, rng=3, engine="vectorized", sampler=sampler
+        )
+        before = vec.user_factors.copy()
+        loop.refresh(item_factors, epochs=4)
+        vec.refresh(item_factors, epochs=4)
+        np.testing.assert_allclose(loop.user_factors, vec.user_factors, atol=1e-12)
+        assert loop._rng.integers(0, 2**60) == vec._rng.integers(0, 2**60)
+        # The truncated user trains on its pairs; the user without any
+        # negatives keeps its initialisation.
+        assert not np.allclose(vec.user_factors[0], before[0])
+        np.testing.assert_array_equal(vec.user_factors[1], before[1])
 
     def test_approximator_rejects_unknown_engine(self, small_public):
         with pytest.raises(AttackError):

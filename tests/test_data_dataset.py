@@ -135,6 +135,19 @@ class TestDerivedDatasets:
         assert not reduced.has_interaction(1, 3)
         assert reduced.has_interaction(0, 1)
 
+    def test_with_interactions_removed_ignores_absent_pairs(self, tiny_dataset):
+        assert tiny_dataset.with_interactions_removed([(0, 5), (4, 4)]) == tiny_dataset
+        assert tiny_dataset.with_interactions_removed([]) == tiny_dataset
+
+    @pytest.mark.parametrize("removal", [(0, 7), (5, 0), (-1, 0), (0, -1)])
+    def test_with_interactions_removed_rejects_out_of_range_ids(
+        self, tiny_dataset, removal
+    ):
+        # (0, 7) shares its row-major key with (1, 1), a pair of the dataset:
+        # it must fail loudly rather than delete another user's interaction.
+        with pytest.raises(DataError):
+            tiny_dataset.with_interactions_removed([(1, 3), removal])
+
     def test_with_interactions_removed_keeps_originals(self, tiny_dataset):
         before = tiny_dataset.num_interactions
         tiny_dataset.with_interactions_removed([(0, 0)])

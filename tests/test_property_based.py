@@ -68,6 +68,32 @@ class TestDatasetProperties:
         split = leave_one_out_split(dataset, rng=seed)
         assert split.train.num_interactions + split.num_test_users == dataset.num_interactions
 
+    @given(interactions=interaction_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_keyed_dedup_matches_unique_rows(self, interactions):
+        # The constructor dedups on row-major (user * num_items + item) keys;
+        # the pairs must be exactly what np.unique(axis=0) produced before.
+        pairs = np.asarray(interactions, dtype=np.int64).reshape(-1, 2)
+        dataset = InteractionDataset(15, 20, pairs)
+        expected = np.unique(pairs, axis=0)
+        assert dataset.pairs.dtype == expected.dtype
+        assert dataset.pairs.shape == expected.shape
+        assert dataset.pairs.tobytes() == expected.tobytes()
+
+    @given(interactions=interaction_lists, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_keyed_removal_matches_set_oracle(self, interactions, data):
+        # Removals mix present pairs (possibly repeated) with absent ones.
+        present = st.sampled_from(interactions) if interactions else st.nothing()
+        any_pair = st.tuples(st.integers(0, 14), st.integers(0, 19))
+        removals = data.draw(st.lists(st.one_of(present, any_pair), max_size=40))
+        dataset = InteractionDataset(15, 20, interactions)
+        reduced = dataset.with_interactions_removed(removals)
+        expected = sorted(set(interactions) - set(removals))
+        assert reduced.pairs.dtype == np.int64
+        assert reduced.pairs.shape == (len(expected), 2)
+        assert [tuple(pair) for pair in reduced.pairs.tolist()] == expected
+
     @given(interactions=interaction_lists, xi=st.floats(0.0, 1.0), seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_public_interactions_are_subset(self, interactions, xi, seed):

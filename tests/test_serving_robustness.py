@@ -116,6 +116,11 @@ class TestLoadShedding:
         server = build_http_server(
             _service(), max_in_flight=2, fault_injector=injector
         )
+        # A client can read its answer before the handler thread releases its
+        # admission slot.  Non-daemon handler threads are joined by
+        # server_close(), so the counters below are read only after every
+        # handler has finished.
+        server.daemon_threads = False
         thread, base = _serve(server)
         try:
             results: list[tuple[int, dict, dict]] = [None] * 8  # type: ignore[list-item]
@@ -130,23 +135,23 @@ class TestLoadShedding:
                 fetcher.start()
             for fetcher in fetchers:
                 fetcher.join(timeout=30)
-            codes = sorted(status for status, _, _ in results)
-            assert set(codes) == {200, 503}
-            # Exactly two slots exist; a request admitted after an early
-            # finisher can push the 200 count past 2, but most must shed.
-            assert codes.count(200) >= 2
-            assert codes.count(503) >= 4
-            for status, body, headers in results:
-                if status == 503:
-                    assert headers["Retry-After"] == "1"
-                    assert "over capacity" in body["error"]
-            stats = server.stats_payload()
-            assert stats["shed_requests"] == codes.count(503)
-            assert stats["in_flight"] == 0
         finally:
             server.shutdown()
             server.server_close()
             thread.join()
+        codes = sorted(status for status, _, _ in results)
+        assert set(codes) == {200, 503}
+        # Exactly two slots exist; a request admitted after an early
+        # finisher can push the 200 count past 2, but most must shed.
+        assert codes.count(200) >= 2
+        assert codes.count(503) >= 4
+        for status, body, headers in results:
+            if status == 503:
+                assert headers["Retry-After"] == "1"
+                assert "over capacity" in body["error"]
+        stats = server.stats_payload()
+        assert stats["shed_requests"] == codes.count(503)
+        assert stats["in_flight"] == 0
 
     def test_health_and_stats_bypass_admission(self):
         # A saturated /recommend pool must never block the probes operators
