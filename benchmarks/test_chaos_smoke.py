@@ -2,10 +2,10 @@
 
 Fast enough for CI, this module drives the two fault surfaces end to end:
 
-* **federated** — a sharded training run under client churn (dropouts,
-  crashes, stale-merged stragglers) *and* injected transient shard failures,
-  asserting the run completes, records structured incidents and — run twice
-  — replays bit-identically (chaos is seeded, never wall-clock);
+* **federated** — a training run under client churn (dropouts, crashes,
+  stale-merged stragglers) with a reporter quorum, asserting the run
+  completes, records structured incidents and — run twice — replays
+  bit-identically (chaos is seeded, never wall-clock);
 * **serving** — an overloaded HTTP front end under injected latency,
   asserting every excess request is shed as a clean JSON 503 with a
   ``Retry-After`` header (zero dropped connections) and the in-flight gauge
@@ -26,11 +26,6 @@ import numpy as np
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 from repro.data.splits import leave_one_out_split
 from repro.federated.config import FederatedConfig
-from repro.federated.dynamics import (
-    ShardFaultPlan,
-    clear_shard_fault_plan,
-    install_shard_fault_plan,
-)
 from repro.federated.simulation import FederatedSimulation
 from repro.models.mf import MatrixFactorizationModel
 from repro.rng import SeedSequenceFactory
@@ -48,7 +43,7 @@ MAX_IN_FLIGHT = 2
 
 
 def _chaos_run():
-    """One sharded training run with every fault class enabled."""
+    """One training run with every client fault class enabled."""
     seeds = SeedSequenceFactory(77)
     dataset = generate_synthetic_dataset(
         SyntheticConfig(
@@ -67,16 +62,12 @@ def _chaos_run():
         learning_rate=0.05,
         clients_per_round=32,
         num_epochs=2,
-        workers=2,
         dropout_rate=0.15,
         crash_rate=0.1,
         straggler_rate=0.2,
         straggler_policy="stale-merge",
         min_reporters=4,
-        shard_retries=2,
-        shard_backoff=0.01,
     )
-    install_shard_fault_plan(ShardFaultPlan(transient_failures={1: 1}, rounds=(1, 4)))
     simulation = FederatedSimulation(
         train=split.train,
         config=config,
@@ -84,12 +75,7 @@ def _chaos_run():
         seed=SeedSequenceFactory(41),
         eval_num_negatives=20,
     )
-    try:
-        result = simulation.run()
-    finally:
-        simulation.close()
-        clear_shard_fault_plan()
-    return result
+    return simulation.run()
 
 
 def test_chaos_smoke_federated(save_result):
@@ -98,7 +84,6 @@ def test_chaos_smoke_federated(save_result):
 
     assert first.incidents, "a chaos run must record its degradations"
     kinds = sorted({incident.kind for incident in first.incidents})
-    assert "shard-retry" in kinds
     assert {"client-dropout", "client-crash", "straggler"} & set(kinds)
 
     # Seeded chaos replays bit for bit: losses, parameters and incidents.

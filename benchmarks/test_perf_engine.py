@@ -8,14 +8,13 @@ paper's evaluation datasets (Table II) and the protocol defaults (k = 32,
   MovieLens-1M and Steam-200K shapes, measuring rounds/sec for three
   configurations: the ``loop`` reference, the ``vectorized`` engine
   (permutation sampler, bit-identical realizations to the reference), and
-  ``batched_fused`` (vectorized engine + batched sampler + cross-round
-  fusion — the sparse-dataset configuration).  Gates: vectorized ≥ 3x at the
-  ml-100k shape, batched_fused ≥ 3x at the steam-200k shape (whose sparse
-  per-user activity makes plain vectorization the weakest, ~2x).
+  ``batched`` (vectorized engine + batched sampler — the default
+  configuration).  Gates: vectorized ≥ 3x at the ml-100k shape, batched ≥ 3x
+  at the steam-200k shape (whose sparse per-user activity makes the
+  permutation-sampler vectorized engine the weakest, ~2x).
 * ``test_perf_attack_rounds`` — attack-enabled rounds (FedRecAttack with its
   user-matrix approximation refresh and poisoned-gradient construction every
-  round) at the ml-100k shape, for the same three configurations (fusion off:
-  the gate isolates the sampler's effect on the attacker pipeline).  Gates:
+  round) at the ml-100k shape, for the same three configurations.  Gates:
   vectorized ≥ 3x (the PR 2 contract) and batched strictly above the
   measured vectorized throughput (the approximation's per-user permutation
   draws were the dominant remaining cost).
@@ -25,10 +24,10 @@ paper's evaluation datasets (Table II) and the protocol defaults (k = 32,
 
 ``loop`` and ``vectorized`` consume identical per-client random streams, so
 that speedup is free of any accuracy trade-off (see
-``tests/test_federated_engine_equivalence.py``); ``batched_fused`` is an
-exact sampler with a different RNG contract plus delayed within-window
-gradients, re-validated qualitatively by the table/figure gates (which run
-under the batched default, and under ``REPRO_BENCH_SAMPLER=permutation``).
+``tests/test_federated_engine_equivalence.py``); ``batched`` is an exact
+sampler with a different RNG contract, re-validated qualitatively by the
+table/figure gates (which run under the batched default, and under
+``REPRO_BENCH_SAMPLER=permutation``).
 
 Results land in ``benchmarks/results/perf_engine.json`` / ``.txt`` and
 ``benchmarks/results/perf_attack.json`` / ``.txt``.
@@ -37,16 +36,14 @@ Results land in ``benchmarks/results/perf_engine.json`` / ``.txt`` and
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import numpy as np
-import pytest
 
 from conftest import RESULTS_DIR, run_once
 
 from repro.attacks.fedrecattack import FedRecAttack, FedRecAttackConfig
-from repro.data.presets import get_preset, scaled_preset
+from repro.data.presets import get_preset
 from repro.data.public import sample_public_interactions
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 from repro.federated.config import FederatedConfig
@@ -58,7 +55,6 @@ CLIENTS_PER_ROUND = 256
 MIN_SPEEDUP = 3.0
 GATE_SHAPE = "ml-100k"
 SPARSE_GATE_SHAPE = "steam-200k"
-FUSE_ROUNDS = 4
 
 #: (measured rounds, interleaved repeats) per dataset shape.  The larger
 #: shapes run fewer repeats so the whole sweep stays laptop-friendly; the
@@ -76,11 +72,7 @@ SHAPES: dict[str, tuple[int, int]] = {
 VARIANTS: dict[str, dict] = {
     "loop": {"engine": "loop", "sampler": "permutation"},
     "vectorized": {"engine": "vectorized", "sampler": "permutation"},
-    "batched_fused": {
-        "engine": "vectorized",
-        "sampler": "batched",
-        "fuse_rounds": FUSE_ROUNDS,
-    },
+    "batched": {"engine": "vectorized", "sampler": "batched"},
 }
 
 ATTACK_VARIANTS: dict[str, dict] = {
@@ -128,21 +120,11 @@ def _round_batches(simulation: FederatedSimulation, num_rounds: int) -> list[np.
 
 
 def _time_rounds(simulation: FederatedSimulation, num_rounds: int) -> float:
-    """Wall-clock seconds for ``num_rounds`` further training rounds.
-
-    Configurations with a fusion window run the same rounds through the fused
-    scheduler in windows of ``fuse_rounds`` (the same grouping the epoch
-    scheduler uses), so the measurement exercises the production code path.
-    """
+    """Wall-clock seconds for ``num_rounds`` further training rounds."""
     batches = _round_batches(simulation, num_rounds)
-    fuse = simulation.config.fuse_rounds
     start = time.perf_counter()
-    if fuse > 1 and simulation.config.engine == "vectorized":
-        for window_start in range(0, len(batches), fuse):
-            simulation._run_fused_rounds(batches[window_start : window_start + fuse])
-    else:
-        for batch in batches:
-            simulation._run_round(batch)
+    for batch in batches:
+        simulation._run_round(batch)
     return time.perf_counter() - start
 
 
@@ -188,7 +170,6 @@ def _measure_shape(name: str, measured_rounds: int, repeats: int) -> dict:
         "num_users": preset.num_users,
         "num_items": preset.num_items,
         "num_interactions": preset.num_interactions,
-        "fuse_rounds": FUSE_ROUNDS,
         **_throughput(simulations, measured_rounds, repeats),
     }
 
@@ -210,7 +191,7 @@ def test_perf_engine(benchmark, save_result):
     )
     lines = [
         "Round-engine throughput (synthetic paper shapes, k=32, 256 clients/round)",
-        f"batched_fused = vectorized engine + batched sampler + fuse_rounds={FUSE_ROUNDS}",
+        "batched = vectorized engine + batched sampler",
     ]
     for shape in payload["shapes"]:
         lines += [
@@ -218,8 +199,8 @@ def test_perf_engine(benchmark, save_result):
             f"  loop engine:       {shape['loop_rounds_per_sec']:8.2f} rounds/sec",
             f"  vectorized engine: {shape['vectorized_rounds_per_sec']:8.2f} rounds/sec"
             f"  ({shape['vectorized_speedup']:.2f}x)",
-            f"  batched + fused:   {shape['batched_fused_rounds_per_sec']:8.2f} rounds/sec"
-            f"  ({shape['batched_fused_speedup']:.2f}x)",
+            f"  batched sampler:   {shape['batched_rounds_per_sec']:8.2f} rounds/sec"
+            f"  ({shape['batched_speedup']:.2f}x)",
         ]
     save_result("perf_engine", "\n".join(lines))
 
@@ -229,8 +210,8 @@ def test_perf_engine(benchmark, save_result):
         f"engine at the {GATE_SHAPE} shape (required: {MIN_SPEEDUP}x)"
     )
     sparse = next(s for s in payload["shapes"] if s["dataset"] == SPARSE_GATE_SHAPE)
-    assert sparse["batched_fused_speedup"] >= MIN_SPEEDUP, (
-        f"batched sampler + round fusion is only {sparse['batched_fused_speedup']:.2f}x "
+    assert sparse["batched_speedup"] >= MIN_SPEEDUP, (
+        f"the batched sampler is only {sparse['batched_speedup']:.2f}x "
         f"faster than the loop engine at the {SPARSE_GATE_SHAPE} shape "
         f"(required: {MIN_SPEEDUP}x)"
     )
@@ -266,8 +247,8 @@ def test_perf_engine_smoke(benchmark):
         f"vectorized engine is only {payload['vectorized_speedup']:.2f}x faster than "
         f"the loop engine in the smoke measurement (required: {SMOKE_MIN_SPEEDUP}x)"
     )
-    assert payload["batched_fused_rounds_per_sec"] > payload["loop_rounds_per_sec"], (
-        "batched sampler + fusion must not be slower than the loop reference"
+    assert payload["batched_rounds_per_sec"] > payload["loop_rounds_per_sec"], (
+        "the batched sampler must not be slower than the loop reference"
     )
 
 
@@ -347,148 +328,4 @@ def test_perf_attack_rounds(benchmark, save_result):
         "the batched sampler must push attack-enabled rounds beyond the "
         "permutation-sampler vectorized pipeline "
         f"({payload['batched_speedup']:.2f}x vs {payload['vectorized_speedup']:.2f}x)"
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Sharded multi-worker rounds
-# --------------------------------------------------------------------------- #
-
-WORKER_COUNTS = (1, 2, 4)
-WORKER_GATE_SHAPE = "ml-10m-shape"
-#: ml-10m-shape scaled down; per-user activity (~143 interactions) is
-#: preserved, so per-client round cost matches the full shape and the
-#: shard/worker balance is representative.
-WORKER_SCALE = 0.02
-WORKER_ROUNDS = 6
-WORKER_REPEATS = 2
-#: Required rounds/sec ratio of workers=4 over workers=1 — enforced only on
-#: runners with >= 4 CPUs; single-CPU runs still record honest numbers.
-MIN_WORKER_SPEEDUP = 1.5
-
-
-def _measure_workers() -> dict:
-    preset = scaled_preset(WORKER_GATE_SHAPE, WORKER_SCALE)
-    dataset = generate_synthetic_dataset(
-        SyntheticConfig.from_preset(preset),
-        SeedSequenceFactory(2022).generator(f"perf-data-{WORKER_GATE_SHAPE}"),
-    )
-    simulations = {
-        count: _build_simulation(dataset, {"engine": "vectorized", "workers": count})
-        for count in WORKER_COUNTS
-    }
-    try:
-        for simulation in simulations.values():
-            _time_rounds(simulation, 2)
-        best = {count: float("inf") for count in WORKER_COUNTS}
-        for _ in range(WORKER_REPEATS):
-            for count, simulation in simulations.items():
-                best[count] = min(best[count], _time_rounds(simulation, WORKER_ROUNDS))
-    finally:
-        for simulation in simulations.values():
-            simulation.close()
-    cpu_count = os.cpu_count() or 1
-    payload: dict = {
-        "dataset": preset.name,
-        "scale": WORKER_SCALE,
-        "num_users": preset.num_users,
-        "num_items": preset.num_items,
-        "num_interactions": preset.num_interactions,
-        "num_factors": NUM_FACTORS,
-        "clients_per_round": CLIENTS_PER_ROUND,
-        "measured_rounds": WORKER_ROUNDS,
-        "cpu_count": cpu_count,
-        "gate_enforced": cpu_count >= 4,
-    }
-    base_rps = WORKER_ROUNDS / best[1]
-    for count in WORKER_COUNTS:
-        rps = WORKER_ROUNDS / best[count]
-        payload[f"workers{count}_rounds_per_sec"] = rps
-        if count != 1:
-            payload[f"workers{count}_speedup"] = rps / base_rps
-    return payload
-
-
-def test_perf_workers(benchmark, save_result):
-    """Sharded-round scaling at the ml-10m shape (scaled, activity preserved).
-
-    All worker counts produce bit-identical histories (see
-    ``tests/test_sharded_engine_equivalence.py``), so any speedup here is
-    free of accuracy trade-offs.  The >= 1.5x gate at 4 workers only fires
-    on runners that actually have 4 CPUs; elsewhere the measured numbers
-    are still written to ``benchmarks/results/perf_workers.json`` with
-    ``gate_enforced: false`` so the record stays honest.
-    """
-    payload = run_once(benchmark, _measure_workers)
-
-    (RESULTS_DIR / "perf_workers.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-    lines = [
-        "Sharded multi-worker round throughput "
-        f"({payload['dataset']} at scale={WORKER_SCALE}: "
-        f"{payload['num_users']} users / {payload['num_items']} items, "
-        f"k={NUM_FACTORS}, {CLIENTS_PER_ROUND} clients/round)",
-        f"cpu_count={payload['cpu_count']}  gate_enforced={payload['gate_enforced']}",
-    ]
-    for count in WORKER_COUNTS:
-        suffix = (
-            f"  ({payload[f'workers{count}_speedup']:.2f}x)" if count != 1 else ""
-        )
-        lines.append(
-            f"  workers={count}: {payload[f'workers{count}_rounds_per_sec']:8.2f} "
-            f"rounds/sec{suffix}"
-        )
-    save_result("perf_workers", "\n".join(lines))
-
-    if not payload["gate_enforced"]:
-        pytest.skip(
-            f"scaling gate needs >= 4 CPUs (have {payload['cpu_count']}); "
-            "results recorded without enforcement"
-        )
-    assert payload["workers4_speedup"] >= MIN_WORKER_SPEEDUP, (
-        f"4 sharded workers are only {payload['workers4_speedup']:.2f}x faster than "
-        f"the in-process engine (required: {MIN_WORKER_SPEEDUP}x)"
-    )
-
-
-def test_perf_workers_smoke(benchmark):
-    """Fast sharded-pool smoke (run by CI via ``-k smoke``).
-
-    Drives real pool rounds at the ml-100k shape and checks the sharded
-    configuration sustains throughput within a loose factor of the
-    in-process engine — catastrophic pool regressions (per-round worker
-    respawns, serialized shards) fail the build while shared-runner noise
-    does not.  Skips on single-CPU runners, where the pool can only
-    timeslice.
-    """
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("multi-worker smoke needs >= 2 CPUs")
-
-    def measure() -> dict:
-        _, dataset = _build_dataset(GATE_SHAPE)
-        simulations = {
-            count: _build_simulation(dataset, {"engine": "vectorized", "workers": count})
-            for count in (1, 2)
-        }
-        try:
-            for simulation in simulations.values():
-                _time_rounds(simulation, 1)
-            times = {
-                count: _time_rounds(simulation, SMOKE_ROUNDS)
-                for count, simulation in simulations.items()
-            }
-        finally:
-            for simulation in simulations.values():
-                simulation.close()
-        return {
-            f"workers{count}_rounds_per_sec": SMOKE_ROUNDS / seconds
-            for count, seconds in times.items()
-        }
-
-    payload = run_once(benchmark, measure)
-    assert payload["workers2_rounds_per_sec"] >= 0.2 * payload["workers1_rounds_per_sec"], (
-        "sharded rounds are catastrophically slower than in-process "
-        f"({payload['workers2_rounds_per_sec']:.2f} vs "
-        f"{payload['workers1_rounds_per_sec']:.2f} rounds/sec)"
     )

@@ -36,12 +36,8 @@ __all__ = [
     "class_field_defaults",
     "cli_uses_switch_registry",
     "module_string_constants",
-    "module_int_constants",
     "comparison_realizations",
-    "int_comparison_constants",
-    "all_int_constants",
     "golden_field_values",
-    "golden_int_field_values",
     "cli_flags",
     "readme_documents_field",
     "readme_default_markers",
@@ -288,49 +284,6 @@ def _string_literals(
     return []
 
 
-def module_int_constants(tree: ast.Module) -> dict[str, tuple[int, ...]]:
-    """Module-level names bound to int literals or tuples/lists of them.
-
-    The integer analogue of :func:`module_string_constants`, resolving
-    idioms like ``WORKERS = (1, 2, 3, 7)`` in the equivalence suites.
-    """
-    constants: dict[str, tuple[int, ...]] = {}
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if value is None:
-            continue
-        literals = _int_literals(value, {})
-        if not literals:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                constants[target.id] = tuple(literals)
-    return constants
-
-
-def _int_literals(node: ast.expr, constants: dict[str, tuple[int, ...]]) -> list[int]:
-    """Int literals contained in a constant, tuple/list, or known name.
-
-    ``bool`` constants are excluded: ``True`` is an ``int`` to Python but
-    never an integer switch realization.
-    """
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return [node.value]
-    if isinstance(node, (ast.Tuple, ast.List)):
-        out: list[int] = []
-        for element in node.elts:
-            out.extend(_int_literals(element, constants))
-        return out
-    if isinstance(node, ast.Name) and node.id in constants:
-        return list(constants[node.id])
-    return []
-
-
 def _names_match(identifier: str, field_name: str) -> bool:
     """Whether a local/attribute name plausibly refers to a switch field.
 
@@ -368,34 +321,6 @@ def comparison_realizations(
     return evidence
 
 
-def int_comparison_constants(sources: list[SourceFile], field_name: str) -> set[int]:
-    """Int literals compared against ``field_name`` in ``sources``.
-
-    The dispatch evidence of an *integer* switch: ``if config.workers > 1``
-    contributes ``{1}``.  Any comparison operator counts — an int switch
-    dispatches on a threshold, not on membership in a realization tuple.
-    """
-    evidence: set[int] = set()
-    for source in sources:
-        if source.tree is None:
-            continue
-        constants = module_int_constants(source.tree)
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            sides = [node.left, *node.comparators]
-            named = any(
-                (isinstance(side, ast.Attribute) and _names_match(side.attr, field_name))
-                or (isinstance(side, ast.Name) and _names_match(side.id, field_name))
-                for side in sides
-            )
-            if not named:
-                continue
-            for side in sides:
-                evidence.update(_int_literals(side, constants))
-    return evidence
-
-
 def all_string_constants(source: SourceFile) -> set[str]:
     """Every string literal appearing anywhere in ``source``."""
     if source.tree is None:
@@ -405,56 +330,6 @@ def all_string_constants(source: SourceFile) -> set[str]:
         for node in ast.walk(source.tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-
-
-def all_int_constants(source: SourceFile) -> set[int]:
-    """Every int literal appearing anywhere in ``source`` (bools excluded)."""
-    if source.tree is None:
-        return set()
-    return {
-        node.value
-        for node in ast.walk(source.tree)
-        if isinstance(node, ast.Constant) and type(node.value) is int
-    }
-
-
-def golden_int_field_values(source: SourceFile, field_name: str) -> set[int]:
-    """Int values the golden case grid explicitly assigns to ``field_name``.
-
-    The integer analogue of :func:`golden_field_values`: literal dict entries
-    (``"workers": 2``), keyword arguments and loop variables over literal int
-    tuples all count.
-    """
-    if source.tree is None:
-        return set()
-    constants = module_int_constants(source.tree)
-    loop_values: dict[str, tuple[int, ...]] = {}
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
-            literals = _int_literals(node.iter, constants)
-            if literals:
-                loop_values[node.target.id] = tuple(literals)
-    resolver = {**constants, **loop_values}
-
-    values: set[int] = set()
-
-    def resolve(value: ast.expr) -> None:
-        values.update(_int_literals(value, resolver))
-
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.Dict):
-            for key, value in zip(node.keys, node.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == field_name
-                    and value is not None
-                ):
-                    resolve(value)
-        elif isinstance(node, ast.Call):
-            for keyword in node.keywords:
-                if keyword.arg == field_name:
-                    resolve(keyword.value)
-    return values
 
 
 def golden_field_values(source: SourceFile, field_name: str) -> set[str]:

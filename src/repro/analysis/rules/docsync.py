@@ -19,8 +19,7 @@ every ``SwitchSpec`` entry is checked, and two extra legs apply:
 
 Trees without a registry (the lint fixtures, historical checkouts) fall
 back to the legacy switch list: the literal-realization switches extracted
-for R2 plus :data:`EXTRA_SWITCH_FIELDS` (numeric switches like
-``fuse_rounds`` that have no literal realization tuple).
+for R2.
 
 Always checked per switch:
 
@@ -38,12 +37,7 @@ from typing import Iterator
 from repro.analysis import project as model
 from repro.analysis.core import Project, Rule, SourceFile, Violation, register
 
-__all__ = ["ConfigCliDocsSyncRule", "EXTRA_SWITCH_FIELDS"]
-
-#: User-facing switch fields without a literal realization tuple — the
-#: legacy fallback list used only when the tree has no switch registry (the
-#: registry declares these as ``kind="int"`` / ``kind="float"`` specs).
-EXTRA_SWITCH_FIELDS = ("fuse_rounds", "workers")
+__all__ = ["ConfigCliDocsSyncRule"]
 
 
 @register
@@ -151,10 +145,6 @@ class ConfigCliDocsSyncRule(Rule):
 
     def _check_legacy(self, project: Project, config: SourceFile) -> Iterator[Violation]:
         switch_names = [field.name for field in model.extract_switch_fields(config)]
-        declared = model.class_field_names(config, "FederatedConfig")
-        for extra in EXTRA_SWITCH_FIELDS:
-            if extra in declared and extra not in switch_names:
-                switch_names.append(extra)
         if not switch_names:
             return
         lines = _field_lines(config)

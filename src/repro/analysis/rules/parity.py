@@ -10,7 +10,7 @@ dispatch branch somewhere in the library, an equivalence-suite
 parametrization proving it against its oracle, and a golden seed-history
 case pinning its realization.  Historically all three were maintained by
 convention; this rule extracts the realizations statically and fails lint
-when any leg is missing — so adding ``engine = "sharded"`` without tests is
+when any leg is missing — so adding ``engine = "gpu"`` without tests is
 a red build, not a latent gap.
 
 Checked per realization of every switch field:
@@ -35,14 +35,9 @@ without a registry (the lint fixtures, historical checkouts) fall back to
 extracting the literal membership checks from ``FederatedConfig.validate``
 as before.
 
-Integer-valued switches (``workers``) have no literal realization tuple to
-extract, so their proof obligations are registered
-explicitly in :data:`INT_SWITCHES`: each listed value needs the same three
-legs, with dispatch evidence being any comparison of the field against an
-int literal (an int switch dispatches on a threshold like
-``config.workers > 1``, not on tuple membership), equivalence coverage
-being the int's appearance in the registered suite, and golden coverage an
-explicit ``workers=<value>`` assignment in the case grid.
+Numeric switches (the dynamics rates and ``min_reporters``) are scenario
+parameters rather than alternate realizations of the same math, so they
+carry no parity obligations.
 """
 
 from __future__ import annotations
@@ -50,9 +45,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis import project as model
-from repro.analysis.core import Project, Rule, SourceFile, Violation, register
+from repro.analysis.core import Project, Rule, Violation, register
 
-__all__ = ["SwitchParityRule", "EQUIVALENCE_SUITES", "INT_SWITCHES"]
+__all__ = ["SwitchParityRule", "EQUIVALENCE_SUITES"]
 
 #: Switch field -> the test modules whose parametrizations prove its
 #: realizations against the loop oracle.  A switch field missing from this
@@ -67,17 +62,7 @@ EQUIVALENCE_SUITES: dict[str, tuple[str, ...]] = {
     "eval_engine": ("tests/test_eval_engine_equivalence.py",),
     "eval_sampler": ("tests/test_eval_engine_equivalence.py",),
     "eval_path": ("tests/test_eval_path_equivalence.py",),
-    "workers": ("tests/test_sharded_engine_equivalence.py",),
     "straggler_policy": ("tests/test_federation_dynamics.py",),
-    "degradation": ("tests/test_sharded_engine_faults.py",),
-}
-
-#: Integer switch field -> the values whose realizations must be dispatched,
-#: proven equivalent and pinned by a golden case.  ``workers``: 1 is the
-#: in-process engine, 2 the representative sharded count (the equivalence
-#: suite additionally sweeps larger and degenerate shard counts).
-INT_SWITCHES: dict[str, tuple[int, ...]] = {
-    "workers": (1, 2),
 }
 
 
@@ -124,8 +109,6 @@ class SwitchParityRule(Rule):
             if source.rel not in model.CONFIG_MODULES
         ]
         golden = project.source(model.GOLDEN_CASES)
-
-        yield from self._check_int_switches(project, config, library, golden)
 
         for switch in fields:
             dispatched = model.comparison_realizations(library, switch.name)
@@ -212,105 +195,3 @@ class SwitchParityRule(Rule):
                             ),
                         )
 
-    def _check_int_switches(
-        self,
-        project: Project,
-        config: SourceFile,
-        library: list[SourceFile],
-        golden: SourceFile | None,
-    ) -> Iterator[Violation]:
-        declared = model.class_field_names(config, "FederatedConfig")
-        for name, required in INT_SWITCHES.items():
-            if name not in declared:
-                yield Violation(
-                    rule=self.id,
-                    path=config.rel,
-                    line=1,
-                    message=(
-                        f"INT_SWITCHES registers {name!r} but FederatedConfig "
-                        "declares no such field; remove the stale registry entry"
-                    ),
-                )
-                continue
-
-            if not model.int_comparison_constants(library, name):
-                yield Violation(
-                    rule=self.id,
-                    path=config.rel,
-                    line=1,
-                    message=(
-                        f"int switch {name!r} has no dispatch branch: no "
-                        "comparison against an int literal anywhere under src/ "
-                        "outside the config modules"
-                    ),
-                )
-
-            suites = EQUIVALENCE_SUITES.get(name)
-            if suites is None:
-                yield Violation(
-                    rule=self.id,
-                    path=config.rel,
-                    line=1,
-                    message=(
-                        f"int switch {name!r} has no entry in "
-                        "repro.analysis.rules.parity.EQUIVALENCE_SUITES; register "
-                        "the equivalence suite that proves its realizations"
-                    ),
-                )
-            else:
-                covered: set[int] = set()
-                found_any = False
-                for rel in suites:
-                    suite = project.source(rel)
-                    if suite is None:
-                        continue
-                    found_any = True
-                    covered |= model.all_int_constants(suite)
-                if not found_any:
-                    yield Violation(
-                        rule=self.id,
-                        path=config.rel,
-                        line=1,
-                        message=(
-                            f"none of the registered equivalence suites for "
-                            f"{name!r} exist: {', '.join(suites)}"
-                        ),
-                    )
-                else:
-                    for value in required:
-                        if value not in covered:
-                            yield Violation(
-                                rule=self.id,
-                                path=config.rel,
-                                line=1,
-                                message=(
-                                    f"int switch {name}={value} is not "
-                                    "parametrized in its equivalence suite(s) "
-                                    f"({', '.join(suites)})"
-                                ),
-                            )
-
-            if golden is None:
-                yield Violation(
-                    rule=self.id,
-                    path=config.rel,
-                    line=1,
-                    message=(
-                        f"cannot verify golden coverage of {name!r}: "
-                        f"{model.GOLDEN_CASES} not found"
-                    ),
-                )
-            else:
-                pinned = model.golden_int_field_values(golden, name)
-                for value in required:
-                    if value not in pinned:
-                        yield Violation(
-                            rule=self.id,
-                            path=config.rel,
-                            line=1,
-                            message=(
-                                f"int switch {name}={value} has no golden "
-                                f"seed-history case in {model.GOLDEN_CASES}; "
-                                "add a case pinning this realization"
-                            ),
-                        )

@@ -17,8 +17,8 @@ Four sub-commands are provided:
 ``figure``
     Regenerate the Figure 3 series and print a text summary.
 
-The engine-switch flags (``--engine``, ``--sampler``, ``--workers``, ...) are
-generated from the declarative registry
+The engine-switch flags (``--engine``, ``--sampler``, ``--min-reporters``,
+...) are generated from the declarative registry
 (:data:`~repro.federated.switches.SWITCH_REGISTRY`) — one spec there yields
 the config fields, the validation and the CLI flag at once.
 
@@ -27,7 +27,7 @@ Examples
 ::
 
     fedrecattack run --dataset ml-100k --attack fedrecattack --rho 0.05 --scale 0.1
-    fedrecattack run --dataset steam-200k --sampler batched --fuse-rounds 4
+    fedrecattack run --dataset steam-200k --sampler permutation --dropout-rate 0.1
     fedrecattack serve --dataset ml-100k --scale 0.1 --epochs 5 --port 8080
     fedrecattack table 7 --profile bench
     fedrecattack figure 3 --dataset steam-200k

@@ -127,11 +127,11 @@ DATASET_PRESETS: dict[str, DatasetPreset] = {
     ),
     # ------------------------------------------------------------------ #
     # Scaling-benchmark shape.  Mirrors the MovieLens-10M dimensions
-    # (69,878 users / 10,677 items / ~10M interactions) so the sharded
-    # round-engine benchmark measures worker scaling at a realistic
-    # users-times-items footprint.  Synthetic like every other preset;
-    # intended for ``benchmarks/test_perf_engine.py`` (usually heavily
-    # down-scaled via ``scaled_preset``), not for reproducing any table.
+    # (69,878 users / 10,677 items / ~10M interactions) so scaling
+    # measurements run at a realistic users-times-items footprint.
+    # Synthetic like every other preset; meant for scaling runs (usually
+    # heavily down-scaled via ``scaled_preset``), not for reproducing any
+    # table.
     # ------------------------------------------------------------------ #
     "ml-10m-shape": DatasetPreset(
         name="ml-10m-shape",

@@ -22,8 +22,6 @@ arrays.
 
 from __future__ import annotations
 
-import multiprocessing
-from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,55 +31,7 @@ from repro.exceptions import DataError
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.data.dataset import InteractionDataset
 
-__all__ = ["InteractionStore", "SharedArraySpec", "share_array", "attach_shared_array"]
-
-#: ``(segment_name, shape, dtype_str)`` — everything a worker process needs to
-#: attach a read-only view of a shared array (picklable, unlike the segment).
-SharedArraySpec = tuple[str, tuple[int, ...], str]
-
-
-def share_array(array: np.ndarray) -> tuple[shared_memory.SharedMemory, SharedArraySpec]:
-    """Copy ``array`` into a fresh shared-memory segment.
-
-    Returns the owning segment — the caller is responsible for ``close()`` and
-    ``unlink()`` when done — plus the :data:`SharedArraySpec` a worker process
-    passes to :func:`attach_shared_array`.  Segments are at least one byte
-    because the OS rejects empty mappings.
-    """
-    array = np.ascontiguousarray(array)
-    segment = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
-    view: np.ndarray = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-    view[...] = array
-    return segment, (segment.name, array.shape, array.dtype.str)
-
-
-def attach_shared_array(
-    spec: SharedArraySpec,
-) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-    """Attach a read-only view of a segment created by :func:`share_array`.
-
-    The caller must keep the returned segment alive as long as the view is
-    used and ``close()`` it afterwards; only the creating process unlinks.
-    """
-    name, shape, dtype = spec
-    segment = shared_memory.SharedMemory(name=name)
-    if multiprocessing.get_start_method(allow_none=False) != "fork":
-        try:
-            # Python 3.11 registers even *attached* segments with the resource
-            # tracker.  A spawn-started worker has its own tracker, which would
-            # unlink the segment at worker exit; undo that registration — the
-            # creating process owns the segment's lifetime.  A fork-started
-            # worker shares the creator's tracker (registration is a set-level
-            # no-op there), so unregistering would instead cancel the
-            # *creator's* entry and make its eventual unlink complain.
-            resource_tracker.unregister(
-                getattr(segment, "_name", segment.name), "shared_memory"
-            )
-        except Exception:  # pragma: no cover - tracker internals vary by version
-            pass
-    view: np.ndarray = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-    view.setflags(write=False)
-    return segment, view
+__all__ = ["InteractionStore"]
 
 
 class InteractionStore:
@@ -178,25 +128,6 @@ class InteractionStore:
             masks.setflags(write=False)
             self._masks = masks
         return self._masks
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory export (sharded round engine)
-    # ------------------------------------------------------------------ #
-    def shared_memory_export(
-        self,
-    ) -> dict[str, tuple[shared_memory.SharedMemory, SharedArraySpec]]:
-        """The CSR arrays copied once into shared-memory segments.
-
-        This is how the sharded round engine ships the interaction structure
-        to its worker processes: each worker attaches read-only views of the
-        two segments (:func:`attach_shared_array`) instead of receiving a
-        pickled copy of the dataset per task.  The caller owns the returned
-        segments and must ``close()``/``unlink()`` them when the pool dies.
-        """
-        return {
-            "indptr": share_array(self._indptr),
-            "indices": share_array(self._indices),
-        }
 
     # ------------------------------------------------------------------ #
     # Per-user / per-block access

@@ -60,17 +60,11 @@ class ExperimentConfig:
     eval_engine: str = "vectorized"
     eval_sampler: str = "per-user"
     eval_path: str = "block"
-    fuse_rounds: int = 1
-    workers: int = 1
-    worker_timeout: float | None = None
     dropout_rate: float = 0.0
     crash_rate: float = 0.0
     straggler_rate: float = 0.0
     straggler_policy: str = "wait"
     min_reporters: int = 0
-    shard_retries: int = 0
-    shard_backoff: float = 0.05
-    degradation: str = "strict"
     use_learnable_scorer: bool = False
     scorer_hidden_units: int = 32
     evaluate_every: int | None = None
@@ -133,11 +127,11 @@ class ExperimentProfile:
     ``dataset_aliases`` optionally replaces a dataset by a calibrated
     miniature preset (used by the benchmark profile), ``dataset_scales`` maps
     each dataset to a uniform down-scaling factor, and the remaining fields
-    override the heavyweight training hyper-parameters.  ``sampler`` and
-    ``fuse_rounds``, when set, override the negative-sampling engine and the
-    cross-round fusion window of every run regenerated at this profile — this
-    is how the qualitative table/figure gates are re-validated under the
-    historical ``"permutation"`` sampler (see ``REPRO_BENCH_SAMPLER`` below).
+    override the heavyweight training hyper-parameters.  ``sampler``, when
+    set, overrides the negative-sampling engine of every run regenerated at
+    this profile — this is how the qualitative table/figure gates are
+    re-validated under the historical ``"permutation"`` sampler (see
+    ``REPRO_BENCH_SAMPLER`` below).
     """
 
     name: str
@@ -150,7 +144,6 @@ class ExperimentProfile:
     dataset_aliases: dict[str, str] = field(default_factory=dict)
     seed: int = 0
     sampler: str | None = None
-    fuse_rounds: int | None = None
 
     def scale_for(self, dataset: str) -> float:
         """Down-scaling factor for ``dataset`` (1.0 when not listed)."""
@@ -174,8 +167,6 @@ class ExperimentProfile:
         )
         if self.sampler is not None:
             overrides["sampler"] = self.sampler
-        if self.fuse_rounds is not None:
-            overrides["fuse_rounds"] = self.fuse_rounds
         return config.with_overrides(**overrides)
 
 
@@ -194,30 +185,12 @@ PAPER_PROFILE = ExperimentProfile(
 #: optimisation horizon eta * epochs is reached in far fewer rounds) and
 #: smaller client batches.
 #:
-#: ``REPRO_BENCH_SAMPLER`` / ``REPRO_BENCH_FUSE_ROUNDS`` switch the sampler
-#: engine and fusion window of the whole benchmark suite without touching the
-#: tests — e.g. ``REPRO_BENCH_SAMPLER=permutation pytest benchmarks/``
-#: re-validates every qualitative table/figure gate under the historical
-#: permutation sampler's realizations.  Unset, the profile pins nothing and
-#: runs keep the ``ExperimentConfig`` defaults (batched sampler, no fusion).
-def _bench_fuse_rounds_from_env() -> int | None:
-    """Parse ``REPRO_BENCH_FUSE_ROUNDS``, failing with a clear error.
-
-    Read at import time (the profile is a module-level constant), so a
-    malformed value must surface as a :class:`ConfigurationError` naming the
-    variable rather than a bare ``ValueError`` from deep inside an import.
-    """
-    raw = os.environ.get("REPRO_BENCH_FUSE_ROUNDS")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError as error:
-        raise ConfigurationError(
-            f"REPRO_BENCH_FUSE_ROUNDS must be an integer, got {raw!r}"
-        ) from error
-
-
+#: ``REPRO_BENCH_SAMPLER`` switches the sampler engine of the whole benchmark
+#: suite without touching the tests — e.g.
+#: ``REPRO_BENCH_SAMPLER=permutation pytest benchmarks/`` re-validates every
+#: qualitative table/figure gate under the historical permutation sampler's
+#: realizations.  Unset, the profile pins nothing and runs keep the
+#: ``ExperimentConfig`` defaults (batched sampler).
 BENCH_PROFILE = ExperimentProfile(
     name="bench",
     num_epochs=35,
@@ -231,5 +204,4 @@ BENCH_PROFILE = ExperimentProfile(
         "steam-200k": "steam-200k-mini",
     },
     sampler=os.environ.get("REPRO_BENCH_SAMPLER") or None,
-    fuse_rounds=_bench_fuse_rounds_from_env(),
 )

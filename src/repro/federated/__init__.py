@@ -24,10 +24,6 @@ from repro.federated.dynamics import (
     FaultSchedule,
     RoundFaults,
     RoundIncident,
-    ShardFaultPlan,
-    TransientShardError,
-    clear_shard_fault_plan,
-    install_shard_fault_plan,
 )
 from repro.federated.engine import BatchedRoundTrainer
 from repro.federated.history import EpochRecord, TrainingHistory
@@ -61,10 +57,6 @@ __all__ = [
     "FaultSchedule",
     "RoundFaults",
     "RoundIncident",
-    "ShardFaultPlan",
-    "TransientShardError",
-    "install_shard_fault_plan",
-    "clear_shard_fault_plan",
     "TrainingHistory",
     "EpochRecord",
     "GaussianNoiseMechanism",

@@ -22,52 +22,7 @@ from repro.models.losses import bpr_loss_and_gradients, sigmoid
 from repro.models.neural import MLPScorer
 from repro.rng import ensure_rng
 
-__all__ = ["Client", "BenignClient", "MaliciousClient", "scorer_pair_gradients"]
-
-
-def scorer_pair_gradients(
-    user_vector: np.ndarray,
-    num_factors: int,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-    item_factors: np.ndarray,
-    scorer: MLPScorer,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """BPR gradients through the learnable interaction function.
-
-    The pure computational core of a client's scorer-path local step —
-    everything :meth:`Client._scorer_gradients` does, minus the client
-    object, so the sharded loop engine can run it in worker processes
-    against the same inputs and get bit-identical uploads.
-    """
-    positives = np.asarray(positives, dtype=np.int64)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    if positives.shape[0] == 0:
-        return (
-            0.0,
-            np.zeros(num_factors),
-            np.empty(0, dtype=np.int64),
-            np.empty((0, num_factors)),
-            np.zeros(scorer.num_parameters),
-        )
-    user_batch = np.tile(user_vector, (positives.shape[0], 1))
-    pos_scores = scorer.score(user_batch, item_factors[positives])
-    neg_scores = scorer.score(user_batch, item_factors[negatives])
-    margins = pos_scores - neg_scores
-    loss = float(-np.sum(np.log(np.clip(sigmoid(margins), 1e-12, 1.0))))
-    coefficients = -sigmoid(-margins)
-
-    _, pos_grads = scorer.score_and_gradients(user_batch, item_factors[positives], coefficients)
-    _, neg_grads = scorer.score_and_gradients(user_batch, item_factors[negatives], -coefficients)
-
-    grad_user = pos_grads.grad_user.sum(axis=0) + neg_grads.grad_user.sum(axis=0)
-    item_ids = np.concatenate([positives, negatives])
-    item_rows = np.concatenate([pos_grads.grad_item, neg_grads.grad_item], axis=0)
-    unique_ids, inverse = np.unique(item_ids, return_inverse=True)
-    accumulated = np.zeros((unique_ids.shape[0], num_factors), dtype=np.float64)
-    np.add.at(accumulated, inverse, item_rows)
-    theta_grad = pos_grads.grad_params + neg_grads.grad_params
-    return loss, grad_user, unique_ids, accumulated, theta_grad
+__all__ = ["Client", "BenignClient", "MaliciousClient"]
 
 
 class Client:
@@ -148,9 +103,34 @@ class Client:
         scorer: MLPScorer,
     ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """BPR gradients through the learnable interaction function."""
-        return scorer_pair_gradients(
-            self.user_vector, self.num_factors, positives, negatives, item_factors, scorer
-        )
+        positives = np.asarray(positives, dtype=np.int64)
+        negatives = np.asarray(negatives, dtype=np.int64)
+        if positives.shape[0] == 0:
+            return (
+                0.0,
+                np.zeros(self.num_factors),
+                np.empty(0, dtype=np.int64),
+                np.empty((0, self.num_factors)),
+                np.zeros(scorer.num_parameters),
+            )
+        user_batch = np.tile(self.user_vector, (positives.shape[0], 1))
+        pos_scores = scorer.score(user_batch, item_factors[positives])
+        neg_scores = scorer.score(user_batch, item_factors[negatives])
+        margins = pos_scores - neg_scores
+        loss = float(-np.sum(np.log(np.clip(sigmoid(margins), 1e-12, 1.0))))
+        coefficients = -sigmoid(-margins)
+
+        _, pos_grads = scorer.score_and_gradients(user_batch, item_factors[positives], coefficients)
+        _, neg_grads = scorer.score_and_gradients(user_batch, item_factors[negatives], -coefficients)
+
+        grad_user = pos_grads.grad_user.sum(axis=0) + neg_grads.grad_user.sum(axis=0)
+        item_ids = np.concatenate([positives, negatives])
+        item_rows = np.concatenate([pos_grads.grad_item, neg_grads.grad_item], axis=0)
+        unique_ids, inverse = np.unique(item_ids, return_inverse=True)
+        accumulated = np.zeros((unique_ids.shape[0], self.num_factors), dtype=np.float64)
+        np.add.at(accumulated, inverse, item_rows)
+        theta_grad = pos_grads.grad_params + neg_grads.grad_params
+        return loss, grad_user, unique_ids, accumulated, theta_grad
 
     def _sample_negatives(
         self, positives: np.ndarray, count: int, positive_mask: np.ndarray | None = None

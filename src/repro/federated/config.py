@@ -110,35 +110,6 @@ class FederatedConfig:
         seed (bit-identical on the fallback, numerically equal within the
         GEMM-vs-gather reassociation elsewhere); the golden suite pins
         both.  Irrelevant under the full-ranking protocol.
-    fuse_rounds:
-        Cross-round fusion window of the vectorized MF engine.  ``1``
-        (default) computes each round exactly against the freshest item
-        matrix.  ``F > 1`` schedules ``F`` consecutive same-epoch rounds'
-        local training through one stacked kernel invocation against the
-        item matrix at the window start; the resulting factored updates are
-        still privatised, attack-extended, observed and aggregated one round
-        at a time, so aggregation semantics, DP clipping and attack
-        injection are unchanged — only the benign gradients inside a window
-        are computed against an up-to-``F - 1``-rounds-stale ``V`` (a
-        delayed-gradient trade-off that changes the realization, like the
-        sampler switch).  Requires the vectorized engine and plain MF.
-    workers:
-        Number of worker processes sharding each round's benign local
-        training.  ``1`` (default) keeps everything in-process.  ``W > 1``
-        partitions the round's sampled clients into ``W`` contiguous shards
-        executed by a process pool against a shared-memory snapshot of ``V``
-        and the dataset's CSR arrays, then merges the per-shard updates
-        deterministically in shard order *before* DP clipping, attack
-        injection and aggregation.  All randomness is predrawn in the parent
-        and shipped to the shards, so per-round histories are bit-identical
-        to ``workers=1`` for every engine/sampler realization — this switch
-        trades nothing but wall clock.  The vectorized engine with the MLP
-        scorer has no sharded implementation (use the loop engine there).
-    worker_timeout:
-        Seconds a sharded round waits for its worker pool before declaring
-        it hung and aborting with a ``RuntimeError`` naming the unfinished
-        shard(s).  ``None`` (default) waits forever.  Only meaningful with
-        ``workers > 1``.
     dropout_rate:
         Per-round probability that a sampled client *drops out*: it never
         trains and never reports, consuming no training/sampling/privacy
@@ -172,26 +143,6 @@ class FederatedConfig:
         :class:`~repro.exceptions.FederationError`.  ``0`` (default)
         disables the quorum.  Aggregation and DP privatisation always run on
         the surviving reporter set.
-    shard_retries:
-        How many times a failed shard of a sharded round is retried when it
-        fails with a *transient* error
-        (:class:`~repro.federated.dynamics.TransientShardError` or a broken
-        worker pool).  Deterministic shard exceptions are never retried —
-        they would recompute the same failure — and abort the round
-        immediately with the shard id.  ``0`` (default) disables retries.
-    shard_backoff:
-        Base backoff in seconds between shard retries; attempt ``n`` sleeps
-        ``shard_backoff * 2**(n-1)``.  Affects wall clock only, never
-        results.
-    degradation:
-        What a sharded round does when a shard is still failing after its
-        retries (or timed out).  ``"strict"`` (default): abort the round
-        with a ``RuntimeError`` naming the shard — no partial merge, ever.
-        ``"quorum"``: merge the *surviving* shards iff the round's reporter
-        quorum (``min_reporters``) still holds, recording a
-        ``"shard-failed"`` / ``"shard-timeout"`` incident; a quorum
-        violation raises instead of merging.  Degradation is never silent:
-        every degraded round appears in the incident log.
     """
 
     num_factors: int = 32
@@ -213,17 +164,11 @@ class FederatedConfig:
     eval_engine: str = "vectorized"
     eval_sampler: str = "per-user"
     eval_path: str = "block"
-    fuse_rounds: int = 1
-    workers: int = 1
-    worker_timeout: float | None = None
     dropout_rate: float = 0.0
     crash_rate: float = 0.0
     straggler_rate: float = 0.0
     straggler_policy: str = "wait"
     min_reporters: int = 0
-    shard_retries: int = 0
-    shard_backoff: float = 0.05
-    degradation: str = "strict"
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on inconsistent settings."""
@@ -245,40 +190,6 @@ class FederatedConfig:
             raise ConfigurationError("init_scale must be positive")
         if self.scorer_hidden_units <= 0:
             raise ConfigurationError("scorer_hidden_units must be positive")
-        # Per-switch value checks come from the declarative registry; only
-        # the cross-switch constraints below are spelled out by hand.
+        # Per-switch value checks come from the declarative registry.
         for spec in SWITCH_REGISTRY:
             spec.validate_value(getattr(self, spec.name))
-        if self.fuse_rounds > 1 and self.engine != "vectorized":
-            raise ConfigurationError(
-                "fuse_rounds > 1 requires the vectorized engine "
-                f"(got engine={self.engine!r})"
-            )
-        if self.fuse_rounds > 1 and self.use_learnable_scorer:
-            raise ConfigurationError(
-                "fuse_rounds > 1 is only supported for plain MF "
-                "(the scorer path has no factored round representation)"
-            )
-        if self.workers > 1 and self.engine == "vectorized" and self.use_learnable_scorer:
-            raise ConfigurationError(
-                "workers > 1 with the vectorized engine is only supported for "
-                "plain MF (the scorer round has no sharded implementation); "
-                "use engine='loop' to shard scorer training"
-            )
-        dynamics_on = (
-            self.dropout_rate > 0.0
-            or self.crash_rate > 0.0
-            or self.straggler_rate > 0.0
-            or self.min_reporters > 0
-        )
-        if dynamics_on and self.fuse_rounds > 1:
-            raise ConfigurationError(
-                "federation dynamics (dropout_rate / crash_rate / "
-                "straggler_rate / min_reporters) require fuse_rounds=1 "
-                "(fault dispositions are per-round)"
-            )
-        if self.degradation == "quorum" and self.fuse_rounds > 1:
-            raise ConfigurationError(
-                "degradation='quorum' requires fuse_rounds=1 "
-                "(a fused window cannot drop a shard's clients per-round)"
-            )

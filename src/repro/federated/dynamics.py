@@ -14,16 +14,9 @@ monkeypatches:
   shape per round is fixed (three uniforms plus one delay integer per sampled
   client), so changing one rate never shifts another round's realization.
 * :class:`RoundIncident` is the structured record of every degradation event
-  — client dropouts, crashes, straggler dispositions, quorum aborts, shard
-  retries/failures — carried on
-  :class:`~repro.federated.history.TrainingHistory` and thereby on
+  — client dropouts, crashes, straggler dispositions, quorum aborts — carried
+  on :class:`~repro.federated.history.TrainingHistory` and thereby on
   :class:`~repro.experiments.runner.ExperimentResult`.
-* :class:`ShardFaultPlan` plus :class:`TransientShardError` are the public
-  fault-injection surface of the sharded engine (promoted from the PR 7
-  monkeypatch-only test hooks): a plan installed in the parent *before* the
-  worker pool forks is inherited by every worker, which consults it on each
-  shard attempt — deterministic hangs, deterministic failures (never
-  retried) and transient failures (retried with exponential backoff).
 
 Fault taxonomy (per sampled client, drawn once per round):
 
@@ -47,7 +40,6 @@ quantity), regardless of when or whether its update reports.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +50,6 @@ __all__ = [
     "RoundFaults",
     "FaultSchedule",
     "RoundIncident",
-    "ShardIncident",
-    "TransientShardError",
-    "ShardFaultPlan",
-    "install_shard_fault_plan",
-    "clear_shard_fault_plan",
-    "active_shard_fault_plan",
 ]
 
 
@@ -116,7 +102,7 @@ class FaultSchedule:
         The dedicated ``"fault-schedule"`` generator stream.  The schedule is
         the stream's only consumer, so fault realizations are a pure function
         of (master seed, round order, batch sizes) — identical across
-        engines, samplers and worker counts.
+        engines and samplers.
     straggler_delay:
         Upper bound (inclusive) of the uniform integer delay drawn per
         straggler for the ``"stale-merge"`` policy; the default 1 makes
@@ -192,14 +178,12 @@ class RoundIncident:
         The 1-based training epoch of the round.
     kind:
         The incident class: ``"client-dropout"``, ``"client-crash"``,
-        ``"straggler"``, ``"quorum-abort"``, ``"shard-retry"``,
-        ``"shard-failed"``, ``"shard-timeout"`` or ``"straggler-expired"``.
+        ``"straggler"``, ``"quorum-abort"`` or ``"straggler-expired"``.
     client_ids:
-        The affected client ids (sorted, possibly empty for shard-level
-        events with no client attribution).
+        The affected client ids (sorted).
     detail:
-        Human-readable, fully deterministic context (policies, attempt
-        counts, shard ids — never wall-clock readings).
+        Human-readable, fully deterministic context (policies, counts,
+        quorum sizes — never wall-clock readings).
     """
 
     round_index: int
@@ -208,100 +192,3 @@ class RoundIncident:
     client_ids: tuple[int, ...] = ()
     detail: str = ""
 
-
-class TransientShardError(RuntimeError):
-    """A shard failure worth retrying (injected or infrastructure-flagged).
-
-    The resilient executor retries shards failing with this type (with
-    exponential backoff, up to ``shard_retries`` attempts); any *other*
-    exception from a shard is treated as deterministic — retrying would
-    recompute the same failure — and aborts the round immediately with the
-    shard id.
-    """
-
-
-@dataclass(frozen=True)
-class ShardIncident:
-    """An executor-level event, converted to a :class:`RoundIncident` by the
-    simulation (which owns the round/epoch context the executor lacks)."""
-
-    kind: str
-    shard_index: int
-    client_ids: tuple[int, ...] = ()
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ShardFaultPlan:
-    """Deterministic worker-side fault plan for the sharded engine.
-
-    Installed in the *parent* through :func:`install_shard_fault_plan` before
-    the worker pool starts (the pool forks lazily on the first round, so
-    every worker inherits the plan); workers consult it on every shard
-    attempt through :func:`active_shard_fault_plan`.
-
-    Attributes
-    ----------
-    transient_failures:
-        ``shard_index -> n``: the shard's first ``n`` attempts raise
-        :class:`TransientShardError` (attempt numbers are 0-based), after
-        which it succeeds — the retry-recovery scenario.
-    deterministic_failures:
-        ``shard_index -> message``: every attempt of the shard raises
-        ``RuntimeError(message)`` — never retried.
-    hangs:
-        ``shard_index -> seconds``: every attempt of the shard sleeps that
-        long before executing (drive timeouts with ``worker_timeout``, or
-        adversarial completion orders with sub-timeout sleeps).
-    rounds:
-        When given, the plan only applies to these 1-based dispatch rounds
-        of the executor (``None`` applies to every round).
-    """
-
-    transient_failures: dict[int, int] = field(default_factory=dict)
-    deterministic_failures: dict[int, str] = field(default_factory=dict)
-    hangs: dict[int, float] = field(default_factory=dict)
-    rounds: tuple[int, ...] | None = None
-
-    def apply(self, shard_index: int, attempt: int, dispatch_round: int) -> None:
-        """Raise or sleep according to the plan (worker-side hook)."""
-        if self.rounds is not None and dispatch_round not in self.rounds:
-            return
-        delay = self.hangs.get(shard_index)
-        if delay is not None and delay > 0:
-            time.sleep(delay)
-        message = self.deterministic_failures.get(shard_index)
-        if message is not None:
-            raise RuntimeError(message)
-        failing_attempts = self.transient_failures.get(shard_index, 0)
-        if attempt < failing_attempts:
-            raise TransientShardError(
-                f"injected transient failure of shard {shard_index} "
-                f"(attempt {attempt})"
-            )
-
-
-#: The process-wide active plan, inherited by forked workers.  ``None`` (the
-#: default) means shards execute normally; tests and the chaos benchmark
-#: install a plan around a simulation and clear it afterwards.
-_ACTIVE_PLAN: list[ShardFaultPlan | None] = [None]
-
-
-def install_shard_fault_plan(plan: ShardFaultPlan) -> None:
-    """Install ``plan`` as the process-wide shard fault plan.
-
-    Must run *before* the executor's pool starts (i.e. before the first
-    sharded round) so forked workers inherit it.  Always pair with
-    :func:`clear_shard_fault_plan` (``try/finally``).
-    """
-    _ACTIVE_PLAN[0] = plan
-
-
-def clear_shard_fault_plan() -> None:
-    """Remove the active shard fault plan (idempotent)."""
-    _ACTIVE_PLAN[0] = None
-
-
-def active_shard_fault_plan() -> ShardFaultPlan | None:
-    """The currently installed plan, if any (consulted by workers)."""
-    return _ACTIVE_PLAN[0]

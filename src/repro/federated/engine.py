@@ -21,20 +21,10 @@ per-client Python loop:
   / ``mean`` aggregators and the DP mechanism consume without ever
   materialising the ``(nnz, k)`` gradient-row array.
 
-:meth:`train_rounds` is the *cross-round fusion* kernel
-(``FederatedConfig.fuse_rounds > 1``): the local training of several
-consecutive same-epoch rounds — whose client sets are disjoint, since an
-epoch shuffles every client into exactly one round — runs through a single
-stacked :func:`bpr_coefficients_batched` invocation against the item matrix
-at the window start, and is then split back into one
-:class:`FactoredRoundUpdates` per round so privatisation, attack injection,
-observation and aggregation stay strictly per-round.
-
 The MLP-scorer path is batched the same way through
 :meth:`MLPScorer.score_and_segment_gradients`, which returns per-client
 ``Theta`` gradients in one call; its item-gradient rows are not rank-1, so it
-emits the CSR-style :class:`~repro.federated.updates.SparseRoundUpdates` (and
-does not support fusion).
+emits the CSR-style :class:`~repro.federated.updates.SparseRoundUpdates`.
 """
 
 from __future__ import annotations
@@ -48,12 +38,7 @@ from repro.exceptions import FederationError
 from repro.federated.client import BenignClient
 from repro.federated.config import FederatedConfig
 from repro.federated.privacy import GaussianNoiseMechanism
-from repro.federated.sharding import ShardedRoundExecutor, build_mf_shard_tasks
-from repro.federated.updates import (
-    FactoredRoundUpdates,
-    SparseRoundUpdates,
-    merge_factored_rounds,
-)
+from repro.federated.updates import FactoredRoundUpdates, SparseRoundUpdates
 from repro.models.losses import (
     BatchedBPRGradients,
     bpr_coefficients_batched,
@@ -90,13 +75,6 @@ class BatchedRoundTrainer:
         gather it may scribble on) instead of re-stacking per-client mask
         arrays every round.  Client ids must equal dataset user ids, which
         is how the simulation builds its benign registry.
-    executor:
-        The simulation's :class:`~repro.federated.sharding.ShardedRoundExecutor`
-        when ``config.workers > 1``: the MF path then partitions each round's
-        clients into contiguous shards, runs the kernel's decomposable stages
-        in the executor's worker pool and merges the per-shard factored
-        updates deterministically in shard order — bit-identical to the
-        in-process kernel.  ``None`` keeps every round in-process.
     """
 
     def __init__(
@@ -107,7 +85,6 @@ class BatchedRoundTrainer:
         num_items: int,
         round_rng: np.random.Generator | None = None,
         store: InteractionStore | None = None,
-        executor: ShardedRoundExecutor | None = None,
     ) -> None:
         if config.sampler == "batched" and round_rng is None:
             raise FederationError("the batched sampler requires a round_rng stream")
@@ -117,7 +94,6 @@ class BatchedRoundTrainer:
         self._num_items = int(num_items)
         self._round_rng = round_rng
         self._store = store
-        self._executor = executor
 
     # ------------------------------------------------------------------ #
     # Pair drawing (shared by the loop and vectorized engines)
@@ -196,46 +172,27 @@ class BatchedRoundTrainer:
         round_updates: FactoredRoundUpdates | SparseRoundUpdates
         if scorer is None:
             l2_reg = self._config.l2_reg
-            if self._executor is not None:
-                round_updates, grad_users, losses = self._train_mf_sharded(
-                    benign_ids, user_vectors, segment_ids, positives, negatives, item_factors
-                )
-                if round_updates.client_ids.shape[0] != num_clients:
-                    # Quorum degradation dropped a failed shard: only the
-                    # surviving shards' clients completed local training, so
-                    # only they step their vectors and only their updates are
-                    # privatised below.  ``grad_users``/``losses`` already
-                    # align with the surviving (shard-ordered) client set.
-                    surviving = {int(cid) for cid in round_updates.client_ids}
-                    keep = [
-                        index
-                        for index, cid in enumerate(benign_ids)
-                        if cid in surviving
-                    ]
-                    clients = [clients[index] for index in keep]
-                    user_vectors = user_vectors[keep]
-            else:
-                batched = bpr_coefficients_batched(
-                    user_vectors,
-                    item_factors,
-                    segment_ids,
-                    positives,
-                    negatives,
-                    l2_reg=l2_reg,
-                )
-                round_updates = FactoredRoundUpdates(
-                    client_ids=np.asarray(benign_ids, dtype=np.int64),
-                    item_ids=batched.item_ids,
-                    coefficients=batched.coefficients,
-                    client_offsets=batched.segment_offsets,
-                    user_vectors=user_vectors,
-                    losses=batched.losses,
-                    malicious_mask=np.zeros(num_clients, dtype=bool),
-                    ridge=2.0 * l2_reg if l2_reg > 0.0 else 0.0,
-                    ridge_matrix=item_factors if l2_reg > 0.0 else None,
-                )
-                grad_users = batched.grad_users
-                losses = batched.losses
+            batched = bpr_coefficients_batched(
+                user_vectors,
+                item_factors,
+                segment_ids,
+                positives,
+                negatives,
+                l2_reg=l2_reg,
+            )
+            round_updates = FactoredRoundUpdates(
+                client_ids=np.asarray(benign_ids, dtype=np.int64),
+                item_ids=batched.item_ids,
+                coefficients=batched.coefficients,
+                client_offsets=batched.segment_offsets,
+                user_vectors=user_vectors,
+                losses=batched.losses,
+                malicious_mask=np.zeros(num_clients, dtype=bool),
+                ridge=2.0 * l2_reg if l2_reg > 0.0 else 0.0,
+                ridge_matrix=item_factors if l2_reg > 0.0 else None,
+            )
+            grad_users = batched.grad_users
+            losses = batched.losses
         else:
             scored, theta_gradients = self._scorer_round(
                 user_vectors, item_factors, segment_ids, positives, negatives, scorer
@@ -258,148 +215,8 @@ class BatchedRoundTrainer:
         return round_updates, float(losses.sum())
 
     # ------------------------------------------------------------------ #
-    # Cross-round fusion (MF path only)
-    # ------------------------------------------------------------------ #
-    def train_rounds(
-        self,
-        benign_ids_per_round: list[list[int]],
-        item_factors: np.ndarray,
-    ) -> list[tuple["FactoredRoundUpdates | SparseRoundUpdates", float]]:
-        """Fused local training of several consecutive same-epoch rounds.
-
-        All rounds' clients are stacked into one
-        :func:`bpr_coefficients_batched` invocation against ``item_factors``
-        (the shared item matrix at the window start), then the result is
-        sliced back into one privatised :class:`FactoredRoundUpdates` per
-        round, in round order — so the DP noise stream, attack injection and
-        aggregation are consumed round by round exactly as without fusion.
-
-        Pair drawing stays per-round (in round order), so the sampling
-        streams are identical to the unfused schedule under either sampler;
-        the only semantic difference of fusion is that rounds after the first
-        train against a stale ``V``.  The client sets of the fused rounds
-        must be disjoint (an epoch schedule guarantees this); overlapping
-        windows fall back to sequential per-round training.
-        """
-        all_ids = [cid for ids in benign_ids_per_round for cid in ids]
-        if len(set(all_ids)) != len(all_ids):
-            # A client appearing twice would need its first local step applied
-            # before its second round's gradients — not expressible in one
-            # stacked kernel, so compute those windows round by round.
-            return [
-                self.train_round(ids, item_factors, None)
-                for ids in benign_ids_per_round
-            ]
-
-        round_pairs = [self.draw_round_pairs(ids) for ids in benign_ids_per_round]
-        if not all_ids:
-            return [(self._empty_round(), 0.0) for _ in benign_ids_per_round]
-
-        clients = [self._clients[cid] for cid in all_ids]
-        segment_ids, positives, negatives = _stack_pairs(
-            [pairs for rp in round_pairs for pairs in rp]
-        )
-        user_vectors = np.stack([client.user_vector for client in clients])
-        l2_reg = self._config.l2_reg
-        if self._executor is not None:
-            merged, grad_users, losses_all = self._train_mf_sharded(
-                all_ids, user_vectors, segment_ids, positives, negatives, item_factors
-            )
-            item_ids_all = merged.item_ids
-            coefficients_all = merged.coefficients
-            offsets = merged.client_offsets
-        else:
-            batched = bpr_coefficients_batched(
-                user_vectors,
-                item_factors,
-                segment_ids,
-                positives,
-                negatives,
-                l2_reg=l2_reg,
-            )
-            item_ids_all = batched.item_ids
-            coefficients_all = batched.coefficients
-            offsets = batched.segment_offsets
-            losses_all = batched.losses
-            grad_users = batched.grad_users
-        self._step_clients(clients, user_vectors, grad_users)
-
-        results: list[tuple[FactoredRoundUpdates | SparseRoundUpdates, float]] = []
-        client_start = 0
-        for ids in benign_ids_per_round:
-            if not ids:
-                results.append((self._empty_round(), 0.0))
-                continue
-            c0, c1 = client_start, client_start + len(ids)
-            client_start = c1
-            lo, hi = int(offsets[c0]), int(offsets[c1])
-            round_updates = FactoredRoundUpdates(
-                client_ids=np.asarray(ids, dtype=np.int64),
-                item_ids=item_ids_all[lo:hi],
-                coefficients=coefficients_all[lo:hi],
-                client_offsets=offsets[c0 : c1 + 1] - lo,
-                user_vectors=user_vectors[c0:c1],
-                losses=losses_all[c0:c1],
-                malicious_mask=np.zeros(len(ids), dtype=bool),
-                ridge=2.0 * l2_reg if l2_reg > 0.0 else 0.0,
-                ridge_matrix=item_factors if l2_reg > 0.0 else None,
-            )
-            round_updates = self._privacy.apply_round(round_updates)
-            results.append((round_updates, float(losses_all[c0:c1].sum())))
-        return results
-
-    # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _train_mf_sharded(
-        self,
-        benign_ids: list[int],
-        user_vectors: np.ndarray,
-        segment_ids: np.ndarray,
-        positives: np.ndarray,
-        negatives: np.ndarray,
-        item_factors: np.ndarray,
-    ) -> tuple[FactoredRoundUpdates, np.ndarray, np.ndarray]:
-        """The batched MF kernel, sharded across the executor's worker pool.
-
-        Returns ``(merged_updates, grad_users, losses)`` bit-identical to
-        what :func:`bpr_coefficients_batched` produces in-process.  The GEMM
-        stage runs *here*, in the parent — BLAS GEMMs are not bit-stable
-        under row slicing, so the workers receive the exact margins of the
-        unsharded kernel and run only its block-decomposable stages
-        (:func:`repro.federated.sharding._run_mf_shard`); their factored
-        shard updates are then merged strictly in shard order.
-        """
-        executor = self._executor
-        if executor is None:  # pragma: no cover - guarded by the call sites
-            raise FederationError("sharded training requires an executor")
-        l2_reg = self._config.l2_reg
-        num_clients = len(benign_ids)
-        num_items = self._num_items
-        # Mirror of the kernel's GEMM + margin-gather stage, bit for bit.
-        scores = user_vectors @ item_factors.T
-        flat_scores = scores.ravel()
-        score_base = segment_ids * num_items
-        margins = flat_scores[score_base + positives] - flat_scores[score_base + negatives]
-        pair_counts = np.bincount(segment_ids, minlength=num_clients).astype(np.int64)
-        tasks = build_mf_shard_tasks(
-            executor.num_shards,
-            np.asarray(benign_ids, dtype=np.int64),
-            pair_counts,
-            user_vectors,
-            negatives,
-            margins,
-            l2_reg,
-        )
-        shard_results = executor.run_shards(tasks, item_factors)
-        merged = merge_factored_rounds(
-            [result.updates for result in shard_results],  # type: ignore[misc]
-            ridge=2.0 * l2_reg if l2_reg > 0.0 else 0.0,
-            ridge_matrix=item_factors if l2_reg > 0.0 else None,
-        )
-        grad_users = np.concatenate([result.grad_users for result in shard_results], axis=0)
-        return merged, grad_users, merged.losses
-
     def _empty_round(self) -> SparseRoundUpdates:
         num_factors = self._config.num_factors
         return SparseRoundUpdates(

@@ -35,10 +35,10 @@ class TrainingHistory:
     """Ordered collection of per-epoch records.
 
     ``incidents`` is the run's structured degradation log — every client
-    dropout/crash/straggle disposition, quorum abort and shard
-    retry/failure, as :class:`~repro.federated.dynamics.RoundIncident`
-    records in occurrence order.  Empty for every run with the federation
-    dynamics switches at their defaults.
+    dropout/crash/straggle disposition and quorum abort, as
+    :class:`~repro.federated.dynamics.RoundIncident` records in occurrence
+    order.  Empty for every run with the federation dynamics switches at
+    their defaults.
 
     The history is also the dirty-state ledger feeding the incremental
     full-rank evaluator (:class:`~repro.metrics.topk_cache.TopKCache`):

@@ -22,12 +22,6 @@ round-level stream under ``sampler="batched"``), so from identical seeds they
 produce matching training histories up to floating-point summation order.
 Attack scheduling and the round counter are driven by the server's
 ``rounds_applied``, which counts every protocol round (empty ones included).
-
-With ``FederatedConfig.fuse_rounds > 1`` (vectorized MF only) the epoch's
-rounds are scheduled in fusion windows: each window's benign local training
-runs through one stacked kernel invocation against the item matrix at the
-window start, while privatisation, attack injection, observers and
-aggregation still happen one round at a time in round order.
 """
 
 from __future__ import annotations
@@ -46,8 +40,7 @@ from repro.federated.engine import BatchedRoundTrainer
 from repro.federated.history import EpochRecord, TrainingHistory
 from repro.federated.privacy import GaussianNoiseMechanism
 from repro.federated.server import Server
-from repro.federated.sharding import ShardedRoundExecutor, build_loop_shard_tasks
-from repro.federated.updates import ClientUpdate, merge_sparse_rounds
+from repro.federated.updates import ClientUpdate
 from repro.metrics.accuracy import AccuracyReport
 from repro.metrics.evaluation import evaluate_snapshot
 from repro.metrics.exposure import ExposureReport
@@ -206,21 +199,6 @@ class FederatedSimulation:
         self._all_client_ids = np.array(
             sorted(self.benign_clients) + sorted(self.malicious_clients), dtype=np.int64
         )
-        # With workers > 1, one executor owns the process pool and the
-        # shared-memory snapshot (V + CSR arrays) for the whole simulation;
-        # both engines shard their rounds through it.
-        self._shard_executor: ShardedRoundExecutor | None = None
-        if config.workers > 1:
-            self._shard_executor = ShardedRoundExecutor(
-                num_shards=config.workers,
-                num_items=train.num_items,
-                num_factors=config.num_factors,
-                store=self._store,
-                timeout=config.worker_timeout,
-                retries=config.shard_retries,
-                backoff=config.shard_backoff,
-                degradation=config.degradation,
-            )
         # Federation dynamics: one dedicated, named fault stream (so enabling
         # churn never perturbs any training/evaluation stream — with every
         # rate at 0.0 no FaultSchedule is built and no stream is consumed,
@@ -252,7 +230,6 @@ class FederatedSimulation:
             train.num_items,
             round_rng=self._round_sampler_rng,
             store=self._store,
-            executor=self._shard_executor,
         )
         self._setup_attack()
 
@@ -260,16 +237,6 @@ class FederatedSimulation:
     def round_index(self) -> int:
         """The authoritative round counter (the server's, empty rounds included)."""
         return self.server.rounds_applied
-
-    def close(self) -> None:
-        """Release the sharded-round worker pool and its shared memory.
-
-        Only meaningful with ``config.workers > 1`` (a no-op otherwise); the
-        executor also cleans itself up on garbage collection, but tests and
-        long-lived callers that build many simulations should close eagerly.
-        """
-        if self._shard_executor is not None:
-            self._shard_executor.close()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -410,80 +377,13 @@ class FederatedSimulation:
         )
 
     def _run_epoch(self) -> float:
-        """One pass over all clients in random batches; returns the benign loss.
-
-        With ``fuse_rounds > 1`` the epoch's batches are scheduled in fusion
-        windows of that size (never crossing the epoch boundary, so every
-        window's client sets are disjoint); otherwise one round at a time.
-        """
+        """One pass over all clients in random batches; returns the benign loss."""
         order = self._schedule_rng.permutation(self._all_client_ids)
         batch_size = self.config.clients_per_round
-        batches = [
-            order[start : start + batch_size]
-            for start in range(0, order.shape[0], batch_size)
-        ]
         epoch_loss = 0.0
-        fuse = self.config.fuse_rounds
-        if fuse > 1 and self.config.engine == "vectorized":
-            for start in range(0, len(batches), fuse):
-                epoch_loss += self._run_fused_rounds(batches[start : start + fuse])
-        else:
-            for batch in batches:
-                epoch_loss += self._run_round(batch)
+        for start in range(0, order.shape[0], batch_size):
+            epoch_loss += self._run_round(order[start : start + batch_size])
         return epoch_loss
-
-    def _run_fused_rounds(self, batches: list[np.ndarray]) -> float:
-        """One fusion window: stacked benign training, per-round everything else.
-
-        The window's benign local training is computed in one kernel
-        invocation against the item matrix at the window start
-        (:meth:`BatchedRoundTrainer.train_rounds`); the attacker hook, the
-        crafted malicious uploads, the observer and the server step then run
-        round by round against the *current* parameters, exactly as in the
-        unfused schedule.
-        """
-        benign_ids_per_round = [
-            [int(cid) for cid in batch if int(cid) in self.benign_clients]
-            for batch in batches
-        ]
-        trained = self._trainer.train_rounds(
-            benign_ids_per_round, self.server.item_factors
-        )
-        total_loss = 0.0
-        for benign_ids, batch, (round_updates, round_loss) in zip(
-            benign_ids_per_round, batches, trained
-        ):
-            round_index = self.server.rounds_applied
-            selected_malicious = [
-                int(cid) for cid in batch if int(cid) in self.malicious_clients
-            ]
-            if self.attack is not None and selected_malicious:
-                self.attack.on_round_start(
-                    round_index,
-                    self.server.item_factors,
-                    self.server.scorer,
-                    selected_malicious,
-                )
-                crafted = [
-                    self.attack.craft_update(
-                        self.malicious_clients[cid],
-                        self.server.item_factors,
-                        self.server.scorer,
-                        round_index,
-                    )
-                    for cid in selected_malicious
-                ]
-                round_updates = round_updates.extended(
-                    u for u in crafted if u is not None
-                )
-            if self.update_observer is not None:
-                self.update_observer(round_index, round_updates.to_client_updates())
-            self.server.apply_round(round_updates)
-            self._record_applied_round(
-                benign_ids, round_updates.client_ids.shape[0] > 0
-            )
-            total_loss += round_loss
-        return total_loss
 
     def _run_round(self, batch: np.ndarray) -> float:
         """One aggregation round over the selected ``batch`` of clients.
@@ -527,16 +427,15 @@ class FederatedSimulation:
         """Batched round: all benign clients train in one stacked computation.
 
         ``batch`` is the round's *participant* set (dropped clients already
-        removed).  With a fault realization, pending stale arrivals or a
-        degraded shard in play, the round structure is materialised to
-        per-client updates so crash/straggler dispositions can filter them;
-        the zero-fault round keeps the lazy structured path untouched.
+        removed).  With a fault realization or pending stale arrivals in
+        play, the round structure is materialised to per-client updates so
+        crash/straggler dispositions can filter them; the zero-fault round
+        keeps the lazy structured path untouched.
         """
         benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
         round_updates, round_loss = self._trainer.train_round(
             benign_ids, self.server.item_factors, self.server.scorer
         )
-        shard_failures = self._drain_shard_incidents(round_index)
         if self.attack is not None and selected_malicious:
             crafted = [
                 self.attack.craft_update(
@@ -548,17 +447,9 @@ class FederatedSimulation:
                 for cid in selected_malicious
             ]
             round_updates = round_updates.extended(u for u in crafted if u is not None)
-        degraded = (
-            (faults is not None and not faults.is_clean)
-            or bool(self._pending_arrivals)
-            or bool(shard_failures)
-        )
-        if degraded:
+        if (faults is not None and not faults.is_clean) or self._pending_arrivals:
             updates = self._apply_dispositions(
                 round_updates.to_client_updates(), faults, round_index
-            )
-            self._check_post_round_quorum(
-                len(updates), int(batch.shape[0]), shard_failures, round_index
             )
             if self.update_observer is not None:
                 self.update_observer(round_index, updates)
@@ -581,52 +472,26 @@ class FederatedSimulation:
         (one stacked draw, clients in selection order), so the loop engine
         remains the equivalence oracle for either sampler.
 
-        With ``workers > 1`` the pairs are *always* predrawn (through the
-        exact per-client or round streams the in-process loop consumes) and
-        the per-client reference training runs in contiguous client shards
-        on the worker pool; the parent then applies each client's local step
-        and walks the batch in its original order, so privacy-noise draws,
-        attack injection and aggregation are untouched and the histories are
-        bit-identical to ``workers=1``.
-
         ``batch`` is the participant set (dropped clients removed by
         :meth:`_run_round`); crash/straggler dispositions are applied to the
         collected uploads *after* the training walk, so stream consumption
-        and loss accounting match the vectorized engine exactly.  A client
-        whose shard was dropped under quorum degradation is skipped entirely
-        (its training never completed).
+        and loss accounting match the vectorized engine exactly.
         """
         predrawn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        benign_ids: list[int] = []
-        if self.config.sampler == "batched" or self._shard_executor is not None:
+        if self.config.sampler == "batched":
             benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
             pairs = self._trainer.draw_round_pairs(benign_ids)
             predrawn = dict(zip(benign_ids, pairs))
-        sharded: dict[int, tuple[ClientUpdate, np.ndarray]] = {}
-        if self._shard_executor is not None:
-            sharded = self._loop_shard_results(benign_ids, predrawn)
-        shard_failures = self._drain_shard_incidents(round_index)
         updates: list[ClientUpdate] = []
         round_loss = 0.0
         for cid in batch:
             cid = int(cid)
             if cid in self.benign_clients:
-                if self._shard_executor is not None:
-                    entry = sharded.get(cid)
-                    if entry is None:
-                        # The client's shard failed and was dropped under
-                        # quorum degradation: no local step, no upload.
-                        continue
-                    update, grad_user = entry
-                    client = self.benign_clients[cid]
-                    client.user_vector = client.user_vector - client.learning_rate * grad_user
-                    client.participation_count += 1
-                else:
-                    update = self.benign_clients[cid].local_train(
-                        self.server.item_factors,
-                        self.server.scorer,
-                        pairs=predrawn.get(cid),
-                    )
+                update = self.benign_clients[cid].local_train(
+                    self.server.item_factors,
+                    self.server.scorer,
+                    pairs=predrawn.get(cid),
+                )
                 round_loss += update.loss
                 update = self.privacy.apply(update)
             else:
@@ -642,9 +507,6 @@ class FederatedSimulation:
                 updates.append(update)
 
         updates = self._apply_dispositions(updates, faults, round_index)
-        self._check_post_round_quorum(
-            len(updates), int(batch.shape[0]), shard_failures, round_index
-        )
         if self.update_observer is not None:
             self.update_observer(round_index, updates)
         self.server.apply_round(updates)
@@ -653,53 +515,6 @@ class FederatedSimulation:
             len(updates) > 0,
         )
         return round_loss
-
-    def _loop_shard_results(
-        self,
-        benign_ids: list[int],
-        predrawn: dict[int, tuple[np.ndarray, np.ndarray]],
-    ) -> dict[int, tuple[ClientUpdate, np.ndarray]]:
-        """Run the round's per-client reference training on the worker pool.
-
-        Ships the predrawn pairs (positives travel implicitly: each client's
-        round positives are a prefix of its shared CSR row), collects the
-        shard results in shard order and maps every client id to its upload
-        and user-vector gradient — which the caller applies in batch order,
-        exactly like the in-process loop.
-        """
-        executor = self._shard_executor
-        if executor is None or not benign_ids:
-            return {}
-        pair_counts = np.array(
-            [predrawn[cid][0].shape[0] for cid in benign_ids], dtype=np.int64
-        )
-        if int(pair_counts.sum()) > 0:
-            negatives = np.concatenate([predrawn[cid][1] for cid in benign_ids])
-        else:
-            negatives = np.empty(0, dtype=np.int64)
-        user_vectors = np.stack(
-            [self.benign_clients[cid].user_vector for cid in benign_ids]
-        )
-        tasks = build_loop_shard_tasks(
-            executor.num_shards,
-            np.asarray(benign_ids, dtype=np.int64),
-            pair_counts,
-            user_vectors,
-            negatives,
-            self.config.l2_reg,
-            self.server.scorer,
-        )
-        shard_results = executor.run_shards(tasks, self.server.item_factors)
-        merged = merge_sparse_rounds([result.updates for result in shard_results])  # type: ignore[misc]
-        grad_users = np.concatenate([result.grad_users for result in shard_results], axis=0)
-        updates = merged.to_client_updates()
-        # Keyed off the *merged* client ids, not ``benign_ids``: under quorum
-        # degradation a failed shard's clients are absent from the merge, and
-        # the caller skips them.
-        return {
-            int(cid): (updates[index], grad_users[index])
-            for index, cid in enumerate(merged.client_ids)
-        }
 
     def _record_applied_round(
         self, benign_ids: list[int], item_factors_changed: bool
@@ -842,57 +657,6 @@ class FederatedSimulation:
                     continue
             kept.append(update)
         return kept + arrivals
-
-    def _drain_shard_incidents(self, round_index: int) -> list[RoundIncident]:
-        """Convert the executor's shard incidents into round incidents.
-
-        Returns the *failure* incidents (``"shard-failed"`` /
-        ``"shard-timeout"`` — a shard actually dropped from the merge under
-        quorum degradation); retries that eventually succeeded are logged
-        but not returned.
-        """
-        if self._shard_executor is None:
-            return []
-        failures: list[RoundIncident] = []
-        for shard_incident in self._shard_executor.drain_incidents():
-            incident = RoundIncident(
-                round_index=round_index,
-                epoch=self._current_epoch,
-                kind=shard_incident.kind,
-                client_ids=tuple(sorted(shard_incident.client_ids)),
-                detail=f"shard {shard_incident.shard_index}: {shard_incident.detail}",
-            )
-            if self._history is not None:
-                self._history.record_incident(incident)
-            if shard_incident.kind != "shard-retry":
-                failures.append(incident)
-        return failures
-
-    def _check_post_round_quorum(
-        self,
-        reporters: int,
-        participant_count: int,
-        shard_failures: list[RoundIncident],
-        round_index: int,
-    ) -> None:
-        """Enforce the reporter quorum after a shard was dropped.
-
-        Client-level faults are quorum-checked *before* training (and can
-        redraw); a shard failure surfaces only after the round's streams are
-        consumed, so falling below quorum here is unrecoverable and raises —
-        a degraded round is merged only while the quorum holds, and never
-        silently.
-        """
-        if not shard_failures:
-            return
-        if self.config.degradation == "quorum":
-            quorum = min(self.config.min_reporters, participant_count)
-            if reporters < quorum:
-                raise FederationError(
-                    f"round {round_index} dropped {len(shard_failures)} "
-                    f"shard(s) and its reporter count {reporters} fell below "
-                    f"the quorum {quorum}; aborting instead of merging"
-                )
 
     # ------------------------------------------------------------------ #
     # Evaluation

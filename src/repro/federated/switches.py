@@ -18,9 +18,10 @@ default, choices and documentation, from which
   literal keyword arguments — the analyzer reads this file without
   importing it).
 
-Cross-switch constraints (e.g. ``fuse_rounds > 1`` requiring the vectorized
-engine) stay in ``FederatedConfig.validate``: they relate *several* fields
-and are not per-switch facts.
+Every registered switch is independent of the others: any combination of
+valid values is a valid configuration.  A constraint relating *several*
+fields would not be a per-switch fact and would belong in
+``FederatedConfig.validate``.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ class SwitchSpec:
     Attributes
     ----------
     name:
-        The field name on both config dataclasses (``engine``, ``workers``,
-        ...).
+        The field name on both config dataclasses (``engine``,
+        ``min_reporters``, ...).
     kind:
         ``"choice"`` (a string drawn from :attr:`choices`), ``"int"`` (an
-        integer bounded below by :attr:`minimum`), ``"float"`` (a positive
-        float, optionally ``None`` — see :attr:`optional`) or ``"rate"`` (a
+        integer bounded below by :attr:`minimum`) or ``"rate"`` (a
         probability in ``[0, 1]``, zero allowed — the dynamics rates).
     default:
         The default value; must equal the dataclass field default on
@@ -57,18 +57,15 @@ class SwitchSpec:
         and golden coverage for.
     minimum:
         Inclusive lower bound of an ``"int"`` switch (``None`` otherwise).
-    optional:
-        Whether ``None`` is a valid value (only ``worker_timeout``).
     help:
         One-line CLI help text (also the registry's doc row).
     """
 
     name: str
     kind: str
-    default: str | int | float | None
+    default: str | int | float
     choices: tuple[str, ...] | None = None
     minimum: int | None = None
-    optional: bool = False
     help: str = ""
 
     @property
@@ -81,16 +78,12 @@ class SwitchSpec:
         """The argparse ``type`` callable parsing this switch's values."""
         if self.kind == "int":
             return int
-        if self.kind in ("float", "rate"):
+        if self.kind == "rate":
             return float
         return str
 
     def validate_value(self, value: object) -> None:
         """Raise :class:`ConfigurationError` when ``value`` is invalid."""
-        if value is None:
-            if self.optional:
-                return
-            raise ConfigurationError(f"{self.name} must not be None")
         if self.kind == "choice":
             assert self.choices is not None
             if value not in self.choices:
@@ -108,15 +101,6 @@ class SwitchSpec:
             if int(value) < self.minimum:
                 raise ConfigurationError(
                     f"{self.name} must be at least {self.minimum}"
-                )
-            return
-        if self.kind == "float":
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"{self.name} must be a number, got {value!r}")
-            if float(value) <= 0:
-                raise ConfigurationError(
-                    f"{self.name} must be positive"
-                    + (" (or None to wait forever)" if self.optional else "")
                 )
             return
         if self.kind == "rate":
@@ -178,27 +162,6 @@ SWITCH_REGISTRY: tuple[SwitchSpec, ...] = (
         ),
     ),
     SwitchSpec(
-        name="fuse_rounds",
-        kind="int",
-        default=1,
-        minimum=1,
-        help="cross-round fusion window (>1 requires the vectorized engine)",
-    ),
-    SwitchSpec(
-        name="workers",
-        kind="int",
-        default=1,
-        minimum=1,
-        help="worker processes sharding each round (bit-identical to 1)",
-    ),
-    SwitchSpec(
-        name="worker_timeout",
-        kind="float",
-        default=None,
-        optional=True,
-        help="seconds to wait for a sharded round before aborting (default: forever)",
-    ),
-    SwitchSpec(
         name="dropout_rate",
         kind="rate",
         default=0.0,
@@ -234,30 +197,6 @@ SWITCH_REGISTRY: tuple[SwitchSpec, ...] = (
         minimum=0,
         help="reporter quorum: a round below it aborts and redraws its fault schedule (0: disabled)",
     ),
-    SwitchSpec(
-        name="shard_retries",
-        kind="int",
-        default=0,
-        minimum=0,
-        help="retries per shard for transient worker failures (exponential backoff)",
-    ),
-    SwitchSpec(
-        name="shard_backoff",
-        kind="float",
-        default=0.05,
-        help="base backoff seconds between shard retries (doubles per attempt)",
-    ),
-    SwitchSpec(
-        name="degradation",
-        kind="choice",
-        default="strict",
-        choices=("strict", "quorum"),
-        help=(
-            "sharded-round failure policy: 'strict' (default, any failed shard "
-            "aborts the round) or 'quorum' (surviving shards merge iff the "
-            "reporter quorum holds, logged as a RoundIncident)"
-        ),
-    ),
 )
 
 
@@ -266,6 +205,6 @@ def switch_names() -> tuple[str, ...]:
     return tuple(spec.name for spec in SWITCH_REGISTRY)
 
 
-def registry_defaults() -> dict[str, str | int | float | None]:
+def registry_defaults() -> dict[str, str | int | float]:
     """Mapping of switch name to registry default (one per spec)."""
     return {spec.name: spec.default for spec in SWITCH_REGISTRY}

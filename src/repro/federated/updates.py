@@ -40,8 +40,6 @@ __all__ = [
     "SparseRoundUpdates",
     "FactoredRoundUpdates",
     "scatter_rows",
-    "merge_sparse_rounds",
-    "merge_factored_rounds",
 ]
 
 
@@ -703,118 +701,3 @@ class FactoredRoundUpdates:
             metadata=list(self.metadata),
             tail=tail,
         )
-
-
-# ---------------------------------------------------------------------- #
-# Deterministic shard merging (the sharded round engine's reduce step)
-# ---------------------------------------------------------------------- #
-def _shifted_offsets(offset_arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-shard CSR offsets with cumulative shifts."""
-    parts = [np.asarray(offset_arrays[0], dtype=np.int64)]
-    shift = int(parts[0][-1])
-    for offsets in offset_arrays[1:]:
-        offsets = np.asarray(offsets, dtype=np.int64)
-        parts.append(shift + offsets[1:])
-        shift += int(offsets[-1])
-    return np.concatenate(parts)
-
-
-def _merge_theta(
-    parts: Sequence[tuple[np.ndarray | None, np.ndarray | None, int]],
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Stack per-shard ``(theta_gradients, theta_mask, num_clients)`` blocks."""
-    if not any(theta is not None for theta, _, _ in parts):
-        return None, None
-    width = next(t.shape[1] for t, _, _ in parts if t is not None)
-    total = sum(count for _, _, count in parts)
-    theta_gradients = np.zeros((total, width), dtype=np.float64)
-    theta_mask = np.zeros(total, dtype=bool)
-    start = 0
-    for theta, mask, count in parts:
-        if theta is not None:
-            if theta.shape[1] != width:
-                raise FederationError("theta gradients must all have the same length")
-            theta_gradients[start : start + count] = theta
-            theta_mask[start : start + count] = mask
-        start += count
-    return theta_gradients, theta_mask
-
-
-def merge_sparse_rounds(shards: Sequence[SparseRoundUpdates]) -> SparseRoundUpdates:
-    """Concatenate per-shard sparse rounds in the *given* (shard) order.
-
-    The reduce step of the sharded loop engine: client shards are contiguous
-    and order-preserving, so concatenating the shards' CSR segments — with
-    cumulatively shifted offsets — reproduces exactly the round structure the
-    unsharded engine builds from the same per-client uploads.  Merge order is
-    the caller's shard order, never worker completion order.
-    """
-    if not shards:
-        raise FederationError("merge_sparse_rounds needs at least one shard")
-    metadata: list[dict[str, Any]] = []
-    if any(shard.metadata for shard in shards):
-        for shard in shards:
-            metadata += [dict(shard.client_metadata(i)) for i in range(shard.num_clients)]
-    theta_gradients, theta_mask = _merge_theta(
-        [(s.theta_gradients, s.theta_mask, s.num_clients) for s in shards]
-    )
-    return SparseRoundUpdates(
-        client_ids=np.concatenate([s.client_ids for s in shards]),
-        item_ids=np.concatenate([s.item_ids for s in shards]),
-        grad_rows=np.concatenate([s.grad_rows for s in shards], axis=0),
-        client_offsets=_shifted_offsets([s.client_offsets for s in shards]),
-        losses=np.concatenate([s.losses for s in shards]),
-        malicious_mask=np.concatenate([s.malicious_mask for s in shards]),
-        theta_gradients=theta_gradients,
-        theta_mask=theta_mask,
-        metadata=metadata,
-    )
-
-
-def merge_factored_rounds(
-    shards: Sequence[FactoredRoundUpdates],
-    ridge: float = 0.0,
-    ridge_matrix: np.ndarray | None = None,
-) -> FactoredRoundUpdates:
-    """Concatenate per-shard factored rounds in the *given* (shard) order.
-
-    The reduce step of the sharded MF engine.  Because the batched BPR
-    kernel's per-client stages are block-decomposable over contiguous client
-    shards (segment-aligned folds, per-segment reductions), concatenating the
-    shards' coefficient segments with shifted offsets reproduces bit-exactly
-    the arrays :func:`repro.models.losses.bpr_coefficients_batched` would
-    have produced unsharded.  The shards must be ridge-free leaves without
-    dense tails; the shared ridge term is applied once, here, against the
-    round's item matrix.
-    """
-    if not shards:
-        raise FederationError("merge_factored_rounds needs at least one shard")
-    for shard in shards:
-        if shard.tail is not None:
-            raise FederationError("cannot merge factored shards carrying dense tails")
-        if shard.ridge != 0.0:
-            raise FederationError("shards must be ridge-free; pass ridge to the merge")
-    metadata: list[dict[str, Any]] = []
-    if any(shard.metadata for shard in shards):
-        for shard in shards:
-            if shard.metadata:
-                metadata += [dict(meta) for meta in shard.metadata]
-            else:
-                metadata += [{} for _ in range(shard.num_factored_clients)]
-    theta_gradients, theta_mask = _merge_theta(
-        [(s.theta_gradients, s.theta_mask, s.num_factored_clients) for s in shards]
-    )
-    return FactoredRoundUpdates(
-        client_ids=np.concatenate([s.client_ids for s in shards]),
-        item_ids=np.concatenate([s.item_ids for s in shards]),
-        coefficients=np.concatenate([s.coefficients for s in shards]),
-        client_offsets=_shifted_offsets([s.client_offsets for s in shards]),
-        user_vectors=np.concatenate([s.user_vectors for s in shards], axis=0),
-        losses=np.concatenate([s.losses for s in shards]),
-        malicious_mask=np.concatenate([s.malicious_mask for s in shards]),
-        ridge=ridge,
-        ridge_matrix=ridge_matrix,
-        theta_gradients=theta_gradients,
-        theta_mask=theta_mask,
-        metadata=metadata,
-    )

@@ -1,7 +1,7 @@
 """Seeded fault injection for the serving front end.
 
 :class:`ServingFaultInjector` is the serving counterpart of the federated
-layer's :class:`~repro.federated.dynamics.ShardFaultPlan`: a deterministic,
+layer's :class:`~repro.federated.dynamics.FaultSchedule`: a deterministic,
 seeded source of injected request latency and request errors, used by the
 chaos-smoke benchmark and the serving robustness tests to drive the HTTP
 front end's load-shedding, deadline and error paths without depending on

@@ -31,16 +31,15 @@ __all__ = ["FederatedConfig"]
 class FederatedConfig:
     engine: str = "vectorized"
     sampler: str = "permutation"
-    fuse_rounds: int = 1
-    workers: int = 1
+    min_reporters: int = 0
 
     def validate(self) -> None:
         if self.engine not in ("loop", "vectorized"):
             raise ValueError(self.engine)
         if self.sampler not in ("permutation", "batched"):
             raise ValueError(self.sampler)
-        if self.workers < 1:
-            raise ValueError(self.workers)
+        if self.min_reporters < 0:
+            raise ValueError(self.min_reporters)
 '''
 
 _EXPERIMENT_CONFIG = '''\
@@ -57,8 +56,7 @@ __all__ = ["ExperimentConfig"]
 class ExperimentConfig:
     engine: str = "vectorized"
     sampler: str = "permutation"
-    fuse_rounds: int = 1
-    workers: int = 1
+    min_reporters: int = 0
 '''
 
 _CLI = '''\
@@ -75,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser()
     parser.add_argument("--engine")
     parser.add_argument("--sampler")
-    parser.add_argument("--fuse-rounds")
-    parser.add_argument("--workers")
+    parser.add_argument("--min-reporters")
     return parser
 '''
 
@@ -102,23 +99,6 @@ def draw_negatives(sampler: str) -> str:
     if sampler == "batched":
         return "round stream"
     raise ValueError(sampler)
-
-
-def dispatch_round(workers: int) -> str:
-    if workers > 1:
-        return "sharded pool"
-    return "in-process"
-'''
-
-
-_SHARDED_SUITE = '''\
-"""Sharded-engine equivalence suite (fixture)."""
-
-WORKERS = (1, 2)
-
-
-def test_workers_parametrization() -> None:
-    assert len(WORKERS) == 2
 '''
 
 _EQUIVALENCE_SUITE = '''\
@@ -137,9 +117,9 @@ _GOLDEN_CASES = '''\
 """Golden case grid (fixture)."""
 
 GOLDEN_CASES = {
-    "loop-perm": {"engine": "loop", "sampler": "permutation", "workers": 1},
-    "vec-batched": {"engine": "vectorized", "sampler": "batched", "workers": 1},
-    "vec-workers2": {"engine": "vectorized", "sampler": "permutation", "workers": 2},
+    "loop-perm": {"engine": "loop", "sampler": "permutation"},
+    "vec-batched": {"engine": "vectorized", "sampler": "batched"},
+    "vec-perm": {"engine": "vectorized", "sampler": "permutation"},
 }
 '''
 
@@ -150,21 +130,18 @@ _README = """\
 | --- | --- | --- |
 | `engine` | `--engine` | `loop`, `vectorized` |
 | `sampler` | `--sampler` | `permutation`, `batched` |
-| `fuse_rounds` | `--fuse-rounds` | positive int |
-| `workers` | `--workers` | positive int |
+| `min_reporters` | `--min-reporters` | non-negative int |
 """
 
 #: A minimal project satisfying every repro-lint rule.  Deliberately has NO
 #: switch registry: it pins the legacy fallback extraction (validate
-#: membership checks + EXTRA_SWITCH_FIELDS) that historical checkouts rely
-#: on.
+#: membership checks) that historical checkouts rely on.
 CLEAN_TREE: dict[str, str] = {
     "src/repro/federated/config.py": _FEDERATED_CONFIG,
     "src/repro/experiments/config.py": _EXPERIMENT_CONFIG,
     "src/repro/cli.py": _CLI,
     "src/repro/federated/engine.py": _ENGINE,
     "tests/test_federated_engine_equivalence.py": _EQUIVALENCE_SUITE,
-    "tests/test_sharded_engine_equivalence.py": _SHARDED_SUITE,
     "tests/golden/golden_cases.py": _GOLDEN_CASES,
     "README.md": _README,
 }
@@ -202,8 +179,7 @@ SWITCH_REGISTRY = (
         default="permutation",
         choices=("permutation", "batched"),
     ),
-    SwitchSpec(name="fuse_rounds", kind="int", default=1, minimum=1),
-    SwitchSpec(name="workers", kind="int", default=1, minimum=1),
+    SwitchSpec(name="min_reporters", kind="int", default=0, minimum=0),
 )
 '''
 

@@ -49,10 +49,22 @@ class TestDeletions:
             "engine='vectorized'" in m and "not parametrized" in m for m in found
         )
 
+    def test_deleting_equivalence_suite_fails(self, tmp_path) -> None:
+        files = {
+            k: v
+            for k, v in CLEAN_TREE.items()
+            if k != "tests/test_federated_engine_equivalence.py"
+        }
+        root = write_tree(tmp_path, files)
+        found = messages(lint(root, select=["R2"]))
+        assert any(
+            "'engine'" in m and "equivalence suites" in m and "exist" in m
+            for m in found
+        )
+
     def test_deleting_golden_case_fails(self, tmp_path) -> None:
         grid = CLEAN_TREE["tests/golden/golden_cases.py"].replace(
-            '    "vec-batched": {"engine": "vectorized", "sampler": "batched", '
-            '"workers": 1},\n',
+            '    "vec-batched": {"engine": "vectorized", "sampler": "batched"},\n',
             "",
         )
         root = write_tree(
@@ -63,7 +75,7 @@ class TestDeletions:
             "sampler='batched'" in m and "golden" in m for m in found
         )
         # The surviving cases' realizations stay covered — including
-        # engine='vectorized', which "vec-workers2" still pins.
+        # engine='vectorized', which "vec-perm" still pins.
         assert not any("engine='loop'" in m for m in found)
         assert not any("engine='vectorized'" in m for m in found)
 
@@ -77,8 +89,8 @@ class TestDeletions:
 class TestRegistry:
     def test_new_switch_without_registered_suite_fails(self, tmp_path) -> None:
         config = CLEAN_TREE["src/repro/federated/config.py"].replace(
-            '    fuse_rounds: int = 1\n',
-            '    fuse_rounds: int = 1\n    eval_mode: str = "fast"\n',
+            '    min_reporters: int = 0\n',
+            '    min_reporters: int = 0\n    eval_mode: str = "fast"\n',
         ).replace(
             "        if self.sampler not in",
             '        if self.eval_mode not in ("fast", "slow"):\n'
@@ -101,12 +113,10 @@ class TestRegistry:
             "GOLDEN_CASES = {}\n"
             'for _engine in ("loop", "vectorized"):\n'
             '    for _sampler in ("permutation", "batched"):\n'
-            "        for _workers in (1, 2):\n"
-            "            GOLDEN_CASES[f\"{_engine}-{_sampler}-{_workers}\"] = {\n"
-            '                "engine": _engine,\n'
-            '                "sampler": _sampler,\n'
-            '                "workers": _workers,\n'
-            "            }\n"
+            "        GOLDEN_CASES[f\"{_engine}-{_sampler}\"] = {\n"
+            '            "engine": _engine,\n'
+            '            "sampler": _sampler,\n'
+            "        }\n"
         )
         root = write_tree(
             tmp_path, {**CLEAN_TREE, "tests/golden/golden_cases.py": grid}
@@ -120,61 +130,3 @@ class TestRegistry:
         root = write_tree(tmp_path, files)
         assert rules_hit(lint(root, select=["R2"])) == set()
 
-
-class TestIntSwitches:
-    """The ``workers`` switch contract: threshold dispatch, int suite, golden ints."""
-
-    def test_deleting_int_dispatch_branch_fails(self, tmp_path) -> None:
-        engine = CLEAN_TREE["src/repro/federated/engine.py"].replace(
-            '    if workers > 1:\n        return "sharded pool"\n', ""
-        )
-        root = write_tree(tmp_path, {**CLEAN_TREE, "src/repro/federated/engine.py": engine})
-        found = messages(lint(root, select=["R2"]))
-        assert any("int switch 'workers'" in m and "dispatch" in m for m in found)
-
-    def test_deleting_workers_equivalence_value_fails(self, tmp_path) -> None:
-        suite = CLEAN_TREE["tests/test_sharded_engine_equivalence.py"].replace(
-            "WORKERS = (1, 2)", "WORKERS = (1,)"
-        ).replace("len(WORKERS) == 2", "len(WORKERS) == 1")
-        root = write_tree(
-            tmp_path,
-            {**CLEAN_TREE, "tests/test_sharded_engine_equivalence.py": suite},
-        )
-        found = messages(lint(root, select=["R2"]))
-        assert any("workers=2" in m and "not parametrized" in m for m in found)
-        assert not any("workers=1 " in m for m in found)
-
-    def test_deleting_workers_equivalence_suite_fails(self, tmp_path) -> None:
-        files = {
-            k: v
-            for k, v in CLEAN_TREE.items()
-            if k != "tests/test_sharded_engine_equivalence.py"
-        }
-        root = write_tree(tmp_path, files)
-        found = messages(lint(root, select=["R2"]))
-        assert any(
-            "'workers'" in m and "equivalence suites" in m and "exist" in m
-            for m in found
-        )
-
-    def test_deleting_workers_golden_case_fails(self, tmp_path) -> None:
-        grid = CLEAN_TREE["tests/golden/golden_cases.py"].replace(
-            '    "vec-workers2": {"engine": "vectorized", "sampler": "permutation", '
-            '"workers": 2},\n',
-            "",
-        )
-        root = write_tree(tmp_path, {**CLEAN_TREE, "tests/golden/golden_cases.py": grid})
-        found = messages(lint(root, select=["R2"]))
-        assert any("workers=2" in m and "golden" in m for m in found)
-        assert not any("workers=1 " in m for m in found)
-
-    def test_stale_registry_entry_fails(self, tmp_path) -> None:
-        config = CLEAN_TREE["src/repro/federated/config.py"].replace(
-            "    workers: int = 1\n", ""
-        ).replace(
-            "        if self.workers < 1:\n            raise ValueError(self.workers)\n",
-            "",
-        )
-        root = write_tree(tmp_path, {**CLEAN_TREE, "src/repro/federated/config.py": config})
-        found = messages(lint(root, select=["R2"]))
-        assert any("stale registry entry" in m for m in found)

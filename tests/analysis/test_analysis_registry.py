@@ -70,14 +70,14 @@ def test_registry_default_parity_checked(tmp_path) -> None:
     assert any("disagrees with the registry default" in m for m in found)
 
     experiment = REGISTRY_TREE["src/repro/experiments/config.py"].replace(
-        "workers: int = 1", "workers: int = 2"
+        "min_reporters: int = 0", "min_reporters: int = 2"
     )
     root2 = write_tree(
         tmp_path / "mirror", {**REGISTRY_TREE, "src/repro/experiments/config.py": experiment}
     )
     found2 = messages(lint(root2, select=["R5"]))
     assert any(
-        "ExperimentConfig default" in m and "'workers'" in m for m in found2
+        "ExperimentConfig default" in m and "'min_reporters'" in m for m in found2
     )
 
 
@@ -88,6 +88,19 @@ def test_registry_switch_missing_from_config_fails(tmp_path) -> None:
     root = write_tree(tmp_path, {**REGISTRY_TREE, "src/repro/federated/config.py": config})
     found = messages(lint(root, select=["R5"]))
     assert any("not declared as a FederatedConfig field" in m for m in found)
+
+
+def test_registry_missing_anchor_files_reported(tmp_path) -> None:
+    files = {
+        k: v
+        for k, v in REGISTRY_TREE.items()
+        if k not in ("src/repro/cli.py", "src/repro/experiments/config.py")
+    }
+    root = write_tree(tmp_path, files)
+    found = messages(lint(root, select=["R5"]))
+    assert found and all(m.startswith("src/repro/federated/switches.py:") for m in found)
+    assert any("cannot verify" in m and "cli.py" in m for m in found)
+    assert any("cannot verify" in m and "experiments/config.py" in m for m in found)
 
 
 def test_registry_driven_cli_satisfies_flag_leg(tmp_path) -> None:
@@ -131,14 +144,14 @@ def test_clean_tree_without_registry_still_legacy(tmp_path) -> None:
     assert messages(lint(root, select=["R2", "R5"])) == []
 
 
-def _readme_with_rows(sampler_values: str, workers_values: str) -> str:
+def _readme_with_rows(sampler_values: str, min_reporters_values: str) -> str:
     readme = REGISTRY_TREE["README.md"].replace(
         "| `sampler` | `--sampler` | `permutation`, `batched` |",
         f"| `sampler` | `--sampler` | {sampler_values} |",
     )
     return readme.replace(
-        "| `workers` | `--workers` | positive int |",
-        f"| `workers` | `--workers` | {workers_values} |",
+        "| `min_reporters` | `--min-reporters` | non-negative int |",
+        f"| `min_reporters` | `--min-reporters` | {min_reporters_values} |",
     )
 
 
@@ -147,7 +160,7 @@ def test_readme_default_marker_matching_registry_passes(tmp_path) -> None:
     # names `sampler` outside its first cell never contributes a default.
     readme = _readme_with_rows(
         "`permutation` (default), `batched`",
-        "`1` (default), `W > 1`; identical for every engine/sampler",
+        "`0` (default, disabled), `N > 0`; applies to every engine/sampler",
     )
     root = write_tree(tmp_path, {**REGISTRY_TREE, "README.md": readme})
     assert messages(lint(root, select=["R5"])) == []
@@ -155,7 +168,7 @@ def test_readme_default_marker_matching_registry_passes(tmp_path) -> None:
 
 def test_readme_default_marker_must_name_registry_default(tmp_path) -> None:
     # Flipping a registry default without the README row is a violation.
-    readme = _readme_with_rows("`batched` (default), `permutation`", "`1` (default)")
+    readme = _readme_with_rows("`batched` (default), `permutation`", "`0` (default)")
     root = write_tree(tmp_path, {**REGISTRY_TREE, "README.md": readme})
     found = messages(lint(root, select=["R5"]))
     assert found and all(m.startswith("src/repro/federated/switches.py:") for m in found)
@@ -167,4 +180,4 @@ def test_readme_default_marker_must_name_registry_default(tmp_path) -> None:
     readme = _readme_with_rows("`permutation` (default), `batched`", "`2` (default: two)")
     root = write_tree(tmp_path / "int", {**REGISTRY_TREE, "README.md": readme})
     found = messages(lint(root, select=["R5"]))
-    assert any("'workers'" in m and "registry default is 1" in m for m in found)
+    assert any("'min_reporters'" in m and "registry default is 0" in m for m in found)

@@ -56,7 +56,6 @@ _BASE = dict(
     eval_engine="vectorized",
     eval_sampler="per-user",
     eval_path="block",
-    workers=1,
 )
 
 _BENIGN = dict(attack="none", rho=0.0)
@@ -111,28 +110,11 @@ GOLDEN_CASES["mf-benign-eval-loop"] = {
     "engine": "vectorized",
     "eval_engine": "loop",
 }
-# The sharded round engine (workers > 1) is contractually bit-identical to
-# workers=1, so its fixtures must equal the corresponding single-process
-# histories — a divergence is a broken shard/merge contract, not a new
-# realization.  One benign MF case and one full FedRecAttack case keep both
-# the factored merge path and the attack-injection path pinned.
-GOLDEN_CASES["mf-benign-workers2"] = {
-    **_BASE,
-    **_BENIGN,
-    "engine": "vectorized",
-    "workers": 2,
-}
-GOLDEN_CASES["mf-attack-workers2"] = {
-    **_BASE,
-    **_ATTACK,
-    "engine": "vectorized",
-    "workers": 2,
-}
 # Federation dynamics: seeded churn/straggler realizations are part of the
-# seed-history contract, so each straggler policy (and the quorum degradation
-# mode) pins one degraded-but-deterministic history — including its full
-# incident log.  The rates are moderate so every round still meets the
-# min_reporters quorum without redraw storms.
+# seed-history contract, so each straggler policy pins one
+# degraded-but-deterministic history — including its full incident log.  The
+# rates are moderate so every round still meets the min_reporters quorum
+# without redraw storms.
 _DYNAMICS = dict(
     dropout_rate=0.15,
     crash_rate=0.1,
@@ -145,7 +127,6 @@ GOLDEN_CASES["mf-benign-dynamics-wait"] = {
     **_DYNAMICS,
     "engine": "vectorized",
     "straggler_policy": "wait",
-    "degradation": "strict",
 }
 GOLDEN_CASES["mf-benign-dynamics-discard"] = {
     **_BASE,
@@ -153,7 +134,6 @@ GOLDEN_CASES["mf-benign-dynamics-discard"] = {
     **_DYNAMICS,
     "engine": "vectorized",
     "straggler_policy": "discard",
-    "degradation": "strict",
 }
 GOLDEN_CASES["mf-attack-dynamics-stale"] = {
     **_BASE,
@@ -161,19 +141,6 @@ GOLDEN_CASES["mf-attack-dynamics-stale"] = {
     **_DYNAMICS,
     "engine": "vectorized",
     "straggler_policy": "stale-merge",
-    "degradation": "strict",
-}
-# Quorum degradation changes behaviour only when a shard actually fails (no
-# plan is installed here), so this history doubles as proof that enabling it
-# is free: it must stay bit-identical to the same run under "strict".
-GOLDEN_CASES["mf-benign-dynamics-quorum-workers2"] = {
-    **_BASE,
-    **_BENIGN,
-    **_DYNAMICS,
-    "engine": "vectorized",
-    "workers": 2,
-    "straggler_policy": "wait",
-    "degradation": "quorum",
 }
 
 

@@ -203,7 +203,7 @@ class TestCLI:
                 "--clients-per-round", "32",
                 "--engine", "vectorized",
                 "--sampler", "batched",
-                "--fuse-rounds", "2",
+                "--min-reporters", "2",
             ]
         )
         assert exit_code == 0
@@ -214,9 +214,7 @@ class TestCLI:
         (
             ["--engine", "warp"],
             ["--sampler", "alias"],
-            ["--fuse-rounds", "0"],
-            # The *pair* is validated: fusion requires the vectorized engine.
-            ["--engine", "loop", "--fuse-rounds", "2"],
+            ["--min-reporters", "-1"],
         ),
     )
     def test_invalid_engine_sampler_pairs_rejected(self, flags):

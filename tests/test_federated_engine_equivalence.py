@@ -239,3 +239,45 @@ class TestEngineEquivalence:
             return rows
 
         assert collect("loop") == collect("vectorized")
+
+
+#: Round sizes cutting the epoch into one-client rounds (a stacked batch of
+#: one), ragged rounds and one round larger than the whole federation.
+CLIENTS_PER_ROUND = (1, 9, 128)
+
+
+class TestBatchGeometry:
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("clients_per_round", CLIENTS_PER_ROUND)
+    @pytest.mark.parametrize("scenario", ("benign", "fedrecattack"))
+    def test_engines_agree(
+        self, small_split, small_public, small_targets, scenario, clients_per_round, sampler
+    ):
+        def run(engine):
+            attack = None
+            if scenario == "fedrecattack":
+                attack = FedRecAttack(
+                    small_public,
+                    FedRecAttackConfig(
+                        kappa=12, approx_epochs_initial=3, approx_epochs_per_round=1
+                    ),
+                )
+            return _run(
+                small_split,
+                small_targets,
+                engine,
+                attack=attack,
+                num_malicious=4 if attack is not None else 0,
+                sampler=sampler,
+                clients_per_round=clients_per_round,
+                num_epochs=2,
+            )
+
+        (result_loop, sim_loop), (result_vec, sim_vec) = run("loop"), run("vectorized")
+        _assert_equivalent(result_loop, result_vec)
+        assert sim_loop.server.rounds_applied == sim_vec.server.rounds_applied
+        for user in range(small_split.train.num_users):
+            assert (
+                sim_loop.benign_clients[user].participation_count
+                == sim_vec.benign_clients[user].participation_count
+            )

@@ -3,8 +3,8 @@
 The dynamics layer must be *replayable chaos*: every dropout, crash,
 straggler disposition and quorum abort is drawn from the dedicated
 ``"fault-schedule"`` stream, so one seed fixes the full degradation history —
-bit-identical across engines (``"loop"`` vs ``"vectorized"``) and worker
-counts, with and without an attack.  This suite pins that contract plus the
+bit-identical across engines (``"loop"`` vs ``"vectorized"``), with and
+without an attack.  This suite pins that contract plus the
 per-policy semantics: ``"wait"`` merges stragglers normally, ``"discard"``
 drops them, ``"stale-merge"`` holds them for a later round (and records the
 ones training ends before), and ``min_reporters`` aborts-and-redraws rounds
@@ -15,11 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-
-try:  # pragma: no cover - exercised only on crippled platforms
-    import multiprocessing.synchronize  # noqa: F401
-except ImportError:  # pragma: no cover
-    pytest.skip("process pools unavailable on this platform", allow_module_level=True)
 
 from repro.attacks.fedrecattack import FedRecAttack, FedRecAttackConfig
 from repro.exceptions import ConfigurationError, FederationError
@@ -42,9 +37,6 @@ INCIDENT_KINDS = {
     "client-crash",
     "straggler",
     "quorum-abort",
-    "shard-retry",
-    "shard-failed",
-    "shard-timeout",
     "straggler-expired",
 }
 
@@ -79,11 +71,7 @@ def _run(small_split, small_public, small_targets, scenario="benign", **kwargs):
             (round_index, len(updates))
         ),
     )
-    try:
-        result = simulation.run()
-    finally:
-        simulation.close()
-    return result, observed
+    return simulation.run(), observed
 
 
 def _assert_bit_identical(result_a, result_b):
@@ -171,20 +159,6 @@ class TestSwitchValidation:
         with pytest.raises(ConfigurationError, match="min_reporters must be at least 0"):
             FederatedConfig(min_reporters=-1).validate()
 
-    def test_dynamics_require_unfused_rounds(self):
-        with pytest.raises(ConfigurationError, match="require fuse_rounds=1"):
-            FederatedConfig(
-                engine="vectorized", fuse_rounds=2, dropout_rate=0.1
-            ).validate()
-
-    def test_quorum_degradation_requires_unfused_rounds(self):
-        with pytest.raises(
-            ConfigurationError, match=r"degradation='quorum' requires fuse_rounds=1"
-        ):
-            FederatedConfig(
-                engine="vectorized", fuse_rounds=2, degradation="quorum"
-            ).validate()
-
 
 class TestDynamicsDeterminism:
     def test_defaults_record_no_incidents(self, small_split, small_public, small_targets):
@@ -226,45 +200,53 @@ class TestDynamicsDeterminism:
         assert loop_result.incidents == vec_result.incidents
 
 
-class TestWorkerEquivalenceUnderFaults:
-    """Fault realizations live in the parent: sharding must not move them."""
+STRAGGLER_POLICIES = ("wait", "discard", "stale-merge")
 
-    _BASELINES: dict = {}
 
-    def _baseline(self, small_split, small_public, small_targets, engine, scenario):
-        key = (engine, scenario)
-        if key not in self._BASELINES:
-            result, _ = _run(
-                small_split,
-                small_public,
-                small_targets,
-                scenario,
-                engine=engine,
-                workers=1,
-                **DYNAMICS,
-            )
-            self._BASELINES[key] = result
-        return self._BASELINES[key]
-
+class TestReplayUnderFaults:
     @pytest.mark.parametrize("engine", ("loop", "vectorized"))
-    @pytest.mark.parametrize("workers", (2, 4))
+    @pytest.mark.parametrize("policy", STRAGGLER_POLICIES)
     @pytest.mark.parametrize("scenario", ("benign", "fedrecattack"))
-    def test_workers_bit_identical(
-        self, small_split, small_public, small_targets, engine, workers, scenario
+    def test_replay_bit_identical(
+        self, small_split, small_public, small_targets, scenario, policy, engine
     ):
-        baseline = self._baseline(
-            small_split, small_public, small_targets, engine, scenario
+        # One seed fixes the whole degradation history under every straggler
+        # disposition: faults, quorum redraws, the reporter sets each round
+        # merges and the trained parameters.
+        dynamics = {**DYNAMICS, "straggler_policy": policy}
+        result_a, observed_a = _run(
+            small_split, small_public, small_targets, scenario, engine=engine, **dynamics
         )
-        sharded, _ = _run(
-            small_split,
-            small_public,
-            small_targets,
-            scenario,
-            engine=engine,
-            workers=workers,
-            **DYNAMICS,
+        result_b, observed_b = _run(
+            small_split, small_public, small_targets, scenario, engine=engine, **dynamics
         )
-        _assert_bit_identical(baseline, sharded)
+        _assert_bit_identical(result_a, result_b)
+        assert observed_a == observed_b
+        assert any(incident.kind == "straggler" for incident in result_a.incidents)
+
+    @pytest.mark.parametrize("policy", ("wait", "discard"))
+    @pytest.mark.parametrize("scenario", ("benign", "fedrecattack"))
+    def test_engines_agree_under_policy(
+        self, small_split, small_public, small_targets, scenario, policy
+    ):
+        dynamics = {**DYNAMICS, "straggler_policy": policy}
+        loop_result, loop_observed = _run(
+            small_split, small_public, small_targets, scenario, engine="loop", **dynamics
+        )
+        vec_result, vec_observed = _run(
+            small_split, small_public, small_targets, scenario, engine="vectorized", **dynamics
+        )
+        np.testing.assert_allclose(
+            np.asarray(loop_result.history.training_loss()),
+            np.asarray(vec_result.history.training_loss()),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            loop_result.item_factors, vec_result.item_factors, rtol=1e-12, atol=1e-12
+        )
+        assert loop_result.incidents == vec_result.incidents
+        assert loop_observed == vec_observed
 
 
 class TestStragglerPolicies:

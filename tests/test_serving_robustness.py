@@ -6,7 +6,7 @@ connection), slow answers become JSON 504s, injected faults surface as JSON
 500s, and a snapshot swap that cannot complete rolls back atomically — the
 old snapshot keeps serving.  Fault pressure comes from the seeded
 :class:`~repro.serving.faults.ServingFaultInjector`, the serving counterpart
-of the federated layer's :class:`~repro.federated.dynamics.ShardFaultPlan`.
+of the federated layer's :class:`~repro.federated.dynamics.FaultSchedule`.
 """
 
 from __future__ import annotations
