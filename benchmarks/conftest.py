@@ -8,16 +8,24 @@ laptop-scale :data:`BENCH_PROFILE` and
   falls) — absolute numbers are expected to differ because the substrate is a
   calibrated miniature, not the authors' testbed.
 
-Run with ``pytest benchmarks/ --benchmark-only``.
+Run with ``pytest benchmarks/ --benchmark-only``.  The perf gates race the
+library against the per-user references in ``tests/oracles``, so that
+directory goes on the import path (appended: this module stays the
+``conftest`` the benchmarks import).
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 
 @pytest.fixture(scope="session")

@@ -1,33 +1,27 @@
-"""Benchmark: round-engine and sampler throughput across configurations.
+"""Benchmark: federated round throughput against the per-client reference.
 
 Three measurements, all on synthetic datasets with the exact shapes of the
 paper's evaluation datasets (Table II) and the protocol defaults (k = 32,
-256 clients per round):
+256 clients per round), each racing the library's batched round
+(:class:`~repro.federated.simulation.FederatedSimulation`) against the
+one-client-at-a-time reference of ``tests/oracles``
+(:class:`oracles.LoopRoundSimulation`):
 
-* ``test_perf_engine`` — benign federated rounds at the MovieLens-100K,
-  MovieLens-1M and Steam-200K shapes, measuring rounds/sec for three
-  configurations: the ``loop`` reference, the ``vectorized`` engine
-  (permutation sampler, bit-identical realizations to the reference), and
-  ``batched`` (vectorized engine + batched sampler — the default
-  configuration).  Gates: vectorized ≥ 3x at the ml-100k shape, batched ≥ 3x
-  at the steam-200k shape (whose sparse per-user activity makes the
-  permutation-sampler vectorized engine the weakest, ~2x).
+* ``test_perf_engine`` — benign rounds at the MovieLens-100K,
+  MovieLens-1M and Steam-200K shapes.  Gates: the library >= 3x the
+  reference at the ml-100k and at the steam-200k shape (whose sparse
+  per-user activity gives the batched round the least to stack).
 * ``test_perf_attack_rounds`` — attack-enabled rounds (FedRecAttack with its
   user-matrix approximation refresh and poisoned-gradient construction every
-  round) at the ml-100k shape, for the same three configurations.  Gates:
-  vectorized ≥ 3x (the PR 2 contract) and batched strictly above the
-  measured vectorized throughput (the approximation's per-user permutation
-  draws were the dominant remaining cost).
-* ``test_perf_engine_smoke`` — a fast (seconds) loop-vs-vectorized gate at
-  the ml-100k shape, run by CI on every push so speedup regressions fail the
-  build without paying for the full sweep.
+  round) at the ml-100k shape, the library attacker against the per-user
+  references (:class:`oracles.LoopFedRecAttack`).  Gate: >= 3x.
+* ``test_perf_engine_smoke`` — a fast (seconds) version of the ml-100k gate,
+  run by CI on every push so speedup regressions fail the build without
+  paying for the full sweep.
 
-``loop`` and ``vectorized`` consume identical per-client random streams, so
-that speedup is free of any accuracy trade-off (see
-``tests/test_federated_engine_equivalence.py``); ``batched`` is an exact
-sampler with a different RNG contract, re-validated qualitatively by the
-table/figure gates (which run under the batched default, and under
-``REPRO_BENCH_SAMPLER=permutation``).
+Both realizations draw every round's pairs from the same shared stream and
+consume the attack stream identically, so the speedup is free of any
+accuracy trade-off (see ``tests/test_federated_engine_equivalence.py``).
 
 Results land in ``benchmarks/results/perf_engine.json`` / ``.txt`` and
 ``benchmarks/results/perf_attack.json`` / ``.txt``.
@@ -50,6 +44,8 @@ from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation
 from repro.rng import SeedSequenceFactory
 
+from oracles import LoopFedRecAttack, LoopRoundSimulation
+
 NUM_FACTORS = 32
 CLIENTS_PER_ROUND = 256
 MIN_SPEEDUP = 3.0
@@ -65,20 +61,10 @@ SHAPES: dict[str, tuple[int, int]] = {
     "steam-200k": (8, 2),
 }
 
-#: label -> FederatedConfig overrides of every measured configuration.  The
-#: ``loop`` and ``vectorized`` cells pin the permutation sampler: they measure
-#: the engines on the historical per-client streams, against which the
-#: batched cells are compared.
-VARIANTS: dict[str, dict] = {
-    "loop": {"engine": "loop", "sampler": "permutation"},
-    "vectorized": {"engine": "vectorized", "sampler": "permutation"},
-    "batched": {"engine": "vectorized", "sampler": "batched"},
-}
-
-ATTACK_VARIANTS: dict[str, dict] = {
-    "loop": {"engine": "loop", "sampler": "permutation"},
-    "vectorized": {"engine": "vectorized", "sampler": "permutation"},
-    "batched": {"engine": "vectorized", "sampler": "batched"},
+#: label -> simulation class of every measured realization.
+VARIANTS: dict[str, type[FederatedSimulation]] = {
+    "loop": LoopRoundSimulation,
+    "library": FederatedSimulation,
 }
 
 
@@ -90,15 +76,14 @@ def _build_dataset(name: str):
     )
 
 
-def _build_simulation(dataset, variant: dict, **kwargs) -> FederatedSimulation:
+def _build_simulation(dataset, variant: str, **kwargs) -> FederatedSimulation:
     config = FederatedConfig(
         num_factors=NUM_FACTORS,
         learning_rate=0.01,
         clients_per_round=CLIENTS_PER_ROUND,
         num_epochs=1,
-        **variant,
     )
-    return FederatedSimulation(
+    return VARIANTS[variant](
         train=dataset,
         config=config,
         test_items=None,
@@ -131,11 +116,11 @@ def _time_rounds(simulation: FederatedSimulation, num_rounds: int) -> float:
 def _throughput(
     simulations: dict[str, FederatedSimulation], measured_rounds: int, repeats: int
 ) -> dict:
-    """Interleaved best-of-``repeats`` rounds/sec for every configuration.
+    """Interleaved best-of-``repeats`` rounds/sec for every realization.
 
     Each pass warms up first (allocators, caches, lazy imports — and, for
     attack runs, the expensive initial approximation epochs).  The
-    configurations are interleaved and each keeps its best pass, so scheduler
+    realizations are interleaved and each keeps its best pass, so scheduler
     hiccups and CPU-frequency drift on shared boxes cannot skew the ratios.
     """
     for simulation in simulations.values():
@@ -149,22 +134,15 @@ def _throughput(
         "clients_per_round": CLIENTS_PER_ROUND,
         "measured_rounds": measured_rounds,
     }
-    loop_rps = measured_rounds / best["loop"]
     for label in simulations:
-        rps = measured_rounds / best[label]
-        payload[f"{label}_rounds_per_sec"] = rps
-        if label != "loop":
-            payload[f"{label}_speedup"] = rps / loop_rps
-    # Back-compat key used by earlier perf records and the smoke gate.
-    payload["speedup"] = payload["vectorized_speedup"]
+        payload[f"{label}_rounds_per_sec"] = measured_rounds / best[label]
+    payload["speedup"] = best["loop"] / best["library"]
     return payload
 
 
 def _measure_shape(name: str, measured_rounds: int, repeats: int) -> dict:
     preset, dataset = _build_dataset(name)
-    simulations = {
-        label: _build_simulation(dataset, variant) for label, variant in VARIANTS.items()
-    }
+    simulations = {label: _build_simulation(dataset, label) for label in VARIANTS}
     return {
         "dataset": preset.name,
         "num_users": preset.num_users,
@@ -190,31 +168,23 @@ def test_perf_engine(benchmark, save_result):
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
     lines = [
-        "Round-engine throughput (synthetic paper shapes, k=32, 256 clients/round)",
-        "batched = vectorized engine + batched sampler",
+        "Round throughput (synthetic paper shapes, k=32, 256 clients/round)",
     ]
     for shape in payload["shapes"]:
         lines += [
             f"{shape['dataset']} ({shape['num_users']} users / {shape['num_items']} items)",
-            f"  loop engine:       {shape['loop_rounds_per_sec']:8.2f} rounds/sec",
-            f"  vectorized engine: {shape['vectorized_rounds_per_sec']:8.2f} rounds/sec"
-            f"  ({shape['vectorized_speedup']:.2f}x)",
-            f"  batched sampler:   {shape['batched_rounds_per_sec']:8.2f} rounds/sec"
-            f"  ({shape['batched_speedup']:.2f}x)",
+            f"  per-client reference: {shape['loop_rounds_per_sec']:8.2f} rounds/sec",
+            f"  batched round:        {shape['library_rounds_per_sec']:8.2f} rounds/sec"
+            f"  ({shape['speedup']:.2f}x)",
         ]
     save_result("perf_engine", "\n".join(lines))
 
-    gate = next(s for s in payload["shapes"] if s["dataset"] == GATE_SHAPE)
-    assert gate["vectorized_speedup"] >= MIN_SPEEDUP, (
-        f"vectorized engine is only {gate['vectorized_speedup']:.2f}x faster than the loop "
-        f"engine at the {GATE_SHAPE} shape (required: {MIN_SPEEDUP}x)"
-    )
-    sparse = next(s for s in payload["shapes"] if s["dataset"] == SPARSE_GATE_SHAPE)
-    assert sparse["batched_speedup"] >= MIN_SPEEDUP, (
-        f"the batched sampler is only {sparse['batched_speedup']:.2f}x "
-        f"faster than the loop engine at the {SPARSE_GATE_SHAPE} shape "
-        f"(required: {MIN_SPEEDUP}x)"
-    )
+    for gate_shape in (GATE_SHAPE, SPARSE_GATE_SHAPE):
+        gate = next(s for s in payload["shapes"] if s["dataset"] == gate_shape)
+        assert gate["speedup"] >= MIN_SPEEDUP, (
+            f"the batched round is only {gate['speedup']:.2f}x faster than the "
+            f"per-client reference at the {gate_shape} shape (required: {MIN_SPEEDUP}x)"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -226,29 +196,23 @@ SMOKE_MIN_SPEEDUP = 2.0
 
 
 def test_perf_engine_smoke(benchmark):
-    """Fast loop-vs-vectorized regression gate (run by CI via ``-k smoke``).
+    """Fast batched-vs-reference regression gate (run by CI via ``-k smoke``).
 
     One interleaved pass at the ml-100k shape with a reduced round count; the
     threshold is deliberately lower than the full benchmark's so shared CI
-    runners do not flake, while a genuine loss of the vectorized speedup
-    (which is >4x when healthy) still fails the build.
+    runners do not flake, while a genuine loss of the batched round's
+    speedup (>5x when healthy) still fails the build.
     """
 
     def measure() -> dict:
         _, dataset = _build_dataset(GATE_SHAPE)
-        simulations = {
-            label: _build_simulation(dataset, variant)
-            for label, variant in VARIANTS.items()
-        }
+        simulations = {label: _build_simulation(dataset, label) for label in VARIANTS}
         return _throughput(simulations, SMOKE_ROUNDS, 1)
 
     payload = run_once(benchmark, measure)
-    assert payload["vectorized_speedup"] >= SMOKE_MIN_SPEEDUP, (
-        f"vectorized engine is only {payload['vectorized_speedup']:.2f}x faster than "
-        f"the loop engine in the smoke measurement (required: {SMOKE_MIN_SPEEDUP}x)"
-    )
-    assert payload["batched_rounds_per_sec"] > payload["loop_rounds_per_sec"], (
-        "the batched sampler must not be slower than the loop reference"
+    assert payload["speedup"] >= SMOKE_MIN_SPEEDUP, (
+        f"the batched round is only {payload['speedup']:.2f}x faster than the "
+        f"per-client reference in the smoke measurement (required: {SMOKE_MIN_SPEEDUP}x)"
     )
 
 
@@ -262,10 +226,11 @@ ATTACK_XI = 0.01
 ATTACK_RHO = 0.05
 
 
-def _build_attack_simulation(dataset, public, variant: dict) -> FederatedSimulation:
+def _build_attack_simulation(dataset, public, variant: str) -> FederatedSimulation:
     popularity = dataset.item_popularity
     target_items = np.argsort(popularity, kind="stable")[:5].astype(np.int64)
-    attack = FedRecAttack(
+    attack_class = LoopFedRecAttack if variant == "loop" else FedRecAttack
+    attack = attack_class(
         public,
         FedRecAttackConfig(approx_epochs_initial=5, approx_epochs_per_round=2),
     )
@@ -285,8 +250,7 @@ def _measure_attack() -> dict:
         dataset, ATTACK_XI, rng=SeedSequenceFactory(2022).generator("perf-public")
     )
     simulations = {
-        label: _build_attack_simulation(dataset, public, variant)
-        for label, variant in ATTACK_VARIANTS.items()
+        label: _build_attack_simulation(dataset, public, label) for label in VARIANTS
     }
     return {
         "dataset": preset.name,
@@ -311,21 +275,14 @@ def test_perf_attack_rounds(benchmark, save_result):
                 "Attack-enabled round throughput (FedRecAttack, synthetic ML-100K shape,",
                 f"xi={ATTACK_XI}, rho={ATTACK_RHO}, k={NUM_FACTORS}, "
                 f"{CLIENTS_PER_ROUND} clients/round)",
-                f"  loop attacker:       {payload['loop_rounds_per_sec']:8.2f} rounds/sec",
-                f"  vectorized attacker: {payload['vectorized_rounds_per_sec']:8.2f} rounds/sec"
-                f"  ({payload['vectorized_speedup']:.2f}x)",
-                f"  + batched sampler:   {payload['batched_rounds_per_sec']:8.2f} rounds/sec"
-                f"  ({payload['batched_speedup']:.2f}x)",
+                f"  per-user reference attacker: {payload['loop_rounds_per_sec']:8.2f} rounds/sec",
+                f"  library attacker:            {payload['library_rounds_per_sec']:8.2f} "
+                f"rounds/sec  ({payload['speedup']:.2f}x)",
             ]
         ),
     )
 
-    assert payload["vectorized_speedup"] >= MIN_SPEEDUP, (
-        f"vectorized attacker pipeline is only {payload['vectorized_speedup']:.2f}x faster "
-        f"than the loop attacker (required: {MIN_SPEEDUP}x)"
-    )
-    assert payload["batched_speedup"] > payload["vectorized_speedup"], (
-        "the batched sampler must push attack-enabled rounds beyond the "
-        "permutation-sampler vectorized pipeline "
-        f"({payload['batched_speedup']:.2f}x vs {payload['vectorized_speedup']:.2f}x)"
+    assert payload["speedup"] >= MIN_SPEEDUP, (
+        f"the library attacker pipeline is only {payload['speedup']:.2f}x faster "
+        f"than the per-user reference attacker (required: {MIN_SPEEDUP}x)"
     )

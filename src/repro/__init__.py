@@ -54,7 +54,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.federated import FederatedConfig, FederatedSimulation
-from repro.metrics import evaluate_accuracy, evaluate_exposure
+from repro.metrics import evaluate_snapshot
 from repro.models import MatrixFactorizationModel, ScorerProtocol
 from repro.serving import FactorSnapshot, RecommenderService
 
@@ -79,8 +79,7 @@ __all__ = [
     "PAPER_PROFILE",
     "FederatedConfig",
     "FederatedSimulation",
-    "evaluate_accuracy",
-    "evaluate_exposure",
+    "evaluate_snapshot",
     "MatrixFactorizationModel",
     "ScorerProtocol",
     "FactorSnapshot",

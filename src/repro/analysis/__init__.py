@@ -1,12 +1,11 @@
 """``repro-lint`` — project-specific static analysis for the reproduction.
 
-Five PRs of engine work rest on contracts that ordinary linters cannot see:
+The reproduction rests on contracts that ordinary linters cannot see:
 every stochastic call site must route through :mod:`repro.rng`, every
-``engine`` / ``sampler`` / ``eval_engine`` / ``eval_sampler`` realization
-must have a dispatch branch *and* an equivalence-suite parametrization *and*
-a golden seed-history case, store-backed masks must never be densified
-outside the store itself, and the equivalence/golden suites must assert
-exact equality.  This package machine-checks those contracts with
+choice-switch value (``straggler_policy``) must have a dispatch branch
+*and* an equivalence-suite parametrization *and* a golden seed-history
+case, store-backed masks must never be densified outside the store itself,
+and the equivalence/golden suites must assert exact equality.  This package machine-checks those contracts with
 stdlib-``ast`` visitors so that breaking one is a lint failure, not a
 mystery golden-fixture diff three PRs later.
 

@@ -287,10 +287,9 @@ def _string_literals(
 def _names_match(identifier: str, field_name: str) -> bool:
     """Whether a local/attribute name plausibly refers to a switch field.
 
-    ``_sampler`` and ``sampler`` match ``sampler``; a bare ``engine`` local
-    (e.g. an ``engine=`` parameter of the evaluation entry point) also
-    matches ``eval_engine`` — dispatch evidence is deliberately a little
-    generous, coverage requirements are not.
+    ``_policy`` and ``policy`` match ``policy``; a bare ``policy`` local
+    also matches ``straggler_policy`` — dispatch evidence is deliberately a
+    little generous, coverage requirements are not.
     """
     identifier = identifier.lstrip("_")
     return identifier == field_name or field_name.endswith("_" + identifier)
@@ -403,8 +402,8 @@ def readme_documents_field(text: str, field_name: str) -> bool:
     """Whether a README table row documents ``field_name``.
 
     A row is a markdown table line (starting with ``|``) containing the
-    field name as a standalone token — ``engine`` does not match the
-    ``eval_engine`` or ``--eval-engine`` rows.
+    field name as a standalone token — ``rate`` does not match the
+    ``crash_rate`` or ``--crash-rate`` rows.
     """
     pattern = _field_token(field_name)
     for line in text.splitlines():

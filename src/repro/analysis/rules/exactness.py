@@ -10,11 +10,11 @@ harness exists to prevent.
 
 This rule flags every approximate comparison (``assert_allclose``,
 ``np.allclose`` / ``np.isclose``, ``pytest.approx``,
-``assert_array_almost_equal``, ...) in the equivalence, fusion and golden
-test modules.  Where a suite genuinely pins a *tolerance* contract (the
-loop and vectorized training engines differ by floating-point summation
-order, documented in ``FederatedConfig``), the site keeps the approximate
-assert under a per-line suppression whose reason states the contract.
+``assert_array_almost_equal``, ...) in the equivalence and golden test
+modules.  Where a suite genuinely pins a *tolerance* contract (the batched
+training round and its per-client reference in ``tests/oracles`` differ by
+floating-point summation order), the site keeps the approximate assert
+under a suppression whose reason states the contract.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _in_scope(rel: str) -> bool:
     if rel.startswith("tests/golden/"):
         return True
     name = Path(rel).name
-    return rel.startswith("tests/") and ("equivalence" in name or "fusion" in name)
+    return rel.startswith("tests/") and "equivalence" in name
 
 
 @register
@@ -52,7 +52,7 @@ class BitExactnessRule(FileRule):
     id = "R4"
     name = "bit-exactness"
     summary = (
-        "equivalence/fusion/golden suites assert exact equality; approximate "
+        "equivalence/golden suites assert exact equality; approximate "
         "comparisons need an explicit tolerance-contract suppression"
     )
 

@@ -1,23 +1,23 @@
 """R2 — switch-parity registry.
 
-``FederatedConfig`` validates its engine switches against literal tuples::
-
-    if self.engine not in ("loop", "vectorized"): ...
-    if self.sampler not in ("permutation", "batched"): ...
+A choice switch declares its realizations as literals, e.g. the registry's
+``straggler_policy`` choices ``("wait", "discard", "stale-merge")`` (older
+trees wrote ``if self.engine not in ("loop", "vectorized"): ...`` in
+``FederatedConfig.validate``).
 
 Each of those literal realizations is a *contract surface*: it needs a
 dispatch branch somewhere in the library, an equivalence-suite
 parametrization proving it against its oracle, and a golden seed-history
 case pinning its realization.  Historically all three were maintained by
 convention; this rule extracts the realizations statically and fails lint
-when any leg is missing — so adding ``engine = "gpu"`` without tests is
-a red build, not a latent gap.
+when any leg is missing — so adding a realization without tests is a red
+build, not a latent gap.
 
 Checked per realization of every switch field:
 
 1. **dispatch** — the literal is compared against a matching name
-   (``config.engine``, ``self._sampler``, an ``engine=`` parameter, ...)
-   somewhere under ``src/`` outside the config modules themselves,
+   (``config.straggler_policy``, a ``policy`` local, ...) somewhere under
+   ``src/`` outside the config modules themselves,
 2. **equivalence** — the literal appears in the field's registered
    equivalence suite(s) (:data:`EQUIVALENCE_SUITES`; a new switch field
    must register its suite here, which is itself enforced),
@@ -54,14 +54,6 @@ __all__ = ["SwitchParityRule", "EQUIVALENCE_SUITES"]
 #: registry is itself a violation: declaring where a new switch is proven
 #: equivalent is part of adding the switch.
 EQUIVALENCE_SUITES: dict[str, tuple[str, ...]] = {
-    "engine": ("tests/test_federated_engine_equivalence.py",),
-    "sampler": (
-        "tests/test_federated_engine_equivalence.py",
-        "tests/test_negative_sampling_stats.py",
-    ),
-    "eval_engine": ("tests/test_eval_engine_equivalence.py",),
-    "eval_sampler": ("tests/test_eval_engine_equivalence.py",),
-    "eval_path": ("tests/test_eval_path_equivalence.py",),
     "straggler_policy": ("tests/test_federation_dynamics.py",),
 }
 

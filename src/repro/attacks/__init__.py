@@ -18,7 +18,6 @@ from repro.attacks.explicit_boost import ExplicitBoostAttack
 from repro.attacks.fedrecattack import (
     FedRecAttack,
     FedRecAttackConfig,
-    attack_loss_and_gradient,
     attack_loss_and_gradient_vectorized,
     g_function,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "UserMatrixApproximator",
     "FedRecAttack",
     "FedRecAttackConfig",
-    "attack_loss_and_gradient",
     "attack_loss_and_gradient_vectorized",
     "g_function",
     "RandomAttack",

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
-from repro.data.negative_sampling import DEFAULT_SAMPLER
 from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
 from repro.federated.updates import ClientUpdate
@@ -64,24 +63,6 @@ class AttackContext:
         Attack-private randomness.  The simulation always passes the named
         ``"attack"`` stream; the fallback draws a fresh generator through
         :func:`repro.rng.ensure_rng` for ad-hoc use.
-    engine:
-        The computation engine the attack should use for its own hot loops,
-        propagated from :attr:`repro.federated.config.FederatedConfig.engine`
-        by the simulation.  ``"vectorized"`` selects the stacked-numpy
-        attacker pipeline (user-matrix approximation and attack-loss
-        gradients computed over all active users at once); ``"loop"`` keeps
-        the per-user reference implementations.  Both consume identical
-        random streams and produce matching results up to floating-point
-        summation order.
-    sampler:
-        The negative-sampling engine the attack's internal BPR optimisations
-        use, propagated from
-        :attr:`repro.federated.config.FederatedConfig.sampler` by the
-        simulation.  ``"batched"`` (default) draws every active user's
-        negatives in one stacked rejection-sampling pass per epoch;
-        ``"permutation"`` draws per user in loop order.  Either way the draws
-        consume the attack RNG identically under both computation engines,
-        so engine equivalence holds per sampler.
     """
 
     num_items: int
@@ -93,8 +74,6 @@ class AttackContext:
     item_popularity: np.ndarray | None = None
     full_train: InteractionDataset | None = None
     rng: np.random.Generator = field(default_factory=lambda: ensure_rng(None))
-    engine: str = "vectorized"
-    sampler: str = DEFAULT_SAMPLER
 
     def __post_init__(self) -> None:
         self.target_items = np.unique(np.asarray(self.target_items, dtype=np.int64))
@@ -102,12 +81,6 @@ class AttackContext:
             raise AttackError("target_items must not be empty")
         if self.target_items.min() < 0 or self.target_items.max() >= self.num_items:
             raise AttackError("target item id out of range")
-        if self.engine not in ("loop", "vectorized"):
-            raise AttackError(f"engine must be 'loop' or 'vectorized', got {self.engine!r}")
-        if self.sampler not in ("permutation", "batched"):
-            raise AttackError(
-                f"sampler must be 'permutation' or 'batched', got {self.sampler!r}"
-            )
 
 
 class Attack(ABC):

@@ -13,13 +13,10 @@ Per round in which malicious clients participate, the attacker:
    norm ``C`` (Eq. 23), and subtracts what was uploaded from the remaining
    poisoned gradient (Eq. 24) so the malicious cohort jointly covers it.
 
-Steps 1 and 2 exist in two implementations selected by
-:attr:`AttackContext.engine` (propagated from ``FederatedConfig.engine``):
-the per-user loop references (:func:`attack_loss_and_gradient` and the loop
-path of :class:`UserMatrixApproximator`) and the stacked-numpy pipeline
-(:func:`attack_loss_and_gradient_vectorized`, batched approximation).  Both
-consume identical attack-RNG streams and are equivalence-tested, so the
-engine choice changes wall-clock time only.
+Steps 1 and 2 run as stacked numpy computations over all active users
+(the batched approximation epoch and
+:func:`attack_loss_and_gradient_vectorized`); their per-user references live
+in ``tests/oracles`` and consume identical attack-RNG streams.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from repro.models.neural import MLPScorer
 __all__ = [
     "FedRecAttackConfig",
     "FedRecAttack",
-    "attack_loss_and_gradient",
     "attack_loss_and_gradient_vectorized",
     "g_function",
 ]
@@ -123,7 +119,7 @@ class FedRecAttackConfig:
             raise AttackError("approximation epoch counts must be non-negative")
 
 
-def attack_loss_and_gradient(
+def attack_loss_and_gradient_vectorized(
     user_factors: np.ndarray,
     item_factors: np.ndarray,
     active_users: np.ndarray,
@@ -131,6 +127,7 @@ def attack_loss_and_gradient(
     target_items: np.ndarray,
     top_k: int,
     margin_mode: str = "saturating",
+    public_items: Sequence[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Value and item-matrix gradient of the attack loss ``L_atk`` (Eq. 15-16).
 
@@ -144,78 +141,15 @@ def attack_loss_and_gradient(
     paper's ``g`` (Eq. 14), ``"linear"`` is the ablation that keeps the raw
     margin (so targets are pushed far past the boundary).
 
-    Returns the scalar loss and a dense ``(num_items, k)`` gradient of the
-    loss with respect to ``V``.
-    """
-    num_items, num_factors = item_factors.shape
-    gradient = np.zeros((num_items, num_factors), dtype=np.float64)
-    target_items = np.asarray(target_items, dtype=np.int64)
-    target_mask = np.zeros(num_items, dtype=bool)
-    target_mask[target_items] = True
-    total_loss = 0.0
-
-    for user in active_users:
-        user = int(user)
-        user_vector = user_factors[user]
-        scores = item_factors @ user_vector
-        public_items = public.positive_items(user)
-
-        # V^rec'_i: top-K over the items the user has not publicly interacted with.
-        masked_scores = scores.copy()
-        if public_items.shape[0] > 0:
-            masked_scores[public_items] = -np.inf
-        k = min(top_k, num_items)
-        top = np.argpartition(-masked_scores, k - 1)[:k]
-
-        non_target_top = top[~target_mask[top]]
-        if non_target_top.shape[0] == 0:
-            # Every recommended slot is already a target item: nothing to push.
-            continue
-        boundary_item = int(non_target_top[np.argmin(masked_scores[non_target_top])])
-        boundary_score = float(scores[boundary_item])
-
-        # Targets the user has not publicly interacted with.
-        public_mask = np.zeros(num_items, dtype=bool)
-        if public_items.shape[0] > 0:
-            public_mask[public_items] = True
-        user_targets = target_items[~public_mask[target_items]]
-        if user_targets.shape[0] == 0:
-            continue
-
-        margins = boundary_score - scores[user_targets]
-        if margin_mode == "linear":
-            total_loss += float(np.sum(margins))
-            derivatives = np.ones_like(margins)
-        else:
-            total_loss += float(np.sum(g_function(margins)))
-            derivatives = g_derivative(margins)
-
-        # d L / d score_target = -g'(margin); d L / d score_boundary = +sum g'.
-        gradient[user_targets] += (-derivatives)[:, None] * user_vector[None, :]
-        gradient[boundary_item] += float(np.sum(derivatives)) * user_vector
-
-    return total_loss, gradient
-
-
-def attack_loss_and_gradient_vectorized(
-    user_factors: np.ndarray,
-    item_factors: np.ndarray,
-    active_users: np.ndarray,
-    public: PublicInteractions,
-    target_items: np.ndarray,
-    top_k: int,
-    margin_mode: str = "saturating",
-    public_items: Sequence[np.ndarray] | None = None,
-) -> tuple[float, np.ndarray]:
-    """Stacked-numpy form of :func:`attack_loss_and_gradient`.
-
     Computes every active user's scores in one GEMM, the per-user top-K and
     recommendation boundary with row-wise ``argpartition`` / ``argmin``, and
     the gradient with two scatter reductions (one GEMM onto the target rows,
     one segment sum onto the boundary rows).  Matches the per-user reference
-    exactly up to floating-point summation order: ``argpartition`` and the
-    first-minimum tie-break run the same algorithm per row as the reference's
-    1-D calls, so both select identical top-K sets and boundary items.
+    in ``tests/oracles`` exactly up to floating-point summation order:
+    ``argpartition`` and the first-minimum tie-break run the same algorithm
+    per row as the reference's 1-D calls, so both select identical top-K
+    sets and boundary items.  Returns the scalar loss and a dense
+    ``(num_items, k)`` gradient of the loss with respect to ``V``.
 
     ``public_items``, when given, is the list of each active user's public
     positives aligned with ``active_users`` (e.g.
@@ -332,8 +266,6 @@ class FedRecAttack(Attack):
             learning_rate=self.config.approx_learning_rate,
             l2_reg=self.config.approx_l2,
             rng=context.rng,
-            engine=context.engine,
-            sampler=context.sampler,
         )
 
     def on_round_start(
@@ -362,27 +294,16 @@ class FedRecAttack(Attack):
             self._poison_gradient = np.zeros_like(item_factors)
             return
 
-        if context.engine == "vectorized":
-            loss, gradient = attack_loss_and_gradient_vectorized(
-                approximator.user_factors,
-                item_factors,
-                approximator.active_users,
-                self.public,
-                context.target_items,
-                self.config.top_k,
-                margin_mode=self.config.margin_mode,
-                public_items=approximator.active_public_items,
-            )
-        else:
-            loss, gradient = attack_loss_and_gradient(
-                approximator.user_factors,
-                item_factors,
-                approximator.active_users,
-                self.public,
-                context.target_items,
-                self.config.top_k,
-                margin_mode=self.config.margin_mode,
-            )
+        loss, gradient = attack_loss_and_gradient_vectorized(
+            approximator.user_factors,
+            item_factors,
+            approximator.active_users,
+            self.public,
+            context.target_items,
+            self.config.top_k,
+            margin_mode=self.config.margin_mode,
+            public_items=approximator.active_public_items,
+        )
         self.last_attack_loss = loss
         self._poison_gradient = self.config.step_size * gradient
 

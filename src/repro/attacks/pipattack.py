@@ -76,20 +76,14 @@ class PipAttack(Attack):
         The alignment term is shared by all clients and the boost term is one
         row broadcast per client, so the whole round's uploads are a single
         ``(num_selected, num_targets, k)`` expression clipped row-wise in one
-        pass.  :meth:`craft_update` then just hands each client its slice.
-
-        Only the ``"vectorized"`` engine precomputes here; under the
-        ``"loop"`` engine (and for clients crafted outside a round) the
-        numerically identical per-client reference path in
-        :meth:`craft_update` runs instead, so the engine-equivalence suite
-        genuinely compares the two implementations.
+        pass.  :meth:`craft_update` then just hands each client its slice;
+        a client crafted outside a round gets the numerically identical
+        per-client computation there instead.
         """
         self._round_rows = {}
         if self._popular_items is None or self._popular_items.shape[0] == 0:
             return
         context = self._require_context()
-        if context.engine != "vectorized":
-            return
         selected = [cid for cid in selected_malicious_ids if cid in self.clients]
         if not selected:
             return

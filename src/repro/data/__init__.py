@@ -10,20 +10,14 @@ side:
 * loaders for the real dataset files when they are available,
 * leave-one-out train/test splitting as used in the paper,
 * public-interaction sampling (the attacker's prior knowledge, ratio ``xi``),
-* negative sampling for BPR training (the stacked batched rejection
-  sampler, the default, and the historical per-user permutation engine),
+* negative sampling for BPR training (one stacked rejection-sampling
+  draw for a whole batch of users),
 * dataset statistics reproducing Table II.
 """
 
 from repro.data.dataset import InteractionDataset
 from repro.data.loaders import load_dataset, load_movielens_file, load_steam_file
-from repro.data.negative_sampling import (
-    DEFAULT_SAMPLER,
-    SAMPLER_ENGINES,
-    NegativeSampler,
-    sample_uniform_negatives,
-    sample_uniform_negatives_batched,
-)
+from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.data.presets import (
     DATASET_PRESETS,
     DatasetPreset,
@@ -39,10 +33,6 @@ from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 __all__ = [
     "InteractionDataset",
     "InteractionStore",
-    "NegativeSampler",
-    "SAMPLER_ENGINES",
-    "DEFAULT_SAMPLER",
-    "sample_uniform_negatives",
     "sample_uniform_negatives_batched",
     "PublicInteractions",
     "sample_public_interactions",

@@ -1,84 +1,35 @@
-"""Negative sampling for BPR training.
+"""Negative sampling for BPR training and the sampled ranking protocol.
 
 Each user client samples a set of negative items ``V-_i'`` of the same size
-as its positive set and trains on the paired loss of Eq. (4).  Two sampling
-engines implement that draw (selected by ``FederatedConfig.sampler``):
+as its positive set and trains on the paired loss of Eq. (4).
+:func:`sample_uniform_negatives_batched` draws those negatives for *many*
+users at once from a *single shared* RNG stream: oversampled uniform
+candidates, masked against the stacked positive masks, deduplicated in draw
+order, and resampled until every user has its quota.  Accepting candidates
+in draw order (skipping rejects and duplicates) is classic rejection
+sampling, so each user's accepted set is an exact uniform draw without
+replacement from the complement of its positives.  The federated round
+(the ``"round-sampler"`` stream), the attacker's user-matrix approximation
+(the attack stream) and the shilling clients (each client's own stream, at
+batch size one) all draw through it; see ``docs/architecture.md`` for the
+RNG contract.
 
-* :func:`sample_uniform_negatives` — the ``"permutation"`` engine.  One user
-  at a time, a random permutation of the catalog is filtered through the
-  user's positive mask and truncated: an exact uniform draw without
-  replacement, consumed from a *per-user* RNG stream.  This is the historical
-  engine: the golden seed histories pin its realizations, so it stays
-  selectable by name.
-* :func:`sample_uniform_negatives_batched` — the ``"batched"`` engine and the
-  default (:data:`DEFAULT_SAMPLER`).  One stacked rejection-sampling pass
-  draws negatives for *many* users at once from a *single shared* RNG
-  stream: oversampled uniform candidates, masked against the stacked
-  positive masks, deduplicated in draw order, and resampled until every user
-  has its quota.  Accepting candidates in draw order (skipping rejects and
-  duplicates) is classic rejection sampling, so each user's accepted set is
-  still an exact uniform draw without replacement from the complement of its
-  positives — only the random *stream* (and therefore every training
-  realization) differs from the permutation engine.
-
-Both engines are exact; see ``docs/architecture.md`` for the two RNG
-contracts and which simulation streams feed them.
-
-A third stacked draw, :func:`sample_ranking_negatives_batched`, serves the
-*evaluation* side: the sampled ranking protocol's ``"batched"`` stream
-(``FederatedConfig.eval_sampler``) draws one score-block's ranking negatives
-with replacement in a single rejection-sampling pass, optionally excluding
-each row's held-out test item.
+A second stacked draw, :func:`sample_ranking_negatives_batched`, serves the
+*evaluation* side: the sampled ranking protocol draws one score-block's
+ranking negatives with replacement in a single rejection-sampling pass,
+excluding each row's held-out test item.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import InteractionDataset
 from repro.exceptions import DataError
-from repro.rng import ensure_rng
 
 __all__ = [
-    "NegativeSampler",
-    "sample_uniform_negatives",
     "sample_uniform_negatives_batched",
     "sample_ranking_negatives_batched",
-    "SAMPLER_ENGINES",
-    "DEFAULT_SAMPLER",
 ]
-
-#: The valid values of every ``sampler`` switch in the package.
-SAMPLER_ENGINES = ("permutation", "batched")
-
-#: The library default of every ``sampler`` parameter outside the config
-#: dataclasses (whose defaults the switch registry declares).
-DEFAULT_SAMPLER = "batched"
-
-
-def sample_uniform_negatives(
-    rng: np.random.Generator,
-    num_items: int,
-    count: int,
-    positive_mask: np.ndarray,
-    num_positives: int | None = None,
-) -> np.ndarray:
-    """Draw ``count`` distinct uniform negatives outside ``positive_mask``.
-
-    Fully vectorised and exact: a random permutation of the catalog is
-    filtered through the boolean mask and truncated, which is an unbiased
-    uniform draw without replacement from the complement of the positives —
-    no rejection loop, no Python-level per-item work.  ``num_positives`` (the
-    mask's popcount) can be passed by callers that cache it.
-    """
-    if num_positives is None:
-        num_positives = int(positive_mask.sum())
-    count = min(count, num_items - num_positives)
-    if count <= 0:
-        return np.empty(0, dtype=np.int64)
-    permutation = rng.permutation(num_items)
-    negatives = permutation[~positive_mask[permutation]]
-    return negatives[:count]
 
 
 def sample_uniform_negatives_batched(
@@ -191,13 +142,11 @@ def sample_ranking_negatives_batched(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ranking negatives for ``B`` users in one stacked pass.
 
-    This is the stacked core of the ``"batched"`` *evaluation* stream: unlike
+    This is the stacked core of the *evaluation* stream: unlike
     the training draw of :func:`sample_uniform_negatives_batched` it samples
     **with replacement** (the sampled ranking protocol accepts repeated
-    negatives, exactly like the per-user
-    :func:`repro.metrics.accuracy.draw_ranking_negatives`), and each row may
-    exclude one extra item — the row's held-out test item — on top of its
-    positives.
+    negatives), and each row may exclude one extra item — the row's
+    held-out test item — on top of its positives.
 
     Parameters
     ----------
@@ -209,9 +158,8 @@ def sample_ranking_negatives_batched(
     counts:
         Requested negatives per row, shape ``(B,)``.  A row whose positives
         plus excluded item cover the whole catalog receives **zero**
-        negatives (mirroring the per-user draw, which gives up after one
-        empty rejection round); because the draw is with replacement, every
-        other row receives exactly its requested count.
+        negatives; because the draw is with replacement, every other row
+        receives exactly its requested count.
     positive_masks:
         Stacked boolean positive masks, shape ``(B, N)``.  Never mutated —
         read-only views (e.g. contiguous
@@ -303,62 +251,3 @@ def sample_ranking_negatives_batched(
         pending = pending[remaining[pending] > 0]
     return negatives, offsets
 
-
-class NegativeSampler:
-    """Samples negative items for users of an :class:`InteractionDataset`.
-
-    ``sampler`` selects the engine: ``"batched"`` (default, the stacked
-    rejection-sampling pass, here degenerate at batch size one but consuming
-    the same kind of stream as the federated round sampler) or
-    ``"permutation"`` (one catalog permutation per call).
-    """
-
-    def __init__(
-        self,
-        dataset: InteractionDataset,
-        rng: np.random.Generator | int | None = None,
-        sampler: str = DEFAULT_SAMPLER,
-    ) -> None:
-        if sampler not in SAMPLER_ENGINES:
-            raise DataError(
-                f"sampler must be one of {SAMPLER_ENGINES}, got {sampler!r}"
-            )
-        self._dataset = dataset
-        self._rng = ensure_rng(rng)
-        self._sampler = sampler
-
-    def sample_for_user(self, user: int, count: int | None = None) -> np.ndarray:
-        """Sample ``count`` negative items for ``user``.
-
-        ``count`` defaults to the size of the user's positive set, matching
-        ``|V-_i'| = |V+_i|`` in Section III-B.  If the user has interacted
-        with nearly every item the sample may contain fewer items.
-        """
-        positives = self._dataset.positive_items(user)
-        if count is None:
-            count = positives.shape[0]
-        if count < 0:
-            raise DataError(f"count must be non-negative, got {count}")
-        num_items = self._dataset.num_items
-        positive_mask = np.zeros(num_items, dtype=bool)
-        positive_mask[positives] = True
-        if self._sampler == "batched":
-            negatives, _ = sample_uniform_negatives_batched(
-                self._rng,
-                num_items,
-                np.array([count], dtype=np.int64),
-                positive_mask[None, :],
-            )
-            return negatives
-        return sample_uniform_negatives(self._rng, num_items, count, positive_mask)
-
-    def sample_pairs(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return aligned arrays of positive and negative items for ``user``.
-
-        This is the pairing ``V_i = {(v+_i1, v-_i1), ...}`` of Eq. (4).
-        """
-        positives = self._dataset.positive_items(user)
-        negatives = self.sample_for_user(user, positives.shape[0])
-        if negatives.shape[0] < positives.shape[0]:
-            positives = positives[: negatives.shape[0]]
-        return positives, negatives

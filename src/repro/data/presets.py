@@ -125,23 +125,6 @@ DATASET_PRESETS: dict[str, DatasetPreset] = {
         activity_sigma=1.1,
         scenario="game",
     ),
-    # ------------------------------------------------------------------ #
-    # Scaling-benchmark shape.  Mirrors the MovieLens-10M dimensions
-    # (69,878 users / 10,677 items / ~10M interactions) so scaling
-    # measurements run at a realistic users-times-items footprint.
-    # Synthetic like every other preset; meant for scaling runs (usually
-    # heavily down-scaled via ``scaled_preset``), not for reproducing any
-    # table.
-    # ------------------------------------------------------------------ #
-    "ml-10m-shape": DatasetPreset(
-        name="ml-10m-shape",
-        num_users=69_878,
-        num_items=10_677,
-        num_interactions=10_000_054,
-        popularity_exponent=0.95,
-        activity_sigma=0.95,
-        scenario="movie",
-    ),
 }
 
 

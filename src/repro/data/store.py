@@ -137,23 +137,13 @@ class InteractionStore:
         self._check_user(user)
         return self._indices[self._indptr[user] : self._indptr[user + 1]]
 
-    def degree(self, user: int) -> int:
-        """Interaction count of ``user``."""
-        self._check_user(user)
-        return int(self._degrees[user])
-
-    def mask_row(self, user: int) -> np.ndarray:
-        """Boolean positive mask of ``user`` — a read-only view, never a copy."""
-        self._check_user(user)
-        return self.masks[user]
-
     def mask_block(self, lo: int, hi: int) -> np.ndarray:
         """Contiguous mask rows ``[lo, hi)`` — a read-only view, never a copy.
 
-        This is the blocked-evaluation entry point: both evaluation engines
-        partition the users into contiguous blocks, so their positive masks
-        (and the batched ranking-negative draw that tests candidates against
-        them) slice straight out of the shared matrix.
+        This is the blocked-evaluation entry point: evaluation partitions
+        the users into contiguous blocks, so their positive masks (and the
+        ranking-negative draw that tests candidates against them) slice
+        straight out of the shared matrix.
         """
         if lo < 0 or hi > self._num_users or lo > hi:
             raise DataError(

@@ -15,7 +15,6 @@ Two layers of configuration are used throughout the harness:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -55,11 +54,6 @@ class ExperimentConfig:
     l2_reg: float = 0.0
     aggregator: str = "sum"
     aggregator_options: dict[str, Any] = field(default_factory=dict)
-    engine: str = "vectorized"
-    sampler: str = "batched"
-    eval_engine: str = "vectorized"
-    eval_sampler: str = "per-user"
-    eval_path: str = "block"
     dropout_rate: float = 0.0
     crash_rate: float = 0.0
     straggler_rate: float = 0.0
@@ -95,7 +89,7 @@ class ExperimentConfig:
     def to_federated_config(self) -> FederatedConfig:
         """The federated-protocol configuration implied by this experiment.
 
-        The engine switches are forwarded generically from the declarative
+        The protocol switches are forwarded generically from the declarative
         registry (:data:`~repro.federated.switches.SWITCH_REGISTRY`), so a
         new switch added there flows through without touching this method.
         """
@@ -127,11 +121,7 @@ class ExperimentProfile:
     ``dataset_aliases`` optionally replaces a dataset by a calibrated
     miniature preset (used by the benchmark profile), ``dataset_scales`` maps
     each dataset to a uniform down-scaling factor, and the remaining fields
-    override the heavyweight training hyper-parameters.  ``sampler``, when
-    set, overrides the negative-sampling engine of every run regenerated at
-    this profile — this is how the qualitative table/figure gates are
-    re-validated under the historical ``"permutation"`` sampler (see
-    ``REPRO_BENCH_SAMPLER`` below).
+    override the heavyweight training hyper-parameters.
     """
 
     name: str
@@ -143,7 +133,6 @@ class ExperimentProfile:
     dataset_scales: dict[str, float] = field(default_factory=dict)
     dataset_aliases: dict[str, str] = field(default_factory=dict)
     seed: int = 0
-    sampler: str | None = None
 
     def scale_for(self, dataset: str) -> float:
         """Down-scaling factor for ``dataset`` (1.0 when not listed)."""
@@ -155,7 +144,7 @@ class ExperimentProfile:
 
     def apply(self, config: ExperimentConfig) -> ExperimentConfig:
         """Apply this profile's scale and training overrides to ``config``."""
-        overrides = dict(
+        return config.with_overrides(
             dataset=self.dataset_for(config.dataset),
             scale=self.scale_for(config.dataset),
             num_epochs=self.num_epochs,
@@ -165,9 +154,6 @@ class ExperimentProfile:
             learning_rate=self.learning_rate,
             seed=self.seed,
         )
-        if self.sampler is not None:
-            overrides["sampler"] = self.sampler
-        return config.with_overrides(**overrides)
 
 
 #: Full paper-scale settings: real dataset sizes and 200 training epochs.
@@ -184,13 +170,6 @@ PAPER_PROFILE = ExperimentProfile(
 #: datasets, fewer epochs, a higher learning rate (so the same effective
 #: optimisation horizon eta * epochs is reached in far fewer rounds) and
 #: smaller client batches.
-#:
-#: ``REPRO_BENCH_SAMPLER`` switches the sampler engine of the whole benchmark
-#: suite without touching the tests — e.g.
-#: ``REPRO_BENCH_SAMPLER=permutation pytest benchmarks/`` re-validates every
-#: qualitative table/figure gate under the historical permutation sampler's
-#: realizations.  Unset, the profile pins nothing and runs keep the
-#: ``ExperimentConfig`` defaults (batched sampler).
 BENCH_PROFILE = ExperimentProfile(
     name="bench",
     num_epochs=35,
@@ -203,5 +182,4 @@ BENCH_PROFILE = ExperimentProfile(
         "ml-1m": "ml-1m-mini",
         "steam-200k": "steam-200k-mini",
     },
-    sampler=os.environ.get("REPRO_BENCH_SAMPLER") or None,
 )

@@ -8,8 +8,8 @@ against them.
 
 Every aggregator accepts a plain ``list[ClientUpdate]``, the CSR-style
 :class:`~repro.federated.updates.SparseRoundUpdates`, or the lazy
-:class:`~repro.federated.updates.FactoredRoundUpdates` the vectorized round
-engine produces on the MF path (a list is packed into the sparse form first,
+:class:`~repro.federated.updates.FactoredRoundUpdates` the batched round
+trainer produces on the MF path (a list is packed into the sparse form first,
 so there is a single code path).  ``sum`` / ``mean`` / ``norm_bounding``
 consume the round structure through its reduction methods — one scatter-add
 (sparse) or one sparse-matrix product (factored), never a dense per-client

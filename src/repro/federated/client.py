@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.negative_sampling import sample_uniform_negatives
+from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.exceptions import FederationError
 from repro.federated.updates import ClientUpdate
 from repro.models.losses import bpr_loss_and_gradients, sigmoid
@@ -59,7 +59,8 @@ class Client:
         return False
 
     # ------------------------------------------------------------------ #
-    # Local training (shared by benign clients and honest-training attacks)
+    # Local training (honest-training attacks; the per-client reference
+    # round in ``tests/oracles`` reuses it for benign clients)
     # ------------------------------------------------------------------ #
     def _train_on_profile(
         self,
@@ -132,27 +133,17 @@ class Client:
         theta_grad = pos_grads.grad_params + neg_grads.grad_params
         return loss, grad_user, unique_ids, accumulated, theta_grad
 
-    def _sample_negatives(
-        self, positives: np.ndarray, count: int, positive_mask: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Uniform negatives drawn from the items not in ``positives``.
-
-        Vectorised mask-based draw; callers with a fixed positive set can pass
-        a precomputed ``positive_mask`` to skip rebuilding it every round.
-        """
-        if positive_mask is None:
-            positive_mask = np.zeros(self.num_items, dtype=bool)
-            positive_mask[positives] = True
-            num_positives = None
-        else:
-            num_positives = positives.shape[0]
-        return sample_uniform_negatives(
-            self._rng, self.num_items, count, positive_mask, num_positives
-        )
-
 
 class BenignClient(Client):
-    """An honest user client training on its real interactions."""
+    """An honest user client training on its real interactions.
+
+    The client holds no sampler of its own: the round engine draws every
+    selected client's negatives in one stacked pass from the shared round
+    stream and hands each client its slice through
+    :meth:`accept_negatives`.  With ``resample_negatives=False`` the first
+    slice is kept for every later round (the fixed ``V-_i'`` of
+    Section III-B).
+    """
 
     def __init__(
         self,
@@ -165,90 +156,43 @@ class BenignClient(Client):
         l2_reg: float = 0.0,
         resample_negatives: bool = True,
         rng: np.random.Generator | int | None = None,
-        positive_mask: np.ndarray | None = None,
     ) -> None:
         super().__init__(
             client_id, num_items, num_factors, learning_rate, init_scale, l2_reg, rng
         )
         self.positives = np.asarray(positives, dtype=np.int64)
         self.resample_negatives = bool(resample_negatives)
-        if positive_mask is None:
-            self._positive_mask = np.zeros(self.num_items, dtype=bool)
-            self._positive_mask[self.positives] = True
-        else:
-            # Typically a read-only row view of the dataset's shared
-            # InteractionStore — no per-client mask allocation.  The client
-            # only ever reads it.
-            if positive_mask.shape != (self.num_items,):
-                raise FederationError(
-                    f"positive_mask must have shape ({self.num_items},), "
-                    f"got {positive_mask.shape}"
-                )
-            self._positive_mask = positive_mask
-        self._negatives = self._sample_negatives(
-            self.positives, self.positives.shape[0], self._positive_mask
-        )
-
-    @property
-    def positive_mask(self) -> np.ndarray:
-        """Boolean mask of the client's positives over the catalog (read-only).
-
-        The batched round sampler stacks these masks to draw a whole round's
-        negatives in one pass; treat the array as immutable.
-        """
-        return self._positive_mask
+        self._negatives: np.ndarray | None = None
 
     @property
     def needs_fresh_negatives(self) -> bool:
-        """Whether :meth:`draw_pairs` would draw a fresh negative sample."""
-        return self.resample_negatives or self._negatives.shape[0] < self.positives.shape[0]
+        """Whether the round engine must draw this client's negatives.
 
-    def draw_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The round's aligned (positives, negatives) training pairs.
-
-        Both the per-client and the vectorized round engine call this under
-        the historical ``"permutation"`` sampler, so the two engines consume
-        identical per-client random streams and train on identical pairs.
-        Under the default ``"batched"`` sampler the round engine draws every
-        client's negatives from the shared round stream instead and hands
-        them to :meth:`accept_negatives`.  Either way the initial sample
-        drawn at construction comes from the client's own stream.
+        True every round when resampling, else only until the first draw:
+        a client whose positives exceed half the catalog gets a quota
+        shorter than its positive set, so the cached sample's length says
+        nothing about whether it was drawn.
         """
-        if self.needs_fresh_negatives:
-            self._negatives = self._sample_negatives(
-                self.positives, self.positives.shape[0], self._positive_mask
-            )
-        return self._current_pairs()
+        return self.resample_negatives or self._negatives is None
 
-    def accept_negatives(self, negatives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Install externally drawn negatives and return the round's pairs.
+    def accept_negatives(self, negatives: np.ndarray) -> None:
+        """Install the round engine's negatives.
 
-        This is the batched-sampler entry point: the round engine draws the
-        negatives of all selected clients in one stacked pass and each client
-        keeps its slice (so ``resample_negatives=False`` still reuses it on
-        later rounds).
+        The client keeps its slice, so ``resample_negatives=False`` reuses
+        it on later rounds through :meth:`current_pairs`.
         """
         self._negatives = np.asarray(negatives, dtype=np.int64)
-        return self._current_pairs()
 
-    def _current_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def current_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The aligned (positives, negatives) pairs of the installed sample."""
+        if self._negatives is None:
+            raise FederationError(
+                f"client {self.client_id} has no negatives yet; the round "
+                "engine installs them with accept_negatives"
+            )
         negatives = self._negatives[: self.positives.shape[0]]
         positives = self.positives[: negatives.shape[0]]
         return positives, negatives
-
-    def local_train(
-        self,
-        item_factors: np.ndarray,
-        scorer: MLPScorer | None = None,
-        pairs: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> ClientUpdate:
-        """One local training round: compute gradients, update ``u_i`` locally.
-
-        ``pairs`` lets the loop engine inject pairs drawn by the batched
-        round sampler; ``None`` draws through the client's own stream.
-        """
-        positives, negatives = self.draw_pairs() if pairs is None else pairs
-        return self._train_on_profile(positives, negatives, item_factors, scorer)
 
 
 class MaliciousClient(Client):
@@ -300,6 +244,14 @@ class MaliciousClient(Client):
                 item_gradients=np.empty((0, self.num_factors)),
                 is_malicious=True,
             )
-        negatives = self._sample_negatives(self.profile, self.profile.shape[0])
+        mask = np.zeros((1, self.num_items), dtype=bool)
+        mask[0, self.profile] = True
+        negatives, _ = sample_uniform_negatives_batched(
+            self._rng,
+            self.num_items,
+            np.array([self.profile.shape[0]], dtype=np.int64),
+            mask,
+            copy=False,
+        )
         positives = self.profile[: negatives.shape[0]]
         return self._train_on_profile(positives, negatives, item_factors, scorer)

@@ -54,62 +54,6 @@ class FederatedConfig:
         ``Theta``); if False it is plain MF with the dot product.
     scorer_hidden_units:
         Hidden width of the MLP scorer when enabled.
-    engine:
-        Which round engine the simulation uses: ``"vectorized"`` (default)
-        trains every selected benign client of a round in stacked numpy
-        operations, ``"loop"`` keeps the original one-client-at-a-time
-        reference implementation.  Both consume identical per-client random
-        streams, so they produce matching results up to floating-point
-        summation order.
-    sampler:
-        Which negative-sampling engine clients (and the attacker's
-        user-matrix approximation) draw from.  ``"batched"`` (default) draws
-        a whole round's negatives in one stacked rejection-sampling pass from
-        a shared round-level stream.  ``"permutation"`` keeps the historical
-        per-user permutation draws and their per-client RNG streams — its
-        training realizations are bit-identical to earlier releases, which
-        is why the golden seed histories pin it.  Both are exact uniform
-        draws but *different* realizations (the qualitative result gates are
-        validated under both).  Either engine works with either sampler: the
-        loop engine under the batched sampler consumes the same round-level
-        stream, so loop/vectorized equivalence holds per sampler.
-    eval_engine:
-        Which evaluation engine computes the HR/NDCG/ER metrics at each
-        evaluation epoch: ``"vectorized"`` (default) scores user blocks as
-        stacked matrix products and computes all five metrics in one pass
-        over the shared :class:`~repro.data.store.InteractionStore`;
-        ``"loop"`` is the per-user reference implementation.  Both engines
-        read identical score blocks and consume the evaluation RNG stream
-        identically, so full-rank metrics are bit-identical and
-        sampled-protocol metrics match under the same seed — this switch
-        trades nothing but time.
-    eval_sampler:
-        Which RNG stream the sampled ranking protocol draws its negatives
-        from.  ``"per-user"`` (default) keeps the historical one-user-at-a-
-        time draws — evaluation histories are bit-identical to earlier
-        releases.  ``"batched"`` draws a whole score-block's negatives in
-        one stacked rejection-sampling pass against the shared
-        :class:`~repro.data.store.InteractionStore` mask rows; still an
-        exact draw from the same distribution, but a *different* realization
-        (like the training ``sampler`` switch).  Either evaluation engine
-        works with either stream — for a fixed stream the engines report
-        identical metrics per seed.  Irrelevant under the full-ranking
-        protocol.
-    eval_path:
-        Which arithmetic route the sampled ranking protocol scores its
-        candidates through.  ``"block"`` (default) computes the full
-        ``(B, num_items)`` score-block product and gathers candidate
-        columns from it; ``"candidates"`` gathers the candidate item
-        vectors first and scores only them (``B * (1 + num_negatives)``
-        dot products instead of ``B * num_items`` — no catalog GEMM),
-        dispatching through
-        :class:`~repro.models.base.CandidateScorerProtocol` when the
-        source implements it, else through an exact column-slicing
-        fallback.  The negative draws, their stream order and the rank
-        comparisons are shared, so both paths report the same metrics per
-        seed (bit-identical on the fallback, numerically equal within the
-        GEMM-vs-gather reassociation elsewhere); the golden suite pins
-        both.  Irrelevant under the full-ranking protocol.
     dropout_rate:
         Per-round probability that a sampled client *drops out*: it never
         trains and never reports, consuming no training/sampling/privacy
@@ -159,11 +103,6 @@ class FederatedConfig:
     aggregator_options: dict[str, Any] = field(default_factory=dict)
     use_learnable_scorer: bool = False
     scorer_hidden_units: int = 32
-    engine: str = "vectorized"
-    sampler: str = "batched"
-    eval_engine: str = "vectorized"
-    eval_sampler: str = "per-user"
-    eval_path: str = "block"
     dropout_rate: float = 0.0
     crash_rate: float = 0.0
     straggler_rate: float = 0.0

@@ -101,8 +101,7 @@ class FaultSchedule:
     rng:
         The dedicated ``"fault-schedule"`` generator stream.  The schedule is
         the stream's only consumer, so fault realizations are a pure function
-        of (master seed, round order, batch sizes) — identical across
-        engines and samplers.
+        of (master seed, round order, batch sizes).
     straggler_delay:
         Upper bound (inclusive) of the uniform integer delay drawn per
         straggler for the ``"stale-merge"`` policy; the default 1 makes

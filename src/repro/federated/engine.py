@@ -1,15 +1,14 @@
-"""Vectorized round engine.
+"""Batched round engine.
 
 :class:`BatchedRoundTrainer` performs one aggregation round's local training
 for *all* selected benign clients with stacked numpy operations instead of a
 per-client Python loop:
 
 * every client's (positives, negatives) pairs for the round are drawn through
-  :meth:`draw_round_pairs` — under the ``"permutation"`` sampler via the same
-  per-client :meth:`BenignClient.draw_pairs` the loop engine uses, under the
-  ``"batched"`` sampler via one stacked rejection-sampling pass over all
-  selected clients from the shared round stream (both engines call this
-  method, so loop/vectorized equivalence holds under either sampler),
+  :meth:`draw_round_pairs` — one stacked rejection-sampling pass over all
+  selected clients from the shared round stream (the per-client reference
+  round in ``tests/oracles`` calls the same method, so both train on
+  identical pairs),
 * the user vectors are stacked into a ``(B, k)`` matrix, the positive and
   negative item vectors are gathered once, and the BPR margins, coefficients,
   per-user losses and all gradients are computed in bulk
@@ -29,12 +28,10 @@ emits the CSR-style :class:`~repro.federated.updates.SparseRoundUpdates`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.data.negative_sampling import sample_uniform_negatives_batched
-from repro.exceptions import FederationError
+from repro.data.store import InteractionStore
 from repro.federated.client import BenignClient
 from repro.federated.config import FederatedConfig
 from repro.federated.privacy import GaussianNoiseMechanism
@@ -47,9 +44,6 @@ from repro.models.losses import (
     sigmoid,
 )
 from repro.models.neural import MLPScorer
-
-if TYPE_CHECKING:
-    from repro.data.store import InteractionStore
 
 __all__ = ["BatchedRoundTrainer"]
 
@@ -65,16 +59,14 @@ class BatchedRoundTrainer:
         The benign client registry, the protocol configuration, the DP
         mechanism and the catalog size.
     round_rng:
-        The shared round-sampler stream consumed by the ``"batched"``
-        sampler (one stacked draw per round, in client selection order).
-        Required when ``config.sampler == "batched"``.
+        The shared round-sampler stream: one stacked draw per round, in
+        client selection order.
     store:
         The dataset's shared :class:`~repro.data.store.InteractionStore`.
-        When given, the batched sampler gathers its stacked positive masks
-        straight out of the store's cached mask matrix (one fancy-index
-        gather it may scribble on) instead of re-stacking per-client mask
-        arrays every round.  Client ids must equal dataset user ids, which
-        is how the simulation builds its benign registry.
+        The sampler gathers its stacked positive masks straight out of the
+        store's cached mask matrix (one fancy-index gather it may scribble
+        on).  Client ids must equal dataset user ids, which is how the
+        simulation builds its benign registry.
     """
 
     def __init__(
@@ -83,11 +75,9 @@ class BatchedRoundTrainer:
         config: FederatedConfig,
         privacy: GaussianNoiseMechanism,
         num_items: int,
-        round_rng: np.random.Generator | None = None,
-        store: InteractionStore | None = None,
+        round_rng: np.random.Generator,
+        store: InteractionStore,
     ) -> None:
-        if config.sampler == "batched" and round_rng is None:
-            raise FederationError("the batched sampler requires a round_rng stream")
         self._clients = clients
         self._config = config
         self._privacy = privacy
@@ -96,52 +86,33 @@ class BatchedRoundTrainer:
         self._store = store
 
     # ------------------------------------------------------------------ #
-    # Pair drawing (shared by the loop and vectorized engines)
+    # Pair drawing
     # ------------------------------------------------------------------ #
     def draw_round_pairs(self, benign_ids: list[int]) -> list[Pairs]:
         """The round's (positives, negatives) pairs, aligned with ``benign_ids``.
 
-        ``"permutation"`` sampler: one :meth:`BenignClient.draw_pairs` call
-        per client, consuming the per-client streams.  ``"batched"`` sampler:
-        one stacked rejection-sampling draw from the round stream covering
-        every selected client that needs fresh negatives (clients with a
-        still-valid cached sample, e.g. under
-        ``resample_negatives_each_epoch=False``, keep it).  Both engines call
-        this method, so the realization depends only on the sampler, not on
-        the engine.
+        One stacked rejection-sampling draw from the round stream covers
+        every selected client that needs fresh negatives; clients keeping
+        their first sample (``resample_negatives_each_epoch=False``) reuse
+        it and consume no stream.
         """
         clients = [self._clients[cid] for cid in benign_ids]
-        if self._config.sampler != "batched":
-            return [client.draw_pairs() for client in clients]
-        pairs: list[Pairs | None] = [None] * len(clients)
         fresh = [i for i, client in enumerate(clients) if client.needs_fresh_negatives]
         if fresh:
             counts = np.array(
                 [clients[i].positives.shape[0] for i in fresh], dtype=np.int64
             )
-            if self._store is not None:
-                # One gather out of the persistent mask matrix.
-                masks = self._store.mask_rows(
-                    np.array([benign_ids[i] for i in fresh], dtype=np.int64)
-                )
-            else:
-                # repro-lint: disable=R3 — no-store fallback: without a shared
-                # InteractionStore there is no cached mask matrix to gather
-                # from, so the per-client rows must be stacked once here.
-                masks = np.stack([clients[i].positive_mask for i in fresh])
-            # Either way ``masks`` is a fresh private array, so the sampler
-            # may use it as its scratch bitmap instead of copying again.
+            # One gather out of the persistent mask matrix: a fresh private
+            # array, so the sampler may use it as its scratch bitmap.
+            masks = self._store.mask_rows(
+                np.array([benign_ids[i] for i in fresh], dtype=np.int64)
+            )
             negatives, offsets = sample_uniform_negatives_batched(
                 self._round_rng, self._num_items, counts, masks, copy=False
             )
             for row, i in enumerate(fresh):
-                pairs[i] = clients[i].accept_negatives(
-                    negatives[offsets[row] : offsets[row + 1]]
-                )
-        for i, client in enumerate(clients):
-            if pairs[i] is None:
-                pairs[i] = client.draw_pairs()
-        return pairs  # type: ignore[return-value]
+                clients[i].accept_negatives(negatives[offsets[row] : offsets[row + 1]])
+        return [client.current_pairs() for client in clients]
 
     # ------------------------------------------------------------------ #
     # Single-round training
@@ -157,8 +128,7 @@ class BatchedRoundTrainer:
         Returns the privatised round structure — the lazy
         :class:`FactoredRoundUpdates` on the MF path, the CSR-style
         :class:`SparseRoundUpdates` on the scorer path — plus the round's
-        total benign training loss (measured before privacy noise, like the
-        loop engine reports it).
+        total benign training loss (measured before privacy noise).
         """
         num_clients = len(benign_ids)
         if num_clients == 0:

@@ -86,8 +86,8 @@ class GaussianNoiseMechanism:
         Clipping runs as one vectorised row operation over every client's
         gradient rows.  Noise, when enabled, is drawn per client in upload
         order so the random stream matches :meth:`apply` called on the same
-        clients one by one — the loop and vectorized engines therefore add
-        bit-identical noise.
+        clients one by one — the batched round and its per-client reference
+        in ``tests/oracles`` therefore add bit-identical noise.
 
         A :class:`FactoredRoundUpdates` stays factored through the clip-only
         configuration (a rank-1 row's norm bound is a coefficient rescale);

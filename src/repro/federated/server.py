@@ -61,10 +61,10 @@ class Server:
     ) -> None:
         """Aggregate the round's updates and apply one SGD step (Eq. 7).
 
-        Accepts a list of per-client updates (the loop engine and the attacks
-        produce these), one CSR-style :class:`SparseRoundUpdates` (the
-        vectorized engine's scorer path), or one lazy
-        :class:`FactoredRoundUpdates` (the vectorized engine's MF path).  A
+        Accepts a list of per-client updates (what rounds with faults and the
+        per-client reference round produce), one CSR-style
+        :class:`SparseRoundUpdates` (the batched trainer's scorer path), or
+        one lazy :class:`FactoredRoundUpdates` (its MF path).  A
         round with no uploads still counts towards :attr:`rounds_applied` —
         every selection of clients is a protocol round, whether or not anyone
         uploaded — but leaves the parameters untouched.

@@ -8,20 +8,15 @@ configurable cadence it evaluates recommendation accuracy (HR@10 / NDCG@10 on
 the held-out items) and the attack's exposure metrics (ER@5 / ER@10 /
 NDCG@10 of the target items).
 
-Two round engines are available, selected by ``FederatedConfig.engine``:
-
-* ``"vectorized"`` (default) — :class:`~repro.federated.engine.BatchedRoundTrainer`
-  trains all of a round's benign clients in stacked numpy operations and
-  hands the server one CSR-style
-  :class:`~repro.federated.updates.SparseRoundUpdates` structure.
-* ``"loop"`` — the original one-client-at-a-time reference implementation.
-
-Both engines draw each client's training pairs through the same sampler
-streams (per-client streams under ``sampler="permutation"``, one shared
-round-level stream under ``sampler="batched"``), so from identical seeds they
-produce matching training histories up to floating-point summation order.
-Attack scheduling and the round counter are driven by the server's
-``rounds_applied``, which counts every protocol round (empty ones included).
+Every round trains all of its benign clients through
+:class:`~repro.federated.engine.BatchedRoundTrainer` in stacked numpy
+operations, drawing their training pairs from one shared round-level stream,
+and hands the server one CSR-style round structure.  The one-client-at-a-time
+reference round lives in ``tests/oracles`` (it overrides :meth:`_train_round`
+and draws the same pairs), so from identical seeds the two produce matching
+training histories up to floating-point summation order.  Attack scheduling
+and the round counter are driven by the server's ``rounds_applied``, which
+counts every protocol round (empty ones included).
 """
 
 from __future__ import annotations
@@ -109,9 +104,7 @@ class FederatedSimulation:
     train:
         The benign training interactions; one benign client is built per user.
     config:
-        Protocol hyper-parameters, including the ``engine`` switch that
-        selects the vectorized or the loop round implementation (for both the
-        benign round and the attacker's internal computations).
+        Protocol hyper-parameters.
     test_items:
         Per-user held-out items for HR@10 / NDCG@10 evaluation (usually the
         leave-one-out split's test column); ``None`` disables accuracy
@@ -128,7 +121,7 @@ class FederatedSimulation:
     seed:
         Master seed (or a :class:`~repro.rng.SeedSequenceFactory`); every
         random stream of the simulation derives from it, so runs are fully
-        reproducible and engine choices do not perturb each other's streams.
+        reproducible and no stream perturbs another.
     evaluate_every:
         Evaluation cadence in epochs; ``None`` picks ``max(1, epochs // 10)``.
     eval_num_negatives:
@@ -179,13 +172,12 @@ class FederatedSimulation:
         self._seeds = seed if isinstance(seed, SeedSequenceFactory) else SeedSequenceFactory(seed)
         self._schedule_rng = self._seeds.generator("schedule")
         self._eval_rng = self._seeds.generator("evaluation")
-        # The shared stream of the "batched" sampler.  Derived by name, so
-        # creating it never perturbs any other stream — permutation-sampler
-        # runs stay bit-identical to releases that predate it.
+        # The shared stream every round's negatives are drawn from.  Derived
+        # by name, so creating it never perturbs any other stream.
         self._round_sampler_rng = self._seeds.generator("round-sampler")
 
-        # One InteractionStore per dataset, shared by the batched round
-        # sampler, the clients' positive masks and the evaluation engine.
+        # One InteractionStore per dataset, shared by the round sampler and
+        # the evaluation engine.
         self._store = train.interaction_store()
         self.server = Server(train.num_items, config, rng=self._seeds.generator("server"))
         self.privacy = GaussianNoiseMechanism(
@@ -220,7 +212,7 @@ class FederatedSimulation:
         self._pending_arrivals: dict[int, list[ClientUpdate]] = {}
         self._history: TrainingHistory | None = None
         # Incremental full-rank evaluator, built lazily on the first
-        # evaluation it applies to (vectorized engine, num_negatives=None).
+        # evaluation it applies to (num_negatives=None).
         self._topk_cache: TopKCache | None = None
         self._current_epoch = 0
         self._trainer = BatchedRoundTrainer(
@@ -256,7 +248,6 @@ class FederatedSimulation:
                 l2_reg=self.config.l2_reg,
                 resample_negatives=self.config.resample_negatives_each_epoch,
                 rng=int(seeds[user]),
-                positive_mask=self._store.mask_row(user),
             )
         return clients
 
@@ -294,8 +285,6 @@ class FederatedSimulation:
             item_popularity=self.train.item_popularity,
             full_train=self.train,
             rng=self._seeds.generator("attack"),
-            engine=self.config.engine,
-            sampler=self.config.sampler,
         )
         self.attack.setup(context, self.malicious_clients)
 
@@ -307,8 +296,8 @@ class FederatedSimulation:
 
         Each epoch shuffles all clients (benign and malicious) into rounds of
         ``config.clients_per_round`` and runs the per-round protocol:
-        attacker hook, local training through the configured engine, optional
-        DP privatisation, aggregation, one server SGD step.  Accuracy and
+        attacker hook, batched local training, optional DP privatisation,
+        aggregation, one server SGD step.  Accuracy and
         exposure are evaluated at the configured cadence and always after the
         final epoch.
 
@@ -411,24 +400,21 @@ class FederatedSimulation:
                 self.server.scorer,
                 selected_malicious,
             )
-        if self.config.engine == "vectorized":
-            return self._run_round_vectorized(
-                participants, round_index, selected_malicious, faults
-            )
-        return self._run_round_loop(participants, round_index, faults)
+        return self._train_round(participants, round_index, selected_malicious, faults)
 
-    def _run_round_vectorized(
+    def _train_round(
         self,
         batch: np.ndarray,
         round_index: int,
         selected_malicious: list[int],
         faults: RoundFaults | None = None,
     ) -> float:
-        """Batched round: all benign clients train in one stacked computation.
+        """Train, dispose of and apply one round; returns its benign loss.
 
-        ``batch`` is the round's *participant* set (dropped clients already
-        removed).  With a fault realization or pending stale arrivals in
-        play, the round structure is materialised to per-client updates so
+        All benign clients train in one stacked computation.  ``batch`` is
+        the round's *participant* set (dropped clients already removed).
+        With a fault realization or pending stale arrivals in play, the
+        round structure is materialised to per-client updates so
         crash/straggler dispositions can filter them; the zero-fault round
         keeps the lazy structured path untouched.
         """
@@ -460,60 +446,6 @@ class FederatedSimulation:
             self.update_observer(round_index, round_updates.to_client_updates())
         self.server.apply_round(round_updates)
         self._record_applied_round(benign_ids, round_updates.client_ids.shape[0] > 0)
-        return round_loss
-
-    def _run_round_loop(
-        self, batch: np.ndarray, round_index: int, faults: RoundFaults | None = None
-    ) -> float:
-        """Reference round engine: one client at a time (kept for equivalence).
-
-        Under the ``"batched"`` sampler the round's negatives are predrawn
-        through the same shared round stream the vectorized engine consumes
-        (one stacked draw, clients in selection order), so the loop engine
-        remains the equivalence oracle for either sampler.
-
-        ``batch`` is the participant set (dropped clients removed by
-        :meth:`_run_round`); crash/straggler dispositions are applied to the
-        collected uploads *after* the training walk, so stream consumption
-        and loss accounting match the vectorized engine exactly.
-        """
-        predrawn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if self.config.sampler == "batched":
-            benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
-            pairs = self._trainer.draw_round_pairs(benign_ids)
-            predrawn = dict(zip(benign_ids, pairs))
-        updates: list[ClientUpdate] = []
-        round_loss = 0.0
-        for cid in batch:
-            cid = int(cid)
-            if cid in self.benign_clients:
-                update = self.benign_clients[cid].local_train(
-                    self.server.item_factors,
-                    self.server.scorer,
-                    pairs=predrawn.get(cid),
-                )
-                round_loss += update.loss
-                update = self.privacy.apply(update)
-            else:
-                if self.attack is None:
-                    continue
-                update = self.attack.craft_update(
-                    self.malicious_clients[cid],
-                    self.server.item_factors,
-                    self.server.scorer,
-                    round_index,
-                )
-            if update is not None:
-                updates.append(update)
-
-        updates = self._apply_dispositions(updates, faults, round_index)
-        if self.update_observer is not None:
-            self.update_observer(round_index, updates)
-        self.server.apply_round(updates)
-        self._record_applied_round(
-            [int(cid) for cid in batch if int(cid) in self.benign_clients],
-            len(updates) > 0,
-        )
         return round_loss
 
     def _record_applied_round(
@@ -670,8 +602,8 @@ class FederatedSimulation:
     def score_block_function(self) -> Callable[[np.ndarray], np.ndarray]:
         """Return a function scoring a block of benign users in one shot.
 
-        This is the scoring primitive of the evaluation engines: it maps an
-        array of user ids to their stacked ``(B, num_items)`` score matrix —
+        This is the scoring primitive of evaluation: it maps an array of
+        user ids to their stacked ``(B, num_items)`` score matrix —
         one ``U_block @ V.T`` product on the MF path, the broadcast scorer
         block on the learnable-interaction path.
         """
@@ -682,37 +614,13 @@ class FederatedSimulation:
             return lambda users: user_factors[users] @ item_factors.T
         return lambda users: scorer.score_block(user_factors[users], item_factors)
 
-    def score_function(self) -> Callable[[int], np.ndarray]:
-        """Return a function mapping a benign user id to its full score vector."""
-        item_factors = self.server.item_factors
-        scorer = self.server.scorer
-        if scorer is None:
-            user_factors = self.gather_user_factors()
-            scores = user_factors @ item_factors.T
-            return lambda user: scores[user]
-
-        def score(user: int) -> np.ndarray:
-            user_vector = self.benign_clients[user].user_vector
-            batch = np.tile(user_vector, (item_factors.shape[0], 1))
-            return scorer.score(batch, item_factors)
-
-        return score
-
     def _evaluate(self) -> tuple[AccuracyReport | None, ExposureReport | None]:
-        """One evaluation epoch through the configured ``eval_engine``.
+        """One evaluation epoch through :meth:`score_block_function`.
 
-        Both engines score through :meth:`score_block_function` over the same
-        block partitioning and draw sampled-protocol negatives through the
-        stream selected by ``config.eval_sampler`` (``"per-user"`` preserves
-        historical seed histories; ``"batched"`` is a faster, different
-        realization), so switching the *engine* changes the wall clock, not
-        the history — only the sampler changes realizations.  Likewise the
-        ``config.eval_path`` switch only reroutes the sampled protocol's
-        arithmetic (candidate gather vs full block product) — the draws and
-        comparisons are shared, so the realization is path-invariant.
-
-        Full-catalog evaluations (``eval_num_negatives=None``) under the
-        vectorized engine run through the incremental
+        The sampled protocol draws its negatives from the ``"evaluation"``
+        stream, one stacked draw per user block, through
+        :func:`~repro.metrics.evaluation.evaluate_snapshot`.  Full-catalog
+        evaluations (``eval_num_negatives=None``) run through the incremental
         :class:`~repro.metrics.topk_cache.TopKCache`, which drains the
         history's dirty ledger and rescores only the user blocks whose rows
         changed since the previous evaluation — bit-identical to a cold
@@ -722,7 +630,7 @@ class FederatedSimulation:
         """
         if self.test_items is None and self.target_items is None:
             return None, None
-        if self.eval_num_negatives is None and self.config.eval_engine == "vectorized":
+        if self.eval_num_negatives is None:
             if self._topk_cache is None:
                 self._topk_cache = TopKCache(
                     self.train,
@@ -748,8 +656,5 @@ class FederatedSimulation:
             k=10,
             num_negatives=self.eval_num_negatives,
             rng=self._eval_rng,
-            engine=self.config.eval_engine,
-            eval_sampler=self.config.eval_sampler,
-            eval_path=self.config.eval_path,
         )
         return result.accuracy, result.exposure

@@ -1,10 +1,10 @@
-"""Declarative registry of the user-facing engine switches.
+"""Declarative registry of the user-facing protocol switches.
 
-Every engine switch used to be mirrored by hand across four surfaces:
+Every protocol switch used to be mirrored by hand across four surfaces:
 :class:`~repro.federated.config.FederatedConfig` (declaration + a literal
 membership check in ``validate``),
 :class:`~repro.experiments.config.ExperimentConfig` (the experiment-layer
-mirror field), ``repro.cli`` (the ``--flag``) and the README engine table —
+mirror field), ``repro.cli`` (the ``--flag``) and the README switch table —
 with repro-lint R2/R5 policing the drift after the fact.  This module is the
 consolidation: one :class:`SwitchSpec` per switch, declaring its name, kind,
 default, choices and documentation, from which
@@ -41,7 +41,7 @@ class SwitchSpec:
     Attributes
     ----------
     name:
-        The field name on both config dataclasses (``engine``,
+        The field name on both config dataclasses (``straggler_policy``,
         ``min_reporters``, ...).
     kind:
         ``"choice"`` (a string drawn from :attr:`choices`), ``"int"`` (an
@@ -70,7 +70,7 @@ class SwitchSpec:
 
     @property
     def cli_flag(self) -> str:
-        """The CLI flag registered for this switch (``--eval-engine`` style)."""
+        """The CLI flag registered for this switch (``--min-reporters`` style)."""
         return "--" + self.name.replace("_", "-")
 
     @property
@@ -116,51 +116,6 @@ class SwitchSpec:
 #: for presentation (CLI flag order follows it).  Every keyword argument is
 #: a literal so repro-lint can extract the registry without importing it.
 SWITCH_REGISTRY: tuple[SwitchSpec, ...] = (
-    SwitchSpec(
-        name="engine",
-        kind="choice",
-        default="vectorized",
-        choices=("loop", "vectorized"),
-        help="round engine: 'vectorized' (default) or 'loop'",
-    ),
-    SwitchSpec(
-        name="sampler",
-        kind="choice",
-        default="batched",
-        choices=("permutation", "batched"),
-        help=(
-            "negative-sampling engine: 'batched' (default, one stacked draw "
-            "per round) or 'permutation' (historical per-client streams)"
-        ),
-    ),
-    SwitchSpec(
-        name="eval_engine",
-        kind="choice",
-        default="vectorized",
-        choices=("loop", "vectorized"),
-        help="evaluation engine: 'vectorized' (default) or 'loop'",
-    ),
-    SwitchSpec(
-        name="eval_sampler",
-        kind="choice",
-        default="per-user",
-        choices=("per-user", "batched"),
-        help=(
-            "sampled-protocol negative stream: 'per-user' (default, "
-            "historical seed histories) or 'batched' (stacked per-block draw)"
-        ),
-    ),
-    SwitchSpec(
-        name="eval_path",
-        kind="choice",
-        default="block",
-        choices=("block", "candidates"),
-        help=(
-            "sampled-protocol scoring route: 'block' (default, full "
-            "score-block product) or 'candidates' (gathered candidate "
-            "scoring, no catalog GEMM; same draws, same realization)"
-        ),
-    ),
     SwitchSpec(
         name="dropout_rate",
         kind="rate",

@@ -8,14 +8,15 @@ plus, when the interaction function is learnable, a dense gradient of
 
 Three representations exist:
 
-* :class:`ClientUpdate` — one client's upload, the unit the per-client
-  ("loop") engine and the attack implementations produce.
+* :class:`ClientUpdate` — one client's upload, the unit the attack
+  implementations (and the per-client reference round in ``tests/oracles``)
+  produce.
 * :class:`SparseRoundUpdates` — a whole round's uploads in one CSR-style
   structure (concatenated ``item_ids`` / ``grad_rows`` plus ``client_offsets``
   delimiting each client's segment).  The aggregators consume it without ever
   materialising a dense ``(num_clients, num_items, k)`` tensor.
-* :class:`FactoredRoundUpdates` — the *lazy factored* form the vectorized
-  engine emits on the MF path.  A benign BPR gradient row is the rank-1
+* :class:`FactoredRoundUpdates` — the *lazy factored* form the batched round
+  trainer emits on the MF path.  A benign BPR gradient row is the rank-1
   product ``c_bj * u_b`` (plus an optional shared ridge term), so the round is
   fully described by the folded coefficients in CSR layout plus the small
   stacked user matrix; ``sum`` / ``mean`` aggregation and norm bounding reduce
@@ -288,8 +289,8 @@ class SparseRoundUpdates:
 
         The returned updates hold *views* into this structure's arrays (no
         per-segment copies), so the conversion is cheap even for large rounds;
-        treat them as read-only, exactly like the uploads the loop engine
-        hands to observers.
+        treat them as read-only, exactly like any upload handed to
+        observers.
         """
         updates: list[ClientUpdate] = []
         for index in range(self.num_clients):

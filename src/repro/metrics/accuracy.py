@@ -4,43 +4,27 @@ These measure the *side effects* of an attack (Figure 3, Table VIII): a
 stealthy attack must leave the hit ratio of held-out test items essentially
 unchanged.  Both a full-ranking protocol and the common sampled protocol
 (rank the test item against ``num_negatives`` sampled negatives, as in the
-NCF paper the authors follow) are supported.
-
-This module is the *loop* evaluation engine: one user at a time through a
-``score_fn(user)`` callback.  It is kept as the equivalence oracle for the
-vectorized engine in :mod:`repro.metrics.evaluation`, which must reproduce
-its full-rank metrics bit-identically and its sampled-protocol metrics under
-the identical RNG stream.  Two evaluation streams exist (selected by
-``eval_sampler``): the historical per-user stream of
-:func:`draw_ranking_negatives`, and the ``"batched"`` stream of
+NCF paper the authors follow) are supported; both are computed by
+:func:`repro.metrics.evaluation.evaluate_snapshot`.  This module holds the
+report type and the sampled protocol's negative draw,
 :func:`draw_ranking_negatives_batched`, which draws one score-block's
-negatives in a single stacked pass; both engines consume whichever stream is
-selected identically.
+negatives in a single stacked pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.data.dataset import InteractionDataset
 from repro.data.negative_sampling import sample_ranking_negatives_batched
 from repro.data.store import InteractionStore
 from repro.exceptions import ModelError
-from repro.rng import ensure_rng
 
 __all__ = [
     "AccuracyReport",
-    "hit_ratio_at_k",
-    "ndcg_at_k_leave_one_out",
-    "evaluate_accuracy",
-    "draw_ranking_negatives",
     "draw_ranking_negatives_batched",
 ]
-
-ScoreFunction = Callable[[int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -56,61 +40,6 @@ class AccuracyReport:
         return {"HR@10": self.hr_at_10, "NDCG@10": self.ndcg_at_10}
 
 
-def hit_ratio_at_k(
-    score_fn: ScoreFunction,
-    train: InteractionDataset,
-    test_items: np.ndarray,
-    k: int = 10,
-    num_negatives: int | None = 99,
-    rng: np.random.Generator | int | None = None,
-) -> float:
-    """HR@k: fraction of users whose held-out item ranks in the top ``k``."""
-    hits, _, count = _ranking_pass(score_fn, train, test_items, k, num_negatives, rng)
-    return hits / count if count else 0.0
-
-
-def ndcg_at_k_leave_one_out(
-    score_fn: ScoreFunction,
-    train: InteractionDataset,
-    test_items: np.ndarray,
-    k: int = 10,
-    num_negatives: int | None = 99,
-    rng: np.random.Generator | int | None = None,
-) -> float:
-    """NDCG@k of the single held-out item per user."""
-    _, ndcg_sum, count = _ranking_pass(score_fn, train, test_items, k, num_negatives, rng)
-    return ndcg_sum / count if count else 0.0
-
-
-def evaluate_accuracy(
-    score_fn: ScoreFunction,
-    train: InteractionDataset,
-    test_items: np.ndarray,
-    k: int = 10,
-    num_negatives: int | None = 99,
-    rng: np.random.Generator | int | None = None,
-    predrawn_negatives: tuple[np.ndarray, np.ndarray] | None = None,
-) -> AccuracyReport:
-    """HR@k and NDCG@k in a single ranking pass.
-
-    ``predrawn_negatives`` optionally supplies the sampled protocol's
-    negatives as a ``(values, offsets)`` CSR pair indexed by user id (user
-    ``u``'s candidates are ``values[offsets[u]:offsets[u + 1]]``) instead of
-    drawing them here — the mechanism through which the loop engine consumes
-    the ``"batched"`` evaluation stream: the caller predraws every block via
-    :func:`draw_ranking_negatives_batched` and the per-user pass only ranks.
-    Ignored under the full-ranking protocol (``num_negatives=None``).
-    """
-    hits, ndcg_sum, count = _ranking_pass(
-        score_fn, train, test_items, k, num_negatives, rng, predrawn_negatives
-    )
-    return AccuracyReport(
-        hr_at_10=hits / count if count else 0.0,
-        ndcg_at_10=ndcg_sum / count if count else 0.0,
-        num_evaluated_users=count,
-    )
-
-
 def _validate_test_items(test_items: np.ndarray, num_users: int, k: int) -> np.ndarray:
     """Shared validation of the per-user held-out item column."""
     if k <= 0:
@@ -124,100 +53,6 @@ def _validate_test_items(test_items: np.ndarray, num_users: int, k: int) -> np.n
     return test_items
 
 
-def _ranking_pass(
-    score_fn: ScoreFunction,
-    train: InteractionDataset,
-    test_items: np.ndarray,
-    k: int,
-    num_negatives: int | None,
-    rng: np.random.Generator | int | None,
-    predrawn_negatives: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, float, int]:
-    """Shared evaluation loop returning (hit count, NDCG sum, user count).
-
-    The per-user NDCG contributions (0 for misses) are collected into one
-    array and reduced with a single :func:`numpy.sum`, so the vectorized
-    engine — which concatenates the same per-user values block by block —
-    arrives at the bit-identical total.
-    """
-    test_items = _validate_test_items(test_items, train.num_users, k)
-    store = train.interaction_store()
-    generator = ensure_rng(rng)
-    hits = 0
-    contributions: list[float] = []
-    for user in range(train.num_users):
-        test_item = int(test_items[user])
-        if test_item < 0:
-            continue
-        scores = score_fn(user)
-        if num_negatives is None:
-            rank = _full_rank(scores, test_item, store.positives(user))
-        elif predrawn_negatives is not None:
-            values, offsets = predrawn_negatives
-            negatives = values[offsets[user] : offsets[user + 1]]
-            rank = 1 + int(np.sum(scores[negatives] > scores[test_item]))
-        else:
-            rank = _sampled_rank(
-                scores, test_item, store, user, num_negatives, generator
-            )
-        if rank <= k:
-            hits += 1
-            contributions.append(1.0 / float(np.log2(rank + 1.0)))
-        else:
-            contributions.append(0.0)
-    count = len(contributions)
-    ndcg_sum = float(np.sum(np.asarray(contributions, dtype=np.float64)))
-    return float(hits), ndcg_sum, count
-
-
-def _full_rank(scores: np.ndarray, test_item: int, positives: np.ndarray) -> int:
-    """Rank of the test item against every non-interacted item."""
-    masked = scores.astype(np.float64, copy=True)
-    if positives.shape[0] > 0:
-        masked[positives] = -np.inf
-    test_score = scores[test_item]
-    return 1 + int(np.sum(masked > test_score))
-
-
-def draw_ranking_negatives(
-    rng: np.random.Generator,
-    store: InteractionStore,
-    user: int,
-    test_item: int,
-    num_negatives: int,
-) -> np.ndarray:
-    """The sampled protocol's negative draw for one user (per-user stream).
-
-    Candidates are drawn uniformly with replacement and accepted in draw
-    order unless they are a positive of ``user`` or the test item itself;
-    the user's positives come straight from the shared
-    :class:`~repro.data.store.InteractionStore` mask row (a view — no
-    per-user mask array is allocated).  Under ``eval_sampler="per-user"``
-    both evaluation engines call this helper, so they consume the evaluation
-    RNG stream identically: every iteration draws ``2 * remaining``
-    candidates, and a user whose positives cover the whole catalog consumes
-    exactly one draw before giving up.  This per-user stream pins the
-    historical seed histories; the ``"batched"`` stream of
-    :func:`draw_ranking_negatives_batched` is a different realization.
-    """
-    mask_row = store.mask_row(user)
-    free = store.num_items - store.degree(user)
-    if not mask_row[test_item]:
-        free -= 1
-    accepted: list[np.ndarray] = []
-    need = num_negatives
-    while need > 0:
-        draws = rng.integers(0, store.num_items, size=2 * need)
-        ok = draws[~mask_row[draws] & (draws != test_item)][:need]
-        accepted.append(ok)
-        need -= ok.shape[0]
-        if free == 0:
-            break
-    if not accepted:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(accepted).astype(np.int64, copy=False)
-
-
 def draw_ranking_negatives_batched(
     rng: np.random.Generator,
     store: InteractionStore,
@@ -227,29 +62,26 @@ def draw_ranking_negatives_batched(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sampled protocol's stacked negative draw for one block of users.
 
-    This is the ``"batched"`` evaluation stream's entry point (selected by
-    ``eval_sampler="batched"``): one call draws the ranking negatives of a
-    whole score block through a single stacked rejection-sampling pass of
+    This is the evaluation stream's entry point: one call draws the ranking
+    negatives of a whole score block through a single stacked
+    rejection-sampling pass of
     :func:`~repro.data.negative_sampling.sample_ranking_negatives_batched`,
     testing candidates directly against the shared
     :class:`~repro.data.store.InteractionStore` mask rows (a contiguous
     read-only :meth:`~repro.data.store.InteractionStore.mask_block` view
     when ``users`` is a contiguous range — no per-user mask allocation).
 
-    **RNG contract of the batched stream.**  The stream is consumed one
+    **RNG contract of the evaluation stream.**  The stream is consumed one
     stacked draw per user block, blocks in user order; within a block, each
     rejection round draws one flat candidate vector covering every pending
     row (rows in user order), so the realization depends only on the block
-    partitioning, the blocks' mask rows, the test items and ``num_negatives``
-    — never on which evaluation engine consumes it.  It is a *different*
-    realization from the per-user stream of :func:`draw_ranking_negatives`
-    (same distribution, different draw order), exactly like the round
-    sampler's ``"batched"`` contract.
+    partitioning, the blocks' mask rows, the test items and
+    ``num_negatives``.
 
     Users whose ``test_items`` entry is negative are skipped (they request
     zero negatives and consume no randomness); users whose positives plus
-    test item cover the catalog receive zero negatives, mirroring the
-    per-user draw's give-up.  Everyone else receives exactly
+    test item cover the catalog receive zero negatives.  Everyone else
+    receives exactly
     ``num_negatives`` draws (with replacement), so the CSR segments of the
     returned ``(negatives, offsets)`` have length ``num_negatives`` or 0.
     """
@@ -274,17 +106,3 @@ def draw_ranking_negatives_batched(
     return sample_ranking_negatives_batched(
         rng, store.num_items, counts, masks, test_items, num_positives=degrees
     )
-
-
-def _sampled_rank(
-    scores: np.ndarray,
-    test_item: int,
-    store: InteractionStore,
-    user: int,
-    num_negatives: int,
-    rng: np.random.Generator,
-) -> int:
-    """Rank of the test item against ``num_negatives`` sampled negatives."""
-    negatives = draw_ranking_negatives(rng, store, user, test_item, num_negatives)
-    test_score = scores[test_item]
-    return 1 + int(np.sum(scores[negatives] > test_score))

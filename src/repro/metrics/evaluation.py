@@ -1,10 +1,7 @@
-"""Vectorized evaluation engine.
+"""Evaluation engine.
 
-The loop engine (:mod:`repro.metrics.accuracy` / :mod:`repro.metrics.exposure`)
-evaluates one user at a time through a ``score_fn(user)`` callback — four
-Python loops per snapshot before this module existed.  The vectorized engine
-computes HR@K, NDCG@K, ER@5, ER@10 and target-NDCG@10 in **one pass over
-user blocks**:
+:func:`evaluate_snapshot` computes HR@K, NDCG@K, ER@5, ER@10 and
+target-NDCG@10 in **one pass over user blocks**:
 
 * a block of users is scored with a single stacked ``U_block @ V.T``-style
   matrix product through the ``score_block(users)`` callback,
@@ -17,32 +14,20 @@ user blocks**:
   exactly — ties included — so exact ranks only ever need to be counted for
   the (typically few) items that actually made a top-K list.
 
-Equivalence contract with the loop engine (``engine="loop"`` here runs it):
+The sampled protocol never scores the catalog: each block's negatives come
+from one stacked draw of
+:func:`~repro.metrics.accuracy.draw_ranking_negatives_batched` (blocks in
+user order), and only the drawn candidate sets are scored, through
+:func:`resolve_score_candidates` (the
+:class:`~repro.models.base.CandidateScorerProtocol` gather, or a
+``score_block`` slice for sources without one).
 
-* both engines read their scores from the *same* ``score_block`` calls over
-  the *same* block partitioning (the loop path materialises the blocks into
-  a matrix first), so the floats being ranked are identical by construction
-  — BLAS results are not row-stable across different GEMM shapes, so this,
-  not re-computation, is what makes bit-identity possible;
-* full-rank HR/NDCG/ER values are bit-identical: integer rank counts feed
-  per-user contribution values collected in user order and reduced with the
-  same ``np.sum`` / ``np.mean`` calls;
-* the sampled protocol draws through one of two streams selected by
-  ``eval_sampler`` — the per-user stream of
-  :func:`~repro.metrics.accuracy.draw_ranking_negatives` (user order) or the
-  batched stream of
-  :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched` (one
-  stacked draw per block, block order; the loop engine predraws through the
-  identical blocked calls) — so for either stream both engines consume the
-  evaluation RNG identically and report identical sampled metrics;
-* the sampled protocol's candidate *scores* come from one of two paths
-  selected by ``eval_path`` — ``"block"`` gathers them out of the full
-  blocked pass, ``"candidates"`` scores only the drawn candidate sets
-  through :func:`resolve_score_candidates` (the
-  :class:`~repro.models.base.CandidateScorerProtocol` gather, or a
-  ``score_block`` slice for sources without one) — with identical draws and
-  rank comparisons either way, and both engines dispatching through the
-  same candidate calls.
+The per-user reference evaluation in ``tests/oracles`` reads its scores
+from the *same* ``score_block`` / ``score_candidates`` calls over the *same*
+block partitioning (BLAS results are not row-stable across GEMM shapes, so
+this, not re-computation, is what makes bit-identity possible), draws the
+same stream, and reduces per-user contributions with the same ``np.sum`` /
+``np.mean`` calls, so every metric is bit-identical to it.
 
 The per-block full-rank/exposure pipeline is factored into
 :func:`_measure_block` returning :class:`_BlockMetrics`, which is also the
@@ -61,11 +46,9 @@ from repro.exceptions import ModelError
 from repro.metrics.accuracy import (
     AccuracyReport,
     _validate_test_items,
-    draw_ranking_negatives,
     draw_ranking_negatives_batched,
-    evaluate_accuracy,
 )
-from repro.metrics.exposure import ExposureReport, _validate_targets, evaluate_exposure
+from repro.metrics.exposure import ExposureReport, _validate_targets
 from repro.metrics.ranking import cumulative_discounts
 from repro.models.base import CandidateScorerProtocol, ScorerProtocol
 from repro.rng import ensure_rng
@@ -79,9 +62,6 @@ __all__ = [
     "resolve_score_block",
     "resolve_score_candidates",
     "user_blocks",
-    "EVAL_ENGINES",
-    "EVAL_SAMPLERS",
-    "EVAL_PATHS",
     "DEFAULT_BLOCK_SIZE",
 ]
 
@@ -117,10 +97,7 @@ def resolve_score_candidates(source: ScoreSource) -> ScoreCandidatesFunction:
     ``score_candidates`` — the fast path that never touches the full
     catalog.  Every other source gets the generic fallback: one
     ``score_block`` call over the user block, sliced at the candidate
-    columns.  The fallback's floats *coincide with the block engines by
-    construction* — it reads the very same block product the ``"block"``
-    path would gather from — so switching ``eval_path`` on a
-    block-only source changes wall clock, never a metric bit.
+    columns — the very same floats a full blocked pass would gather.
     """
     if isinstance(source, CandidateScorerProtocol):
         return source.score_candidates
@@ -134,31 +111,9 @@ def resolve_score_candidates(source: ScoreSource) -> ScoreCandidatesFunction:
 
     return fallback
 
-#: The valid values of every ``eval_engine`` switch in the package.
-EVAL_ENGINES = ("loop", "vectorized")
-
-#: The valid values of every ``eval_path`` switch in the package: how the
-#: *sampled* ranking protocol obtains its candidate scores.  ``"block"``
-#: (default) scores whole ``(B, num_items)`` catalog blocks and gathers the
-#: candidate columns — the historical realization every seed history pins;
-#: ``"candidates"`` scores only each user's ``1 + num_negatives`` drawn
-#: candidates through :func:`resolve_score_candidates` gathers.  The draws,
-#: their stream order and every rank comparison are identical — only the
-#: arithmetic route to the candidate scores changes.  Ignored under the
-#: full-ranking protocol, which inherently needs the whole catalog.
-EVAL_PATHS = ("block", "candidates")
-
-#: The valid values of every ``eval_sampler`` switch in the package: which
-#: RNG stream the sampled ranking protocol draws its negatives from.
-#: ``"per-user"`` (default) is the historical one-user-at-a-time stream that
-#: pins existing seed histories; ``"batched"`` draws a whole score-block's
-#: negatives in one stacked rejection-sampling pass — same distribution,
-#: different (faster) realization, identical between the two engines.
-EVAL_SAMPLERS = ("per-user", "batched")
-
 #: Default user-block size.  Small enough that a block's score matrix stays
-#: cache-resident through the mask/partition/compare pipeline; both engines
-#: must use the same value for their floats to coincide.
+#: cache-resident through the mask/partition/compare pipeline; any consumer
+#: whose floats must coincide with this engine's uses the same value.
 DEFAULT_BLOCK_SIZE = 128
 
 
@@ -179,9 +134,6 @@ def evaluate_snapshot(
     k: int = 10,
     num_negatives: int | None = 99,
     rng: np.random.Generator | int | None = None,
-    engine: str = "vectorized",
-    eval_sampler: str = "per-user",
-    eval_path: str = "block",
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> EvaluationResult:
     """Evaluate accuracy and/or exposure of one model snapshot.
@@ -192,9 +144,8 @@ def evaluate_snapshot(
         The scoring source: a model implementing the id-based
         :class:`~repro.models.base.ScorerProtocol` (dispatched through
         :func:`resolve_score_block`), or a bare callback mapping an array of
-        user ids to their stacked ``(B, num_items)`` score matrix.  Both
-        engines obtain every score through the resolved callback, block by
-        block.
+        user ids to their stacked ``(B, num_items)`` score matrix.  Every
+        catalog score comes from the resolved callback, block by block.
     train:
         Training interactions; positives are masked out of the rankings and
         the shared :class:`~repro.data.store.InteractionStore` provides the
@@ -209,58 +160,78 @@ def evaluate_snapshot(
         Accuracy cutoff (the paper reports ``k=10``).
     num_negatives:
         Sampled-protocol negatives per user (``None`` ranks against the full
-        catalog).
+        catalog).  The sampled protocol draws one stacked pass per block
+        through :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched`
+        and scores only the drawn candidates through
+        :func:`resolve_score_candidates`.
     rng:
-        Randomness for the sampled protocol; both engines consume it
-        identically.
-    engine:
-        ``"vectorized"`` (default) or ``"loop"`` — the per-user oracle.
-    eval_sampler:
-        Which RNG stream the sampled protocol draws from: ``"per-user"``
-        (default — the historical stream, one draw sequence per user) or
-        ``"batched"`` (one stacked draw per score block through
-        :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched`).
-        Both engines consume either stream identically, so the metrics per
-        seed depend on the sampler, never on the engine.  Ignored under the
-        full-ranking protocol.
-    eval_path:
-        How the sampled protocol obtains its candidate scores:
-        ``"block"`` (default) gathers candidate columns out of the full
-        ``(B, num_items)`` blocked pass; ``"candidates"`` scores only the
-        drawn candidates through :func:`resolve_score_candidates` — same
-        draws, same comparisons, a fraction of the arithmetic.  Ignored
-        under the full-ranking protocol (and the exposure metrics always
-        rank against the whole catalog, so they keep the blocked pass
-        either way).
+        Randomness for the sampled protocol.
     block_size:
-        Users per scoring block (both engines share the partitioning, and
-        the batched stream draws one stacked pass per block).
+        Users per scoring block (the stream draws one stacked pass per
+        block).
     """
-    if engine not in EVAL_ENGINES:
-        raise ModelError(f"engine must be one of {EVAL_ENGINES}, got {engine!r}")
-    if eval_sampler not in EVAL_SAMPLERS:
-        raise ModelError(
-            f"eval_sampler must be one of {EVAL_SAMPLERS}, got {eval_sampler!r}"
-        )
-    if eval_path not in EVAL_PATHS:
-        raise ModelError(f"eval_path must be one of {EVAL_PATHS}, got {eval_path!r}")
     if block_size <= 0:
         raise ModelError(f"block_size must be positive, got {block_size}")
     if test_items is None and target_items is None:
         return EvaluationResult(accuracy=None, exposure=None)
-    if engine == "loop":
-        return _evaluate_loop(
-            score_block, train, test_items, target_items, k, num_negatives, rng,
-            eval_sampler, eval_path, block_size,
-        )
-    return _evaluate_vectorized(
-        score_block, train, test_items, target_items, k, num_negatives, rng,
-        eval_sampler, eval_path, block_size,
+    store = train.interaction_store()
+    num_users, num_items = store.num_users, store.num_items
+    generator = ensure_rng(rng)
+    if test_items is not None:
+        test_items = _validate_test_items(test_items, num_users, k)
+    if target_items is not None:
+        target_items = _validate_targets(target_items, num_items)
+    exposure_ks, exposure_ndcg_k = (5, 10), 10
+    ideal = cumulative_discounts(exposure_ndcg_k)
+    cutoffs = _threshold_cutoffs(
+        test_items, target_items, num_negatives, k, exposure_ks,
+        exposure_ndcg_k, num_items,
     )
+
+    # The sampled protocol ranks gathered candidate scores; the full-catalog
+    # blocked pass runs only when something ranks against the whole catalog:
+    # the full-rank protocol, or the exposure metrics by definition.
+    sampled_tests = test_items if num_negatives is not None else None
+    full_rank_tests = test_items if num_negatives is None else None
+    score_candidates = (
+        resolve_score_candidates(score_block) if sampled_tests is not None else None
+    )
+    resolved = resolve_score_block(score_block)
+    need_blocks = full_rank_tests is not None or target_items is not None
+
+    blocks: list[_BlockMetrics] = []
+    for lo, hi in user_blocks(num_users, block_size):
+        hits = 0
+        contributions: np.ndarray | None = None
+        if score_candidates is not None and sampled_tests is not None:
+            assert num_negatives is not None
+            hits, contributions = _accuracy_block_candidates(
+                score_candidates, store, lo, hi, sampled_tests, k, num_negatives,
+                generator,
+            )
+        if not need_blocks:
+            blocks.append(
+                _BlockMetrics(
+                    hits=hits, contributions=contributions, er=None, target_ndcg=None
+                )
+            )
+            continue
+        scores = _score_block_checked(resolved, lo, hi, num_items)
+        block = _measure_block(
+            scores, lo, hi, store, full_rank_tests, target_items, k,
+            cutoffs, exposure_ks, exposure_ndcg_k, ideal,
+        )
+        if sampled_tests is not None:
+            block = _BlockMetrics(
+                hits=hits, contributions=contributions,
+                er=block.er, target_ndcg=block.target_ndcg,
+            )
+        blocks.append(block)
+    return _reduce_blocks(blocks, test_items, target_items, exposure_ks)
 
 
 def user_blocks(num_users: int, block_size: int) -> list[tuple[int, int]]:
-    """The canonical ``(lo, hi)`` block partitioning shared by both engines.
+    """The canonical ``(lo, hi)`` block partitioning of every scoring pass.
 
     Public because bit-reproducible serving depends on it: BLAS results are
     not row-stable across GEMM shapes, so any consumer that wants its floats
@@ -274,21 +245,14 @@ def user_blocks(num_users: int, block_size: int) -> list[tuple[int, int]]:
 
 
 def _score_block_checked(
-    score_block: ScoreBlockFunction,
-    lo: int,
-    hi: int,
-    num_items: int,
-    *,
-    writable: bool = True,
+    score_block: ScoreBlockFunction, lo: int, hi: int, num_items: int
 ) -> np.ndarray:
     """Score one canonical block and validate its shape *as it is produced*.
 
-    A wrong-width block used to surface only later — as a confusing
-    ``np.concatenate`` error in the loop engine, or the vectorized engine's
-    own post-hoc check — so every scoring path now funnels through this one
-    call.  ``writable=True`` additionally guarantees the caller owns a
-    writable array (the vectorized pipeline masks blocks in place); fresh
-    products pass through without a copy.
+    Every scoring pass funnels through this one call, so a wrong-width block
+    names the offending user range instead of surfacing later as a confusing
+    shape error.  The caller always owns a writable array (the pipeline
+    masks blocks in place); fresh products pass through without a copy.
     """
     users = np.arange(lo, hi, dtype=np.int64)
     scores = np.asarray(score_block(users), dtype=np.float64)
@@ -297,194 +261,9 @@ def _score_block_checked(
             f"score_block must produce a ({hi - lo}, {num_items}) matrix for "
             f"users [{lo}, {hi}), got {scores.shape}"
         )
-    if writable and (scores.base is not None or not scores.flags.writeable):
+    if scores.base is not None or not scores.flags.writeable:
         scores = scores.copy()
     return scores
-
-
-class _BlockStreamScores:
-    """Row-score callback that materialises one canonical block at a time.
-
-    Single-consumer loop evaluations (accuracy only, or exposure only) scan
-    users in ascending order, so holding the full ``(num_users, num_items)``
-    float64 matrix — which OOMs at the ml-10m shape — buys nothing.  This
-    adapter scores the canonical block containing the requested user on
-    demand and serves rows out of it until the scan moves past the block.
-    The floats are identical to the materialised path: same ``score_block``
-    calls over the same canonical partitioning, each validated as produced.
-    """
-
-    def __init__(
-        self,
-        score_block: ScoreBlockFunction,
-        num_users: int,
-        num_items: int,
-        block_size: int,
-    ) -> None:
-        self._score_block = score_block
-        self._num_users = num_users
-        self._num_items = num_items
-        self._block_size = block_size
-        self._lo = 0
-        self._hi = 0
-        self._scores = np.empty((0, num_items), dtype=np.float64)
-
-    def __call__(self, user: int) -> np.ndarray:
-        user = int(user)
-        if not self._lo <= user < self._hi:
-            lo = (user // self._block_size) * self._block_size
-            hi = min(self._num_users, lo + self._block_size)
-            self._scores = _score_block_checked(
-                self._score_block, lo, hi, self._num_items, writable=False
-            )
-            self._lo, self._hi = lo, hi
-        return self._scores[user - self._lo]
-
-
-def _evaluate_loop(
-    source: ScoreSource,
-    train: InteractionDataset,
-    test_items: np.ndarray | None,
-    target_items: np.ndarray | None,
-    k: int,
-    num_negatives: int | None,
-    rng: np.random.Generator | int | None,
-    eval_sampler: str,
-    eval_path: str,
-    block_size: int,
-) -> EvaluationResult:
-    """The per-user oracle, fed block-materialised scores.
-
-    Scores are materialised through the same ``score_block`` calls the
-    vectorized engine makes (same block boundaries), then handed to the
-    per-user loop metrics as a row-indexing callback — streamed one block at
-    a time when only a single consumer needs them, concatenated only when
-    both accuracy and exposure read the same scores.  Under
-    ``eval_sampler="batched"`` the sampled protocol's negatives are predrawn
-    here — one stacked draw per block, blocks in user order, exactly the
-    stream consumption of the vectorized engine — and the per-user pass only
-    ranks them.  Under ``eval_path="candidates"`` the sampled accuracy pass
-    never block-scores at all: it draws the same negatives, scores them
-    through the same ``score_candidates`` calls as the vectorized engine,
-    and ranks each user in its own Python loop — a genuine oracle for the
-    candidate-gather path.
-    """
-    generator = ensure_rng(rng)
-    resolved = resolve_score_block(source)
-    gather = (
-        test_items is not None and num_negatives is not None
-        and eval_path == "candidates"
-    )
-    accuracy_needs_blocks = test_items is not None and not gather
-    score_fn: Callable[[int], np.ndarray] | None = None
-    if accuracy_needs_blocks and target_items is not None:
-        # Two consumers scan the same scores; materialise once.
-        scores = np.concatenate(
-            [
-                _score_block_checked(resolved, lo, hi, train.num_items, writable=False)
-                for lo, hi in user_blocks(train.num_users, block_size)
-            ],
-            axis=0,
-        )
-        score_fn = lambda user: scores[user]  # noqa: E731 - tiny adapter
-    elif accuracy_needs_blocks or target_items is not None:
-        score_fn = _BlockStreamScores(
-            resolved, train.num_users, train.num_items, block_size
-        )
-    accuracy: AccuracyReport | None = None
-    if test_items is not None and num_negatives is not None and gather:
-        accuracy = _loop_accuracy_candidates(
-            source, train, test_items, k, num_negatives, generator,
-            eval_sampler, block_size,
-        )
-    elif test_items is not None and score_fn is not None:
-        predrawn = None
-        if num_negatives is not None and eval_sampler == "batched":
-            predrawn = _predraw_batched_negatives(
-                train, _validate_test_items(test_items, train.num_users, k),
-                num_negatives, generator, block_size,
-            )
-        accuracy = evaluate_accuracy(
-            score_fn, train, test_items, k=k, num_negatives=num_negatives,
-            rng=generator, predrawn_negatives=predrawn,
-        )
-    exposure = (
-        evaluate_exposure(score_fn, train, target_items)
-        if target_items is not None and score_fn is not None
-        else None
-    )
-    return EvaluationResult(accuracy=accuracy, exposure=exposure)
-
-
-def _loop_accuracy_candidates(
-    source: ScoreSource,
-    train: InteractionDataset,
-    test_items: np.ndarray,
-    k: int,
-    num_negatives: int,
-    generator: np.random.Generator,
-    eval_sampler: str,
-    block_size: int,
-) -> AccuracyReport:
-    """The loop oracle's sampled accuracy pass under ``eval_path="candidates"``.
-
-    Draws and scores exactly like the vectorized candidates pass (same
-    stream order, same ``score_candidates`` calls over the same rectangular
-    sets, hence identical floats) but ranks each user with its own scalar
-    comparison loop.  The per-user contributions are collected in user order
-    and reduced with the same ``np.sum`` over the same concatenation as the
-    vectorized reducer, so the engines stay bit-identical by construction.
-    """
-    test_items = _validate_test_items(test_items, train.num_users, k)
-    store = train.interaction_store()
-    score_candidates = resolve_score_candidates(source)
-    hits = 0
-    parts: list[np.ndarray] = []
-    for lo, hi in user_blocks(train.num_users, block_size):
-        block_hits, contributions = _accuracy_block_candidates(
-            score_candidates, store, lo, hi, test_items, k, num_negatives,
-            generator, eval_sampler, per_user_ranks=True,
-        )
-        hits += block_hits
-        parts.append(contributions)
-    evaluated = int(sum(part.shape[0] for part in parts))
-    ndcg_sum = float(np.sum(np.concatenate(parts))) if parts else 0.0
-    return AccuracyReport(
-        hr_at_10=float(hits) / evaluated if evaluated else 0.0,
-        ndcg_at_10=ndcg_sum / evaluated if evaluated else 0.0,
-        num_evaluated_users=evaluated,
-    )
-
-
-def _predraw_batched_negatives(
-    train: InteractionDataset,
-    test_items: np.ndarray,
-    num_negatives: int,
-    generator: np.random.Generator,
-    block_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Consume the batched evaluation stream for every block upfront.
-
-    Returns the whole population's ranking negatives as one ``(values,
-    offsets)`` CSR pair indexed by user id.  The stream consumption — one
-    stacked :func:`draw_ranking_negatives_batched` call per block, blocks in
-    user order — is identical to the vectorized engine's interleaved
-    draws, which is what keeps the loop engine the equivalence oracle for
-    the batched stream too.
-    """
-    store = train.interaction_store()
-    values_parts: list[np.ndarray] = []
-    counts_parts: list[np.ndarray] = []
-    for lo, hi in user_blocks(train.num_users, block_size):
-        values, offsets = draw_ranking_negatives_batched(
-            generator, store, np.arange(lo, hi, dtype=np.int64),
-            test_items[lo:hi], num_negatives,
-        )
-        values_parts.append(values)
-        counts_parts.append(np.diff(offsets))
-    all_offsets = np.zeros(train.num_users + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts_parts), out=all_offsets[1:])
-    return np.concatenate(values_parts), all_offsets
 
 
 def _top_k_thresholds(masked: np.ndarray, cutoffs: Sequence[int]) -> dict[int, np.ndarray]:
@@ -548,7 +327,7 @@ def _membership(
 class _BlockMetrics:
     """Every metric contribution of one canonical user block.
 
-    The unit the vectorized engine reduces over — and the unit
+    The unit :func:`evaluate_snapshot` reduces over — and the unit
     :class:`~repro.metrics.topk_cache.TopKCache` caches between evaluation
     epochs: a block whose users' factors did not change contributes the
     bit-identical ``_BlockMetrics`` it contributed last epoch, so caching
@@ -599,31 +378,22 @@ def _measure_block(
     exposure_ks: tuple[int, int],
     exposure_ndcg_k: int,
     ideal: np.ndarray,
-    *,
-    num_negatives: int | None = None,
-    generator: np.random.Generator | None = None,
-    eval_sampler: str = "per-user",
-    sampled_result: tuple[int, np.ndarray] | None = None,
 ) -> _BlockMetrics:
     """Mask, rank and measure one fresh pre-mask score block.
 
-    The single per-block pipeline shared by :func:`_evaluate_vectorized`
-    and the incremental :class:`~repro.metrics.topk_cache.TopKCache` (which
-    calls it with the full-rank protocol only): positives are masked to
-    ``-inf`` in place, raw test/target gathers happen at the documented
-    points relative to the in-place partition, and the block's metric
-    contributions come back as one :class:`_BlockMetrics`.  Under the
-    sampled protocol, ``sampled_result`` carries a precomputed
-    ``(hits, contributions)`` pair from the candidate-gather pass —
-    otherwise the block-path sampled helpers draw and rank here, reading
-    candidate scores out of the masked matrix.
+    The single per-block pipeline shared by :func:`evaluate_snapshot` and
+    the incremental :class:`~repro.metrics.topk_cache.TopKCache`:
+    positives are masked to ``-inf`` in place, raw test/target gathers
+    happen at the documented points relative to the in-place partition, and
+    the block's full-rank accuracy (``test_items``; ``None`` under the
+    sampled protocol, which ranks gathered candidates instead) and exposure
+    contributions come back as one :class:`_BlockMetrics`.
     """
     mask_block = store.masks[lo:hi]
     indptr, indices = store.indptr, store.indices
 
-    # Raw-score gathers happen before masking: the loop oracle reads the
-    # test item's *unmasked* score, and sampled negatives are never
-    # positives, so everything else survives the in-place write.
+    # Raw-score gathers happen before masking: the reference ranks the test
+    # item's *unmasked* score.
     block_tests = test_items[lo:hi] if test_items is not None else None
     valid = np.flatnonzero(block_tests >= 0) if block_tests is not None else None
     test_scores = (
@@ -639,29 +409,15 @@ def _measure_block(
     )
     scores[masked_rows, masked_cols] = -np.inf
 
-    # Everything that needs score *positions* runs before the in-place
-    # partition reorders the rows: the sampled protocol reads the drawn
-    # negatives' scores, the exposure metrics the targets' columns.
-    hits = 0
-    contributions: np.ndarray | None = None
-    if block_tests is not None and num_negatives is not None:
-        if sampled_result is not None:
-            hits, contributions = sampled_result
-        elif generator is not None and eval_sampler == "batched":
-            hits, contributions = _accuracy_block_sampled_batched(
-                scores, valid, test_scores, block_tests, lo, hi, k,
-                num_negatives, generator, store,
-            )
-        elif generator is not None:
-            hits, contributions = _accuracy_block_sampled(
-                scores, valid, test_scores, block_tests, lo, k,
-                num_negatives, generator, store,
-            )
+    # The exposure metrics read the targets' columns before the in-place
+    # partition reorders the rows.
     target_scores = scores[:, target_items] if target_items is not None else None
 
     thresholds = _top_k_thresholds(scores, cutoffs)
 
-    if block_tests is not None and num_negatives is None:
+    hits = 0
+    contributions: np.ndarray | None = None
+    if block_tests is not None:
         hits, contributions = _accuracy_block_full(
             scores, valid, test_scores, thresholds, k
         )
@@ -689,8 +445,8 @@ def _reduce_blocks(
     """Reduce per-block contributions into the final reports.
 
     Concatenates the per-block arrays in block order and reduces with the
-    same ``np.sum`` / ``np.mean`` calls the engines always used — which is
-    what lets a cached block's :class:`_BlockMetrics` stand in for a
+    same ``np.sum`` / ``np.mean`` calls as the per-user reference — which is
+    also what lets a cached block's :class:`_BlockMetrics` stand in for a
     recomputed one bit-identically.
     """
     accuracy = None
@@ -729,78 +485,6 @@ def _reduce_blocks(
     return EvaluationResult(accuracy=accuracy, exposure=exposure)
 
 
-def _evaluate_vectorized(
-    source: ScoreSource,
-    train: InteractionDataset,
-    test_items: np.ndarray | None,
-    target_items: np.ndarray | None,
-    k: int,
-    num_negatives: int | None,
-    rng: np.random.Generator | int | None,
-    eval_sampler: str,
-    eval_path: str,
-    block_size: int,
-    exposure_ks: tuple[int, int] = (5, 10),
-    exposure_ndcg_k: int = 10,
-) -> EvaluationResult:
-    """Single blocked pass computing every requested metric."""
-    store = train.interaction_store()
-    num_users, num_items = store.num_users, store.num_items
-    generator = ensure_rng(rng)
-    if test_items is not None:
-        test_items = _validate_test_items(test_items, num_users, k)
-    if target_items is not None:
-        target_items = _validate_targets(target_items, num_items)
-    ideal = cumulative_discounts(exposure_ndcg_k)
-    cutoffs = _threshold_cutoffs(
-        test_items, target_items, num_negatives, k, exposure_ks,
-        exposure_ndcg_k, num_items,
-    )
-
-    sampled = test_items is not None and num_negatives is not None
-    gather = sampled and eval_path == "candidates"
-    score_candidates = resolve_score_candidates(source) if gather else None
-    resolved = resolve_score_block(source)
-    # The full-catalog blocked pass survives whenever anything still needs
-    # it: the "block" sampled path gathers candidate columns from it, the
-    # full-rank protocol ranks against it, and the exposure metrics rank
-    # the whole catalog by definition.  A pure candidates-path accuracy
-    # evaluation skips it entirely — that is the point of the switch.
-    need_blocks = (
-        eval_path == "block"
-        or (test_items is not None and num_negatives is None)
-        or target_items is not None
-    )
-
-    blocks: list[_BlockMetrics] = []
-    for lo, hi in user_blocks(num_users, block_size):
-        sampled_result = None
-        if gather and score_candidates is not None and test_items is not None and num_negatives is not None:
-            sampled_result = _accuracy_block_candidates(
-                score_candidates, store, lo, hi, test_items, k, num_negatives,
-                generator, eval_sampler, per_user_ranks=False,
-            )
-        if need_blocks:
-            scores = _score_block_checked(resolved, lo, hi, num_items)
-            blocks.append(
-                _measure_block(
-                    scores, lo, hi, store, test_items, target_items, k,
-                    cutoffs, exposure_ks, exposure_ndcg_k, ideal,
-                    num_negatives=num_negatives, generator=generator,
-                    eval_sampler=eval_sampler, sampled_result=sampled_result,
-                )
-            )
-        elif sampled_result is not None:
-            block_hits, contributions = sampled_result
-            blocks.append(
-                _BlockMetrics(
-                    hits=block_hits, contributions=contributions,
-                    er=None, target_ndcg=None,
-                )
-            )
-    return _reduce_blocks(blocks, test_items, target_items, exposure_ks)
-
-
 def _accuracy_block_full(
     partitioned: np.ndarray,
     valid: np.ndarray,
@@ -813,10 +497,10 @@ def _accuracy_block_full(
     ``partitioned`` is the block's masked score matrix after the in-place
     partition — row-reordered but value-preserving, which is all the exact
     rank count needs.  ``test_scores`` are the *raw* test-item scores
-    gathered before masking (the loop oracle reads the unmasked score too).
-    Returns the block's hit count and the per-evaluated-user NDCG
-    contributions (0 for misses), in user order — the same values the loop
-    oracle appends one by one.
+    gathered before masking (the per-user reference reads the unmasked score
+    too).  Returns the block's hit count and the per-evaluated-user NDCG
+    contributions (0 for misses), in user order — the same values the
+    per-user reference appends one by one.
     """
     num_items = partitioned.shape[1]
     contributions = np.zeros(valid.shape[0], dtype=np.float64)
@@ -832,160 +516,38 @@ def _accuracy_block_full(
     return block_hits, contributions
 
 
-def _accuracy_block_sampled(
-    masked: np.ndarray,
-    valid: np.ndarray,
-    test_scores: np.ndarray,
-    block_tests: np.ndarray,
-    block_start: int,
-    k: int,
-    num_negatives: int,
-    generator: np.random.Generator,
-    store: InteractionStore,
-) -> tuple[int, np.ndarray]:
-    """Sampled-protocol HR/NDCG contributions of one user block.
-
-    Runs *before* the block's partition: it reads scores at the drawn
-    negatives' positions (never positives, so the in-place masking left
-    them untouched).  Negatives are drawn per user in user order through
-    :func:`draw_ranking_negatives` — the identical RNG consumption of the
-    loop oracle.
-    """
-    contributions = np.zeros(valid.shape[0], dtype=np.float64)
-    block_hits = 0
-    for position in range(valid.shape[0]):
-        user = block_start + int(valid[position])
-        negatives = draw_ranking_negatives(
-            generator, store, user, int(block_tests[valid[position]]), num_negatives
-        )
-        rank = 1 + int(
-            np.sum(masked[valid[position], negatives] > test_scores[position])
-        )
-        if rank <= k:
-            block_hits += 1
-            contributions[position] = 1.0 / float(np.log2(rank + 1.0))
-    return block_hits, contributions
-
-
-def _accuracy_block_sampled_batched(
-    masked: np.ndarray,
-    valid: np.ndarray,
-    test_scores: np.ndarray,
-    block_tests: np.ndarray,
-    block_start: int,
-    block_stop: int,
-    k: int,
-    num_negatives: int,
-    generator: np.random.Generator,
-    store: InteractionStore,
-) -> tuple[int, np.ndarray]:
-    """Sampled-protocol HR/NDCG of one block under the batched stream.
-
-    One stacked :func:`draw_ranking_negatives_batched` call replaces the
-    per-user draw loop, and one blocked broadcast comparison replaces the
-    per-user ``_sampled_rank`` calls.  Runs *before* the block's partition:
-    it reads scores at the drawn negatives' positions (never positives, so
-    the in-place masking left them untouched).  Because the draw is with
-    replacement, every valid user's candidate segment has exactly
-    ``num_negatives`` entries — except saturated users (positives + test
-    item cover the catalog), whose empty segment yields rank 1 exactly like
-    the per-user give-up.  The gather below is driven by the stream's own
-    CSR offsets rather than a blind reshape, so a drawer that violates the
-    segment invariant (a short segment, or negatives attached to an invalid
-    user) is a hard :class:`~repro.exceptions.ModelError`, never a silent
-    row-misalignment of every subsequent user's candidates.
-    """
-    contributions = np.zeros(valid.shape[0], dtype=np.float64)
-    users = np.arange(block_start, block_stop, dtype=np.int64)
-    negatives, offsets = draw_ranking_negatives_batched(
-        generator, store, users, block_tests, num_negatives
-    )
-    counts = np.diff(offsets)
-    if valid.shape[0] == 0:
-        return 0, contributions
-    segment_lengths = counts[valid]
-    full = np.flatnonzero(segment_lengths == num_negatives)
-    saturated = np.flatnonzero(segment_lengths == 0)
-    if full.shape[0] + saturated.shape[0] != valid.shape[0]:
-        raise ModelError(
-            "batched ranking-negative segments must be empty (saturated "
-            f"user) or exactly num_negatives={num_negatives} long, got "
-            f"segment lengths {np.unique(segment_lengths).tolist()}"
-        )
-    # Saturated users rank their test item against nothing: rank 1, a hit.
-    block_hits = int(saturated.shape[0])
-    contributions[saturated] = 1.0  # 1 / log2(1 + 1)
-    if full.shape[0] > 0:
-        starts = offsets[:-1][valid[full]]
-        candidate_sets = negatives[
-            starts[:, None] + np.arange(num_negatives, dtype=np.int64)[None, :]
-        ]
-        rows = valid[full]
-        candidate_scores = masked[rows[:, None], candidate_sets]
-        ranks = 1 + np.count_nonzero(
-            candidate_scores > test_scores[full][:, None], axis=1
-        )
-        hit = ranks <= k
-        block_hits += int(np.count_nonzero(hit))
-        contributions[full[hit]] = 1.0 / np.log2(ranks[hit] + 1.0)
-    return block_hits, contributions
-
-
-def _accuracy_block_candidates(
+def _block_candidate_scores(
     score_candidates: ScoreCandidatesFunction,
     store: InteractionStore,
     block_start: int,
     block_stop: int,
     test_items: np.ndarray,
-    k: int,
     num_negatives: int,
     generator: np.random.Generator,
-    eval_sampler: str,
-    *,
-    per_user_ranks: bool,
-) -> tuple[int, np.ndarray]:
-    """Sampled-protocol HR/NDCG of one block through candidate gathers.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one block's ranking negatives and score its candidate sets.
 
-    The ``eval_path="candidates"`` realization: draws the block's negatives
-    exactly like the block path (same stream, same order — per-user draws
-    for valid users in user order, or one stacked batched draw over the
-    whole block), assembles the rectangular ``(B_full, 1 + num_negatives)``
-    candidate-id sets with the test item in column 0, scores them in **one**
-    ``score_candidates`` call, and counts each test item's rank among its
-    own negatives.  Saturated users (empty draw) rank 1 — the same give-up
-    as both block-path helpers.  ``per_user_ranks=True`` is the loop
-    oracle: identical draws and scoring calls, but every rank and
-    contribution comes from its own scalar comparison loop.
+    One stacked :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched`
+    call draws the whole block's negatives; the rectangular
+    ``(B_full, 1 + num_negatives)`` candidate-id sets, test item in column
+    0, are scored in **one** ``score_candidates`` call.  Returns ``(valid,
+    full, saturated, candidate_scores)``: the block positions of the users
+    with a test item, the indices into ``valid`` of the users with a full
+    candidate set (the rows of ``candidate_scores``), and of the saturated
+    users whose positives plus test item cover the catalog (empty draw).
 
     Segment lengths are validated against the ``{0, num_negatives}``
-    invariant exactly like the batched block path — short segments fail
-    loudly instead of corrupting the rectangular gather.
+    invariant — a drawer violating it (a short segment, or negatives
+    attached to an invalid user) is a hard :class:`ModelError`, never a
+    silent row-misalignment of every later user's candidates.
     """
     block_tests = test_items[block_start:block_stop]
     valid = np.flatnonzero(block_tests >= 0)
-    contributions = np.zeros(valid.shape[0], dtype=np.float64)
-    if eval_sampler == "batched":
-        users = np.arange(block_start, block_stop, dtype=np.int64)
-        negatives, offsets = draw_ranking_negatives_batched(
-            generator, store, users, block_tests, num_negatives
-        )
-        if valid.shape[0] == 0:
-            return 0, contributions
-        segment_lengths = np.diff(offsets)[valid]
-        segment_starts = offsets[:-1][valid]
-    else:
-        if valid.shape[0] == 0:
-            return 0, contributions
-        per_user = [
-            draw_ranking_negatives(
-                generator, store, block_start + int(position),
-                int(block_tests[position]), num_negatives,
-            )
-            for position in valid
-        ]
-        segment_lengths = np.array([seg.shape[0] for seg in per_user], dtype=np.int64)
-        negatives = np.concatenate(per_user) if per_user else np.empty(0, dtype=np.int64)
-        segment_starts = np.concatenate(([0], np.cumsum(segment_lengths[:-1])))
+    users = np.arange(block_start, block_stop, dtype=np.int64)
+    negatives, offsets = draw_ranking_negatives_batched(
+        generator, store, users, block_tests, num_negatives
+    )
+    segment_lengths = np.diff(offsets)[valid]
     full = np.flatnonzero(segment_lengths == num_negatives)
     saturated = np.flatnonzero(segment_lengths == 0)
     if full.shape[0] + saturated.shape[0] != valid.shape[0]:
@@ -994,15 +556,12 @@ def _accuracy_block_candidates(
             f"exactly num_negatives={num_negatives} long, got segment "
             f"lengths {np.unique(segment_lengths).tolist()}"
         )
-    # Saturated users rank their test item against nothing: rank 1, a hit.
-    block_hits = int(saturated.shape[0])
-    contributions[saturated] = 1.0  # 1 / log2(1 + 1)
-    if full.shape[0] == 0:
-        return block_hits, contributions
     candidate_sets = np.empty((full.shape[0], 1 + num_negatives), dtype=np.int64)
+    if full.shape[0] == 0:
+        return valid, full, saturated, np.empty(candidate_sets.shape, dtype=np.float64)
     candidate_sets[:, 0] = block_tests[valid[full]]
     candidate_sets[:, 1:] = negatives[
-        segment_starts[full][:, None]
+        offsets[:-1][valid[full]][:, None]
         + np.arange(num_negatives, dtype=np.int64)[None, :]
     ]
     full_users = block_start + valid[full].astype(np.int64)
@@ -1014,21 +573,40 @@ def _accuracy_block_candidates(
             f"score_candidates must produce a {candidate_sets.shape} matrix, "
             f"got {candidate_scores.shape}"
         )
-    if per_user_ranks:
-        for index in range(full.shape[0]):
-            rank = 1 + int(
-                np.sum(candidate_scores[index, 1:] > candidate_scores[index, 0])
-            )
-            if rank <= k:
-                block_hits += 1
-                contributions[full[index]] = 1.0 / float(np.log2(rank + 1.0))
-    else:
-        ranks = 1 + np.count_nonzero(
-            candidate_scores[:, 1:] > candidate_scores[:, :1], axis=1
-        )
-        hit = ranks <= k
-        block_hits += int(np.count_nonzero(hit))
-        contributions[full[hit]] = 1.0 / np.log2(ranks[hit] + 1.0)
+    return valid, full, saturated, candidate_scores
+
+
+def _accuracy_block_candidates(
+    score_candidates: ScoreCandidatesFunction,
+    store: InteractionStore,
+    block_start: int,
+    block_stop: int,
+    test_items: np.ndarray,
+    k: int,
+    num_negatives: int,
+    generator: np.random.Generator,
+) -> tuple[int, np.ndarray]:
+    """Sampled-protocol HR/NDCG of one block through candidate gathers.
+
+    Counts each test item's rank among its own drawn negatives (see
+    :func:`_block_candidate_scores`) in one broadcast comparison.
+    Saturated users rank their test item against nothing: rank 1, a hit.
+    Returns the block's hit count and the per-evaluated-user NDCG
+    contributions (0 for misses), in user order.
+    """
+    valid, full, saturated, candidate_scores = _block_candidate_scores(
+        score_candidates, store, block_start, block_stop, test_items,
+        num_negatives, generator,
+    )
+    contributions = np.zeros(valid.shape[0], dtype=np.float64)
+    block_hits = int(saturated.shape[0])
+    contributions[saturated] = 1.0  # 1 / log2(1 + 1)
+    ranks = 1 + np.count_nonzero(
+        candidate_scores[:, 1:] > candidate_scores[:, :1], axis=1
+    )
+    hit = ranks <= k
+    block_hits += int(np.count_nonzero(hit))
+    contributions[full[hit]] = 1.0 / np.log2(ranks[hit] + 1.0)
     return block_hits, contributions
 
 
@@ -1046,8 +624,9 @@ def _exposure_block(
 
     ``target_scores`` is the ``(B, T)`` gather of the masked target columns
     taken before the partition (interacted targets read ``-inf``, exactly
-    like the loop oracle's masked row); ``partitioned`` is the row-reordered
-    masked matrix, used only for the value-multiset rank counts.  Returns
+    like the per-user reference's masked row); ``partitioned`` is the
+    row-reordered masked matrix, used only for the value-multiset rank
+    counts.  Returns
     ``(per-cutoff ER contributions, target-NDCG contributions)`` in user
     order, or ``None`` when no user in the block contributes (every target
     already interacted) — the caller appends nothing then, exactly like the

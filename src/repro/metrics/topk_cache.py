@@ -5,23 +5,24 @@ though, between two evaluation epochs, only the ``U``-rows of the clients
 that actually trained changed (and ``V``/``Theta`` only when a non-empty
 round was applied).  :class:`TopKCache` exploits that: it keeps the
 per-block top-K threshold outcomes — the
-:class:`~repro.metrics.evaluation._BlockMetrics` units the vectorized
-engine reduces over — between calls and rescores **only the canonical
-blocks containing a dirty user**.  When the item factors changed, every
+:class:`~repro.metrics.evaluation._BlockMetrics` units
+:func:`~repro.metrics.evaluation.evaluate_snapshot` reduces over — between
+calls and rescores **only the canonical blocks containing a dirty user**.  When the item factors changed, every
 score row changed, so the cache drops to a full pass.
 
 Bit-identity to a cold :func:`~repro.metrics.evaluation.evaluate_snapshot`
 holds *by construction*, not by luck:
 
-* rescored blocks run the exact per-block pipeline of the vectorized
-  engine (:func:`~repro.metrics.evaluation._measure_block` over
+* rescored blocks run the exact per-block pipeline of
+  :func:`~repro.metrics.evaluation.evaluate_snapshot`
+  (:func:`~repro.metrics.evaluation._measure_block` over
   :func:`~repro.metrics.evaluation._score_block_checked` blocks of the
   canonical :func:`~repro.metrics.evaluation.user_blocks` partitioning),
 * clean blocks reuse metrics computed from scores a cold pass would
   reproduce bit-for-bit (unchanged ``U``-rows times unchanged ``V`` through
   the same whole-block call — BLAS results are shape-stable for identical
   inputs),
-* the reduction is the engines' own
+* the reduction is the evaluation's own
   :func:`~repro.metrics.evaluation._reduce_blocks`.
 
 The dirty bookkeeping is fed from

@@ -12,7 +12,6 @@ from repro.models.losses import (
     bpr_coefficients_batched,
     bpr_loss,
     bpr_loss_and_gradients,
-    bpr_loss_and_gradients_batched,
     BatchedBPRCoefficients,
     BatchedBPRGradients,
     BPRGradients,
@@ -32,7 +31,6 @@ __all__ = [
     "BatchedBPRCoefficients",
     "bpr_loss",
     "bpr_loss_and_gradients",
-    "bpr_loss_and_gradients_batched",
     "bpr_coefficients_batched",
     "sigmoid",
 ]

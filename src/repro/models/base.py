@@ -20,7 +20,6 @@ on concrete model classes — repro-lint R8 enforces exactly that outside
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import Protocol, runtime_checkable
 
@@ -172,29 +171,6 @@ class Recommender(ABC):
     @abstractmethod
     def score_items(self, user_vector: np.ndarray, items: np.ndarray | None = None) -> np.ndarray:
         """Predicted rating scores of ``items`` (all items if ``None``)."""
-
-    def score_block(self, user_vectors: np.ndarray, /) -> np.ndarray:
-        """Score a whole block of user *vectors* against the full catalog.
-
-        .. deprecated::
-            This is the legacy duck-typed fallback — ``user_vectors`` has
-            shape ``(B, k)`` and the result shape ``(B, num_items)``, scored
-            row by row.  New scorers implement the id-based
-            :meth:`ScorerProtocol.score_block` instead (as
-            :class:`~repro.models.mf.MatrixFactorizationModel` does), which
-            is what the evaluation engine and the serving layer dispatch on.
-            This shim survives so existing vector-based subclasses keep
-            working, but it warns.
-        """
-        warnings.warn(
-            "the generic Recommender.score_block(user_vectors) fallback is "
-            "deprecated; implement the id-based "
-            "ScorerProtocol.score_block(users) surface instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        user_vectors = np.atleast_2d(np.asarray(user_vectors, dtype=np.float64))
-        return np.stack([self.score_items(vector) for vector in user_vectors])
 
     def recommend(
         self,

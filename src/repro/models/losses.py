@@ -28,7 +28,6 @@ __all__ = [
     "sigmoid",
     "bpr_loss",
     "bpr_loss_and_gradients",
-    "bpr_loss_and_gradients_batched",
     "bpr_coefficients_batched",
     "BPRGradients",
     "BatchedBPRGradients",
@@ -267,14 +266,6 @@ class BatchedBPRCoefficients:
     coefficients: np.ndarray
     segment_offsets: np.ndarray
 
-    @property
-    def owners(self) -> np.ndarray:
-        """For every coefficient, the segment (user row) it belongs to."""
-        num_segments = self.segment_offsets.shape[0] - 1
-        return np.repeat(
-            np.arange(num_segments, dtype=np.int64), np.diff(self.segment_offsets)
-        )
-
 
 def bpr_coefficients_batched(
     user_vectors: np.ndarray,
@@ -286,12 +277,17 @@ def bpr_coefficients_batched(
 ) -> BatchedBPRCoefficients:
     """Losses, user gradients and *factored* item gradients for many users.
 
-    Computes everything :func:`bpr_loss_and_gradients_batched` does except the
-    materialised ``(nnz, k)`` gradient-row array: the item gradient comes back
-    as folded per-(user, item) coefficients (see
-    :class:`BatchedBPRCoefficients`).  With ``l2_reg > 0`` the implied row is
-    ``c_bj * u_b + 2 * l2_reg * v_j``; the regularisation contributions to the
-    losses and user gradients are included here.
+    Semantically equivalent to calling :func:`bpr_loss_and_gradients` once
+    per user (up to floating-point summation order), but computed with
+    stacked numpy operations: one GEMM for all pairwise scores, one
+    margin/coefficient computation over every ``(j, k)`` pair, one sort that
+    folds the coefficients per (user, item), and one sparse-matrix product
+    for the user-vector gradients.  The ``(nnz, k)`` gradient-row array is
+    never materialised: the item gradient comes back as folded
+    per-(user, item) coefficients (see :class:`BatchedBPRCoefficients`).
+    With ``l2_reg > 0`` the implied row is ``c_bj * u_b + 2 * l2_reg * v_j``;
+    the regularisation contributions to the losses and user gradients are
+    included here.
     """
     user_vectors = np.asarray(user_vectors, dtype=np.float64)
     positives, negatives = _validate_pairs(positives, negatives)
@@ -355,61 +351,6 @@ def bpr_coefficients_batched(
         item_ids=item_ids,
         coefficients=folded,
         segment_offsets=segment_offsets,
-    )
-
-
-def bpr_loss_and_gradients_batched(
-    user_vectors: np.ndarray,
-    item_factors: np.ndarray,
-    segment_ids: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-    l2_reg: float = 0.0,
-) -> BatchedBPRGradients:
-    """Losses and gradients of the BPR objective for many users in one shot.
-
-    Semantically equivalent to calling :func:`bpr_loss_and_gradients` once per
-    user and concatenating the results (up to floating-point summation order),
-    but computed with stacked numpy operations: one GEMM for all pairwise
-    scores, one margin/coefficient computation over every ``(j, k)`` pair, one
-    sort that folds the coefficients per (user, item), and one sparse-matrix
-    product for the user-vector gradients.  A user's gradient row for positive
-    ``j`` is ``coeff * u`` and for negative ``l`` is ``-coeff * u``, so the
-    sorted rows are materialised directly from the folded coefficients
-    computed by :func:`bpr_coefficients_batched` — callers that can consume
-    the factored form directly should use that function instead and skip the
-    ``(nnz, k)`` row array entirely.
-
-    Parameters
-    ----------
-    user_vectors:
-        Stacked private user vectors, shape ``(num_segments, k)``.
-    item_factors:
-        The shared item matrix ``V``, shape ``(num_items, k)``.
-    segment_ids:
-        For every (positive, negative) pair, the row of ``user_vectors`` it
-        belongs to, shape ``(n,)``.  Must be sorted or at least grouped per
-        user for the output segments to align with ``user_vectors`` order
-        (the round engine always builds them sorted).
-    positives, negatives:
-        Aligned item-id arrays of the pairs of Eq. (4), shape ``(n,)``.
-    l2_reg:
-        Optional L2 regularisation (same convention as the per-user form).
-    """
-    user_vectors = np.asarray(user_vectors, dtype=np.float64)
-    factored = bpr_coefficients_batched(
-        user_vectors, item_factors, segment_ids, positives, negatives, l2_reg=l2_reg
-    )
-    grad_rows = user_vectors[factored.owners]
-    grad_rows *= factored.coefficients[:, None]
-    if l2_reg > 0.0:
-        grad_rows = grad_rows + 2.0 * l2_reg * item_factors[factored.item_ids]
-    return BatchedBPRGradients(
-        losses=factored.losses,
-        grad_users=factored.grad_users,
-        item_ids=factored.item_ids,
-        grad_rows=grad_rows,
-        segment_offsets=factored.segment_offsets,
     )
 
 

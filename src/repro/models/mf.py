@@ -163,8 +163,7 @@ class MatrixFactorizationModel(Recommender):
         — ``B * C * k`` multiply-adds instead of the ``B * n_items * k`` of
         :meth:`score_block`.  This is the
         :class:`~repro.models.base.CandidateScorerProtocol` surface the
-        sampled evaluation protocol's ``eval_path="candidates"`` dispatches
-        through.
+        sampled evaluation protocol dispatches through.
         """
         users, candidate_items = check_candidate_sets(
             users, candidate_items, n_users=self._num_users, n_items=self._num_items

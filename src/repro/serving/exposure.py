@@ -28,8 +28,6 @@ __all__ = ["exposure_under_serving"]
 def exposure_under_serving(
     service: RecommenderService,
     target_items: np.ndarray,
-    *,
-    engine: str = "vectorized",
 ) -> ExposureReport:
     """Target-item exposure of the recommendations the service actually serves.
 
@@ -40,9 +38,6 @@ def exposure_under_serving(
         (they define which users count as non-interacted per target).
     target_items:
         The attack's target item ids.
-    engine:
-        Evaluation engine (both produce identical exposure numbers; the
-        switch exists for cross-checking).
     """
     train = service.train
     if train is None:
@@ -55,7 +50,6 @@ def exposure_under_serving(
         train,
         target_items=np.asarray(target_items, dtype=np.int64),
         rng=0,
-        engine=engine,
         block_size=service.block_size,
     )
     assert result.exposure is not None  # target_items were given

@@ -142,8 +142,8 @@ class FactorSnapshot:
         Delegates to the cached :meth:`model` — the MF einsum or the MLP
         gathered forward, depending on whether a scorer is present — so a
         snapshot is a :class:`~repro.models.base.CandidateScorerProtocol`
-        source wherever a model is (the sampled evaluation protocol's
-        ``eval_path="candidates"`` fast path included).
+        source wherever a model is (the sampled evaluation protocol
+        included).
         """
         return self.model().score_candidates(users, candidate_items)
 

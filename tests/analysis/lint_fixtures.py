@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 import pytest
 
 from repro.analysis import Report, run_analysis
+from repro.analysis.rules import parity
 
 _FEDERATED_CONFIG = '''\
 """Protocol switches (fixture)."""
@@ -243,3 +244,20 @@ def messages(report: Report) -> list[str]:
 def clean_root(tmp_path: Path) -> Path:
     """A fixture project that lints clean."""
     return write_tree(tmp_path, CLEAN_TREE)
+
+
+#: The fixture project's equivalence suites.  R2 reads them from its
+#: module-level registry, whose real entries describe this repository (which
+#: no longer has ``engine`` or ``sampler`` switches), so every fixture test
+#: registers the fixture project's own entries while it runs.
+FIXTURE_EQUIVALENCE_SUITES: dict[str, tuple[str, ...]] = {
+    "engine": ("tests/test_federated_engine_equivalence.py",),
+    "sampler": ("tests/test_federated_engine_equivalence.py",),
+}
+
+
+@pytest.fixture(autouse=True)
+def fixture_equivalence_suites(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Register :data:`FIXTURE_EQUIVALENCE_SUITES` with R2 for one test."""
+    for name, suites in FIXTURE_EQUIVALENCE_SUITES.items():
+        monkeypatch.setitem(parity.EQUIVALENCE_SUITES, name, suites)

@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from lint_fixtures import CLEAN_TREE, clean_root, write_tree  # noqa: F401
+from lint_fixtures import (  # noqa: F401
+    CLEAN_TREE,
+    clean_root,
+    fixture_equivalence_suites,
+    write_tree,
+)
 from repro.analysis.cli import main
 
 

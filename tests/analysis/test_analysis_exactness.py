@@ -1,4 +1,4 @@
-"""R4 bit-exactness: equivalence/fusion/golden suites assert exact equality."""
+"""R4 bit-exactness: equivalence/golden suites assert exact equality."""
 
 from __future__ import annotations
 
@@ -32,17 +32,6 @@ def test_approx_flagged_in_equivalence_suite(tmp_path) -> None:
     )
     assert len(found) == 1
     assert "approx" in found[0]
-
-
-def test_isclose_flagged_in_fusion_suite(tmp_path) -> None:
-    found = _lint_file(
-        tmp_path,
-        "tests/test_federated_fusion.py",
-        "import numpy as np\n\n\n"
-        "def test_fused(a, b):\n"
-        "    assert np.isclose(a, b)\n",
-    )
-    assert len(found) == 1
 
 
 def test_exact_asserts_clean(tmp_path) -> None:

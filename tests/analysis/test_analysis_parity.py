@@ -9,6 +9,7 @@ from __future__ import annotations
 from lint_fixtures import (  # noqa: F401
     CLEAN_TREE,
     clean_root,
+    fixture_equivalence_suites,
     lint,
     messages,
     rules_hit,

@@ -13,6 +13,7 @@ from lint_fixtures import (  # noqa: F401
     CLEAN_TREE,
     REGISTRY_TREE,
     _CLI_REGISTRY_DRIVEN,
+    fixture_equivalence_suites,
     lint,
     messages,
     write_tree,

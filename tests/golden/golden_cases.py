@@ -1,22 +1,18 @@
 """Golden seed-history case definitions and replay helpers.
 
-Four PRs of engine/sampler/evaluation switches rest on "same seed -> same
-history" equivalence claims.  This module pins those claims to *committed*
+The package's "same seed -> same history" claims are pinned to *committed*
 fixtures: each case is one small-but-complete ``run_experiment`` run (real
 pipeline — synthetic dataset, leave-one-out split, public sampling, target
 selection, attack construction, federated training, periodic evaluation)
 whose full metric history is serialized to JSON and replayed bit-identically
 by ``test_golden_histories.py``.
 
-The grid covers MF and the MLP scorer, benign and FedRecAttack runs, and
-both round engines — plus dedicated cases pinning every remaining switch
-realization (``eval_sampler="batched"``, ``sampler="batched"``,
-``eval_engine="loop"``), so each protocol switch the config exposes has at
-least one committed history per realization; the switch-parity lint rule
-(R2) enforces that invariant statically.  Every case pins every switch
-explicitly, so a silent cross-version drift of *any* stream (client RNG,
-round sampler, privacy noise, attack randomness, evaluation negatives)
-fails the suite.
+The grid covers MF and the MLP scorer, benign and FedRecAttack runs, plus
+one case per straggler policy under federation dynamics, so each value of
+the one remaining choice switch has a committed history; the switch-parity
+lint rule (R2) enforces that invariant statically.  A silent cross-version
+drift of *any* stream (client RNG, round sampler, privacy noise, attack
+randomness, evaluation negatives, fault schedule) fails the suite.
 
 Intentional contract changes are an explicit diff: edit the case or the
 code, run ``REPRO_GOLDEN_REGEN=1 PYTHONPATH=src python
@@ -47,15 +43,6 @@ _BASE = dict(
     eval_num_negatives=19,
     evaluate_every=1,
     seed=20220426,
-    # Every protocol switch is pinned *explicitly* (not via config defaults)
-    # so each realization below is a visible, statically checkable contract —
-    # the switch-parity rule (R2) cross-checks this grid against the config.
-    # The historical permutation sampler is the base; the batched default
-    # pins its own cases below.
-    sampler="permutation",
-    eval_engine="vectorized",
-    eval_sampler="per-user",
-    eval_path="block",
 )
 
 _BENIGN = dict(attack="none", rho=0.0)
@@ -64,52 +51,7 @@ _ATTACK = dict(attack="fedrecattack", rho=0.2)
 GOLDEN_CASES: dict[str, dict] = {}
 for _model, _model_kwargs in (("mf", {}), ("mlp", {"use_learnable_scorer": True})):
     for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
-        for _engine in ("loop", "vectorized"):
-            GOLDEN_CASES[f"{_model}-{_mode}-{_engine}"] = {
-                **_BASE,
-                **_model_kwargs,
-                **_mode_kwargs,
-                "engine": _engine,
-            }
-# The batched evaluation stream gets its own pinned histories, so future
-# changes to its draw order are an explicit fixture diff too.
-for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
-    GOLDEN_CASES[f"mf-{_mode}-eval-batched"] = {
-        **_BASE,
-        **_mode_kwargs,
-        "engine": "vectorized",
-        "eval_sampler": "batched",
-    }
-# The candidate-gather scoring route shares the block path's draws and rank
-# comparisons, so these histories pin the realization of the arithmetic
-# reroute itself (einsum/gathered-forward floats instead of the catalog
-# GEMM) — one benign and one attacked case, under the batched stream so the
-# gather also covers the stacked-draw segment layout.
-for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
-    GOLDEN_CASES[f"mf-{_mode}-eval-candidates"] = {
-        **_BASE,
-        **_mode_kwargs,
-        "engine": "vectorized",
-        "eval_sampler": "batched",
-        "eval_path": "candidates",
-    }
-# The remaining switch realizations each pin their histories: the batched
-# negative sampler, the default (one stacked round-level draw instead of
-# per-client streams, and one stacked draw per approximator epoch in the
-# attacked case), and the loop evaluation engine (per-user scoring order).
-for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
-    GOLDEN_CASES[f"mf-{_mode}-sampler-batched"] = {
-        **_BASE,
-        **_mode_kwargs,
-        "engine": "vectorized",
-        "sampler": "batched",
-    }
-GOLDEN_CASES["mf-benign-eval-loop"] = {
-    **_BASE,
-    **_BENIGN,
-    "engine": "vectorized",
-    "eval_engine": "loop",
-}
+        GOLDEN_CASES[f"{_model}-{_mode}"] = {**_BASE, **_model_kwargs, **_mode_kwargs}
 # Federation dynamics: seeded churn/straggler realizations are part of the
 # seed-history contract, so each straggler policy pins one
 # degraded-but-deterministic history — including its full incident log.  The
@@ -125,21 +67,18 @@ GOLDEN_CASES["mf-benign-dynamics-wait"] = {
     **_BASE,
     **_BENIGN,
     **_DYNAMICS,
-    "engine": "vectorized",
     "straggler_policy": "wait",
 }
 GOLDEN_CASES["mf-benign-dynamics-discard"] = {
     **_BASE,
     **_BENIGN,
     **_DYNAMICS,
-    "engine": "vectorized",
     "straggler_policy": "discard",
 }
 GOLDEN_CASES["mf-attack-dynamics-stale"] = {
     **_BASE,
     **_ATTACK,
     **_DYNAMICS,
-    "engine": "vectorized",
     "straggler_policy": "stale-merge",
 }
 

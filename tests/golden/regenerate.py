@@ -4,7 +4,7 @@
 Usage (from the repository root)::
 
     REPRO_GOLDEN_REGEN=1 PYTHONPATH=src python tests/golden/regenerate.py
-    REPRO_GOLDEN_REGEN=1 PYTHONPATH=src python tests/golden/regenerate.py --only mf-attack-loop
+    REPRO_GOLDEN_REGEN=1 PYTHONPATH=src python tests/golden/regenerate.py --only mf-attack
 
 Overwriting an existing fixture requires ``REPRO_GOLDEN_REGEN=1`` in the
 environment: the committed histories are the repository's drift alarm, and

@@ -1,0 +1,30 @@
+"""Reference implementations the equivalence suites compare the library against.
+
+The library runs one fast path per stage; the plain loop each stage replaced
+lives here, so no ``src/`` module branches on which version to run:
+
+* :mod:`oracles.federated` — the one-client-at-a-time federated round
+  (:class:`~oracles.federated.LoopRoundSimulation`);
+* :mod:`oracles.attacks` — the per-user attack loss, the per-user
+  user-matrix approximation and the attacks running them;
+* :mod:`oracles.evaluation`, :mod:`oracles.accuracy`, :mod:`oracles.exposure`
+  — the per-user evaluation and its metric loops.
+
+Every reference consumes the library's random streams in the same order, so
+from one seed it matches the library bit for bit (evaluation) or up to
+floating-point summation order (training).
+"""
+
+from .attacks import LoopFedRecAttack, LoopPipAttack, attack_loss_and_gradient, loop_refresh
+from .evaluation import evaluate_loop, predraw_negatives
+from .federated import LoopRoundSimulation
+
+__all__ = [
+    "LoopFedRecAttack",
+    "LoopPipAttack",
+    "LoopRoundSimulation",
+    "attack_loss_and_gradient",
+    "evaluate_loop",
+    "loop_refresh",
+    "predraw_negatives",
+]

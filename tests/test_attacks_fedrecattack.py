@@ -11,7 +11,6 @@ from repro.attacks.base import AttackContext
 from repro.attacks.fedrecattack import (
     FedRecAttack,
     FedRecAttackConfig,
-    attack_loss_and_gradient,
     attack_loss_and_gradient_vectorized,
     g_derivative,
     g_function,
@@ -20,6 +19,8 @@ from repro.data.dataset import InteractionDataset
 from repro.data.public import PublicInteractions, sample_public_interactions
 from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
+
+from oracles import attack_loss_and_gradient, loop_refresh
 
 
 class TestGFunction:
@@ -162,56 +163,60 @@ def _public_with_saturated_users(train):
     return PublicInteractions(dataset=dataset, xi=0.10)
 
 
-class TestVectorizedAttackerEquivalence:
-    """The stacked attacker implementations must match the loop references."""
+#: How the approximation is refreshed: one long refresh, or a first refresh
+#: followed by one-epoch refreshes against drifting item factors (the
+#: warm-started per-round schedule FedRecAttack runs).
+SCHEDULES = ("one-refresh", "per-round")
 
-    @pytest.mark.parametrize("sampler", ["permutation", "batched"])
-    def test_approximator_engines_match(self, small_split, small_public, rng, sampler):
+
+def _refresh_both(loop, vec, item_factors, epochs, schedule):
+    """Run one refresh schedule on the per-user reference and the library."""
+    steps = [(item_factors, epochs)]
+    if schedule == "per-round":
+        drift = np.random.default_rng(7)
+        for _ in range(3):
+            item_factors = item_factors + drift.normal(scale=0.05, size=item_factors.shape)
+            steps.append((item_factors, 1))
+    for factors, step_epochs in steps:
+        loop_refresh(loop, factors, epochs=step_epochs)
+        vec.refresh(factors, epochs=step_epochs)
+
+
+class TestVectorizedAttackerEquivalence:
+    """The stacked attacker implementations must match the per-user references."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_approximator_matches_reference(self, small_split, small_public, rng, schedule):
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.4)
-        loop = UserMatrixApproximator(
-            small_public, num_factors=8, rng=3, engine="loop", sampler=sampler
-        )
-        vec = UserMatrixApproximator(
-            small_public, num_factors=8, rng=3, engine="vectorized", sampler=sampler
-        )
-        loop.refresh(item_factors, epochs=5)
-        vec.refresh(item_factors, epochs=5)
+        loop = UserMatrixApproximator(small_public, num_factors=8, rng=3)
+        vec = UserMatrixApproximator(small_public, num_factors=8, rng=3)
+        _refresh_both(loop, vec, item_factors, 5, schedule)
         np.testing.assert_allclose(loop.user_factors, vec.user_factors, atol=1e-12)
 
-    @pytest.mark.parametrize("sampler", ["permutation", "batched"])
-    def test_approximator_engines_consume_identical_rng_streams(
-        self, small_split, small_public, rng, sampler
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_approximator_consumes_the_reference_rng_stream(
+        self, small_split, small_public, rng, schedule
     ):
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.4)
-        loop = UserMatrixApproximator(
-            small_public, num_factors=8, rng=3, engine="loop", sampler=sampler
-        )
-        vec = UserMatrixApproximator(
-            small_public, num_factors=8, rng=3, engine="vectorized", sampler=sampler
-        )
-        loop.refresh(item_factors, epochs=2)
-        vec.refresh(item_factors, epochs=2)
+        loop = UserMatrixApproximator(small_public, num_factors=8, rng=3)
+        vec = UserMatrixApproximator(small_public, num_factors=8, rng=3)
+        _refresh_both(loop, vec, item_factors, 2, schedule)
         # After identical work both private generators must be in the same
         # state — the property that keeps whole-simulation runs equivalent.
         assert loop._rng.integers(0, 2**60) == vec._rng.integers(0, 2**60)
 
-    @pytest.mark.parametrize("sampler", ["permutation", "batched"])
-    def test_approximator_engines_match_with_saturated_public_users(
-        self, small_split, rng, sampler
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_approximator_matches_reference_with_saturated_public_users(
+        self, small_split, rng, schedule
     ):
-        # Exercises the vectorized epoch's truncation of users whose
-        # complement is shorter than their positive set.
+        # Exercises the stacked epoch's truncation of users whose complement
+        # is shorter than their positive set.
         public = _public_with_saturated_users(small_split.train)
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.4)
-        loop = UserMatrixApproximator(
-            public, num_factors=8, rng=3, engine="loop", sampler=sampler
-        )
-        vec = UserMatrixApproximator(
-            public, num_factors=8, rng=3, engine="vectorized", sampler=sampler
-        )
+        loop = UserMatrixApproximator(public, num_factors=8, rng=3)
+        vec = UserMatrixApproximator(public, num_factors=8, rng=3)
         before = vec.user_factors.copy()
-        loop.refresh(item_factors, epochs=4)
-        vec.refresh(item_factors, epochs=4)
+        _refresh_both(loop, vec, item_factors, 4, schedule)
         np.testing.assert_allclose(loop.user_factors, vec.user_factors, atol=1e-12)
         assert loop._rng.integers(0, 2**60) == vec._rng.integers(0, 2**60)
         # The truncated user trains on its pairs; the user without any
@@ -219,9 +224,10 @@ class TestVectorizedAttackerEquivalence:
         assert not np.allclose(vec.user_factors[0], before[0])
         np.testing.assert_array_equal(vec.user_factors[1], before[1])
 
-    def test_approximator_rejects_unknown_engine(self, small_public):
-        with pytest.raises(AttackError):
-            UserMatrixApproximator(small_public, num_factors=8, rng=0, engine="gpu")
+    def test_approximator_rejects_removed_realization_keywords(self, small_public):
+        for keyword in ("engine", "sampler"):
+            with pytest.raises(TypeError):
+                UserMatrixApproximator(small_public, num_factors=8, rng=0, **{keyword: "loop"})
 
     @pytest.mark.parametrize("margin_mode", ["saturating", "linear"])
     def test_attack_loss_and_gradient_match(
@@ -306,7 +312,7 @@ class TestAttackLossAndGradient:
         user_factors, item_factors, active = self._setup(small_split, small_public, rng)
         targets = np.array([1, 3])
         active = active[:5]
-        loss, gradient = attack_loss_and_gradient(
+        loss, gradient = attack_loss_and_gradient_vectorized(
             user_factors, item_factors, active, small_public, targets, top_k=5
         )
         epsilon = 1e-6
@@ -315,11 +321,11 @@ class TestAttackLossAndGradient:
             for col in range(item_factors.shape[1]):
                 shifted = item_factors.copy()
                 shifted[target, col] += epsilon
-                upper, _ = attack_loss_and_gradient(
+                upper, _ = attack_loss_and_gradient_vectorized(
                     user_factors, shifted, active, small_public, targets, top_k=5
                 )
                 shifted[target, col] -= 2 * epsilon
-                lower, _ = attack_loss_and_gradient(
+                lower, _ = attack_loss_and_gradient_vectorized(
                     user_factors, shifted, active, small_public, targets, top_k=5
                 )
                 numerical = (upper - lower) / (2 * epsilon)
@@ -334,7 +340,7 @@ class TestAttackLossAndGradient:
         # vectors and a large positive target embedding.
         user_factors[active] = np.abs(user_factors[active]) + 0.1
         item_factors[0] = 50.0
-        loss, gradient = attack_loss_and_gradient(
+        loss, gradient = attack_loss_and_gradient_vectorized(
             user_factors, item_factors, active, small_public, targets, top_k=5
         )
         # g saturates at -1 per (user, target) pair and its derivative vanishes,
@@ -344,7 +350,7 @@ class TestAttackLossAndGradient:
 
     def test_no_active_users_means_zero_gradient(self, small_split, small_public, rng):
         user_factors, item_factors, _ = self._setup(small_split, small_public, rng)
-        loss, gradient = attack_loss_and_gradient(
+        loss, gradient = attack_loss_and_gradient_vectorized(
             user_factors,
             item_factors,
             np.empty(0, dtype=np.int64),
@@ -360,7 +366,7 @@ class TestAttackLossAndGradient:
     ):
         user_factors, item_factors, active = self._setup(small_split, small_public, rng)
         targets = np.array([2])
-        _, gradient = attack_loss_and_gradient(
+        _, gradient = attack_loss_and_gradient_vectorized(
             user_factors, item_factors, active, small_public, targets, top_k=5
         )
         nonzero_rows = np.flatnonzero(np.linalg.norm(gradient, axis=1) > 0)
@@ -378,10 +384,10 @@ class TestAttackLossAndGradient:
         # saturating g stops pushing but the linear ablation does not.
         user_factors[active] = np.abs(user_factors[active]) + 0.1
         item_factors[4] = 50.0
-        _, saturating = attack_loss_and_gradient(
+        _, saturating = attack_loss_and_gradient_vectorized(
             user_factors, item_factors, active, small_public, targets, top_k=5
         )
-        _, linear = attack_loss_and_gradient(
+        _, linear = attack_loss_and_gradient_vectorized(
             user_factors, item_factors, active, small_public, targets, top_k=5,
             margin_mode="linear",
         )
@@ -394,7 +400,7 @@ class TestAttackLossAndGradient:
         initial_scores = user_factors[active] @ item_factors[4]
         factors = item_factors.copy()
         for _ in range(50):
-            _, gradient = attack_loss_and_gradient(
+            _, gradient = attack_loss_and_gradient_vectorized(
                 user_factors, factors, active, small_public, targets, top_k=5
             )
             factors -= 0.05 * gradient

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.loaders import load_dataset, load_movielens_file, load_steam_file
-from repro.data.negative_sampling import NegativeSampler
+from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.exceptions import DataError
 
 
@@ -98,43 +98,43 @@ class TestFileParsers:
             load_steam_file(tmp_path / "nope.csv")
 
 
-class TestNegativeSampler:
+def _negatives_for_user(train, user, count=None, seed=0):
+    """One user's negatives through the stacked sampler at batch size one."""
+    positives = train.positive_items(user)
+    mask = np.zeros((1, train.num_items), dtype=bool)
+    mask[0, positives] = True
+    counts = np.array([positives.shape[0] if count is None else count], dtype=np.int64)
+    negatives, _ = sample_uniform_negatives_batched(
+        np.random.default_rng(seed), train.num_items, counts, mask
+    )
+    return negatives
+
+
+class TestUniformNegativeDraw:
     def test_negatives_are_not_positives(self, small_split):
-        sampler = NegativeSampler(small_split.train, rng=0)
         for user in range(0, small_split.train.num_users, 7):
-            negatives = sampler.sample_for_user(user)
+            negatives = _negatives_for_user(small_split.train, user)
             positives = set(small_split.train.positive_items(user).tolist())
             assert not positives.intersection(negatives.tolist())
 
     def test_default_count_matches_positives(self, small_split):
-        sampler = NegativeSampler(small_split.train, rng=0)
-        user = 0
-        negatives = sampler.sample_for_user(user)
-        assert negatives.shape[0] == small_split.train.user_degree(user)
+        negatives = _negatives_for_user(small_split.train, 0)
+        assert negatives.shape[0] == small_split.train.user_degree(0)
 
     def test_explicit_count(self, small_split):
-        sampler = NegativeSampler(small_split.train, rng=0)
-        assert sampler.sample_for_user(0, 5).shape[0] == 5
+        assert _negatives_for_user(small_split.train, 0, 5).shape[0] == 5
 
     def test_no_duplicate_negatives(self, small_split):
-        sampler = NegativeSampler(small_split.train, rng=0)
-        negatives = sampler.sample_for_user(0, 20)
+        negatives = _negatives_for_user(small_split.train, 0, 20)
         assert len(set(negatives.tolist())) == negatives.shape[0]
 
     def test_negative_count_raises(self, small_split):
-        sampler = NegativeSampler(small_split.train, rng=0)
         with pytest.raises(DataError):
-            sampler.sample_for_user(0, -1)
+            _negatives_for_user(small_split.train, 0, -1)
 
     def test_dense_user_handled(self):
         from repro.data.dataset import InteractionDataset
 
         dataset = InteractionDataset(1, 5, [(0, 0), (0, 1), (0, 2), (0, 3)])
-        sampler = NegativeSampler(dataset, rng=0)
-        negatives = sampler.sample_for_user(0)
+        negatives = _negatives_for_user(dataset, 0)
         assert set(negatives.tolist()) == {4}
-
-    def test_sample_pairs_aligned(self, small_split):
-        sampler = NegativeSampler(small_split.train, rng=0)
-        positives, negatives = sampler.sample_pairs(3)
-        assert positives.shape == negatives.shape

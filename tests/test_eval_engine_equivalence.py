@@ -1,31 +1,31 @@
-"""Loop / vectorized evaluation-engine equivalence.
+"""The blocked evaluation pass against its per-user reference.
 
 The contract under test (see ``docs/architecture.md``):
 
 * full-rank HR@10 / NDCG@10 / ER@5 / ER@10 / target-NDCG@10 are
-  **bit-identical** between ``evaluate_snapshot(engine="loop")`` and
-  ``engine="vectorized"`` — both engines read the same score blocks and
-  reduce per-user contributions identically;
-* under the sampled protocol both engines consume whichever evaluation
-  stream ``eval_sampler`` selects (``"per-user"`` or ``"batched"``) through
-  the same draws, so from equal seeds the metrics are equal for every cell
-  of the {eval_engine} x {eval_sampler} grid that shares a stream;
-* the two *streams* are different realizations of the same distribution —
-  switching ``eval_sampler`` (unlike ``eval_engine``) changes sampled
-  histories, exactly like the round sampler's ``"batched"`` switch;
+  **bit-identical** between :func:`repro.metrics.evaluation.evaluate_snapshot`
+  and the per-user reference :func:`oracles.evaluate_loop` — both read the
+  same score blocks and reduce per-user contributions identically;
+* under the sampled protocol both consume the evaluation stream through the
+  same stacked per-block draws, so from equal seeds the metrics are equal;
 * the equivalence holds at realistic dataset shapes (the calibrated ml-100k
-  and steam-200k miniatures), on handcrafted edge users (empty positives,
-  all-items positives), under score ties, through the generic
-  ``Recommender.score_block`` fallback, and end-to-end through
-  ``FederatedConfig.eval_engine`` / ``eval_sampler`` for both the MF and
-  the MLP-scorer model.
+  and steam-200k miniatures) through a bare block callback, the MF model and
+  the MLP adapter, on handcrafted edge users (empty positives, all-items
+  positives) at every block geometry, under score ties, through a custom
+  scorer that implements only ``score_items``, and end-to-end through
+  :class:`~repro.federated.simulation.FederatedSimulation` for both the MF
+  and the MLP-scorer model.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+import repro.federated.simulation as simulation_module
+from repro.attacks.shilling import RandomAttack
 from repro.data.dataset import InteractionDataset
 from repro.data.presets import get_preset
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
@@ -33,8 +33,12 @@ from repro.exceptions import ModelError
 from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation
 from repro.metrics.evaluation import evaluate_snapshot
+from repro.metrics.topk_cache import TopKCache
 from repro.models.mf import MatrixFactorizationModel
+from repro.models.neural import MLPRecommender, MLPScorer
 from repro.rng import SeedSequenceFactory
+
+from oracles import evaluate_loop
 
 
 def _mf_score_block(dataset: InteractionDataset, seed: int = 0):
@@ -55,31 +59,26 @@ def _targets(dataset: InteractionDataset, count: int = 5) -> np.ndarray:
     return np.arange(min(count, dataset.num_items), dtype=np.int64)
 
 
-def _both_engines(dataset, score_block, *, block_size=7, seed=123, eval_sampler="per-user", **kwargs):
-    results = []
-    for engine in ("loop", "vectorized"):
-        results.append(
-            evaluate_snapshot(
-                score_block,
-                dataset,
-                engine=engine,
-                eval_sampler=eval_sampler,
-                block_size=block_size,
-                rng=np.random.default_rng(seed),
-                **kwargs,
-            )
+def _both_engines(dataset, score_block, *, block_size=7, seed=123, **kwargs):
+    """``(reference, library)`` results from equal seeds."""
+    return [
+        evaluate(
+            score_block,
+            dataset,
+            block_size=block_size,
+            rng=np.random.default_rng(seed),
+            **kwargs,
         )
-    return results
+        for evaluate in (evaluate_loop, evaluate_snapshot)
+    ]
 
 
-#: The sampled-protocol grid: every (num_negatives, eval_sampler) cell the
-#: equivalence suites sweep.  The full-ranking protocol consumes no stream,
-#: so it appears once.
-PROTOCOL_GRID = [
-    (None, "per-user"),
-    (99, "per-user"),
-    (99, "batched"),
-]
+#: The protocols the suites sweep: full ranking (no stream) and sampled.
+PROTOCOLS = [None, 99]
+
+#: Block sizes cutting the users into one-user blocks, ragged blocks and one
+#: block larger than the whole dataset.
+BLOCK_SIZES = [1, 3, 64]
 
 
 def _assert_identical(loop_result, vectorized_result):
@@ -103,15 +102,15 @@ class TestEdgeUsers:
         interactions += [(2, 0), (2, 4), (3, 7)]
         return InteractionDataset(4, num_items, interactions, name="edges")
 
-    @pytest.mark.parametrize("num_negatives,eval_sampler", PROTOCOL_GRID)
-    def test_engines_agree(self, dataset, num_negatives, eval_sampler):
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    @pytest.mark.parametrize("num_negatives", PROTOCOLS)
+    def test_engines_agree(self, dataset, num_negatives, block_size):
         rng = np.random.default_rng(5)
         score_block = _mf_score_block(dataset)
         loop_result, vectorized_result = _both_engines(
             dataset,
             score_block,
-            block_size=3,
-            eval_sampler=eval_sampler,
+            block_size=block_size,
             test_items=_test_items(dataset, rng),
             target_items=_targets(dataset, 3),
             num_negatives=num_negatives,
@@ -138,13 +137,11 @@ class TestEdgeUsers:
         # item still wins by its raw score (rank 1).
         assert loop_result.accuracy.hr_at_10 == 1.0
 
-    @pytest.mark.parametrize("eval_sampler", ["per-user", "batched"])
-    def test_sampled_protocol_with_saturated_user(self, dataset, eval_sampler):
+    def test_sampled_protocol_with_saturated_user(self, dataset):
         """A user whose positives cover the catalog draws nothing usable.
 
-        The per-user stream draws once then gives up; the batched stream
-        requests zero negatives for the saturated row.  Either way the test
-        item ranks first against an empty candidate set in both engines.
+        The stream requests zero negatives for the saturated row, so the
+        test item ranks first against an empty candidate set in both.
         """
         only_full_user = InteractionDataset(
             1, 4, [(0, 0), (0, 1), (0, 2), (0, 3)], name="full"
@@ -152,7 +149,6 @@ class TestEdgeUsers:
         loop_result, vectorized_result = _both_engines(
             only_full_user,
             _mf_score_block(only_full_user),
-            eval_sampler=eval_sampler,
             test_items=np.array([2]),
             num_negatives=10,
         )
@@ -194,16 +190,14 @@ class TestScoreTies:
         )
         _assert_identical(loop_result, vectorized_result)
 
-    @pytest.mark.parametrize("eval_sampler", ["per-user", "batched"])
-    def test_sampled_protocol_under_ties(self, eval_sampler):
-        """All-ties scores through the sampled protocol, both streams."""
+    def test_sampled_protocol_under_ties(self):
+        """All-ties scores through the sampled protocol."""
         dataset = InteractionDataset(3, 8, [(0, 1), (1, 2), (1, 3)], name="ties")
         constant = np.zeros((3, 8))
         score_block = lambda users: constant[users]  # noqa: E731
         loop_result, vectorized_result = _both_engines(
             dataset,
             score_block,
-            eval_sampler=eval_sampler,
             test_items=np.array([4, 5, 6]),
             num_negatives=5,
         )
@@ -213,10 +207,29 @@ class TestScoreTies:
         assert loop_result.accuracy.ndcg_at_10 == 1.0
 
 
+def _source(kind: str, dataset: InteractionDataset, seed: int):
+    """A float-valued scoring source of ``dataset``'s shape.
+
+    ``"callback"`` is a bare ``score_block`` function (candidates are sliced
+    from the full block); ``"mf"`` and ``"mlp"`` are models whose own
+    candidate-gather kernels score the sampled protocol.
+    """
+    if kind == "callback":
+        return _mf_score_block(dataset, seed=seed)
+    model = MatrixFactorizationModel(
+        dataset.num_users, dataset.num_items, num_factors=16, init_scale=1.0, rng=seed
+    )
+    if kind == "mf":
+        return model
+    scorer = MLPScorer(model.num_factors, hidden_units=8, rng=seed)
+    return MLPRecommender(model.user_factors, model.item_factors, scorer)
+
+
+@pytest.mark.parametrize("source", ["callback", "mf", "mlp"])
 @pytest.mark.parametrize("shape", ["ml-100k-mini", "steam-200k-mini"])
-@pytest.mark.parametrize("num_negatives,eval_sampler", PROTOCOL_GRID)
+@pytest.mark.parametrize("num_negatives", PROTOCOLS)
 class TestRealisticShapes:
-    def test_engines_agree(self, shape, num_negatives, eval_sampler):
+    def test_engines_agree(self, shape, num_negatives, source):
         preset = get_preset(shape)
         dataset = generate_synthetic_dataset(
             SyntheticConfig.from_preset(preset),
@@ -225,9 +238,8 @@ class TestRealisticShapes:
         rng = np.random.default_rng(17)
         loop_result, vectorized_result = _both_engines(
             dataset,
-            _mf_score_block(dataset, seed=3),
+            _source(source, dataset, seed=3),
             block_size=64,
-            eval_sampler=eval_sampler,
             test_items=_test_items(dataset, rng),
             target_items=_targets(dataset, 5),
             num_negatives=num_negatives,
@@ -237,7 +249,7 @@ class TestRealisticShapes:
 
 
 class TestBatchedStreamContract:
-    """Direct contract tests of the ``"batched"`` evaluation stream."""
+    """Direct contract tests of the evaluation stream."""
 
     @pytest.fixture()
     def setup(self):
@@ -252,26 +264,6 @@ class TestBatchedStreamContract:
         test_items = rng.integers(0, num_items, size=num_users)
         test_items[::5] = -1
         return dataset, test_items
-
-    def test_stream_differs_from_per_user(self, setup):
-        """``eval_sampler`` switches realizations, like the round sampler."""
-        dataset, test_items = setup
-        score_block = _mf_score_block(dataset, seed=9)
-        results = {
-            sampler: evaluate_snapshot(
-                score_block,
-                dataset,
-                test_items=test_items,
-                num_negatives=25,
-                rng=np.random.default_rng(3),
-                eval_sampler=sampler,
-            )
-            for sampler in ("per-user", "batched")
-        }
-        assert (
-            results["per-user"].accuracy.ndcg_at_10
-            != results["batched"].accuracy.ndcg_at_10
-        )
 
     def test_first_round_draws_are_partition_independent(self, setup):
         """``rng.integers`` consumes the bit stream sequentially, so when
@@ -289,7 +281,6 @@ class TestBatchedStreamContract:
                 test_items=test_items,
                 num_negatives=25,
                 rng=np.random.default_rng(3),
-                eval_sampler="batched",
                 block_size=block_size,
             )
 
@@ -323,29 +314,20 @@ class TestBatchedStreamContract:
             assert np.all(counts[~valid] == 0)
             for local, user in enumerate(users):
                 segment = first[0][first[1][local] : first[1][local + 1]]
-                assert not store.mask_row(user)[segment].any()
+                assert not store.masks[user][segment].any()
                 assert not np.any(segment == test_items[user])
 
 
 class TestValidation:
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("keyword", ["engine", "eval_sampler", "eval_path"])
+    def test_removed_realization_keywords_rejected(self, keyword):
         dataset = InteractionDataset(2, 3, [(0, 0)])
-        with pytest.raises(ModelError):
+        with pytest.raises(TypeError):
             evaluate_snapshot(
                 lambda users: np.zeros((users.shape[0], 3)),
                 dataset,
                 test_items=np.array([1, 1]),
-                engine="warp",
-            )
-
-    def test_unknown_eval_sampler_rejected(self):
-        dataset = InteractionDataset(2, 3, [(0, 0)])
-        with pytest.raises(ModelError):
-            evaluate_snapshot(
-                lambda users: np.zeros((users.shape[0], 3)),
-                dataset,
-                test_items=np.array([1, 1]),
-                eval_sampler="magic",
+                **{keyword: "loop"},
             )
 
     def test_bad_block_size_rejected(self):
@@ -360,13 +342,13 @@ class TestValidation:
 
     def test_wrong_score_shape_rejected(self):
         dataset = InteractionDataset(2, 3, [(0, 0)])
-        for engine in ("loop", "vectorized"):
+        for evaluate in (evaluate_loop, evaluate_snapshot):
             with pytest.raises(ModelError):
-                evaluate_snapshot(
+                evaluate(
                     lambda users: np.zeros((users.shape[0], 5)),
                     dataset,
                     test_items=np.array([1, 1]),
-                    engine=engine,
+                    num_negatives=None,
                 )
 
     def test_nothing_requested_is_a_no_op(self):
@@ -383,16 +365,14 @@ class TestValidation:
 
 
 class TestGenericScorerFallback:
-    """``evaluate_snapshot`` through the generic ``Recommender.score_block``.
+    """``evaluate_snapshot`` through a custom ``score_items``-only scorer.
 
-    A custom scorer that only implements ``score_items`` must work through
-    the base class's row-by-row ``score_block`` fallback (now a deprecated
-    shim — the warning itself is covered in ``test_scorer_protocol.py``),
-    and — when its per-row arithmetic matches MF exactly — must reproduce
-    the id-based MF protocol path's metrics.  Integer-valued factors keep
-    every dot product exact, so the row-by-row fallback (vector-matrix
-    products) and the MF block path (one matrix-matrix product) cannot
-    drift apart in floating point.
+    A custom scorer that only implements ``score_items`` works through a
+    row-by-row block callback, and — when its per-row arithmetic matches MF
+    exactly — must reproduce the id-based MF protocol path's metrics.
+    Integer-valued factors keep every dot product exact, so the row-by-row
+    callback (vector-matrix products) and the MF block path (one
+    matrix-matrix product) cannot drift apart in floating point.
     """
 
     @pytest.fixture()
@@ -435,8 +415,15 @@ class TestGenericScorerFallback:
         test_items[::4] = -1
         return DotScorer(), user_factors, item_factors, dataset, test_items
 
-    @pytest.mark.parametrize("num_negatives,eval_sampler", PROTOCOL_GRID)
-    def test_fallback_matches_mf_path(self, setup, num_negatives, eval_sampler):
+    @staticmethod
+    def _rows(scorer, user_factors):
+        return lambda users: np.stack(
+            [scorer.score_items(vector) for vector in user_factors[users]]
+        )
+
+    @pytest.mark.parametrize("block_size", [1, 5, 32])
+    @pytest.mark.parametrize("num_negatives", PROTOCOLS)
+    def test_fallback_matches_mf_path(self, setup, num_negatives, block_size):
         scorer, user_factors, item_factors, dataset, test_items = setup
         model = MatrixFactorizationModel(
             dataset.num_users, dataset.num_items, user_factors.shape[1], rng=0
@@ -447,23 +434,21 @@ class TestGenericScorerFallback:
             test_items=test_items,
             target_items=_targets(dataset, 4),
             num_negatives=num_negatives,
-            eval_sampler=eval_sampler,
-            block_size=5,
+            block_size=block_size,
         )
         results = {}
         for name, score_block in (
-            ("fallback", lambda users: scorer.score_block(user_factors[users])),
+            ("fallback", self._rows(scorer, user_factors)),
             ("mf", model.score_block),
         ):
-            for engine in ("loop", "vectorized"):
-                results[(name, engine)] = evaluate_snapshot(
+            for engine, evaluate in (("oracle", evaluate_loop), ("library", evaluate_snapshot)):
+                results[(name, engine)] = evaluate(
                     score_block,
                     dataset,
-                    engine=engine,
                     rng=np.random.default_rng(19),
                     **kwargs,
                 )
-        reference = results[("mf", "loop")]
+        reference = results[("mf", "oracle")]
         for key, result in results.items():
             assert result.accuracy == reference.accuracy, key
             assert result.exposure == reference.exposure, key
@@ -471,7 +456,7 @@ class TestGenericScorerFallback:
     def test_fallback_accepts_single_row_blocks(self, setup):
         scorer, user_factors, _, dataset, test_items = setup
         result = evaluate_snapshot(
-            lambda users: scorer.score_block(user_factors[users]),
+            self._rows(scorer, user_factors),
             dataset,
             test_items=test_items,
             num_negatives=None,
@@ -481,7 +466,14 @@ class TestGenericScorerFallback:
 
 
 class TestSimulationIntegration:
-    """`FederatedConfig.eval_engine` end to end, MF and MLP-scorer models."""
+    """Every evaluation of a training run against the reference, MF and MLP,
+    with and without malicious clients poisoning the item factors.
+
+    The simulation's evaluation entry points are wrapped so each call also
+    runs :func:`oracles.evaluate_loop` on the same scores — from a copy of
+    the evaluation stream's state under the sampled protocol — and the two
+    reports must be equal.
+    """
 
     @pytest.fixture()
     def small_setup(self):
@@ -497,84 +489,78 @@ class TestSimulationIntegration:
         targets = np.array([0, 1], dtype=np.int64)
         return dataset, test_items, targets
 
-    def _run(self, dataset, test_items, targets, eval_engine, eval_sampler="per-user", **config_kwargs):
-        config = FederatedConfig(
-            num_factors=8,
-            clients_per_round=8,
-            num_epochs=4,
-            eval_engine=eval_engine,
-            eval_sampler=eval_sampler,
-            **config_kwargs,
-        )
+    @staticmethod
+    def _checked_run(
+        monkeypatch, dataset, test_items, targets, eval_num_negatives, attack=None, **config
+    ):
+        checked = []
+        evaluate = simulation_module.evaluate_snapshot
+
+        def sampled(source, train, *, rng, **kwargs):
+            expected = evaluate_loop(source, train, rng=copy.deepcopy(rng), **kwargs)
+            result = evaluate(source, train, rng=rng, **kwargs)
+            assert result == expected
+            checked.append(result)
+            return result
+
+        cached = TopKCache.evaluate
+
+        def full_rank(self, source, **kwargs):
+            result = cached(self, source, **kwargs)
+            expected = evaluate_loop(
+                source, dataset, test_items=test_items, target_items=targets,
+                num_negatives=None,
+            )
+            assert result == expected
+            checked.append(result)
+            return result
+
+        monkeypatch.setattr(simulation_module, "evaluate_snapshot", sampled)
+        monkeypatch.setattr(TopKCache, "evaluate", full_rank)
         simulation = FederatedSimulation(
             train=dataset,
-            config=config,
+            config=FederatedConfig(num_factors=8, clients_per_round=8, num_epochs=4, **config),
             test_items=test_items,
             target_items=targets,
+            attack=attack,
+            num_malicious=0 if attack is None else 3,
             seed=7,
-            evaluate_every=2,
-            eval_num_negatives=9,
+            evaluate_every=1,
+            eval_num_negatives=eval_num_negatives,
         )
-        return simulation.run()
+        result = simulation.run()
+        assert len(checked) == 4
+        return result
 
-    @pytest.mark.parametrize("eval_sampler", ["per-user", "batched"])
+    @pytest.mark.parametrize("attacked", [False, True])
+    @pytest.mark.parametrize("eval_num_negatives", [9, None])
     @pytest.mark.parametrize("use_scorer", [False, True])
-    def test_histories_identical_across_eval_engines(
-        self, small_setup, use_scorer, eval_sampler
+    def test_every_evaluation_matches_the_reference(
+        self, small_setup, monkeypatch, use_scorer, eval_num_negatives, attacked
     ):
         dataset, test_items, targets = small_setup
-        loop_run = self._run(
-            dataset, test_items, targets, "loop", eval_sampler,
+        result = self._checked_run(
+            monkeypatch, dataset, test_items, targets, eval_num_negatives,
+            attack=RandomAttack(kappa=6) if attacked else None,
             use_learnable_scorer=use_scorer,
         )
-        vectorized_run = self._run(
-            dataset, test_items, targets, "vectorized", eval_sampler,
-            use_learnable_scorer=use_scorer,
-        )
-        assert len(loop_run.history) == len(vectorized_run.history)
-        for loop_epoch, vectorized_epoch in zip(
-            loop_run.history.records, vectorized_run.history.records
-        ):
-            assert loop_epoch.training_loss == vectorized_epoch.training_loss
-            assert loop_epoch.accuracy == vectorized_epoch.accuracy
-            assert loop_epoch.exposure == vectorized_epoch.exposure
+        assert all(record.accuracy is not None for record in result.history.records)
+        assert all(record.exposure is not None for record in result.history.records)
 
-    def test_eval_sampler_switch_changes_only_sampled_metrics(self, small_setup):
-        """Training is untouched by the evaluation stream: losses match
-        exactly across ``eval_sampler`` values, only the sampled accuracy
-        realization moves."""
+    def test_evaluation_stream_leaves_training_untouched(self, small_setup):
+        """Training draws no evaluation randomness: losses match exactly
+        between the sampled and the full-rank protocol."""
         dataset, test_items, targets = small_setup
-        per_user = self._run(dataset, test_items, targets, "vectorized", "per-user")
-        batched = self._run(dataset, test_items, targets, "vectorized", "batched")
-        for a, b in zip(per_user.history.records, batched.history.records):
-            assert a.training_loss == b.training_loss
-            assert a.exposure == b.exposure  # full-rank exposure: stream-free
-        assert (
-            per_user.final_hr_at_10 != batched.final_hr_at_10
-            or per_user.accuracy.ndcg_at_10 != batched.accuracy.ndcg_at_10
-        )
-
-    def test_full_rank_histories_identical(self, small_setup):
-        dataset, test_items, targets = small_setup
-        runs = {}
-        for engine in ("loop", "vectorized"):
+        losses = []
+        for eval_num_negatives in (9, None):
             simulation = FederatedSimulation(
                 train=dataset,
-                config=FederatedConfig(
-                    num_factors=8,
-                    clients_per_round=8,
-                    num_epochs=3,
-                    eval_engine=engine,
-                ),
+                config=FederatedConfig(num_factors=8, clients_per_round=8, num_epochs=4),
                 test_items=test_items,
                 target_items=targets,
-                seed=13,
+                seed=7,
                 evaluate_every=1,
-                eval_num_negatives=None,
+                eval_num_negatives=eval_num_negatives,
             )
-            runs[engine] = simulation.run()
-        for loop_epoch, vectorized_epoch in zip(
-            runs["loop"].history.records, runs["vectorized"].history.records
-        ):
-            assert loop_epoch.accuracy == vectorized_epoch.accuracy
-            assert loop_epoch.exposure == vectorized_epoch.exposure
+            losses.append(simulation.run().history.training_loss())
+        np.testing.assert_array_equal(losses[0], losses[1])

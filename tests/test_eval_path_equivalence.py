@@ -1,4 +1,4 @@
-"""``eval_path`` equivalence: candidate-gather scoring vs the block path.
+"""Candidate-gather scoring of the sampled protocol vs the block route.
 
 The contract under test (see ``docs/architecture.md``):
 
@@ -7,20 +7,20 @@ The contract under test (see ``docs/architecture.md``):
   snapshot delegation and the generic column-slicing fallback (the fallback
   bit-identically; the native kernels exactly on integer-valued parameters,
   where every contraction is exact regardless of summation order);
-* ``evaluate_snapshot(eval_path="candidates")`` reports the same sampled
-  metrics as ``eval_path="block"`` for every cell of the
-  {eval_engine} x {eval_sampler} grid — the negative draws, their stream
-  order and the rank comparisons are shared, only the arithmetic route to
-  the candidate scores differs;
+* :func:`~repro.metrics.evaluation.evaluate_snapshot`, which scores only the
+  drawn candidates, reports the same sampled metrics as both reference
+  routes of :func:`oracles.evaluate_loop` — per-user ranks over the same
+  candidate gathers, and over candidate columns of the full block product —
+  through every scoring surface; the negative draws, their stream order and
+  the rank comparisons are shared, only the arithmetic route to the
+  candidate scores differs;
 * the incremental :class:`~repro.metrics.TopKCache` is bit-identical to a
-  cold :func:`~repro.metrics.evaluation.evaluate_snapshot` across
-  multi-epoch (attacked) training histories while provably *not* rescoring
-  clean blocks;
-* the regression fixes ride along: the batched stream survives mixed
-  empty/full draw segments and invalid users mid-block (and rejects short
-  segments loudly), ``_top_k_thresholds`` enforces its cutoff
-  precondition, and the loop engine validates each score block's shape as
-  it is produced.
+  cold reference evaluation across multi-epoch (attacked) training
+  histories while provably *not* rescoring clean blocks;
+* the regression fixes ride along: the stream survives mixed empty/full
+  draw segments and invalid users mid-block (and rejects short segments
+  loudly), ``_top_k_thresholds`` enforces its cutoff precondition, and each
+  score block's shape is validated as it is produced.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from repro.models.base import CandidateScorerProtocol
 from repro.models.mf import MatrixFactorizationModel
 from repro.models.neural import MLPRecommender, MLPScorer
 from repro.serving.snapshot import FactorSnapshot
+
+from oracles import evaluate_loop
 
 
 def _integer_mf(num_users: int, num_items: int, num_factors: int = 6, seed: int = 0):
@@ -193,151 +195,143 @@ def _edge_test_items(dataset: InteractionDataset) -> np.ndarray:
     return items.astype(np.int64)
 
 
-#: Every (eval_engine, eval_sampler) cell; within each, "block" and
-#: "candidates" must realize the same metrics.
-ENGINE_SAMPLER_GRID = [
-    ("loop", "per-user"),
-    ("loop", "batched"),
-    ("vectorized", "per-user"),
-    ("vectorized", "batched"),
-]
+#: The scoring surfaces a source can reach evaluation through.
+SURFACES = ("mf", "mlp", "snapshot", "fallback")
+
+
+def _surface(name: str, dataset: InteractionDataset, *, constant: bool = False):
+    """An integer-valued source of ``dataset``'s shape behind ``name``.
+
+    ``constant`` sets every factor to one, so every score of a row ties.
+    """
+    if name == "mlp":
+        model = _integer_mlp(dataset.num_users, dataset.num_items)
+    else:
+        model = _integer_mf(dataset.num_users, dataset.num_items)
+    if constant:
+        model.user_factors[:] = 1.0
+        model.item_factors[:] = 1.0
+    if name == "snapshot":
+        # The serving model: MF rebuilt over frozen copies of the factors.
+        return FactorSnapshot(model.user_factors, model.item_factors).model()
+    if name == "fallback":
+        # A bare block callback: candidates are sliced from the full block.
+        return model.score_block
+    return model
+
+
+def _all_routes(model, dataset, **kwargs):
+    """The library and both reference routes, from equal seeds."""
+    seed = kwargs.pop("seed")
+    return {
+        "library": evaluate_snapshot(
+            model, dataset, rng=np.random.default_rng(seed), **kwargs
+        ),
+        "oracle-candidates": evaluate_loop(
+            model, dataset, rng=np.random.default_rng(seed), **kwargs
+        ),
+        "oracle-block": evaluate_loop(
+            model, dataset, rng=np.random.default_rng(seed), eval_path="block", **kwargs
+        ),
+    }
+
+
+def _assert_all_equal(results):
+    reference = results["oracle-block"]
+    for name, result in results.items():
+        assert result.accuracy == reference.accuracy, name
+        assert result.exposure == reference.exposure, name
 
 
 class TestEvalPathEquivalence:
-    """evaluate_snapshot: eval_path="candidates" vs eval_path="block"."""
+    """Candidate gathers vs block columns, library vs both references."""
 
-    @pytest.mark.parametrize("engine,eval_sampler", ENGINE_SAMPLER_GRID)
+    @pytest.mark.parametrize("surface", SURFACES)
     @pytest.mark.parametrize("num_negatives", [3, 19])
-    def test_paths_agree_across_grid(self, engine, eval_sampler, num_negatives):
+    def test_routes_agree(self, num_negatives, surface):
         dataset = _edge_dataset()
-        model = _integer_mf(dataset.num_users, dataset.num_items)
-        test_items = _edge_test_items(dataset)
-        results = {}
-        for eval_path in ("block", "candidates"):
-            results[eval_path] = evaluate_snapshot(
-                model,
-                dataset,
-                test_items=test_items,
-                target_items=np.array([0, 4], dtype=np.int64),
-                num_negatives=num_negatives,
-                rng=np.random.default_rng(31),
-                engine=engine,
-                eval_sampler=eval_sampler,
-                eval_path=eval_path,
-                block_size=4,
-            )
-        assert results["block"].accuracy == results["candidates"].accuracy
-        assert results["block"].exposure == results["candidates"].exposure
+        results = _all_routes(
+            _surface(surface, dataset),
+            dataset,
+            test_items=_edge_test_items(dataset),
+            target_items=np.array([0, 4], dtype=np.int64),
+            num_negatives=num_negatives,
+            seed=31,
+            block_size=4,
+        )
+        _assert_all_equal(results)
 
-    @pytest.mark.parametrize("engine", ["loop", "vectorized"])
-    def test_paths_agree_under_ties(self, engine):
-        """Constant scores: every comparison ties, both paths rank alike."""
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_routes_agree_under_ties(self, surface):
+        """Constant scores: every comparison ties, every route ranks alike."""
         dataset = _edge_dataset()
-        model = _integer_mf(dataset.num_users, dataset.num_items)
-        model.user_factors[:] = 1.0
-        model.item_factors[:] = 1.0
-        results = [
-            evaluate_snapshot(
-                model,
-                dataset,
-                test_items=_edge_test_items(dataset),
-                num_negatives=4,
-                rng=np.random.default_rng(37),
-                engine=engine,
-                eval_sampler="batched",
-                eval_path=eval_path,
-                block_size=4,
-            )
-            for eval_path in ("block", "candidates")
-        ]
-        assert results[0].accuracy == results[1].accuracy
+        results = _all_routes(
+            _surface(surface, dataset, constant=True),
+            dataset,
+            test_items=_edge_test_items(dataset),
+            num_negatives=4,
+            seed=37,
+            block_size=4,
+        )
+        _assert_all_equal(results)
         # All-ties ranks are 1: every evaluated user is a hit.
-        assert results[0].accuracy is not None
-        assert results[0].accuracy.hr_at_10 == 1.0
+        assert results["library"].accuracy is not None
+        assert results["library"].accuracy.hr_at_10 == 1.0
 
-    def test_candidates_path_irrelevant_under_full_ranking(self):
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_candidates_route_irrelevant_under_full_ranking(self, surface):
         dataset = _edge_dataset()
-        model = _integer_mf(dataset.num_users, dataset.num_items)
-        results = [
-            evaluate_snapshot(
-                model,
-                dataset,
-                test_items=_edge_test_items(dataset),
-                num_negatives=None,
-                engine="vectorized",
-                eval_path=eval_path,
-                block_size=4,
-            )
-            for eval_path in ("block", "candidates")
-        ]
-        assert results[0].accuracy == results[1].accuracy
-
-    @pytest.mark.parametrize("use_learnable_scorer", [False, True])
-    def test_end_to_end_through_config(
-        self, small_split, small_targets, use_learnable_scorer
-    ):
-        """FederatedConfig.eval_path reroutes evaluation, not training."""
-        histories = {}
-        for eval_path in ("block", "candidates"):
-            config = FederatedConfig(
-                num_factors=4,
-                num_epochs=2,
-                clients_per_round=32,
-                use_learnable_scorer=use_learnable_scorer,
-                eval_path=eval_path,
-            )
-            simulation = FederatedSimulation(
-                small_split.train,
-                config,
-                test_items=small_split.test_items,
-                target_items=small_targets,
-                seed=20220426,
-                evaluate_every=1,
-                eval_num_negatives=9,
-            )
-            result = simulation.run()
-            histories[eval_path] = (
-                [record.training_loss for record in result.history.records],
-                [
-                    record.accuracy.hr_at_10
-                    for record in result.history.records
-                    if record.accuracy is not None
-                ],
-            )
-        assert histories["block"] == histories["candidates"]
+        results = _all_routes(
+            _surface(surface, dataset),
+            dataset,
+            test_items=_edge_test_items(dataset),
+            num_negatives=None,
+            seed=0,
+            block_size=4,
+        )
+        _assert_all_equal(results)
 
 
 class TestTopKCache:
-    """Incremental full-rank evaluation vs the cold engines."""
+    """Incremental full-rank evaluation vs a cold evaluation."""
 
-    def test_bit_identical_across_attacked_history(self, small_split, small_targets):
-        """Cache-backed vectorized full-rank == cold loop oracle, per epoch."""
+    def test_bit_identical_across_attacked_history(
+        self, small_split, small_targets, monkeypatch
+    ):
+        """Cache-backed full-rank == cold reference evaluation, per epoch."""
         from repro.attacks.shilling import RandomAttack
 
-        series = {}
-        for eval_engine in ("vectorized", "loop"):
-            simulation = FederatedSimulation(
+        cold: list[tuple] = []
+        cached = TopKCache.evaluate
+
+        def recording(self, source, **kwargs):
+            reference = evaluate_loop(
+                source,
                 small_split.train,
-                FederatedConfig(
-                    num_factors=4,
-                    num_epochs=3,
-                    clients_per_round=24,
-                    eval_engine=eval_engine,
-                ),
                 test_items=small_split.test_items,
                 target_items=small_targets,
-                attack=RandomAttack(kappa=10),
-                num_malicious=4,
-                seed=77,
-                evaluate_every=1,
-                eval_num_negatives=None,
+                num_negatives=None,
             )
-            result = simulation.run()
-            assert simulation._topk_cache is not None or eval_engine == "loop"
-            series[eval_engine] = [
-                (record.accuracy, record.exposure) for record in result.history.records
-            ]
-        assert series["vectorized"] == series["loop"]
+            cold.append((reference.accuracy, reference.exposure))
+            return cached(self, source, **kwargs)
+
+        monkeypatch.setattr(TopKCache, "evaluate", recording)
+        simulation = FederatedSimulation(
+            small_split.train,
+            FederatedConfig(num_factors=4, num_epochs=3, clients_per_round=24),
+            test_items=small_split.test_items,
+            target_items=small_targets,
+            attack=RandomAttack(kappa=10),
+            num_malicious=4,
+            seed=77,
+            evaluate_every=1,
+            eval_num_negatives=None,
+        )
+        result = simulation.run()
+        assert simulation._topk_cache is not None
+        series = [(record.accuracy, record.exposure) for record in result.history.records]
+        assert len(cold) == 3
+        assert series == cold
 
     def test_clean_blocks_are_not_rescored(self):
         dataset = _edge_dataset()
@@ -359,8 +353,7 @@ class TestTopKCache:
         warm = cache.evaluate(counting, dirty_users=dirty, item_factors_changed=False)
         assert calls == [(4, 8)]  # only user 5's block rescored
         cold = evaluate_snapshot(
-            model, dataset, test_items=test_items, k=3,
-            num_negatives=None, engine="vectorized", block_size=4,
+            model, dataset, test_items=test_items, k=3, num_negatives=None, block_size=4,
         )
         assert (warm.accuracy, warm.exposure) == (cold.accuracy, cold.exposure)
         assert first.accuracy is not None  # the cold pass produced a report too
@@ -422,33 +415,26 @@ class TestTopKCache:
 
 
 class TestBatchedStreamRegression:
-    """The mixed empty/full segment gather of the batched sampled stream."""
+    """The mixed empty/full segment gather of the sampled stream."""
 
-    @pytest.mark.parametrize("eval_path", ["block", "candidates"])
-    def test_mixed_segments_mid_block(self, eval_path):
-        """Saturated + invalid users mid-block: engines agree, nothing raises."""
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_mixed_segments_mid_block(self, surface):
+        """Saturated + invalid users mid-block: every route agrees, nothing raises."""
         dataset = _edge_dataset()
-        model = _integer_mf(dataset.num_users, dataset.num_items)
         test_items = _edge_test_items(dataset)
-        results = [
-            evaluate_snapshot(
-                model,
-                dataset,
-                test_items=test_items,
-                num_negatives=5,
-                rng=np.random.default_rng(41),
-                engine=engine,
-                eval_sampler="batched",
-                eval_path=eval_path,
-                block_size=4,
-            )
-            for engine in ("loop", "vectorized")
-        ]
-        assert results[0].accuracy == results[1].accuracy
+        results = _all_routes(
+            _surface(surface, dataset),
+            dataset,
+            test_items=test_items,
+            num_negatives=5,
+            seed=41,
+            block_size=4,
+        )
+        _assert_all_equal(results)
         # The saturated user ranks 1 by convention and still counts.
-        assert results[0].accuracy is not None
-        expected = int(np.sum(test_items >= 0))
-        assert results[0].accuracy.num_evaluated_users == expected
+        accuracy = results["library"].accuracy
+        assert accuracy is not None
+        assert accuracy.num_evaluated_users == int(np.sum(test_items >= 0))
 
     def test_short_segment_raises(self, monkeypatch):
         """A drawer returning neither 0 nor num_negatives per user is a bug."""
@@ -475,8 +461,6 @@ class TestBatchedStreamRegression:
                 test_items=_edge_test_items(dataset),
                 num_negatives=5,
                 rng=np.random.default_rng(43),
-                engine="vectorized",
-                eval_sampler="batched",
                 block_size=4,
             )
 
@@ -512,10 +496,12 @@ class TestTopKThresholdGuards:
 
 
 class TestLoopBlockValidation:
-    """The loop engine validates each block's shape as it is produced."""
+    """Each score block's shape is validated as it is produced."""
 
-    @pytest.mark.parametrize("engine", ["loop", "vectorized"])
-    def test_wrong_width_block_names_offender(self, engine):
+    @pytest.mark.parametrize(
+        "evaluate", [evaluate_loop, evaluate_snapshot], ids=["oracle", "library"]
+    )
+    def test_wrong_width_block_names_offender(self, evaluate):
         dataset = _edge_dataset()
         model = _integer_mf(dataset.num_users, dataset.num_items)
 
@@ -526,11 +512,10 @@ class TestLoopBlockValidation:
             return scores
 
         with pytest.raises(ModelError, match=r"\[4, 8\)"):
-            evaluate_snapshot(
+            evaluate(
                 bad_block,
                 dataset,
                 test_items=_edge_test_items(dataset),
                 num_negatives=None,
-                engine=engine,
                 block_size=4,
             )

@@ -51,6 +51,14 @@ class TestExperimentConfig:
         assert federated.learning_rate == pytest.approx(0.02)
         assert federated.clip_norm == pytest.approx(2.0)
 
+    def test_removed_realization_fields_raise_type_error(self):
+        from repro.federated.config import FederatedConfig
+
+        with pytest.raises(TypeError):
+            ExperimentConfig(engine="loop")
+        with pytest.raises(TypeError):
+            FederatedConfig(sampler="permutation")
+
     def test_with_overrides(self):
         config = ExperimentConfig().with_overrides(rho=0.1, dataset="steam-200k")
         assert config.rho == pytest.approx(0.1)

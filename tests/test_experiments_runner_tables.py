@@ -191,7 +191,7 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "42"])
 
-    def test_run_command_engine_and_sampler_flags(self, capsys):
+    def test_run_command_switch_flags(self, capsys):
         exit_code = main(
             [
                 "run",
@@ -201,8 +201,7 @@ class TestCLI:
                 "--epochs", "2",
                 "--factors", "8",
                 "--clients-per-round", "32",
-                "--engine", "vectorized",
-                "--sampler", "batched",
+                "--straggler-policy", "discard",
                 "--min-reporters", "2",
             ]
         )
@@ -210,13 +209,21 @@ class TestCLI:
         assert "HR@10" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, error",
         (
-            ["--engine", "warp"],
-            ["--sampler", "alias"],
-            ["--min-reporters", "-1"],
+            (["--straggler-policy", "late"], ConfigurationError),
+            (["--min-reporters", "-1"], ConfigurationError),
+            # The realization switches are gone: their flags are unknown.
+            (["--engine", "vectorized"], SystemExit),
+            (["--sampler", "batched"], SystemExit),
+            (["--eval-engine", "vectorized"], SystemExit),
+            (["--eval-sampler", "batched"], SystemExit),
+            (["--eval-path", "candidates"], SystemExit),
         ),
+        ids=lambda value: value[0] if isinstance(value, list) else value.__name__,
     )
-    def test_invalid_engine_sampler_pairs_rejected(self, flags):
-        with pytest.raises(ConfigurationError):
+    def test_rejected_flags(self, flags, error, capsys):
+        with pytest.raises(error):
             main(["run", "--dataset", "ml-100k", "--attack", "none", *flags])
+        if error is SystemExit:
+            assert "unrecognized arguments" in capsys.readouterr().err

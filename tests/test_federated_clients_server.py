@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.exceptions import ConfigurationError, FederationError
 from repro.federated.client import BenignClient, MaliciousClient
 from repro.federated.config import FederatedConfig
@@ -26,6 +27,19 @@ def _benign_client(positives=(0, 1, 2), seed=0, **kwargs):
         rng=seed,
         **kwargs,
     )
+
+
+def _local_train(client, item_factors, scorer=None, rng=None):
+    """One local step on freshly drawn pairs, the way a round trains a client."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    mask = np.zeros((1, NUM_ITEMS), dtype=bool)
+    mask[0, client.positives] = True
+    negatives, _ = sample_uniform_negatives_batched(
+        rng, NUM_ITEMS, np.array([client.positives.shape[0]], dtype=np.int64), mask
+    )
+    client.accept_negatives(negatives)
+    positives, negatives = client.current_pairs()
+    return client._train_on_profile(positives, negatives, item_factors, scorer)
 
 
 class TestFederatedConfig:
@@ -63,7 +77,7 @@ class TestBenignClient:
     def test_local_train_returns_update_with_touched_items(self, rng):
         client = _benign_client()
         item_factors = rng.normal(size=(NUM_ITEMS, NUM_FACTORS))
-        update = client.local_train(item_factors)
+        update = _local_train(client, item_factors)
         assert isinstance(update, ClientUpdate)
         assert not update.is_malicious
         # Positives must be among the touched rows.
@@ -72,25 +86,26 @@ class TestBenignClient:
     def test_local_train_updates_private_vector(self, rng):
         client = _benign_client()
         before = client.user_vector.copy()
-        client.local_train(rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
+        _local_train(client, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
         assert not np.allclose(before, client.user_vector)
 
     def test_gradient_rows_bounded_by_twice_profile(self, rng):
         client = _benign_client(positives=range(5))
-        update = client.local_train(rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
+        update = _local_train(client, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
         assert update.num_nonzero_rows <= 2 * 5
 
     def test_loss_is_positive(self, rng):
         client = _benign_client()
-        update = client.local_train(rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
+        update = _local_train(client, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
         assert update.loss > 0.0
 
     def test_repeated_training_reduces_loss(self, rng):
         client = _benign_client(positives=range(6), seed=1)
         item_factors = rng.normal(size=(NUM_ITEMS, NUM_FACTORS), scale=0.1)
         losses = []
+        draws = np.random.default_rng(1)
         for _ in range(30):
-            update = client.local_train(item_factors)
+            update = _local_train(client, item_factors, rng=draws)
             losses.append(update.loss)
             item_factors = item_factors - 0.1 * update.to_dense(NUM_ITEMS, NUM_FACTORS)
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
@@ -98,16 +113,34 @@ class TestBenignClient:
     def test_participation_counter(self, rng):
         client = _benign_client()
         item_factors = rng.normal(size=(NUM_ITEMS, NUM_FACTORS))
-        client.local_train(item_factors)
-        client.local_train(item_factors)
+        _local_train(client, item_factors)
+        _local_train(client, item_factors)
         assert client.participation_count == 2
 
     def test_scorer_path_produces_theta_gradient(self, rng):
         client = _benign_client()
         scorer = MLPScorer(NUM_FACTORS, hidden_units=4, rng=0)
-        update = client.local_train(rng.normal(size=(NUM_ITEMS, NUM_FACTORS)), scorer)
+        update = _local_train(client, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)), scorer)
         assert update.theta_gradient is not None
         assert update.theta_gradient.shape == (scorer.num_parameters,)
+
+    def test_pairs_need_a_draw_first(self):
+        client = _benign_client()
+        assert client.needs_fresh_negatives
+        with pytest.raises(FederationError):
+            client.current_pairs()
+
+    def test_fixed_negatives_drawn_once(self):
+        client = _benign_client(positives=range(20), resample_negatives=False)
+        assert client.needs_fresh_negatives
+        # 20 positives in a 30-item catalog leave a quota of 10 negatives.
+        client.accept_negatives(np.arange(20, 30))
+        positives, negatives = client.current_pairs()
+        assert positives.shape == negatives.shape == (10,)
+        assert not client.needs_fresh_negatives
+        kept = client.current_pairs()
+        np.testing.assert_array_equal(kept[0], positives)
+        np.testing.assert_array_equal(kept[1], negatives)
 
     def test_invalid_construction(self):
         with pytest.raises(FederationError):
@@ -143,6 +176,8 @@ class TestMaliciousClient:
         client.set_profile(np.array([2, 4, 6]))
         update = client.train_on_profile(rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
         assert set([2, 4, 6]).issubset(set(update.item_ids.tolist()))
+        # One distinct negative outside the profile per profile item.
+        assert len(set(update.item_ids.tolist())) == 6
         assert update.is_malicious
 
 

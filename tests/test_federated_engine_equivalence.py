@@ -1,23 +1,23 @@
-"""Loop-vs-vectorized round engine equivalence.
+"""The batched federated round against its per-client reference.
 
-Both engines draw every client's training pairs through the same sampler
-streams — per-client streams under ``sampler="permutation"``, one shared
-round-level stream under ``sampler="batched"`` — so from identical master
-seeds they must produce matching training histories, metrics and final
-parameters, differing at most by floating-point summation order.  The suite
-therefore pins *two* training realizations per scenario (one per sampler),
-and additionally checks that the two samplers genuinely differ (a batched
-draw silently falling back to the permutation stream would erase the
-documented RNG-contract distinction).
+The library trains every round in stacked numpy operations; the reference
+(:class:`oracles.LoopRoundSimulation`, with the per-user attacker references
+of :mod:`oracles.attacks`) trains one client at a time.  Both draw every
+client's training pairs from the same shared round-level stream and consume
+the attack stream identically, so from identical master seeds they must
+produce matching training histories, metrics and final parameters, differing
+at most by floating-point summation order.  That holds with negatives redrawn
+every round and with each client's first draw kept for the whole run
+(``resample_negatives_each_epoch=False``).
 """
 
 from __future__ import annotations
 
-# repro-lint: disable-file=R4 — loop and vectorized engines consume identical
-# random streams but sum gradients in different orders, so this suite pins the
-# documented tolerance contract (LOSS_RTOL / FACTOR_ATOL, see the
-# FederatedConfig.engine docstring), not bit-equality.  Bit-exact claims live
-# in the eval-engine equivalence suite and tests/golden/.
+# repro-lint: disable-file=R4 — the batched round and its per-client reference
+# consume identical random streams but sum gradients in different orders, so
+# this suite pins the documented tolerance contract (LOSS_RTOL / FACTOR_ATOL),
+# not bit-equality.  Bit-exact claims live in the eval-engine equivalence
+# suite and tests/golden/.
 
 import numpy as np
 import pytest
@@ -29,8 +29,17 @@ from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation
 from repro.rng import SeedSequenceFactory
 
+from oracles import LoopFedRecAttack, LoopPipAttack, LoopRoundSimulation
+
 LOSS_RTOL = 1e-9
 FACTOR_ATOL = 1e-12
+
+#: Per-round redrawn negatives (the default) or one draw kept for the run.
+NEGATIVES = ("resampled", "fixed")
+
+
+def _negatives(negatives: str) -> dict[str, bool]:
+    return {"resample_negatives_each_epoch": negatives == "resampled"}
 
 
 def _run(
@@ -39,7 +48,6 @@ def _run(
     engine,
     attack=None,
     num_malicious=0,
-    sampler="permutation",
     **config_kwargs,
 ):
     defaults = dict(
@@ -47,11 +55,10 @@ def _run(
         learning_rate=0.05,
         clients_per_round=32,
         num_epochs=4,
-        engine=engine,
-        sampler=sampler,
     )
     defaults.update(config_kwargs)
-    simulation = FederatedSimulation(
+    simulation_class = LoopRoundSimulation if engine == "oracle" else FederatedSimulation
+    simulation = simulation_class(
         train=small_split.train,
         config=FederatedConfig(**defaults),
         test_items=small_split.test_items,
@@ -82,21 +89,18 @@ def _assert_equivalent(result_a, result_b):
         assert result_a.exposure.er_at_10 == pytest.approx(result_b.exposure.er_at_10, abs=0.02)
 
 
-SAMPLERS = ("permutation", "batched")
-
-
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_mf_path(self, small_split, small_targets, sampler):
-        result_loop, _ = _run(small_split, small_targets, "loop", sampler=sampler)
-        result_vec, _ = _run(small_split, small_targets, "vectorized", sampler=sampler)
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_mf_path(self, small_split, small_targets, negatives):
+        result_loop, _ = _run(small_split, small_targets, "oracle", **_negatives(negatives))
+        result_vec, _ = _run(small_split, small_targets, "library", **_negatives(negatives))
         _assert_equivalent(result_loop, result_vec)
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_mlp_scorer_path(self, small_split, small_targets, sampler):
-        kwargs = dict(use_learnable_scorer=True, scorer_hidden_units=8, sampler=sampler)
-        result_loop, sim_loop = _run(small_split, small_targets, "loop", **kwargs)
-        result_vec, sim_vec = _run(small_split, small_targets, "vectorized", **kwargs)
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_mlp_scorer_path(self, small_split, small_targets, negatives):
+        kwargs = dict(use_learnable_scorer=True, scorer_hidden_units=8, **_negatives(negatives))
+        result_loop, sim_loop = _run(small_split, small_targets, "oracle", **kwargs)
+        result_vec, sim_vec = _run(small_split, small_targets, "library", **kwargs)
         _assert_equivalent(result_loop, result_vec)
         np.testing.assert_allclose(
             sim_loop.server.scorer.get_parameters(),
@@ -104,80 +108,60 @@ class TestEngineEquivalence:
             atol=FACTOR_ATOL,
         )
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_l2_regularised_path(self, small_split, small_targets, sampler):
-        result_loop, _ = _run(small_split, small_targets, "loop", l2_reg=0.01, sampler=sampler)
-        result_vec, _ = _run(
-            small_split, small_targets, "vectorized", l2_reg=0.01, sampler=sampler
-        )
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_l2_regularised_path(self, small_split, small_targets, negatives):
+        kwargs = dict(l2_reg=0.01, **_negatives(negatives))
+        result_loop, _ = _run(small_split, small_targets, "oracle", **kwargs)
+        result_vec, _ = _run(small_split, small_targets, "library", **kwargs)
         _assert_equivalent(result_loop, result_vec)
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_privacy_noise_path(self, small_split, small_targets, sampler):
-        # Noise is drawn per client in upload order by both engines, so even
-        # the noisy trajectories must coincide.
-        kwargs = dict(noise_scale=0.1, clip_benign_gradients=True, sampler=sampler)
-        result_loop, _ = _run(small_split, small_targets, "loop", **kwargs)
-        result_vec, _ = _run(small_split, small_targets, "vectorized", **kwargs)
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_privacy_noise_path(self, small_split, small_targets, negatives):
+        # Noise is drawn per client in upload order by both realizations, so
+        # even the noisy trajectories must coincide.
+        kwargs = dict(noise_scale=0.1, clip_benign_gradients=True, **_negatives(negatives))
+        result_loop, _ = _run(small_split, small_targets, "oracle", **kwargs)
+        result_vec, _ = _run(small_split, small_targets, "library", **kwargs)
         _assert_equivalent(result_loop, result_vec)
-
-    def test_sampler_realizations_differ(self, small_split, small_targets):
-        # The two samplers are both exact uniform draws but consume different
-        # RNG streams: the trained parameters must not coincide (they would if
-        # the batched engine quietly fell back to per-client permutation
-        # draws, which would defeat its documented contract).
-        result_perm, _ = _run(small_split, small_targets, "vectorized")
-        result_batched, _ = _run(
-            small_split, small_targets, "vectorized", sampler="batched"
-        )
-        assert not np.allclose(
-            result_perm.item_factors, result_batched.item_factors, atol=1e-9
-        )
 
     def test_under_attack(self, small_split, small_targets):
         result_loop, _ = _run(
-            small_split, small_targets, "loop", attack=RandomAttack(kappa=10), num_malicious=4
+            small_split, small_targets, "oracle", attack=RandomAttack(kappa=10), num_malicious=4
         )
         result_vec, _ = _run(
             small_split,
             small_targets,
-            "vectorized",
+            "library",
             attack=RandomAttack(kappa=10),
             num_malicious=4,
         )
         _assert_equivalent(result_loop, result_vec)
         assert result_loop.final_er_at_5 == pytest.approx(result_vec.final_er_at_5, abs=0.02)
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_under_fedrecattack(self, small_split, small_public, small_targets, sampler):
-        # The full attacker pipeline switches with the engine: the loop run
-        # uses the per-user approximation and attack-loss reference, the
-        # vectorized run the stacked implementations.  Both consume identical
-        # random streams per sampler — including the approximation's negative
-        # draws — so the histories must still coincide.
-        def make_attack():
-            return FedRecAttack(
-                small_public,
-                FedRecAttackConfig(
-                    kappa=12, approx_epochs_initial=3, approx_epochs_per_round=1
-                ),
-            )
-
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_under_fedrecattack(self, small_split, small_public, small_targets, negatives):
+        # The reference run uses the per-user approximation and attack-loss
+        # references, the library run the stacked implementations.  Both
+        # consume identical random streams — including the approximation's
+        # negative draws — so the histories must still coincide.
+        config = FedRecAttackConfig(
+            kappa=12, approx_epochs_initial=3, approx_epochs_per_round=1
+        )
         result_loop, sim_loop = _run(
             small_split,
             small_targets,
-            "loop",
-            attack=make_attack(),
+            "oracle",
+            attack=LoopFedRecAttack(small_public, config),
             num_malicious=4,
-            sampler=sampler,
+            **_negatives(negatives),
         )
         result_vec, sim_vec = _run(
             small_split,
             small_targets,
-            "vectorized",
-            attack=make_attack(),
+            "library",
+            attack=FedRecAttack(small_public, config),
             num_malicious=4,
-            sampler=sampler,
+            **_negatives(negatives),
         )
         _assert_equivalent(result_loop, result_vec)
         assert result_loop.final_er_at_5 == pytest.approx(result_vec.final_er_at_5, abs=0.02)
@@ -185,35 +169,35 @@ class TestEngineEquivalence:
             sim_vec.attack.last_attack_loss, rel=1e-6, abs=1e-9
         )
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_under_pipattack(self, small_split, small_targets, sampler):
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_under_pipattack(self, small_split, small_targets, negatives):
         result_loop, _ = _run(
             small_split,
             small_targets,
-            "loop",
-            attack=PipAttack(),
+            "oracle",
+            attack=LoopPipAttack(),
             num_malicious=4,
-            sampler=sampler,
+            **_negatives(negatives),
         )
         result_vec, _ = _run(
             small_split,
             small_targets,
-            "vectorized",
+            "library",
             attack=PipAttack(),
             num_malicious=4,
-            sampler=sampler,
+            **_negatives(negatives),
         )
         _assert_equivalent(result_loop, result_vec)
 
     def test_round_counters_agree(self, small_split, small_targets):
-        _, sim_loop = _run(small_split, small_targets, "loop")
-        _, sim_vec = _run(small_split, small_targets, "vectorized")
+        _, sim_loop = _run(small_split, small_targets, "oracle")
+        _, sim_vec = _run(small_split, small_targets, "library")
         assert sim_loop.server.rounds_applied == sim_vec.server.rounds_applied
         assert sim_loop.round_index == sim_vec.round_index
 
     def test_participation_counts_agree(self, small_split, small_targets):
-        _, sim_loop = _run(small_split, small_targets, "loop")
-        _, sim_vec = _run(small_split, small_targets, "vectorized")
+        _, sim_loop = _run(small_split, small_targets, "oracle")
+        _, sim_vec = _run(small_split, small_targets, "library")
         for user in range(small_split.train.num_users):
             assert (
                 sim_loop.benign_clients[user].participation_count
@@ -223,11 +207,12 @@ class TestEngineEquivalence:
     def test_observer_sees_equivalent_updates(self, small_split, small_targets):
         def collect(engine):
             rows = []
-            simulation = FederatedSimulation(
+            simulation_class = (
+                LoopRoundSimulation if engine == "oracle" else FederatedSimulation
+            )
+            simulation = simulation_class(
                 train=small_split.train,
-                config=FederatedConfig(
-                    num_factors=8, clients_per_round=32, num_epochs=2, engine=engine
-                ),
+                config=FederatedConfig(num_factors=8, clients_per_round=32, num_epochs=2),
                 test_items=small_split.test_items,
                 target_items=small_targets,
                 seed=SeedSequenceFactory(5),
@@ -238,7 +223,7 @@ class TestEngineEquivalence:
             simulation.run()
             return rows
 
-        assert collect("loop") == collect("vectorized")
+        assert collect("oracle") == collect("library")
 
 
 #: Round sizes cutting the epoch into one-client rounds (a stacked batch of
@@ -247,33 +232,36 @@ CLIENTS_PER_ROUND = (1, 9, 128)
 
 
 class TestBatchGeometry:
-    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("negatives", NEGATIVES)
     @pytest.mark.parametrize("clients_per_round", CLIENTS_PER_ROUND)
-    @pytest.mark.parametrize("scenario", ("benign", "fedrecattack"))
+    @pytest.mark.parametrize("scenario", ("benign", "fedrecattack", "pipattack"))
     def test_engines_agree(
-        self, small_split, small_public, small_targets, scenario, clients_per_round, sampler
+        self, small_split, small_public, small_targets, scenario, clients_per_round, negatives
     ):
         def run(engine):
             attack = None
             if scenario == "fedrecattack":
-                attack = FedRecAttack(
+                attack_class = LoopFedRecAttack if engine == "oracle" else FedRecAttack
+                attack = attack_class(
                     small_public,
                     FedRecAttackConfig(
                         kappa=12, approx_epochs_initial=3, approx_epochs_per_round=1
                     ),
                 )
+            elif scenario == "pipattack":
+                attack = LoopPipAttack() if engine == "oracle" else PipAttack()
             return _run(
                 small_split,
                 small_targets,
                 engine,
                 attack=attack,
                 num_malicious=4 if attack is not None else 0,
-                sampler=sampler,
                 clients_per_round=clients_per_round,
                 num_epochs=2,
+                **_negatives(negatives),
             )
 
-        (result_loop, sim_loop), (result_vec, sim_vec) = run("loop"), run("vectorized")
+        (result_loop, sim_loop), (result_vec, sim_vec) = run("oracle"), run("library")
         _assert_equivalent(result_loop, result_vec)
         assert sim_loop.server.rounds_applied == sim_vec.server.rounds_applied
         for user in range(small_split.train.num_users):

@@ -126,13 +126,15 @@ class TestTraining:
         result = simulation.run()
         np.testing.assert_array_equal(result.history.evaluated_epochs(), [2, 4])
 
-    def test_score_function_matches_factors(self, small_split, small_targets):
+    def test_score_block_function_matches_factors(self, small_split, small_targets):
         simulation = _simulation(small_split, small_targets)
         simulation.run()
-        score_fn = simulation.score_function()
-        user = 0
-        expected = simulation.benign_clients[user].user_vector @ simulation.server.item_factors.T
-        np.testing.assert_allclose(score_fn(user), expected)
+        score_block = simulation.score_block_function()
+        users = np.array([0, 3], dtype=np.int64)
+        expected = np.stack(
+            [simulation.benign_clients[int(user)].user_vector for user in users]
+        ) @ simulation.server.item_factors.T
+        np.testing.assert_allclose(score_block(users), expected)
 
     def test_malicious_updates_marked(self, small_split, small_targets):
         observed_flags = []

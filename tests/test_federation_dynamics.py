@@ -3,12 +3,12 @@
 The dynamics layer must be *replayable chaos*: every dropout, crash,
 straggler disposition and quorum abort is drawn from the dedicated
 ``"fault-schedule"`` stream, so one seed fixes the full degradation history —
-bit-identical across engines (``"loop"`` vs ``"vectorized"``), with and
-without an attack.  This suite pins that contract plus the
-per-policy semantics: ``"wait"`` merges stragglers normally, ``"discard"``
-drops them, ``"stale-merge"`` holds them for a later round (and records the
-ones training ends before), and ``min_reporters`` aborts-and-redraws rounds
-that could not meet quorum.
+identical between the library round and its per-client reference
+(:class:`oracles.LoopRoundSimulation`), with and without an attack.  This
+suite pins that contract plus the per-policy semantics: ``"wait"`` merges
+stragglers normally, ``"discard"`` drops them, ``"stale-merge"`` holds them
+for a later round (and records the ones training ends before), and
+``min_reporters`` aborts-and-redraws rounds that could not meet quorum.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from repro.federated.config import FederatedConfig
 from repro.federated.dynamics import FaultSchedule, RoundIncident
 from repro.federated.simulation import FederatedSimulation
 from repro.rng import SeedSequenceFactory
+
+from oracles import LoopFedRecAttack, LoopRoundSimulation
 
 #: The churn mix used by the determinism grid: every fault class enabled.
 DYNAMICS = dict(
@@ -41,11 +43,16 @@ INCIDENT_KINDS = {
 }
 
 
-def _run(small_split, small_public, small_targets, scenario="benign", **kwargs):
+def _run(
+    small_split, small_public, small_targets, scenario="benign", engine="library", **kwargs
+):
+    """One run through the library round (``engine="library"``) or the
+    per-client reference round (``engine="oracle"``)."""
     attack = None
     num_malicious = 0
     if scenario == "fedrecattack":
-        attack = FedRecAttack(
+        attack_class = LoopFedRecAttack if engine == "oracle" else FedRecAttack
+        attack = attack_class(
             small_public,
             FedRecAttackConfig(kappa=12, approx_epochs_initial=3, approx_epochs_per_round=1),
         )
@@ -58,7 +65,8 @@ def _run(small_split, small_public, small_targets, scenario="benign", **kwargs):
     )
     defaults.update(kwargs)
     observed: list[tuple[int, int]] = []
-    simulation = FederatedSimulation(
+    simulation_class = LoopRoundSimulation if engine == "oracle" else FederatedSimulation
+    simulation = simulation_class(
         train=small_split.train,
         config=FederatedConfig(**defaults),
         test_items=small_split.test_items,
@@ -178,16 +186,9 @@ class TestDynamicsDeterminism:
         self, small_split, small_public, small_targets, scenario
     ):
         loop_result, _ = _run(
-            small_split, small_public, small_targets, scenario, engine="loop", **DYNAMICS
+            small_split, small_public, small_targets, scenario, engine="oracle", **DYNAMICS
         )
-        vec_result, _ = _run(
-            small_split,
-            small_public,
-            small_targets,
-            scenario,
-            engine="vectorized",
-            **DYNAMICS,
-        )
+        vec_result, _ = _run(small_split, small_public, small_targets, scenario, **DYNAMICS)
         np.testing.assert_allclose(
             np.asarray(loop_result.history.training_loss()),
             np.asarray(vec_result.history.training_loss()),
@@ -204,7 +205,7 @@ STRAGGLER_POLICIES = ("wait", "discard", "stale-merge")
 
 
 class TestReplayUnderFaults:
-    @pytest.mark.parametrize("engine", ("loop", "vectorized"))
+    @pytest.mark.parametrize("engine", ("oracle", "library"))
     @pytest.mark.parametrize("policy", STRAGGLER_POLICIES)
     @pytest.mark.parametrize("scenario", ("benign", "fedrecattack"))
     def test_replay_bit_identical(
@@ -231,10 +232,10 @@ class TestReplayUnderFaults:
     ):
         dynamics = {**DYNAMICS, "straggler_policy": policy}
         loop_result, loop_observed = _run(
-            small_split, small_public, small_targets, scenario, engine="loop", **dynamics
+            small_split, small_public, small_targets, scenario, engine="oracle", **dynamics
         )
         vec_result, vec_observed = _run(
-            small_split, small_public, small_targets, scenario, engine="vectorized", **dynamics
+            small_split, small_public, small_targets, scenario, **dynamics
         )
         np.testing.assert_allclose(
             np.asarray(loop_result.history.training_loss()),

@@ -29,7 +29,6 @@ class TestConstruction:
     def test_degrees(self, dataset):
         store = dataset.interaction_store()
         np.testing.assert_array_equal(store.degrees, [2, 3, 0, 1])
-        assert store.degree(2) == 0
 
     def test_empty_dataset(self):
         empty = InteractionDataset(3, 4, [])
@@ -51,7 +50,7 @@ class TestMasks:
         store = dataset.interaction_store()
         for user in range(dataset.num_users):
             np.testing.assert_array_equal(
-                store.mask_row(user), dataset.positive_mask(user)
+                store.masks[user], dataset.positive_mask(user)
             )
 
     def test_masks_are_read_only(self, dataset):
@@ -59,20 +58,20 @@ class TestMasks:
         with pytest.raises(ValueError):
             store.masks[0, 0] = True
         with pytest.raises(ValueError):
-            store.mask_row(1)[2] = True
+            store.mask_block(1, 2)[0, 2] = True
         with pytest.raises(ValueError):
             store.indices[0] = 9
 
-    def test_mask_row_is_a_view_not_a_copy(self, dataset):
+    def test_mask_block_is_a_view_not_a_copy(self, dataset):
         store = dataset.interaction_store()
-        assert store.mask_row(2).base is store.masks
+        assert store.mask_block(1, 3).base is store.masks
 
     def test_mask_rows_gather_is_writable_copy(self, dataset):
         store = dataset.interaction_store()
         gathered = store.mask_rows(np.array([1, 3]))
-        np.testing.assert_array_equal(gathered[0], store.mask_row(1))
+        np.testing.assert_array_equal(gathered[0], store.masks[1])
         gathered[0, 0] = False  # must not raise, must not touch the store
-        assert store.mask_row(1)[0]
+        assert store.masks[1, 0]
 
     def test_mask_rows_out_of_range(self, dataset):
         store = dataset.interaction_store()
@@ -82,7 +81,7 @@ class TestMasks:
     def test_user_out_of_range(self, dataset):
         store = dataset.interaction_store()
         with pytest.raises(DataError):
-            store.mask_row(-1)
+            store.mask_block(-1, 2)
         with pytest.raises(DataError):
             store.positives(4)
 
@@ -103,7 +102,7 @@ class TestSharing:
         for row, user in enumerate(users):
             drawn = negatives[offsets[row] : offsets[row + 1]]
             assert drawn.shape[0] == counts[row]
-            assert not np.any(store.mask_row(int(user))[drawn])
+            assert not np.any(store.masks[int(user)][drawn])
             assert np.unique(drawn).shape[0] == drawn.shape[0]
 
     def test_copy_false_matches_copy_true_draws(self, dataset):

@@ -1,4 +1,9 @@
-"""Tests for the ranking, exposure and accuracy metrics."""
+"""Tests for the ranking utilities and the per-user metric references.
+
+The per-user metric loops in ``tests/oracles`` are the references the
+blocked evaluation is checked against, so their semantics are pinned here on
+handcrafted score matrices.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +12,11 @@ import pytest
 
 from repro.data.dataset import InteractionDataset
 from repro.exceptions import ModelError
-from repro.metrics.accuracy import evaluate_accuracy, hit_ratio_at_k, ndcg_at_k_leave_one_out
-from repro.metrics.exposure import (
-    evaluate_exposure,
-    exposure_ratio_at_k,
-    target_ndcg_at_k,
-)
 from repro.metrics.ranking import dcg_from_ranks, rank_of_items, top_k_items
+
+from oracles.accuracy import evaluate_accuracy, hit_ratio_at_k, ndcg_at_k_leave_one_out
+from oracles.evaluation import predraw_negatives
+from oracles.exposure import evaluate_exposure, exposure_ratio_at_k, target_ndcg_at_k
 
 
 @pytest.fixture()
@@ -152,14 +155,14 @@ class TestAccuracyMetrics:
         scores = np.zeros((3, 6))
         test_items = np.array([4, 4, 4])
         scores[:, 4] = 10.0
-        hr = hit_ratio_at_k(_score_fn_from_matrix(scores), toy_train, test_items, k=10, num_negatives=None)
+        hr = hit_ratio_at_k(_score_fn_from_matrix(scores), toy_train, test_items, k=10)
         assert hr == pytest.approx(1.0)
 
     def test_miss_when_test_item_ranked_last(self, toy_train):
         scores = np.ones((3, 6))
         scores[:, 4] = -10.0
         test_items = np.array([4, 4, 4])
-        hr = hit_ratio_at_k(_score_fn_from_matrix(scores), toy_train, test_items, k=1, num_negatives=None)
+        hr = hit_ratio_at_k(_score_fn_from_matrix(scores), toy_train, test_items, k=1)
         assert hr == 0.0
 
     def test_users_without_test_item_skipped(self, toy_train):
@@ -167,7 +170,7 @@ class TestAccuracyMetrics:
         scores[:, 4] = 10.0
         test_items = np.array([4, -1, -1])
         report = evaluate_accuracy(
-            _score_fn_from_matrix(scores), toy_train, test_items, num_negatives=None
+            _score_fn_from_matrix(scores), toy_train, test_items
         )
         assert report.num_evaluated_users == 1
         assert report.hr_at_10 == pytest.approx(1.0)
@@ -181,7 +184,7 @@ class TestAccuracyMetrics:
         scores[0, 4] = 1.0
         test_items = np.array([4, -1, -1])
         hr = hit_ratio_at_k(
-            _score_fn_from_matrix(scores), toy_train, test_items, k=1, num_negatives=None
+            _score_fn_from_matrix(scores), toy_train, test_items, k=1
         )
         assert hr == pytest.approx(1.0)
 
@@ -192,15 +195,16 @@ class TestAccuracyMetrics:
         scores[:, 4] = 1.0
         test_items = np.array([4, -1, -1])
         ndcg = ndcg_at_k_leave_one_out(
-            _score_fn_from_matrix(scores), toy_train, test_items, k=10, num_negatives=None
+            _score_fn_from_matrix(scores), toy_train, test_items, k=10
         )
         assert 0.0 < ndcg < 1.0
 
     def test_sampled_protocol_runs(self, toy_train):
         scores = np.random.default_rng(0).normal(size=(3, 6))
         test_items = np.array([4, 0, 5])
+        negatives = predraw_negatives(toy_train, test_items, 3, np.random.default_rng(0), 2)
         report = evaluate_accuracy(
-            _score_fn_from_matrix(scores), toy_train, test_items, num_negatives=3, rng=0
+            _score_fn_from_matrix(scores), toy_train, test_items, predrawn_negatives=negatives
         )
         assert 0.0 <= report.hr_at_10 <= 1.0
 

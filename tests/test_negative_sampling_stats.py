@@ -1,14 +1,15 @@
-"""Statistical and contract tests for the negative-sampling engines.
+"""Statistical and contract tests for the stacked negative samplers.
 
-The two *training* engines claim the same distribution — an exact uniform
-draw without replacement from the complement of the user's positives — while
-consuming different RNG streams.  These tests check the distributional claim
-(chi-square uniformity over the item catalog), the hard constraints
-(positives never sampled, no duplicates, counts capped at the complement
-size), and fixed-seed reproducibility, parametrized over both engines and
-over empty / sparse / dense user histories.
+The *training* draw claims an exact uniform draw without replacement from
+the complement of the user's positives.  These tests check the
+distributional claim (chi-square uniformity over the item catalog), the hard
+constraints (positives never sampled, no duplicates, counts capped at the
+complement size), and fixed-seed reproducibility, over empty / sparse /
+dense user histories, for a user drawn alone and for the same user drawn as
+one row of a stack next to other users (the round trainer's layout: one
+shared stream, per-row constraints).
 
-The *evaluation* side's batched ranking stream
+The *evaluation* side's ranking stream
 (:func:`sample_ranking_negatives_batched`, drawn **with** replacement and
 excluding each row's test item) gets the same treatment: uniformity over the
 free items, positives/test-item never sampled, and per-seed reproducibility.
@@ -20,12 +21,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.data.dataset import InteractionDataset
 from repro.data.negative_sampling import (
-    SAMPLER_ENGINES,
-    NegativeSampler,
     sample_ranking_negatives_batched,
-    sample_uniform_negatives,
     sample_uniform_negatives_batched,
 )
 from repro.exceptions import DataError
@@ -46,43 +43,61 @@ def _mask(positives: np.ndarray, num_items: int = NUM_ITEMS) -> np.ndarray:
     return mask
 
 
-def _draw(engine: str, rng: np.random.Generator, count: int, positives: np.ndarray) -> np.ndarray:
-    """One draw of ``count`` negatives through the named engine."""
-    if engine == "permutation":
-        return sample_uniform_negatives(rng, NUM_ITEMS, count, _mask(positives))
+#: A user drawn alone, or as the middle row of a three-user stack.
+LAYOUTS = ("alone", "stacked")
+
+#: The stacked layout's neighbours: a sparse user and one holding every
+#: other item, so the stack mixes acceptance rates around the user under test.
+NEIGHBOURS = (
+    np.array([1, 2, 50], dtype=np.int64),
+    np.arange(0, NUM_ITEMS, 2, dtype=np.int64),
+)
+
+
+def _draw(
+    rng: np.random.Generator, count: int, positives: np.ndarray, layout: str = "alone"
+) -> np.ndarray:
+    """One draw of ``count`` negatives for a single user in ``layout``."""
+    if layout == "alone":
+        rows, row = [positives], 0
+    else:
+        rows, row = [NEIGHBOURS[0], positives, NEIGHBOURS[1]], 1
     values, offsets = sample_uniform_negatives_batched(
-        rng, NUM_ITEMS, np.array([count], dtype=np.int64), _mask(positives)[None, :]
+        rng,
+        NUM_ITEMS,
+        np.full(len(rows), count, dtype=np.int64),
+        np.stack([_mask(history) for history in rows]),
     )
-    assert offsets.shape == (2,)
-    return values
+    assert offsets.shape == (len(rows) + 1,)
+    return values[offsets[row] : offsets[row + 1]]
 
 
-@pytest.mark.parametrize("engine", SAMPLER_ENGINES)
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("history", sorted(HISTORIES))
 class TestSamplerConstraints:
-    def test_positives_never_sampled(self, engine, history):
+    def test_positives_never_sampled(self, history, layout):
         positives = HISTORIES[history]
         rng = np.random.default_rng(3)
         for _ in range(50):
-            negatives = _draw(engine, rng, 5, positives)
+            negatives = _draw(rng, 5, positives, layout)
             assert not np.isin(negatives, positives).any()
 
-    def test_no_duplicates_and_capped_counts(self, engine, history):
+    def test_no_duplicates_and_capped_counts(self, history, layout):
         positives = HISTORIES[history]
         free = NUM_ITEMS - positives.shape[0]
-        negatives = _draw(engine, np.random.default_rng(4), NUM_ITEMS, positives)
+        negatives = _draw(np.random.default_rng(4), NUM_ITEMS, positives, layout)
         assert np.unique(negatives).shape[0] == negatives.shape[0]
         assert negatives.shape[0] == free
 
-    def test_fixed_seed_reproducibility(self, engine, history):
+    def test_fixed_seed_reproducibility(self, history, layout):
         positives = HISTORIES[history]
-        first = _draw(engine, np.random.default_rng(5), 7, positives)
-        second = _draw(engine, np.random.default_rng(5), 7, positives)
+        first = _draw(np.random.default_rng(5), 7, positives, layout)
+        second = _draw(np.random.default_rng(5), 7, positives, layout)
         np.testing.assert_array_equal(first, second)
 
 
-@pytest.mark.parametrize("engine", SAMPLER_ENGINES)
-def test_chi_square_uniform_over_catalog(engine):
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_chi_square_uniform_over_catalog(layout):
     """Sampled negatives are uniform over the non-positive catalog.
 
     2000 draws of 4 negatives each over 50 free items gives an expected count
@@ -93,20 +108,20 @@ def test_chi_square_uniform_over_catalog(engine):
     rng = np.random.default_rng(6)
     counts = np.zeros(NUM_ITEMS, dtype=np.int64)
     for _ in range(2000):
-        counts[_draw(engine, rng, 4, positives)] += 1
+        counts[_draw(rng, 4, positives, layout)] += 1
     assert counts[positives].sum() == 0
     free = np.setdiff1d(np.arange(NUM_ITEMS), positives)
     _, p_value = stats.chisquare(counts[free])
     assert p_value > 1e-3, f"uniformity rejected (p={p_value:.2e})"
 
 
-@pytest.mark.parametrize("engine", SAMPLER_ENGINES)
-def test_engines_share_distribution_statistics(engine):
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_draw_means_match_the_complement(layout):
     """Per-user means of the sampled item ids match the complement's mean."""
     positives = HISTORIES["sparse"]
     free = np.setdiff1d(np.arange(NUM_ITEMS), positives)
     rng = np.random.default_rng(8)
-    means = [float(_draw(engine, rng, 10, positives).mean()) for _ in range(500)]
+    means = [float(_draw(rng, 10, positives, layout).mean()) for _ in range(500)]
     assert abs(np.mean(means) - free.mean()) < 1.0
 
 
@@ -246,25 +261,3 @@ class TestBatchedRankingStream:
             sample_ranking_negatives_batched(
                 np.random.default_rng(26), NUM_ITEMS, np.array([1, 1]), masks, excluded[:2]
             )
-
-
-@pytest.mark.parametrize("engine", SAMPLER_ENGINES)
-def test_negative_sampler_facade(engine, tiny_dataset: InteractionDataset):
-    """The data-layer NegativeSampler honours the engine switch."""
-    sampler = NegativeSampler(tiny_dataset, rng=13, sampler=engine)
-    for user in range(tiny_dataset.num_users):
-        positives = tiny_dataset.positive_items(user)
-        negatives = sampler.sample_for_user(user)
-        assert negatives.shape[0] == positives.shape[0]
-        assert not np.isin(negatives, positives).any()
-    # Same seed, same call sequence -> same draws.
-    repeat = NegativeSampler(tiny_dataset, rng=13, sampler=engine)
-    np.testing.assert_array_equal(
-        NegativeSampler(tiny_dataset, rng=13, sampler=engine).sample_for_user(0),
-        repeat.sample_for_user(0),
-    )
-
-
-def test_negative_sampler_rejects_unknown_engine(tiny_dataset):
-    with pytest.raises(DataError):
-        NegativeSampler(tiny_dataset, sampler="magic")

@@ -18,6 +18,8 @@ from repro.metrics.evaluation import evaluate_snapshot
 from repro.metrics.ranking import rank_of_items, top_k_items
 from repro.models.losses import bpr_loss, bpr_loss_and_gradients, sigmoid
 
+from oracles import evaluate_loop
+
 # --------------------------------------------------------------------- #
 # Strategies
 # --------------------------------------------------------------------- #
@@ -178,13 +180,12 @@ class TestRankingProperties:
 # Evaluation-stream invariants
 # --------------------------------------------------------------------- #
 class TestEvaluationStreamProperties:
-    """Random interaction matrices through the {engine} x {stream} grid.
+    """Random interaction matrices through the library and its reference.
 
     For any interaction matrix, any scores (including degenerate all-ties)
-    and any block partitioning (including single-user blocks), the loop and
-    vectorized engines must report identical sampled-protocol metrics under
-    a shared stream seed — for *both* evaluation streams, since each stream
-    is consumed through the same draws by both engines.
+    and any block partitioning (including single-user blocks), the blocked
+    pass and both per-user reference routes must report identical
+    sampled-protocol metrics under a shared stream seed.
     """
 
     @given(
@@ -192,11 +193,11 @@ class TestEvaluationStreamProperties:
         seed=st.integers(0, 10_000),
         block_size=st.sampled_from([1, 3, 7, 64]),
         all_ties=st.booleans(),
-        eval_sampler=st.sampled_from(["per-user", "batched"]),
+        eval_path=st.sampled_from(["candidates", "block"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_engines_agree_on_sampled_ranks(
-        self, interactions, seed, block_size, all_ties, eval_sampler
+        self, interactions, seed, block_size, all_ties, eval_path
     ):
         num_users, num_items = 15, 20
         dataset = InteractionDataset(num_users, num_items, interactions)
@@ -209,50 +210,38 @@ class TestEvaluationStreamProperties:
         test_items = rng.integers(0, num_items, size=num_users)
         test_items[rng.random(num_users) < 0.25] = -1
         score_block = lambda users: scores[users]  # noqa: E731
-        results = [
-            evaluate_snapshot(
-                score_block,
-                dataset,
-                test_items=test_items,
-                num_negatives=7,
-                rng=np.random.default_rng(seed + 1),
-                engine=engine,
-                eval_sampler=eval_sampler,
-                block_size=block_size,
-            )
-            for engine in ("loop", "vectorized")
-        ]
-        assert results[0].accuracy == results[1].accuracy
+        kwargs = dict(test_items=test_items, num_negatives=7, block_size=block_size)
+        library = evaluate_snapshot(
+            score_block, dataset, rng=np.random.default_rng(seed + 1), **kwargs
+        )
+        reference = evaluate_loop(
+            score_block, dataset, rng=np.random.default_rng(seed + 1),
+            eval_path=eval_path, **kwargs,
+        )
+        assert library.accuracy == reference.accuracy
 
     @given(interactions=interaction_lists, seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    def test_streams_share_support(self, interactions, seed):
-        """Whatever the stream, sampled metrics stay in [0, 1] and evaluate
-        the same user population."""
+    def test_sampled_metrics_stay_in_range(self, interactions, seed):
+        """Sampled metrics stay in [0, 1] and evaluate every user with a
+        test item."""
         num_users, num_items = 15, 20
         dataset = InteractionDataset(num_users, num_items, interactions)
         rng = np.random.default_rng(seed)
         scores = rng.normal(size=(num_users, num_items))
         test_items = rng.integers(0, num_items, size=num_users)
-        score_block = lambda users: scores[users]  # noqa: E731
-        reports = {
-            sampler: evaluate_snapshot(
-                score_block,
-                dataset,
-                test_items=test_items,
-                num_negatives=11,
-                rng=np.random.default_rng(seed),
-                eval_sampler=sampler,
-            ).accuracy
-            for sampler in ("per-user", "batched")
-        }
-        for report in reports.values():
-            assert 0.0 <= report.hr_at_10 <= 1.0
-            assert 0.0 <= report.ndcg_at_10 <= 1.0
-        assert (
-            reports["per-user"].num_evaluated_users
-            == reports["batched"].num_evaluated_users
-        )
+        test_items[rng.random(num_users) < 0.25] = -1
+        report = evaluate_snapshot(
+            lambda users: scores[users],
+            dataset,
+            test_items=test_items,
+            num_negatives=11,
+            rng=np.random.default_rng(seed),
+        ).accuracy
+        assert report is not None
+        assert 0.0 <= report.hr_at_10 <= 1.0
+        assert 0.0 <= report.ndcg_at_10 <= 1.0
+        assert report.num_evaluated_users == int(np.sum(test_items >= 0))
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,11 @@
-"""The in-process round protocol across every realization and batch geometry.
+"""The in-process round protocol across batch geometries.
 
-Every federated round runs through one in-process path, realised by the
-``engine`` (``"loop"`` | ``"vectorized"``) and negative ``sampler``
-(``"permutation"`` | ``"batched"``) switches.  Whatever the realization, and
-however an epoch's shuffled client order is cut into rounds — one-client
-rounds, ragged rounds, one round larger than the whole federation — the
-protocol must:
+Every federated round runs through one in-process path.  However an epoch's
+shuffled client order is cut into rounds — one-client rounds, ragged rounds,
+one round larger than the whole federation — whether each client's negatives
+are redrawn every round or drawn once and kept
+(``resample_negatives_each_epoch``), and whether items are scored by the dot
+product or the learnable MLP scorer, the protocol must:
 
 * replay **bit for bit** from one master seed (losses, both factor matrices,
   metrics, round counter),
@@ -20,8 +20,9 @@ protocol must:
 The second half pins the privacy mechanism and the stateful trainer on the
 same path: clip-only DP bounds every benign row, additive noise lands on the
 clipped rows with standard deviation ``mu * C`` (Eq. 5), a client trained
-in two consecutive rounds starts the second from its stepped vector, and an
-empty round consumes no sampler stream.
+in two consecutive rounds starts the second from its stepped vector, an
+empty round consumes no sampler stream, and fixed negatives
+(``resample_negatives_each_epoch=False``) stay fixed.
 """
 
 from __future__ import annotations
@@ -33,17 +34,20 @@ import numpy as np
 import pytest
 
 from repro.attacks.fedrecattack import FedRecAttack, FedRecAttackConfig
+from repro.data.dataset import InteractionDataset
 from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation, SimulationResult
 from repro.federated.updates import ClientUpdate
 from repro.rng import SeedSequenceFactory
 
 SCENARIOS = ("benign", "fedrecattack")
-ENGINES = ("loop", "vectorized")
-SAMPLERS = ("permutation", "batched")
 #: Round sizes cutting the 84-client epoch (80 benign users plus 4 malicious
 #: clients) into one-client rounds, ragged rounds and one over-sized round.
 CLIENTS_PER_ROUND = (1, 9, 128)
+#: Per-round redrawn negatives (the default) or one draw kept for the run.
+NEGATIVES = ("resampled", "fixed")
+#: The dot-product model and the learnable MLP scorer.
+MODELS = ("mf", "mlp")
 NUM_EPOCHS = 2
 NUM_MALICIOUS = 4
 KAPPA = 12
@@ -62,8 +66,6 @@ def _run(
     small_public,
     small_targets,
     scenario="benign",
-    engine="vectorized",
-    sampler="permutation",
     **config_kwargs,
 ) -> _Run:
     attack = None
@@ -81,8 +83,6 @@ def _run(
         learning_rate=0.05,
         clients_per_round=32,
         num_epochs=NUM_EPOCHS,
-        engine=engine,
-        sampler=sampler,
     )
     defaults.update(config_kwargs)
     observed: list[tuple[int, list[ClientUpdate]]] = []
@@ -102,22 +102,31 @@ def _run(
     return _Run(simulation.run(), simulation, observed)
 
 
-#: (scenario, clients_per_round, sampler, engine) -> the grid point's first
+def _variant(negatives: str = "resampled", model: str = "mf") -> dict[str, object]:
+    """The ``FederatedConfig`` fields of one (negatives, model) variant."""
+    kwargs: dict[str, object] = {
+        "resample_negatives_each_epoch": negatives == "resampled"
+    }
+    if model == "mlp":
+        kwargs.update(use_learnable_scorer=True, scorer_hidden_units=8)
+    return kwargs
+
+
+#: (scenario, clients_per_round, negatives, model) -> the grid point's first
 #: run, shared by the grid's tests so each point trains once for them all.
 _GRID_RUNS: dict[tuple[str, int, str, str], _Run] = {}
 
 
-def _grid_run(small_split, small_public, small_targets, scenario, cpr, sampler, engine):
-    key = (scenario, cpr, sampler, engine)
+def _grid_run(small_split, small_public, small_targets, scenario, cpr, negatives, model):
+    key = (scenario, cpr, negatives, model)
     if key not in _GRID_RUNS:
         _GRID_RUNS[key] = _run(
             small_split,
             small_public,
             small_targets,
             scenario,
-            engine,
-            sampler,
             clients_per_round=cpr,
+            **_variant(negatives, model),
         )
     return _GRID_RUNS[key]
 
@@ -134,34 +143,33 @@ def _assert_bit_identical(run_a: _Run, run_b: _Run) -> None:
     assert a.exposure == b.exposure
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("negatives", NEGATIVES)
 @pytest.mark.parametrize("cpr", CLIENTS_PER_ROUND)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 class TestRoundProtocolGrid:
     def test_replay_is_bit_identical(
-        self, small_split, small_public, small_targets, scenario, cpr, sampler, engine
+        self, small_split, small_public, small_targets, scenario, cpr, negatives, model
     ):
         first = _grid_run(
-            small_split, small_public, small_targets, scenario, cpr, sampler, engine
+            small_split, small_public, small_targets, scenario, cpr, negatives, model
         )
         second = _run(
             small_split,
             small_public,
             small_targets,
             scenario,
-            engine,
-            sampler,
             clients_per_round=cpr,
+            **_variant(negatives, model),
         )
         _assert_bit_identical(first, second)
         assert first.result.rounds_applied > 0
 
     def test_round_bookkeeping(
-        self, small_split, small_public, small_targets, scenario, cpr, sampler, engine
+        self, small_split, small_public, small_targets, scenario, cpr, negatives, model
     ):
         run = _grid_run(
-            small_split, small_public, small_targets, scenario, cpr, sampler, engine
+            small_split, small_public, small_targets, scenario, cpr, negatives, model
         )
         num_users = small_split.train.num_users
         num_clients = num_users + (NUM_MALICIOUS if scenario == "fedrecattack" else 0)
@@ -197,10 +205,10 @@ class TestRoundProtocolGrid:
             assert malicious_uploads == 0
 
     def test_uploads_stay_within_budget(
-        self, small_split, small_public, small_targets, scenario, cpr, sampler, engine
+        self, small_split, small_public, small_targets, scenario, cpr, negatives, model
     ):
         run = _grid_run(
-            small_split, small_public, small_targets, scenario, cpr, sampler, engine
+            small_split, small_public, small_targets, scenario, cpr, negatives, model
         )
         num_items = small_split.train.num_items
         clip_norm = run.simulation.config.clip_norm
@@ -220,40 +228,36 @@ class TestRoundProtocolGrid:
                 assert len(touched) == 2 * len(positives)
 
 
+@pytest.mark.parametrize("negatives", NEGATIVES)
 class TestPrivacyOnTheRoundPath:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_clip_only_bounds_every_benign_row(
-        self, small_split, small_public, small_targets, sampler, engine
+        self, small_split, small_public, small_targets, negatives
     ):
         clip_norm = 0.01
         run = _run(
             small_split,
             small_public,
             small_targets,
-            engine=engine,
-            sampler=sampler,
             clip_benign_gradients=True,
             clip_norm=clip_norm,
+            **_variant(negatives),
         )
         norms = [update.max_row_norm for _, updates in run.observed for update in updates]
         assert norms and max(norms) <= clip_norm + 1e-12
         # The bound binds: unclipped BPR rows at this scale exceed it.
-        unclipped = _run(small_split, small_public, small_targets, engine=engine, sampler=sampler)
+        unclipped = _run(small_split, small_public, small_targets, **_variant(negatives))
         assert max(
             update.max_row_norm for _, updates in unclipped.observed for update in updates
         ) > clip_norm
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_noise_lands_on_clipped_rows_with_eq5_stddev(
-        self, small_split, small_public, small_targets, sampler, engine
+        self, small_split, small_public, small_targets, negatives
     ):
         # The first round trains identically with and without noise (noise
         # comes from the dedicated privacy stream), so the difference of its
         # uploads is exactly the added noise.
         clip_norm, noise_scale = 0.05, 0.5
-        kwargs = dict(engine=engine, sampler=sampler, clip_benign_gradients=True, clip_norm=clip_norm)
+        kwargs = dict(clip_benign_gradients=True, clip_norm=clip_norm, **_variant(negatives))
         clipped = _run(small_split, small_public, small_targets, num_epochs=1, **kwargs)
         noisy = _run(
             small_split,
@@ -277,43 +281,42 @@ class TestPrivacyOnTheRoundPath:
 
 
 class TestConvergence:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_training_loss_halves(
-        self, small_split, small_public, small_targets, sampler, engine
-    ):
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_training_loss_halves(self, small_split, small_public, small_targets, negatives):
         run = _run(
             small_split,
             small_public,
             small_targets,
-            engine=engine,
-            sampler=sampler,
             num_epochs=60,
             learning_rate=0.1,
+            **_variant(negatives),
         )
         losses = run.result.history.training_loss()
         assert np.all(np.isfinite(losses))
         assert losses[-1] < 0.5 * losses[0]
 
 
+@pytest.mark.parametrize("negatives", NEGATIVES)
 class TestTrainerState:
     @staticmethod
-    def _simulation(small_split, small_targets, sampler):
+    def _simulation(small_split, small_targets, negatives):
         return FederatedSimulation(
             train=small_split.train,
             config=FederatedConfig(
-                num_factors=8, learning_rate=0.05, clients_per_round=32, sampler=sampler
+                num_factors=8,
+                learning_rate=0.05,
+                clients_per_round=32,
+                resample_negatives_each_epoch=negatives == "resampled",
             ),
             test_items=small_split.test_items,
             target_items=small_targets,
             seed=SeedSequenceFactory(41),
         )
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_client_trained_twice_starts_from_stepped_vector(
-        self, small_split, small_targets, sampler
+        self, small_split, small_targets, negatives
     ):
-        simulation = self._simulation(small_split, small_targets, sampler)
+        simulation = self._simulation(small_split, small_targets, negatives)
         batch = sorted(simulation.benign_clients)[:8]
         factors = simulation.server.item_factors
         first, _ = simulation._trainer.train_round(batch, factors, None)
@@ -325,10 +328,9 @@ class TestTrainerState:
         for cid in batch:
             assert simulation.benign_clients[cid].participation_count == 2
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_empty_round_consumes_no_stream(self, small_split, small_targets, sampler):
-        with_empty = self._simulation(small_split, small_targets, sampler)
-        plain = self._simulation(small_split, small_targets, sampler)
+    def test_empty_round_consumes_no_stream(self, small_split, small_targets, negatives):
+        with_empty = self._simulation(small_split, small_targets, negatives)
+        plain = self._simulation(small_split, small_targets, negatives)
         batch = sorted(plain.benign_clients)[:16]
 
         empty, empty_loss = with_empty._trainer.train_round(
@@ -344,3 +346,57 @@ class TestTrainerState:
         np.testing.assert_array_equal(after_empty.item_ids, reference.item_ids)
         np.testing.assert_array_equal(after_empty.coefficients, reference.coefficients)
         np.testing.assert_array_equal(after_empty.user_vectors, reference.user_vectors)
+
+
+class TestFixedNegatives:
+    """``resample_negatives_each_epoch`` keeps or redraws each client's pairs."""
+
+    #: User 0 is heavy (15 of 20 items: a quota of 5 negatives, shorter than
+    #: its positive set), user 1 light (5 items), user 2 in between.
+    NUM_ITEMS = 20
+    POSITIVES = {0: range(15), 1: range(5, 10), 2: range(10, 18)}
+
+    def _pairs_per_round(self, resample: bool) -> dict[int, list[tuple[list[int], list[int]]]]:
+        interactions = [
+            (user, item) for user, items in self.POSITIVES.items() for item in items
+        ]
+        dataset = InteractionDataset(len(self.POSITIVES), self.NUM_ITEMS, interactions)
+        simulation = FederatedSimulation(
+            train=dataset,
+            config=FederatedConfig(
+                num_factors=4,
+                clients_per_round=2,
+                num_epochs=4,
+                resample_negatives_each_epoch=resample,
+            ),
+            seed=SeedSequenceFactory(3),
+        )
+        seen: dict[int, list[tuple[list[int], list[int]]]] = {
+            user: [] for user in self.POSITIVES
+        }
+        draw = simulation._trainer.draw_round_pairs
+
+        def recording(benign_ids):
+            pairs = draw(benign_ids)
+            for cid, (positives, negatives) in zip(benign_ids, pairs):
+                seen[cid].append((positives.tolist(), negatives.tolist()))
+            return pairs
+
+        simulation._trainer.draw_round_pairs = recording  # type: ignore[method-assign]
+        simulation.run()
+        return seen
+
+    def test_fixed_pairs_stay_fixed(self):
+        seen = self._pairs_per_round(resample=False)
+        for user, rounds in seen.items():
+            assert len(rounds) == 4
+            assert all(pairs == rounds[0] for pairs in rounds), user
+        heavy_positives, heavy_negatives = seen[0][0]
+        assert len(heavy_negatives) == self.NUM_ITEMS - 15
+        assert len(heavy_positives) == len(heavy_negatives)
+
+    def test_resampled_pairs_are_redrawn(self):
+        seen = self._pairs_per_round(resample=True)
+        for user, rounds in seen.items():
+            assert len(rounds) == 4
+            assert any(pairs != rounds[0] for pairs in rounds[1:]), user

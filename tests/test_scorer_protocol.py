@@ -12,9 +12,9 @@ classes.  This suite pins the three legs:
   normalises protocol objects to their bound ``score_block`` and passes bare
   callables through, and ``evaluate_snapshot`` produces bit-identical
   reports either way;
-* **deprecation** — the legacy vector-based ``Recommender.score_block``
-  fallback still works but warns (the covered shim the redesign keeps for
-  historical subclasses).
+* **no vector fallback** — a :class:`~repro.models.base.Recommender`
+  subclass that only scores user *vectors* gets no block surface and does
+  not conform; block scoring is the id-based protocol or a plain callback.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _mlp(num_users: int = 20, num_items: int = 30, seed: int = 5) -> MLPRecommen
 
 
 class _VectorOnlyScorer(Recommender):
-    """Historical-style subclass that never overrode ``score_block``."""
+    """A subclass that implements only vector scoring, no ``score_block``."""
 
     def __init__(self, item_factors: np.ndarray) -> None:
         self._item_factors = np.asarray(item_factors, dtype=np.float64)
@@ -124,23 +124,11 @@ class TestResolveScoreBlock:
         assert via_protocol.exposure == via_callback.exposure
 
 
-class TestDeprecatedVectorFallback:
-    def test_generic_score_block_warns(self):
+class TestNoVectorFallback:
+    def test_vector_only_subclass_is_not_a_scorer(self):
         scorer = _VectorOnlyScorer(np.eye(4))
-        vectors = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 3.0]])
-        with pytest.warns(DeprecationWarning, match="id-based"):
-            block = scorer.score_block(vectors)
-        np.testing.assert_array_equal(
-            block, np.stack([scorer.score_items(vector) for vector in vectors])
-        )
-
-    def test_id_based_override_does_not_warn(self):
-        import warnings
-
-        model = _mf()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            model.score_block(np.arange(3, dtype=np.int64))
+        assert not hasattr(scorer, "score_block")
+        assert not isinstance(scorer, ScorerProtocol)
 
 
 class TestMatrixFactorizationProtocolSurface:
