@@ -23,18 +23,17 @@ Both realizations draw every round's pairs from the same shared stream and
 consume the attack stream identically, so the speedup is free of any
 accuracy trade-off (see ``tests/test_federated_engine_equivalence.py``).
 
-Results land in ``benchmarks/results/perf_engine.json`` / ``.txt`` and
-``benchmarks/results/perf_attack.json`` / ``.txt``.
+The latest timings land in ``benchmarks/results/local/perf_engine.json`` /
+``.txt`` and ``perf_attack.json`` / ``.txt`` there (ignored by git).
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once, save_perf_record
 
 from repro.attacks.fedrecattack import FedRecAttack, FedRecAttackConfig
 from repro.data.presets import get_preset
@@ -161,12 +160,9 @@ def _measure_engines() -> dict:
     }
 
 
-def test_perf_engine(benchmark, save_result):
+def test_perf_engine(benchmark):
     payload = run_once(benchmark, _measure_engines)
 
-    (RESULTS_DIR / "perf_engine.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
     lines = [
         "Round throughput (synthetic paper shapes, k=32, 256 clients/round)",
     ]
@@ -177,7 +173,7 @@ def test_perf_engine(benchmark, save_result):
             f"  batched round:        {shape['library_rounds_per_sec']:8.2f} rounds/sec"
             f"  ({shape['speedup']:.2f}x)",
         ]
-    save_result("perf_engine", "\n".join(lines))
+    save_perf_record("perf_engine", payload, "\n".join(lines))
 
     for gate_shape in (GATE_SHAPE, SPARSE_GATE_SHAPE):
         gate = next(s for s in payload["shapes"] if s["dataset"] == gate_shape)
@@ -262,14 +258,12 @@ def _measure_attack() -> dict:
     }
 
 
-def test_perf_attack_rounds(benchmark, save_result):
+def test_perf_attack_rounds(benchmark):
     payload = run_once(benchmark, _measure_attack)
 
-    (RESULTS_DIR / "perf_attack.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-    save_result(
+    save_perf_record(
         "perf_attack",
+        payload,
         "\n".join(
             [
                 "Attack-enabled round throughput (FedRecAttack, synthetic ML-100K shape,",

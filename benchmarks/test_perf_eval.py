@@ -11,18 +11,17 @@ identical score blocks, so the benchmark asserts every full-rank metric is
 reference at the ml-100k shape.
 
 A fast smoke variant (reduced repeats, a lower threshold for noisy shared CI
-runners) runs in the CI perf job via ``-k smoke``.  Results land in
-``benchmarks/results/perf_eval.json`` / ``.txt``.
+runners) runs in the CI perf job via ``-k smoke``.  The latest timings land
+in ``benchmarks/results/local/perf_eval.json`` / ``.txt`` (ignored by git).
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once, save_perf_record
 
 from repro.data.presets import get_preset
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
@@ -121,7 +120,7 @@ def _measure_shape(name: str, repeats: int) -> dict:
     }
 
 
-def test_perf_eval(benchmark, save_result):
+def test_perf_eval(benchmark):
     payload = run_once(
         benchmark,
         lambda: {
@@ -129,9 +128,6 @@ def test_perf_eval(benchmark, save_result):
         },
     )
 
-    (RESULTS_DIR / "perf_eval.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
     lines = [
         "Evaluation throughput (full-rank protocol, "
         f"{NUM_TARGETS} targets, k={NUM_FACTORS})",
@@ -143,7 +139,7 @@ def test_perf_eval(benchmark, save_result):
             f"  blocked pass:       {shape['library_evals_per_sec']:8.2f} evals/sec"
             f"  ({shape['speedup']:.2f}x)",
         ]
-    save_result("perf_eval", "\n".join(lines))
+    save_perf_record("perf_eval", payload, "\n".join(lines))
 
     gate = next(s for s in payload["shapes"] if s["dataset"] == GATE_SHAPE)
     assert gate["speedup"] >= MIN_SPEEDUP, (

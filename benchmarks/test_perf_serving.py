@@ -21,18 +21,17 @@ snapshot's model directly.
 
 Gate: warm >= 5x cold queries/sec at the ml-100k shape.  A fast smoke
 variant (reduced repeats, lower threshold for noisy shared CI runners) runs
-in the CI perf job via ``-k smoke``.  Results land in
-``benchmarks/results/perf_serving.json`` / ``.txt``.
+in the CI perf job via ``-k smoke``.  The latest timings land in
+``benchmarks/results/local/perf_serving.json`` / ``.txt`` (ignored by git).
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once, save_perf_record
 
 from repro.data.presets import get_preset
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
@@ -159,7 +158,7 @@ def _measure_shape(name: str, repeats: int) -> dict:
     }
 
 
-def test_perf_serving(benchmark, save_result):
+def test_perf_serving(benchmark):
     payload = run_once(
         benchmark,
         lambda: {
@@ -169,9 +168,6 @@ def test_perf_serving(benchmark, save_result):
         },
     )
 
-    (RESULTS_DIR / "perf_serving.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
     lines = [
         f"Serving throughput ({QUERY_USERS} shuffled single-user queries, "
         f"k=10, factors={NUM_FACTORS})",
@@ -185,7 +181,7 @@ def test_perf_serving(benchmark, save_result):
         ]
         for batch_size, qps in shape["batch_queries_per_sec"].items():
             lines.append(f"  batch={batch_size:>3}:  {qps:10.0f} queries/sec (cold)")
-    save_result("perf_serving", "\n".join(lines))
+    save_perf_record("perf_serving", payload, "\n".join(lines))
 
     gate = next(s for s in payload["shapes"] if s["dataset"] == GATE_SHAPE)
     assert gate["warm_speedup"] >= MIN_WARM_SPEEDUP, (

@@ -13,12 +13,17 @@ no gradient exists, so their approximated vectors stay at their random
 initialisation and contribute (essentially) nothing to the attack loss, which
 matches the ablation result that the attack collapses at ``xi = 0``.
 
-Each SGD epoch is one call to
-:func:`repro.models.losses.bpr_coefficients_batched` over all active users'
-stacked vectors.  Within an epoch the per-user updates are independent (each
-touches only its own row of ``U`` while ``V`` stays fixed), so batching the
-whole epoch is exact, not an approximation.  The epoch's negatives are drawn
-up front in one stacked rejection-sampling pass from the attack stream; the
+Each SGD epoch updates all active users at once from their public pairs
+alone.  Per pair ``(j, n)`` of user ``b`` it gathers ``v_j - v_n``, takes one
+row-wise dot with ``u_b`` for the margin, and one weighted segment sum folds
+``-sigmoid(-margin) (v_j - v_n)`` into each user's gradient, plus the L2 term
+on the users that have pairs.  An epoch reads about one pair per public
+interaction, so it never scores the catalog: no (active users x catalog)
+product, no per-(user, item) fold, and no loss or item-L2 terms that nothing
+reads.  Within an epoch the per-user updates are independent (each touches
+only its own row of ``U`` while ``V`` stays fixed), so batching the whole
+epoch is exact, not an approximation.  The epoch's negatives are drawn up
+front in one stacked rejection-sampling pass from the attack stream; the
 one-user-at-a-time reference update in ``tests/oracles`` consumes the same
 draws and matches up to floating-point summation order.
 """
@@ -30,7 +35,7 @@ import numpy as np
 from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.data.public import PublicInteractions
 from repro.exceptions import AttackError
-from repro.models.losses import bpr_coefficients_batched
+from repro.models.losses import segment_sum, sigmoid
 from repro.rng import ensure_rng
 
 __all__ = ["UserMatrixApproximator"]
@@ -109,6 +114,7 @@ class UserMatrixApproximator:
         keep = ranks < quotas[segment_ids]
         self._pair_positives = store.indices[keep]
         self._pair_segments = segment_ids[keep]
+        self._has_pairs = quotas > 0
 
     @property
     def active_users(self) -> np.ndarray:
@@ -152,26 +158,30 @@ class UserMatrixApproximator:
         rejection-sampling pass over all active users.
         """
         return sample_uniform_negatives_batched(
-            self._rng, self._num_items, self._counts, self._positive_masks
+            self._rng,
+            self._num_items,
+            self._counts,
+            self._positive_masks,
+            num_positives=self._counts,
         )
 
     def _epoch(self, item_factors: np.ndarray) -> None:
-        """One SGD pass over every active user in stacked numpy operations.
+        """One SGD pass over every active user, pair by pair.
 
-        The gradient math runs once over the pairs, whose positives and
-        segment ids were aligned with the negative CSR in ``__init__``.
+        The pairs' positives and owners were aligned with the negative CSR
+        in ``__init__``, so only the user gradients the update reads are
+        computed: ``sum_pairs -sigmoid(-margin) (v_pos - v_neg)`` plus
+        ``2 * l2_reg * u`` on the users that have pairs.
         """
         negatives, _ = self._draw_epoch_negatives()
         if negatives.shape[0] == 0:
             return
-        # Only the user-vector gradients are needed, so the coefficients-only
-        # kernel is used and the (nnz, k) item-gradient rows never exist.
-        batched = bpr_coefficients_batched(
-            self.user_factors[self._active_users],
-            item_factors,
-            self._pair_segments,
-            self._pair_positives,
-            negatives,
-            l2_reg=self.l2_reg,
+        users = self.user_factors[self._active_users]
+        differences = item_factors[self._pair_positives] - item_factors[negatives]
+        margins = np.einsum("ij,ij->i", users[self._pair_segments], differences)
+        coefficients = np.asarray(-sigmoid(-margins))
+        gradients = segment_sum(
+            differences, self._pair_segments, users.shape[0], weights=coefficients
         )
-        self.user_factors[self._active_users] -= self.learning_rate * batched.grad_users
+        gradients[self._has_pairs] += 2.0 * self.l2_reg * users[self._has_pairs]
+        self.user_factors[self._active_users] = users - self.learning_rate * gradients

@@ -13,10 +13,12 @@ Per round in which malicious clients participate, the attacker:
    norm ``C`` (Eq. 23), and subtracts what was uploaded from the remaining
    poisoned gradient (Eq. 24) so the malicious cohort jointly covers it.
 
-Steps 1 and 2 run as stacked numpy computations over all active users
-(the batched approximation epoch and
-:func:`attack_loss_and_gradient_vectorized`); their per-user references live
-in ``tests/oracles`` and consume identical attack-RNG streams.
+Neither step holds an (active users x catalog) array.  Step 1 updates every
+active user at once from its public pairs alone (the per-pair approximation
+epoch); step 2 (:func:`attack_loss_and_gradient_vectorized`) scores the
+active users in blocks of :data:`ATTACK_LOSS_BLOCK_ROWS` through one reused
+workspace.  Their per-user references live in ``tests/oracles`` and consume
+identical attack-RNG streams.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.models.losses import segment_sum
 from repro.models.neural import MLPScorer
 
 __all__ = [
+    "ATTACK_LOSS_BLOCK_ROWS",
     "FedRecAttackConfig",
     "FedRecAttack",
     "attack_loss_and_gradient_vectorized",
@@ -119,6 +122,15 @@ class FedRecAttackConfig:
             raise AttackError("approximation epoch counts must be non-negative")
 
 
+#: Active users scored per block by :func:`attack_loss_and_gradient_vectorized`.
+#: One (block, num_items) score workspace is reused across the blocks, so the
+#: attack loss never holds an (active users x catalog) array.
+ATTACK_LOSS_BLOCK_ROWS = 128
+#: Items per candidate group in :func:`_candidate_items` (16 stripes of the
+#: catalog, one item from each).
+_GROUP_SIZE = 16
+
+
 def attack_loss_and_gradient_vectorized(
     user_factors: np.ndarray,
     item_factors: np.ndarray,
@@ -133,23 +145,31 @@ def attack_loss_and_gradient_vectorized(
 
     For every user the attacker can model (``active_users``), the loss adds
     ``g(boundary - score_target)`` per target item the user has not publicly
-    interacted with, where ``boundary`` is the lowest predicted score among
-    the user's current top-K non-target recommendations (computed over the
-    items outside the user's public interactions, ``V-''_i``).
+    interacted with.  The user's recommendation list ``V^rec'_i`` holds the
+    ``top_k`` highest-scored items outside the user's public interactions
+    (``V-''_i``; all of them when fewer remain), and ``boundary`` is the score
+    of the list's lowest-scored non-target item.  Equal scores resolve to the
+    lowest item id, both for a place in the list and for the boundary.  A user
+    whose list holds only target items has no boundary and adds nothing.
 
     ``margin_mode`` selects the margin transform: ``"saturating"`` is the
     paper's ``g`` (Eq. 14), ``"linear"`` is the ablation that keeps the raw
     margin (so targets are pushed far past the boundary).
 
-    Computes every active user's scores in one GEMM, the per-user top-K and
-    recommendation boundary with row-wise ``argpartition`` / ``argmin``, and
-    the gradient with two scatter reductions (one GEMM onto the target rows,
-    one segment sum onto the boundary rows).  Matches the per-user reference
-    in ``tests/oracles`` exactly up to floating-point summation order:
-    ``argpartition`` and the first-minimum tie-break run the same algorithm
-    per row as the reference's 1-D calls, so both select identical top-K
-    sets and boundary items.  Returns the scalar loss and a dense
-    ``(num_items, k)`` gradient of the loss with respect to ``V``.
+    Users are scored in blocks of :data:`ATTACK_LOSS_BLOCK_ROWS` rows into one
+    reused workspace.  Per block: one GEMM, the target scores read, and the
+    public items masked to ``-inf`` in place.  One pass of group maxima over
+    the block then narrows each row to the ``top_k`` groups that must hold
+    its list (:func:`_candidate_items`), and the boundary is placed among
+    those candidates' non-target scores by counting the targets listed above
+    each (:func:`_list_boundaries`); the candidates carry their item ids, so
+    the boundary item is the lowest id holding the boundary score.  Only the
+    boundary items and scores and the (A, T) target scores outlive a block;
+    the gradient then takes two scatter reductions (one GEMM onto the target
+    rows, one segment sum onto the boundary rows).  Matches the per-user
+    reference in ``tests/oracles`` up to floating-point summation order.
+    Returns the scalar loss and a dense ``(num_items, k)`` gradient of the
+    loss with respect to ``V``.
 
     ``public_items``, when given, is the list of each active user's public
     positives aligned with ``active_users`` (e.g.
@@ -168,44 +188,22 @@ def attack_loss_and_gradient_vectorized(
         return 0.0, gradient
 
     stacked = user_factors[active_users]  # (A, k)
-    scores = stacked @ item_factors.T  # (A, N)
 
-    # Public interactions of the active users in COO layout.
+    # Public interactions of the active users in CSR layout.
     publics = (
         public_items
         if public_items is not None
         else [public.positive_items(int(user)) for user in active_users]
     )
     counts = np.array([items.shape[0] for items in publics], dtype=np.int64)
+    public_offsets = np.zeros(num_active + 1, dtype=np.int64)
+    np.cumsum(counts, out=public_offsets[1:])
     public_rows = np.repeat(np.arange(num_active, dtype=np.int64), counts)
     public_cols = (
         np.concatenate(publics) if counts.sum() > 0 else np.empty(0, dtype=np.int64)
     )
 
-    # V^rec'_i: top-K over the items each user has not publicly interacted with.
-    masked = scores.copy()
-    masked[public_rows, public_cols] = -np.inf
-    k = min(top_k, num_items)
-    top = np.argpartition(-masked, k - 1, axis=1)[:, :k]  # (A, k)
-    top_scores = np.take_along_axis(masked, top, axis=1)
-
-    # Boundary: lowest-scored non-target item in the top-K.  Targets are
-    # lifted to +inf so the row argmin lands on the first minimum among the
-    # non-target entries — the same element the reference's filter-then-argmin
-    # picks, since filtering preserves order.
-    target_mask = np.zeros(num_items, dtype=bool)
-    target_mask[target_items] = True
-    non_target_scores = np.where(target_mask[top], np.inf, top_scores)
-    boundary_positions = np.argmin(non_target_scores, axis=1)
-    arange_active = np.arange(num_active)
-    # A row of all +inf means every recommended slot is already a target item
-    # (the reference's "nothing to push" case).
-    has_boundary = non_target_scores[arange_active, boundary_positions] < np.inf
-    boundary_items = top[arange_active, boundary_positions]
-    boundary_scores = scores[arange_active, boundary_items]
-
-    # Targets each user has not publicly interacted with (and only for users
-    # that have a boundary to push them over).
+    # Targets each user has publicly interacted with: never listed, never pushed.
     num_targets = target_items.shape[0]
     target_column = np.full(num_items, -1, dtype=np.int64)
     target_column[target_items] = np.arange(num_targets)
@@ -214,9 +212,44 @@ def attack_loss_and_gradient_vectorized(
     publicly_seen[
         public_rows[is_target_public], target_column[public_cols[is_target_public]]
     ] = True
+
+    target_scores = np.empty((num_active, num_targets), dtype=np.float64)
+    boundary_items = np.zeros(num_active, dtype=np.int64)
+    boundary_scores = np.zeros(num_active, dtype=np.float64)
+    has_boundary = np.zeros(num_active, dtype=bool)
+    is_target = target_column >= 0
+    workspace = np.empty((min(ATTACK_LOSS_BLOCK_ROWS, num_active), num_items))
+    for start in range(0, num_active, workspace.shape[0]):
+        stop = min(start + workspace.shape[0], num_active)
+        rows = slice(start, stop)
+        block = workspace[: stop - start]
+        public_span = slice(public_offsets[start], public_offsets[stop])
+
+        np.matmul(stacked[rows], item_factors.T, out=block)
+        target_scores[rows] = block[:, target_items]
+        block[public_rows[public_span] - start, public_cols[public_span]] = -np.inf
+        listed_targets = np.where(publicly_seen[rows], -np.inf, target_scores[rows])
+        ids, unsure = _candidate_items(block, top_k)
+        padding = ids >= num_items
+        ids[padding] = 0
+        candidates = np.take_along_axis(block, ids, axis=1)
+        candidates[padding | is_target[ids]] = -np.inf
+        found, values, tied = _list_boundaries(candidates, listed_targets, top_k)
+        items = ids[np.arange(ids.shape[0]), np.argmax(candidates == values[:, None], axis=1)]
+        # Ties the values cannot order by item id: settle those rows one at a
+        # time from the full row.
+        for row in np.flatnonzero(unsure | tied):
+            found[row], items[row] = _row_boundary(block[row], is_target, top_k)
+            values[row] = block[row, items[row]]
+        boundary_items[rows] = items
+        boundary_scores[rows] = values
+        has_boundary[rows] = found
+
+    # Targets each user has not publicly interacted with (and only for users
+    # that have a boundary to push them over).
     valid = ~publicly_seen & has_boundary[:, None]  # (A, T)
 
-    margins = boundary_scores[:, None] - scores[:, target_items]
+    margins = boundary_scores[:, None] - target_scores
     if margin_mode == "linear":
         total_loss = float(np.sum(margins, where=valid))
         derivatives = valid.astype(np.float64)
@@ -232,6 +265,87 @@ def attack_loss_and_gradient_vectorized(
     gradient += segment_sum(stacked, boundary_items, num_items, weights=weights)
 
     return total_loss, gradient
+
+
+def _candidate_items(block: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Item ids that hold each row's ``top_k`` highest scores, in ascending order.
+
+    The catalog is cut into stripes of ``width`` consecutive items; group
+    ``j`` holds item ``j`` of every stripe, ``_GROUP_SIZE`` items in all.  A
+    row's ``top_k`` highest-scored items all lie in its ``top_k`` groups with
+    the highest maxima: at least ``top_k`` items score at least the lowest of
+    those maxima, and any item above it sits in a group whose maximum is
+    above it too.  Ids past the catalog pad the last stripe and are returned
+    as they are, for the caller to mask.
+
+    Returns ``(ids, unsure)``: ``unsure`` marks rows where another group ties
+    the lowest kept maximum, so which tied item is listed depends on ids the
+    groups did not keep.
+    """
+    num_rows, num_items = block.shape
+    width = -(-num_items // _GROUP_SIZE)
+    maxima = block[:, :width].copy()
+    for low in range(width, num_items, width):
+        span = min(width, num_items - low)
+        np.maximum(maxima[:, :span], block[:, low : low + span], out=maxima[:, :span])
+    if top_k >= width:
+        groups = np.broadcast_to(np.arange(width), (num_rows, width))
+        unsure = np.zeros(num_rows, dtype=bool)
+    else:
+        groups = np.argpartition(maxima, width - top_k, axis=1)[:, width - top_k :]
+        floor = np.take_along_axis(maxima, groups, axis=1).min(axis=1)
+        ties = np.count_nonzero(maxima >= floor[:, None], axis=1) > top_k
+        unsure = ties & (floor > -np.inf)
+        groups.sort(axis=1)
+    stripes = np.arange(0, num_items, width)
+    ids = (stripes[None, :, None] + groups[:, None, :]).reshape(num_rows, -1)
+    return ids, unsure
+
+
+def _list_boundaries(
+    candidates: np.ndarray, listed_targets: np.ndarray, top_k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary score of each row's recommendation list, from values alone.
+
+    ``candidates`` holds each row's non-target candidate scores (public
+    items, targets and padding at ``-inf``); ``listed_targets`` holds the
+    rows' target scores, ``-inf`` where the user saw the target publicly.
+    With the ``top_k`` highest candidate scores ``w_1 >= w_2 >= ...`` of a row,
+    the ``j``-th candidate sits at list position ``j + #{targets scored above
+    w_j}``, so the listed candidates are a prefix and the boundary is its last
+    finite ``w_j``.
+
+    Returns ``(found, values, tied)``: whether a row has a boundary, its score
+    (NaN without one), and whether a target scores exactly like one of the
+    row's finite ``w_j`` — there the list position depends on item ids, which
+    the values do not carry.
+    """
+    num_rows, num_candidates = candidates.shape
+    k = min(top_k, num_candidates)
+    best = np.partition(candidates, num_candidates - k, axis=1)[:, num_candidates - k :]
+    best = np.sort(best, axis=1)[:, ::-1]  # (B, k) descending
+    finite = best > -np.inf
+    above = (listed_targets[:, None, :] > best[:, :, None]).sum(axis=2)
+    listed = (np.arange(1, k + 1) + above <= top_k) & finite
+    count = listed.sum(axis=1)
+    found = count > 0
+    values = np.where(found, best[np.arange(num_rows), np.maximum(count - 1, 0)], np.nan)
+    ties = (listed_targets[:, None, :] == best[:, :, None]) & finite[:, :, None]
+    tied = np.any(ties, axis=(1, 2))
+    return found, values, tied
+
+
+def _row_boundary(scores: np.ndarray, is_target: np.ndarray, top_k: int) -> tuple[bool, int]:
+    """One row's boundary item by the definition: a stable sort of the scores.
+
+    ``scores`` are the row's scores with public items at ``-inf``.
+    """
+    order = np.argsort(-scores, kind="stable")[:top_k]
+    candidates = order[~is_target[order] & (scores[order] > -np.inf)]
+    if candidates.shape[0] == 0:
+        return False, 0
+    lowest = scores[candidates].min()
+    return True, int(candidates[scores[candidates] == lowest].min())
 
 
 class FedRecAttack(Attack):

@@ -38,6 +38,7 @@ def sample_uniform_negatives_batched(
     counts: np.ndarray,
     positive_masks: np.ndarray,
     *,
+    num_positives: np.ndarray | None = None,
     copy: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw distinct uniform negatives for ``B`` users in one stacked pass.
@@ -55,6 +56,10 @@ def sample_uniform_negatives_batched(
     positive_masks:
         Stacked boolean positive masks, shape ``(B, N)``.  Not modified when
         ``copy=True`` (the default).
+    num_positives:
+        Optional per-row popcount of ``positive_masks`` for callers that
+        cache it (e.g. :attr:`InteractionStore.degrees`); computed from the
+        masks when omitted.  Either way the draw is the same.
     copy:
         ``False`` lets the sampler use ``positive_masks`` as its scratch
         "taken" bitmap instead of copying it.  Only pass ``False`` for a
@@ -84,7 +89,9 @@ def sample_uniform_negatives_batched(
         )
     if np.any(counts < 0):
         raise DataError("counts must be non-negative")
-    num_positives = positive_masks.sum(axis=1)
+    if num_positives is None:
+        num_positives = positive_masks.sum(axis=1)
+    num_positives = np.asarray(num_positives, dtype=np.int64)
     counts = np.minimum(counts, num_items - num_positives)
     offsets = np.zeros(num_users + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])

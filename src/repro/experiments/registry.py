@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.attacks.base import Attack
 from repro.attacks.data_poisoning import SurrogateDLDataPoisoning, SurrogateMFDataPoisoning
 from repro.attacks.explicit_boost import ExplicitBoostAttack

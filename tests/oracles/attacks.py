@@ -46,9 +46,12 @@ def attack_loss_and_gradient(
 
     For every user the attacker can model (``active_users``), the loss adds
     ``g(boundary - score_target)`` per target item the user has not publicly
-    interacted with, where ``boundary`` is the lowest predicted score among
-    the user's current top-K non-target recommendations (computed over the
-    items outside the user's public interactions, ``V-''_i``).
+    interacted with.  The user's recommendation list ``V^rec'_i`` holds the
+    ``top_k`` highest-scored items outside the user's public interactions
+    (``V-''_i``; all of them when fewer remain), and ``boundary`` is the score
+    of the list's lowest-scored non-target item.  Equal scores resolve to the
+    lowest item id, both for a place in the list and for the boundary.  A user
+    whose list holds only target items has no boundary and adds nothing.
 
     ``margin_mode`` selects the margin transform: ``"saturating"`` is the
     paper's ``g`` (Eq. 14), ``"linear"`` is the ablation that keeps the raw
@@ -70,18 +73,22 @@ def attack_loss_and_gradient(
         scores = item_factors @ user_vector
         public_items = public.positive_items(user)
 
-        # V^rec'_i: top-K over the items the user has not publicly interacted with.
+        # V^rec'_i: top-K over the items the user has not publicly interacted
+        # with; the stable sort ranks equal scores by ascending item id.
         masked_scores = scores.copy()
         if public_items.shape[0] > 0:
             masked_scores[public_items] = -np.inf
-        k = min(top_k, num_items)
-        top = np.argpartition(-masked_scores, k - 1)[:k]
+        top = np.argsort(-masked_scores, kind="stable")[:top_k]
+        # Public items fill the list only when fewer than top_k others remain;
+        # they are never the boundary.
+        top = top[np.isfinite(masked_scores[top])]
 
         non_target_top = top[~target_mask[top]]
         if non_target_top.shape[0] == 0:
             # Every recommended slot is already a target item: nothing to push.
             continue
-        boundary_item = int(non_target_top[np.argmin(masked_scores[non_target_top])])
+        lowest = masked_scores[non_target_top].min()
+        boundary_item = int(non_target_top[masked_scores[non_target_top] == lowest].min())
         boundary_score = float(scores[boundary_item])
 
         # Targets the user has not publicly interacted with.

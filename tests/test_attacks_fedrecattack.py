@@ -3,9 +3,12 @@ approximation and the constrained gradient upload."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.attacks import fedrecattack
 from repro.attacks.approximation import UserMatrixApproximator
 from repro.attacks.base import AttackContext
 from repro.attacks.fedrecattack import (
@@ -16,6 +19,7 @@ from repro.attacks.fedrecattack import (
     g_function,
 )
 from repro.data.dataset import InteractionDataset
+from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.data.public import PublicInteractions, sample_public_interactions
 from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
@@ -249,6 +253,27 @@ class TestVectorizedAttackerEquivalence:
         assert loss_vec == pytest.approx(loss_loop, rel=1e-9, abs=1e-12)
         np.testing.assert_allclose(grad_vec, grad_loop, atol=1e-12)
 
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_attack_loss_matches_across_user_blocks(
+        self, small_split, small_public, rng, block_rows, monkeypatch
+    ):
+        # Blocks of 1 and 7 rows split the active users into many blocks with
+        # a ragged last one (the default scores them all in one block).
+        monkeypatch.setattr(fedrecattack, "ATTACK_LOSS_BLOCK_ROWS", block_rows)
+        num_items = small_split.train.num_items
+        item_factors = rng.normal(size=(num_items, 6), scale=0.5)
+        user_factors = rng.normal(size=(small_split.train.num_users, 6), scale=0.5)
+        active = small_public.users_with_public_interactions()
+        targets = np.array([1, 3, 7])
+        loss_loop, grad_loop = attack_loss_and_gradient(
+            user_factors, item_factors, active, small_public, targets, top_k=5
+        )
+        loss_vec, grad_vec = attack_loss_and_gradient_vectorized(
+            user_factors, item_factors, active, small_public, targets, top_k=5
+        )
+        assert loss_vec == pytest.approx(loss_loop, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(grad_vec, grad_loop, atol=1e-12)
+
     def test_attack_loss_vectorized_deduplicates_targets(
         self, small_split, small_public, rng
     ):
@@ -283,8 +308,9 @@ class TestVectorizedAttackerEquivalence:
     def test_attack_loss_match_when_top_k_exceeds_items(
         self, small_split, small_public, rng
     ):
-        # top_k larger than the catalog exercises the -inf (public) entries
-        # inside the top-K set on both implementations.
+        # top_k larger than the catalog lists every non-public item, so the
+        # masked (public) entries fill the rest of the top-K on both
+        # implementations and must never become the boundary.
         num_items = small_split.train.num_items
         item_factors = rng.normal(size=(num_items, 4), scale=0.5)
         user_factors = rng.normal(size=(small_split.train.num_users, 4), scale=0.5)
@@ -298,6 +324,150 @@ class TestVectorizedAttackerEquivalence:
         )
         assert loss_vec == pytest.approx(loss_loop, rel=1e-9, abs=1e-12)
         np.testing.assert_allclose(grad_vec, grad_loop, atol=1e-12)
+        # One user at a time, the gradient lands on the targets and on one
+        # non-public boundary row: never on a row the user saw publicly.
+        for user in active:
+            _, gradient = attack_loss_and_gradient_vectorized(
+                user_factors, item_factors, np.array([user]), small_public, targets,
+                top_k=10 * num_items,
+            )
+            public_rows = np.setdiff1d(small_public.positive_items(int(user)), targets)
+            assert public_rows.shape[0] > 0
+            np.testing.assert_array_equal(gradient[public_rows], 0.0)
+            assert np.count_nonzero(np.linalg.norm(gradient, axis=1)) <= 2
+
+    @pytest.mark.parametrize("block_rows", [3, fedrecattack.ATTACK_LOSS_BLOCK_ROWS])
+    def test_many_exact_ties_match_the_reference(
+        self, small_split, small_public, block_rows, monkeypatch
+    ):
+        # Quarter-step factors make every score exact, so ties are everywhere:
+        # among non-targets at the top-K cut and between targets and
+        # non-targets, in blocks mixing tied and untied rows.
+        monkeypatch.setattr(fedrecattack, "ATTACK_LOSS_BLOCK_ROWS", block_rows)
+        grid = np.random.default_rng(11)
+        num_items = small_split.train.num_items
+        item_factors = grid.integers(-2, 3, size=(num_items, 2)) / 4.0
+        user_factors = grid.integers(-2, 3, size=(small_split.train.num_users, 2)) / 1.0
+        active = small_public.users_with_public_interactions()
+        targets = np.array([1, 3, 7, 20])
+        for top_k in (1, 5, 17):
+            loss_loop, grad_loop = attack_loss_and_gradient(
+                user_factors, item_factors, active, small_public, targets, top_k=top_k
+            )
+            loss_vec, grad_vec = attack_loss_and_gradient_vectorized(
+                user_factors, item_factors, active, small_public, targets, top_k=top_k
+            )
+            assert loss_vec == pytest.approx(loss_loop, rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(grad_vec, grad_loop, atol=1e-12)
+
+
+@pytest.mark.parametrize("num_items", [1, 7, 37, 250])
+@pytest.mark.parametrize("top_k", [1, 3, 10, 40])
+@pytest.mark.parametrize("quantized", [False, True])
+def test_attack_loss_matches_the_reference_over_catalog_sizes(num_items, top_k, quantized):
+    # Catalogs whose last stripe of candidate groups is partial (37, 250),
+    # top_k above and below the group count, heavy public sets, and exact
+    # ties (quantized factors) that leave the group choice unsure.
+    draw = np.random.default_rng(num_items * 100 + top_k)
+    num_users = 30
+    degrees = draw.integers(1, max(2, (3 * num_items) // 4), size=num_users)
+    pairs = np.array(
+        [(user, item) for user in range(num_users)
+         for item in draw.choice(num_items, size=min(degrees[user], num_items), replace=False)]
+    )
+    public = PublicInteractions(
+        dataset=InteractionDataset(num_users, num_items, pairs), xi=0.5
+    )
+    item_factors = draw.normal(size=(num_items, 3))
+    user_factors = draw.normal(size=(num_users, 3))
+    if quantized:
+        item_factors = np.round(item_factors * 2) / 4
+        user_factors = np.round(user_factors)
+    targets = draw.choice(num_items, size=min(2, num_items), replace=False)
+    active = public.users_with_public_interactions()
+    loss_loop, grad_loop = attack_loss_and_gradient(
+        user_factors, item_factors, active, public, targets, top_k=top_k
+    )
+    loss_vec, grad_vec = attack_loss_and_gradient_vectorized(
+        user_factors, item_factors, active, public, targets, top_k=top_k
+    )
+    assert loss_vec == pytest.approx(loss_loop, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(grad_vec, grad_loop, atol=1e-12)
+
+
+def _one_user_public(num_items, public_items):
+    """Public interactions of a single user (id 0) over ``num_items`` items."""
+    pairs = np.column_stack([np.zeros(len(public_items), dtype=np.int64), public_items])
+    return PublicInteractions(dataset=InteractionDataset(1, num_items, pairs), xi=1.0)
+
+
+def _both_attack_losses(scores, public_items, targets, top_k):
+    """Library and reference attack loss of one user scoring items at ``scores``.
+
+    One factor and a unit user vector make every score exact, so equal
+    scores are exact ties.
+    """
+    item_factors = np.asarray(scores, dtype=np.float64)[:, None]
+    public = _one_user_public(item_factors.shape[0], public_items)
+    args = (np.ones((1, 1)), item_factors, np.array([0]), public, np.array(targets), top_k)
+    return attack_loss_and_gradient_vectorized(*args), attack_loss_and_gradient(*args)
+
+
+class TestAttackLossBoundary:
+    """Hand-computed boundaries: short lists, ties, and the lowest-id rule."""
+
+    # Items 0-2 are public (5.0/4.0/3.0); 3-5 are not (0.5/0.4/0.1); item 5
+    # is the target.
+    SCORES = [5.0, 4.0, 3.0, 0.5, 0.4, 0.1]
+
+    @pytest.mark.parametrize("top_k", [3, 5, 60])
+    def test_list_shorter_than_top_k_keeps_a_non_public_boundary(self, top_k):
+        # Only three items are non-public, so every top_k >= 3 lists exactly
+        # them: the boundary is item 4 at 0.4, never a public item at its
+        # unmasked score (which would give 5.0 - 0.1).
+        for loss, gradient in _both_attack_losses(self.SCORES, [0, 1, 2], [5], top_k):
+            assert loss == pytest.approx(0.3, abs=1e-12)
+            expected = np.zeros((6, 1))
+            expected[4] = 1.0
+            expected[5] = -1.0
+            np.testing.assert_allclose(gradient, expected, atol=1e-12)
+
+    def test_only_targets_listed_means_no_boundary(self):
+        # top_k=1 lists the target alone (0.6 beats 0.5): nothing to push.
+        for loss, gradient in _both_attack_losses([3.0, 0.5, 0.6], [0], [2], 1):
+            assert loss == 0.0
+            np.testing.assert_array_equal(gradient, 0.0)
+
+    def test_equal_scores_resolve_to_the_lowest_item_id(self):
+        # Items 0, 2 and 4 tie at 0.5 behind item 1; top_k=3 lists 1, 0 and 2,
+        # and the boundary is item 0, the lowest id among the tied.
+        scores = [0.5, 0.9, 0.5, 0.1, 0.5, 3.0, 0.2]
+        for loss, gradient in _both_attack_losses(scores, [5], [3], 3):
+            assert loss == pytest.approx(0.4, abs=1e-12)
+            expected = np.zeros((7, 1))
+            expected[0] = 1.0
+            expected[3] = -1.0
+            np.testing.assert_allclose(gradient, expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "target, boundary, loss",
+        [
+            # Target 1 ties item 2 and ranks first: top_k=2 lists 0 and the
+            # target, so the boundary is item 0 (0.9 - 0.5).
+            (1, 0, 0.4),
+            # Target 2 ranks after item 1: the list is 0 and 1, and the
+            # boundary is item 1 at the target's own score (g(0) = 0, g' = 1).
+            (2, 1, 0.0),
+        ],
+    )
+    def test_target_tied_with_a_non_target_ranks_by_item_id(self, target, boundary, loss):
+        scores = [0.9, 0.5, 0.5, 0.2, 4.0]
+        for value, gradient in _both_attack_losses(scores, [4], [target], 2):
+            assert value == pytest.approx(loss, abs=1e-12)
+            expected = np.zeros((5, 1))
+            expected[boundary] = 1.0
+            expected[target] = -1.0
+            np.testing.assert_allclose(gradient, expected, atol=1e-12)
 
 
 class TestAttackLossAndGradient:
@@ -406,6 +576,85 @@ class TestAttackLossAndGradient:
             factors -= 0.05 * gradient
         final_scores = user_factors[active] @ factors[4]
         assert final_scores.mean() > initial_scores.mean()
+
+
+#: The ml-1m shape the attacker meets at the paper defaults: 3,815 users with
+#: public interactions (xi = 1%) out of 6,040, a 3,706-item catalog, k = 32.
+ML1M_USERS, ML1M_ITEMS, ML1M_ACTIVE, ML1M_FACTORS = 6040, 3706, 3815, 32
+#: A quarter of one (active users x catalog) float64 matrix (27 MiB).
+ML1M_MEMORY_BUDGET = ML1M_ACTIVE * ML1M_ITEMS * 8 // 4
+
+
+@pytest.fixture(scope="module")
+def ml1m_public():
+    """Public interactions with the ml-1m shape: 1-4 items per active user."""
+    draw = np.random.default_rng(0)
+    users = np.sort(draw.choice(ML1M_USERS, size=ML1M_ACTIVE, replace=False))
+    counts = draw.integers(1, 5, size=ML1M_ACTIVE)
+    items = draw.integers(0, ML1M_ITEMS, size=int(counts.sum()))
+    pairs = np.column_stack([np.repeat(users, counts), items])
+    public = PublicInteractions(
+        dataset=InteractionDataset(ML1M_USERS, ML1M_ITEMS, pairs), xi=0.01
+    )
+    assert public.users_with_public_interactions().shape[0] == ML1M_ACTIVE
+    return public
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAttackerMemory:
+    """The attacker holds no (active users x catalog) temporaries."""
+
+    def test_attack_loss_peak_at_the_ml1m_shape(self, ml1m_public):
+        draw = np.random.default_rng(1)
+        user_factors = draw.normal(scale=0.1, size=(ML1M_USERS, ML1M_FACTORS))
+        item_factors = draw.normal(scale=0.1, size=(ML1M_ITEMS, ML1M_FACTORS))
+        active = ml1m_public.users_with_public_interactions()
+        peak = _traced_peak(
+            lambda: attack_loss_and_gradient_vectorized(
+                user_factors, item_factors, active, ml1m_public, np.array([5, 50, 500]),
+                top_k=10,
+            )
+        )
+        assert peak < ML1M_MEMORY_BUDGET, f"attack loss peaked at {peak / 2**20:.1f} MiB"
+
+    def test_approximator_epoch_peak_at_the_ml1m_shape(self, ml1m_public):
+        item_factors = np.random.default_rng(2).normal(
+            scale=0.1, size=(ML1M_ITEMS, ML1M_FACTORS)
+        )
+        approximator = UserMatrixApproximator(ml1m_public, num_factors=ML1M_FACTORS, rng=0)
+        peak = _traced_peak(lambda: approximator.refresh(item_factors, epochs=1))
+        assert peak < ML1M_MEMORY_BUDGET, f"approximator epoch peaked at {peak / 2**20:.1f} MiB"
+
+
+class TestCachedPositiveCounts:
+    def test_num_positives_draw_matches_the_computed_path(self, small_split):
+        # The approximator hands the sampler its cached degrees; the draw and
+        # the generator state must be those of the popcount path, also for
+        # users whose complement caps their quota (users 0 and 1).
+        approximator = UserMatrixApproximator(
+            _public_with_saturated_users(small_split.train), num_factors=8, rng=0
+        )
+        masks = approximator._positive_masks
+        counts = approximator._counts
+        computed_rng, cached_rng = np.random.default_rng(4), np.random.default_rng(4)
+        computed = sample_uniform_negatives_batched(
+            computed_rng, masks.shape[1], counts, masks
+        )
+        cached = sample_uniform_negatives_batched(
+            cached_rng, masks.shape[1], counts, masks, num_positives=counts
+        )
+        np.testing.assert_array_equal(cached[0], computed[0])
+        np.testing.assert_array_equal(cached[1], computed[1])
+        assert cached_rng.bit_generator.state == computed_rng.bit_generator.state
 
 
 class TestFedRecAttackUpload:

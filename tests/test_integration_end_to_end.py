@@ -8,7 +8,6 @@ with negligible accuracy damage, and collapses without public interactions.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.defenses.detectors import NonZeroRowCountDetector, evaluate_detector
