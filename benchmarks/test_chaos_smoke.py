@@ -11,7 +11,10 @@ Fast enough for CI, this module drives the two fault surfaces end to end:
   ``Retry-After`` header (zero dropped connections) and the in-flight gauge
   returns to zero.
 
-Incident and shedding tallies land in ``benchmarks/results/chaos_smoke.txt``.
+The federated incident tally is seeded, so it is a committed record
+(``benchmarks/results/chaos_smoke_federated.txt``).  The served/shed split
+depends on thread timing, so it is written with the perf records under the
+git-ignored ``benchmarks/results/local/``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import urllib.error
 import urllib.request
 
 import numpy as np
+
+from conftest import save_perf_record
 
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 from repro.data.splits import leave_one_out_split
@@ -116,7 +121,7 @@ def _serving_service() -> RecommenderService:
     return RecommenderService(FactorSnapshot.from_model(model, version=1), train, top_k=5)
 
 
-def test_chaos_smoke_serving(save_result):
+def test_chaos_smoke_serving():
     injector = ServingFaultInjector(latency=0.4, latency_rate=1.0, rng=13)
     server = build_http_server(
         _serving_service(), max_in_flight=MAX_IN_FLIGHT, fault_injector=injector
@@ -168,8 +173,14 @@ def test_chaos_smoke_serving(save_result):
     stats = server.stats_payload()
     assert stats["shed_requests"] == shed
     assert stats["in_flight"] == 0
-    save_result(
+    save_perf_record(
         "chaos_smoke_serving",
+        {
+            "served": served,
+            "shed": shed,
+            "concurrent_requests": CONCURRENT_REQUESTS,
+            "max_in_flight": MAX_IN_FLIGHT,
+        },
         f"chaos smoke (serving): served={served} shed={shed} "
         f"of {CONCURRENT_REQUESTS} concurrent requests "
         f"(max_in_flight={MAX_IN_FLIGHT})",

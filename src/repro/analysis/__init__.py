@@ -1,13 +1,15 @@
 """``repro-lint`` — project-specific static analysis for the reproduction.
 
 The reproduction rests on contracts that ordinary linters cannot see:
-every stochastic call site must route through :mod:`repro.rng`, every
-choice-switch value (``straggler_policy``) must have a dispatch branch
-*and* an equivalence-suite parametrization *and* a golden seed-history
-case, store-backed masks must never be densified outside the store itself,
-and the equivalence/golden suites must assert exact equality.  This package machine-checks those contracts with
-stdlib-``ast`` visitors so that breaking one is a lint failure, not a
-mystery golden-fixture diff three PRs later.
+every stochastic call site must route through :mod:`repro.rng`,
+store-backed masks must never be densified outside the store itself, the
+equivalence/golden suites must assert exact equality, and models are
+consumed through ``ScorerProtocol``.  This package machine-checks those
+contracts with stdlib-``ast`` visitors, one file at a time, so that
+breaking one is a lint failure, not a mystery golden-fixture diff three PRs
+later.  The switch surface (registry, config dataclasses, CLI, README,
+golden cases) is imported and checked by ordinary tests instead
+(``tests/test_switch_registry.py``).
 
 Run it as ``python -m repro.analysis src tests`` (or the installed
 ``repro-lint`` script).  Rules are registered in :mod:`repro.analysis.rules`;
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from repro.analysis.core import (
     RULES,
-    FileRule,
     Project,
     Report,
     Rule,
@@ -36,7 +37,6 @@ import repro.analysis.rules  # noqa: F401  (imported for its registration side e
 
 __all__ = [
     "RULES",
-    "FileRule",
     "FileSuppressions",
     "Project",
     "Report",

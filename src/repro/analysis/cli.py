@@ -28,8 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Project-specific static analysis: RNG discipline, switch-parity, "
-            "densification, bit-exactness, config/CLI/docs sync, exports, typing."
+            "Project-specific static analysis: RNG discipline, densification, "
+            "bit-exactness, exports, typed signatures, protocol dispatch."
         ),
     )
     parser.add_argument(
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--root",
         default=".",
-        help="project root the cross-file contracts are resolved against",
+        help="directory the scanned paths are relative to (and reported against)",
     )
     parser.add_argument(
         "--format",

@@ -4,13 +4,11 @@ The analyzer is deliberately dependency-free (stdlib ``ast`` + ``tokenize``)
 so it can run in every environment the library runs in — CI, pre-commit, a
 bare checkout — without installing anything.
 
-Two kinds of rules exist:
-
-* :class:`FileRule` — visits one parsed source file at a time (RNG
-  discipline, densification guard, export consistency, ...).
-* :class:`Rule` subclasses overriding :meth:`Rule.check` directly —
-  project-level contracts that cross-reference several files (the
-  switch-parity registry, the config–CLI–docs sync).
+Every rule is a :class:`Rule`: it visits one parsed source file at a time
+(RNG discipline, densification guard, export consistency, ...).  Contracts
+that span several files — the switch registry against the config
+dataclasses, the CLI and the README — are ordinary tests on the imported
+surface, not lint rules.
 
 Rules register themselves in :data:`RULES` through the :func:`register`
 decorator; :func:`run_analysis` runs them, applies suppression comments and
@@ -30,7 +28,6 @@ from repro.analysis.suppressions import FileSuppressions, parse_suppressions
 
 __all__ = [
     "RULES",
-    "FileRule",
     "Project",
     "Report",
     "Rule",
@@ -108,18 +105,10 @@ class SourceFile:
 
 @dataclass
 class Project:
-    """The tree under analysis: scanned files plus on-demand anchors.
-
-    ``files`` is what the command line asked to scan.  Project-level rules
-    additionally read *anchor* files (the switch config, the golden case
-    grid, the CLI module, the README) through :meth:`source`, which resolves
-    them against the project root regardless of the scan arguments — the
-    contracts hold for the project, not for whatever subset was scanned.
-    """
+    """The tree under analysis: the files the command line asked to scan."""
 
     root: Path
     files: list[SourceFile] = field(default_factory=list)
-    _cache: dict[str, SourceFile | None] = field(default_factory=dict)
 
     @classmethod
     def load(cls, root: Path, paths: Sequence[str]) -> "Project":
@@ -133,34 +122,9 @@ class Project:
                 if rel in seen:
                     continue
                 seen.add(rel)
-                source = SourceFile.load(path, rel)
-                project.files.append(source)
-                project._cache[rel] = source
+                project.files.append(SourceFile.load(path, rel))
         project.files.sort(key=lambda source: source.rel)
         return project
-
-    def source(self, rel: str) -> SourceFile | None:
-        """The file at project-relative ``rel``, or ``None`` if absent."""
-        if rel not in self._cache:
-            path = self.root / rel
-            self._cache[rel] = (
-                SourceFile.load(path, rel) if path.is_file() else None
-            )
-        return self._cache[rel]
-
-    def library_files(self) -> list[SourceFile]:
-        """Every library source under ``src/``, independent of scan args."""
-        scanned = {source.rel: source for source in self.files}
-        out: list[SourceFile] = []
-        for path in _iter_python_files(self.root / "src"):
-            rel = _relative(path, self.root)
-            if rel in scanned:
-                out.append(scanned[rel])
-            else:
-                cached = self.source(rel)
-                if cached is not None:
-                    out.append(cached)
-        return out
 
 
 def _iter_python_files(target: Path) -> Iterator[Path]:
@@ -185,31 +149,24 @@ def _relative(path: Path, root: Path) -> str:
 
 
 class Rule(ABC):
-    """A named contract check over the whole project."""
+    """A named contract check applied file by file to the scanned sources."""
 
     id: ClassVar[str]
     name: ClassVar[str]
     summary: ClassVar[str]
 
-    @abstractmethod
-    def check(self, project: Project) -> Iterator[Violation]:
-        """Yield every violation of this rule in ``project``."""
-
-
-class FileRule(Rule):
-    """A rule applied file by file to the scanned sources."""
-
-    def check(self, project: Project) -> Iterator[Violation]:
-        for source in project.files:
+    def check(self, files: Iterable[SourceFile]) -> Iterator[Violation]:
+        """Yield every violation of this rule in ``files``."""
+        for source in files:
             if source.tree is None or not self.applies_to(source):
                 continue
-            yield from self.check_file(source, project)
+            yield from self.check_file(source)
 
     def applies_to(self, source: SourceFile) -> bool:
         return True
 
     @abstractmethod
-    def check_file(self, source: SourceFile, project: Project) -> Iterator[Violation]:
+    def check_file(self, source: SourceFile) -> Iterator[Violation]:
         """Yield every violation of this rule in one file."""
 
 
@@ -268,7 +225,7 @@ def run_analysis(
     for rule_id, rule_cls in sorted(RULES.items()):
         if selected is not None and rule_id not in selected:
             continue
-        raw.extend(rule_cls().check(project))
+        raw.extend(rule_cls().check(project.files))
 
     violations: list[Violation] = []
     suppressed: list[Violation] = []

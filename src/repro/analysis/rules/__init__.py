@@ -7,12 +7,8 @@ Importing this package registers every rule in
 Rule id   Name                     Contract it protects
 ========  =======================  ====================================================
 ``R1``    rng-discipline           all randomness routes through :mod:`repro.rng`
-``R2``    switch-parity            every switch realization has dispatch + equivalence
-                                   parametrization + a golden seed-history case
 ``R3``    densification-guard      store-backed masks / sparse updates stay sparse
 ``R4``    bit-exactness            equivalence & golden suites assert exact equality
-``R5``    config-cli-docs-sync     switch fields exist in ExperimentConfig, the CLI
-                                   and the README engine table
 ``R6``    export-consistency       ``__all__`` names exist and are unique
 ``R7``    typed-signatures         library signatures fully annotated, no bare generics
 ``R8``    protocol-dispatch        models consumed through ScorerProtocol: no
@@ -20,17 +16,17 @@ Rule id   Name                     Contract it protects
 ========  =======================  ====================================================
 
 Plus the runner-level pseudo-rules ``SYNTAX`` (unparsable file) and ``SUP``
-(suppression hygiene), which cannot be suppressed.
+(suppression hygiene), which cannot be suppressed.  The ids ``R2`` and
+``R5`` are retired: the switch surface they linted is checked by runtime
+tests (``tests/test_switch_registry.py``, the golden and dynamics suites).
 """
 
 from __future__ import annotations
 
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     densify,
-    docsync,
     exactness,
     exports,
-    parity,
     protocol,
     rng,
     typing,
@@ -38,10 +34,8 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
 
 __all__ = [
     "densify",
-    "docsync",
     "exactness",
     "exports",
-    "parity",
     "protocol",
     "rng",
     "typing",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import FileRule, Project, SourceFile, Violation, register
+from repro.analysis.core import Rule, SourceFile, Violation, register
 
 __all__ = ["DensificationGuardRule"]
 
@@ -41,7 +41,7 @@ _STACK_FUNCTIONS = frozenset({"stack", "vstack", "column_stack"})
 
 
 @register
-class DensificationGuardRule(FileRule):
+class DensificationGuardRule(Rule):
     id = "R3"
     name = "densification-guard"
     summary = (
@@ -52,7 +52,7 @@ class DensificationGuardRule(FileRule):
     def applies_to(self, source: SourceFile) -> bool:
         return not source.is_test_context and source.rel not in ALLOWED_FILES
 
-    def check_file(self, source: SourceFile, project: Project) -> Iterator[Violation]:
+    def check_file(self, source: SourceFile) -> Iterator[Violation]:
         assert source.tree is not None
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):

@@ -23,7 +23,7 @@ import ast
 from pathlib import Path
 from typing import Iterator
 
-from repro.analysis.core import FileRule, Project, SourceFile, Violation, register
+from repro.analysis.core import Rule, SourceFile, Violation, register
 
 __all__ = ["BitExactnessRule"]
 
@@ -48,7 +48,7 @@ def _in_scope(rel: str) -> bool:
 
 
 @register
-class BitExactnessRule(FileRule):
+class BitExactnessRule(Rule):
     id = "R4"
     name = "bit-exactness"
     summary = (
@@ -59,7 +59,7 @@ class BitExactnessRule(FileRule):
     def applies_to(self, source: SourceFile) -> bool:
         return _in_scope(source.rel)
 
-    def check_file(self, source: SourceFile, project: Project) -> Iterator[Violation]:
+    def check_file(self, source: SourceFile) -> Iterator[Violation]:
         assert source.tree is not None
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):

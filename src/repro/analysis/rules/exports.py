@@ -19,18 +19,18 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import FileRule, Project, SourceFile, Violation, register
+from repro.analysis.core import Rule, SourceFile, Violation, register
 
 __all__ = ["ExportConsistencyRule"]
 
 
 @register
-class ExportConsistencyRule(FileRule):
+class ExportConsistencyRule(Rule):
     id = "R6"
     name = "export-consistency"
     summary = "__all__ is a literal list of unique names that exist in the module"
 
-    def check_file(self, source: SourceFile, project: Project) -> Iterator[Violation]:
+    def check_file(self, source: SourceFile) -> Iterator[Violation]:
         assert source.tree is not None
         declaration = _find_all_declaration(source.tree)
         if declaration is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import FileRule, Project, SourceFile, Violation, register
+from repro.analysis.core import Rule, SourceFile, Violation, register
 
 __all__ = ["ProtocolDispatchRule", "MODEL_CLASS_NAMES"]
 
@@ -53,7 +53,7 @@ def _named_classes(node: ast.expr) -> Iterator[str]:
 
 
 @register
-class ProtocolDispatchRule(FileRule):
+class ProtocolDispatchRule(Rule):
     id = "R8"
     name = "protocol-dispatch"
     summary = (
@@ -68,7 +68,7 @@ class ProtocolDispatchRule(FileRule):
             and not source.rel.startswith(_MODELS_PREFIX)
         )
 
-    def check_file(self, source: SourceFile, project: Project) -> Iterator[Violation]:
+    def check_file(self, source: SourceFile) -> Iterator[Violation]:
         assert source.tree is not None
         for node in ast.walk(source.tree):
             if not (

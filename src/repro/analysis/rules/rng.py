@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import FileRule, Project, SourceFile, Violation, register
+from repro.analysis.core import Rule, SourceFile, Violation, register
 
 __all__ = ["RngDisciplineRule"]
 
@@ -61,7 +61,7 @@ LEGACY_FUNCTIONS = frozenset(
 
 
 @register
-class RngDisciplineRule(FileRule):
+class RngDisciplineRule(Rule):
     id = "R1"
     name = "rng-discipline"
     summary = (
@@ -72,7 +72,7 @@ class RngDisciplineRule(FileRule):
     def applies_to(self, source: SourceFile) -> bool:
         return not source.rel.endswith(EXEMPT_SUFFIX)
 
-    def check_file(self, source: SourceFile, project: Project) -> Iterator[Violation]:
+    def check_file(self, source: SourceFile) -> Iterator[Violation]:
         assert source.tree is not None
         numpy_aliases, random_aliases = _numpy_aliases(source.tree)
         library = not source.is_test_context

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import FileRule, Project, SourceFile, Violation, register
+from repro.analysis.core import Rule, SourceFile, Violation, register
 
 __all__ = ["TypedSignaturesRule"]
 
@@ -34,7 +34,7 @@ _BARE_GENERICS = frozenset(
 
 
 @register
-class TypedSignaturesRule(FileRule):
+class TypedSignaturesRule(Rule):
     id = "R7"
     name = "typed-signatures"
     summary = (
@@ -45,7 +45,7 @@ class TypedSignaturesRule(FileRule):
     def applies_to(self, source: SourceFile) -> bool:
         return not source.is_test_context
 
-    def check_file(self, source: SourceFile, project: Project) -> Iterator[Violation]:
+    def check_file(self, source: SourceFile) -> Iterator[Violation]:
         assert source.tree is not None
         yield from self._visit(source, source.tree.body, inside_class=False)
 

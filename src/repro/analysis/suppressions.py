@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["Suppression", "FileSuppressions", "parse_suppressions"]
 
-#: ``disable=R1,R3`` or ``disable-file=R2`` followed by an optional
+#: ``disable=R1,R3`` or ``disable-file=R4`` followed by an optional
 #: ``— reason`` tail.  The rule list deliberately excludes the separator
 #: characters so the reason never bleeds into the rule ids.
 _MARKER = re.compile(

@@ -84,6 +84,14 @@ class ExperimentConfig:
             raise ConfigurationError("scale must be in (0, 1]")
         if self.attack.lower() != "none" and self.rho == 0.0:
             raise ConfigurationError("an attack requires rho > 0")
+        if self.evaluate_every is not None and self.evaluate_every < 1:
+            raise ConfigurationError(
+                "evaluate_every must be at least 1 (None: after the last epoch only)"
+            )
+        if self.eval_num_negatives is not None and self.eval_num_negatives < 1:
+            raise ConfigurationError(
+                "eval_num_negatives must be at least 1 (None: rank the full catalog)"
+            )
         self.to_federated_config().validate()
 
     def to_federated_config(self) -> FederatedConfig:

@@ -137,7 +137,9 @@ def run_experiment(
     if attack is not None:
         num_malicious = max(1, int(math.ceil(config.rho * split.train.num_users)))
 
-    evaluate_every = config.evaluate_every or config.num_epochs
+    evaluate_every = (
+        config.num_epochs if config.evaluate_every is None else config.evaluate_every
+    )
     simulation = FederatedSimulation(
         train=split.train,
         config=config.to_federated_config(),

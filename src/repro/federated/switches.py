@@ -4,19 +4,18 @@ Every protocol switch used to be mirrored by hand across four surfaces:
 :class:`~repro.federated.config.FederatedConfig` (declaration + a literal
 membership check in ``validate``),
 :class:`~repro.experiments.config.ExperimentConfig` (the experiment-layer
-mirror field), ``repro.cli`` (the ``--flag``) and the README switch table —
-with repro-lint R2/R5 policing the drift after the fact.  This module is the
-consolidation: one :class:`SwitchSpec` per switch, declaring its name, kind,
-default, choices and documentation, from which
+mirror field), ``repro.cli`` (the ``--flag``) and the README switch table.
+This module is the consolidation: one :class:`SwitchSpec` per switch,
+declaring its name, kind, default, choices and documentation, from which
 
 * ``FederatedConfig.validate`` derives the per-switch value checks,
 * ``ExperimentConfig.to_federated_config`` forwards the switch fields,
 * the CLI builds its ``--flag`` arguments
-  (:func:`repro.cli.add_switch_arguments`),
-* repro-lint R2/R5 extract the switch names, realizations and defaults
-  statically (which is why every ``SwitchSpec(...)`` call below uses only
-  literal keyword arguments — the analyzer reads this file without
-  importing it).
+  (:func:`repro.cli.add_switch_arguments`).
+
+``tests/test_switch_registry.py`` imports the registry and checks the
+surfaces it does not generate: both dataclass defaults, the parsed CLI
+defaults and the README rows.
 
 Every registered switch is independent of the others: any combination of
 valid values is a valid configuration.  A constraint relating *several*
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["SwitchSpec", "SWITCH_REGISTRY", "switch_names", "registry_defaults"]
+__all__ = ["SwitchSpec", "SWITCH_REGISTRY"]
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,11 @@ class SwitchSpec:
         probability in ``[0, 1]``, zero allowed — the dynamics rates).
     default:
         The default value; must equal the dataclass field default on
-        ``FederatedConfig`` and ``ExperimentConfig`` (repro-lint R5 checks
-        the parity statically).
+        ``FederatedConfig`` and ``ExperimentConfig``.
     choices:
-        The realization tuple of a ``"choice"`` switch (``None`` otherwise).
-        These are the literals repro-lint R2 demands dispatch, equivalence
-        and golden coverage for.
+        The values of a ``"choice"`` switch (``None`` otherwise).  Each one
+        needs a dispatch branch, a golden seed-history case and a
+        parametrization in its suite.
     minimum:
         Inclusive lower bound of an ``"int"`` switch (``None`` otherwise).
     help:
@@ -113,8 +111,7 @@ class SwitchSpec:
 
 
 #: The single source of truth for the switch surface.  Order matters only
-#: for presentation (CLI flag order follows it).  Every keyword argument is
-#: a literal so repro-lint can extract the registry without importing it.
+#: for presentation (CLI flag order follows it).
 SWITCH_REGISTRY: tuple[SwitchSpec, ...] = (
     SwitchSpec(
         name="dropout_rate",
@@ -153,13 +150,3 @@ SWITCH_REGISTRY: tuple[SwitchSpec, ...] = (
         help="reporter quorum: a round below it aborts and redraws its fault schedule (0: disabled)",
     ),
 )
-
-
-def switch_names() -> tuple[str, ...]:
-    """The registered switch names, in registry order."""
-    return tuple(spec.name for spec in SWITCH_REGISTRY)
-
-
-def registry_defaults() -> dict[str, str | int | float]:
-    """Mapping of switch name to registry default (one per spec)."""
-    return {spec.name: spec.default for spec in SWITCH_REGISTRY}

@@ -6,12 +6,7 @@ import json
 
 import pytest
 
-from lint_fixtures import (  # noqa: F401
-    CLEAN_TREE,
-    clean_root,
-    fixture_equivalence_suites,
-    write_tree,
-)
+from lint_fixtures import CLEAN_TREE, clean_root, write_tree  # noqa: F401
 from repro.analysis.cli import main
 
 
@@ -68,9 +63,8 @@ def test_unknown_rule_is_usage_error(tmp_path) -> None:
 
 def test_list_rules(capsys) -> None:
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"):
-        assert rule_id in out
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert listed == {"R1", "R3", "R4", "R6", "R7", "R8"}
 
 
 def test_default_paths_cover_src_and_tests(tmp_path, capsys) -> None:

@@ -9,10 +9,11 @@ by ``test_golden_histories.py``.
 
 The grid covers MF and the MLP scorer, benign and FedRecAttack runs, plus
 one case per straggler policy under federation dynamics, so each value of
-the one remaining choice switch has a committed history; the switch-parity
-lint rule (R2) enforces that invariant statically.  A silent cross-version
-drift of *any* stream (client RNG, round sampler, privacy noise, attack
-randomness, evaluation negatives, fault schedule) fails the suite.
+the one remaining choice switch has a committed history;
+``test_every_choice_has_a_golden_case`` checks that against the switch
+registry.  A silent cross-version drift of *any* stream (client RNG, round
+sampler, privacy noise, attack randomness, evaluation negatives, fault
+schedule) fails the suite.
 
 Intentional contract changes are an explicit diff: edit the case or the
 code, run ``REPRO_GOLDEN_REGEN=1 PYTHONPATH=src python

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from golden_cases import FIXTURES_DIR, GOLDEN_CASES, run_case
+from repro.federated.switches import SWITCH_REGISTRY
 
 
 def _load_fixture(name: str) -> dict:
@@ -69,3 +70,16 @@ def test_fixture_histories_are_fully_populated():
         for record in history:
             assert record["accuracy"] is not None
             assert record["accuracy"]["num_evaluated_users"] > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in SWITCH_REGISTRY if spec.kind == "choice"],
+    ids=lambda spec: spec.name,
+)
+def test_every_choice_has_a_golden_case(spec):
+    """Each value of a choice switch pins its own seed history.  Cases set
+    the value explicitly: a run that merely inherits the default does not
+    count, so deleting the default's case fails too."""
+    pinned = {case[spec.name] for case in GOLDEN_CASES.values() if spec.name in case}
+    assert pinned == set(spec.choices)

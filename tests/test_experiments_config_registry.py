@@ -35,6 +35,8 @@ class TestExperimentConfig:
             {"num_target_items": 0},
             {"scale": 0.0},
             {"attack": "fedrecattack", "rho": 0.0},
+            {"evaluate_every": 0},
+            {"eval_num_negatives": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -13,6 +13,8 @@ for a later round (and records the ones training ends before), and
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.exceptions import ConfigurationError, FederationError
 from repro.federated.config import FederatedConfig
 from repro.federated.dynamics import FaultSchedule, RoundIncident
 from repro.federated.simulation import FederatedSimulation
+from repro.federated.switches import SWITCH_REGISTRY
 from repro.rng import SeedSequenceFactory
 
 from oracles import LoopFedRecAttack, LoopRoundSimulation
@@ -33,6 +36,12 @@ DYNAMICS = dict(
     straggler_policy="stale-merge",
     min_reporters=2,
 )
+
+#: The suite's straggler-policy axis; ``test_axis_is_the_registry_choices``
+#: keeps it equal to the registry's choices.
+STRAGGLER_POLICIES = ("wait", "discard", "stale-merge")
+
+_STRAGGLER_SPEC = next(spec for spec in SWITCH_REGISTRY if spec.name == "straggler_policy")
 
 INCIDENT_KINDS = {
     "client-dropout",
@@ -160,7 +169,7 @@ class TestSwitchValidation:
             FederatedConfig(straggler_policy="hope").validate()
 
     def test_known_straggler_policies_accepted(self):
-        for policy in ("wait", "discard", "stale-merge"):
+        for policy in STRAGGLER_POLICIES:
             FederatedConfig(straggler_policy=policy).validate()
 
     def test_negative_min_reporters_rejected(self):
@@ -199,9 +208,6 @@ class TestDynamicsDeterminism:
             loop_result.item_factors, vec_result.item_factors, rtol=1e-12, atol=1e-12
         )
         assert loop_result.incidents == vec_result.incidents
-
-
-STRAGGLER_POLICIES = ("wait", "discard", "stale-merge")
 
 
 class TestReplayUnderFaults:
@@ -251,6 +257,34 @@ class TestReplayUnderFaults:
 
 
 class TestStragglerPolicies:
+    def test_axis_is_the_registry_choices(self):
+        assert STRAGGLER_POLICIES == _STRAGGLER_SPEC.choices
+
+    @pytest.mark.parametrize(
+        "policies",
+        list(itertools.combinations(_STRAGGLER_SPEC.choices, 2)),
+        ids="-vs-".join,
+    )
+    def test_each_policy_trains_differently(
+        self, small_split, small_public, small_targets, policies
+    ):
+        # Dispatch by behaviour: one seed draws one fault schedule, so two
+        # policies train to the same item factors only if the round treats
+        # their stragglers alike -- a value without its own branch falls
+        # through to another's.  No quorum, so no policy redraws a round.
+        first, second = (
+            _run(
+                small_split,
+                small_public,
+                small_targets,
+                straggler_rate=0.4,
+                straggler_policy=policy,
+                num_epochs=1,
+            )[0].item_factors
+            for policy in policies
+        )
+        assert not np.array_equal(first, second)
+
     def test_wait_policy_reports_everyone(self, small_split, small_public, small_targets):
         # "wait": stragglers are logged but their updates merge normally, so
         # reporter counts equal participant counts (batch minus drop/crash).
