@@ -39,7 +39,6 @@ def sample_uniform_negatives_batched(
     positive_masks: np.ndarray,
     *,
     num_positives: np.ndarray | None = None,
-    copy: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw distinct uniform negatives for ``B`` users in one stacked pass.
 
@@ -54,18 +53,12 @@ def sample_uniform_negatives_batched(
         Requested negatives per user, shape ``(B,)``.  Automatically capped at
         each user's complement size ``N - |positives|``.
     positive_masks:
-        Stacked boolean positive masks, shape ``(B, N)``.  Not modified when
-        ``copy=True`` (the default).
+        Stacked boolean positive masks, shape ``(B, N)``.  Never modified
+        and never copied whole; read-only arrays are welcome.
     num_positives:
         Optional per-row popcount of ``positive_masks`` for callers that
         cache it (e.g. :attr:`InteractionStore.degrees`); computed from the
         masks when omitted.  Either way the draw is the same.
-    copy:
-        ``False`` lets the sampler use ``positive_masks`` as its scratch
-        "taken" bitmap instead of copying it.  Only pass ``False`` for a
-        private array the caller relinquishes — e.g. the fresh gather
-        returned by :meth:`repro.data.store.InteractionStore.mask_rows` —
-        since the rows are mutated in place.
 
     Returns
     -------
@@ -78,7 +71,10 @@ def sample_uniform_negatives_batched(
     finish in a handful of rounds; every candidate is tested against the
     positives *and* the already-accepted items, and duplicates within a round
     are dropped keeping first occurrences, which makes the accepted sequence
-    an exact uniform draw without replacement.
+    an exact uniform draw without replacement.  The first round tests
+    candidates against ``positive_masks`` directly (nothing is accepted
+    yet); only the rows still pending after it get a private "taken" bitmap
+    of their positives plus their accepted negatives.
     """
     counts = np.asarray(counts, dtype=np.int64)
     num_users = counts.shape[0]
@@ -100,9 +96,11 @@ def sample_uniform_negatives_batched(
     if total == 0:
         return negatives, offsets
 
-    # ``taken`` marks everything a candidate must avoid: the user's positives
-    # plus its already-accepted negatives from earlier rejection rounds.
-    taken = positive_masks.copy() if copy else positive_masks
+    # After the first round, ``taken[slot[user]]`` marks everything a pending
+    # user's candidates must avoid: its positives plus its negatives accepted
+    # in earlier rounds.
+    taken: np.ndarray | None = None
+    slot = np.full(num_users, -1, dtype=np.int64)
     filled = np.zeros(num_users, dtype=np.int64)
     remaining = counts.copy()
     pending = np.flatnonzero(remaining > 0)
@@ -113,7 +111,10 @@ def sample_uniform_negatives_batched(
         draws = np.ceil(remaining[pending] * (num_items / free) * 1.2).astype(np.int64) + 4
         owners = np.repeat(np.arange(pending.shape[0], dtype=np.int64), draws)
         candidates = rng.integers(0, num_items, size=owners.shape[0], dtype=np.int64)
-        ok = ~taken[pending[owners], candidates]
+        if taken is None:
+            ok = ~positive_masks[pending[owners], candidates]
+        else:
+            ok = ~taken[slot[pending[owners]], candidates]
         owners, candidates = owners[ok], candidates[ok]
         # Deduplicate per (user, item) keeping first occurrences, then restore
         # draw order so truncation to the remaining quota stays unbiased.
@@ -129,12 +130,17 @@ def sample_uniform_negatives_batched(
         keep = ranks < remaining[pending[owners]]
         owners, candidates, ranks = owners[keep], candidates[keep], ranks[keep]
         users = pending[owners]
-        taken[users, candidates] = True
         negatives[offsets[users] + filled[users] + ranks] = candidates
         accepted = np.bincount(owners, minlength=pending.shape[0])
         filled[pending] += accepted
         remaining[pending] -= accepted
         pending = pending[remaining[pending] > 0]
+        if taken is None and pending.shape[0] > 0:
+            slot[pending] = np.arange(pending.shape[0], dtype=np.int64)
+            taken = positive_masks[pending]
+        if taken is not None:
+            marked = slot[users] >= 0
+            taken[slot[users[marked]], candidates[marked]] = True
     return negatives, offsets
 
 

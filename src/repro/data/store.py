@@ -155,10 +155,9 @@ class InteractionStore:
         """Stacked masks of ``users`` as a fresh *writable* ``(B, num_items)`` array.
 
         This is the batched-sampler entry point: the gather replaces the old
-        per-client ``np.stack`` loop, and because the result is a private
-        copy the caller may hand it to
-        :func:`~repro.data.negative_sampling.sample_uniform_negatives_batched`
-        with ``copy=False`` and let the sampler scribble on it.
+        per-client ``np.stack`` loop and feeds
+        :func:`~repro.data.negative_sampling.sample_uniform_negatives_batched`,
+        which only reads it.
         """
         users = np.asarray(users, dtype=np.int64)
         if users.shape[0] > 0 and (users.min() < 0 or users.max() >= self._num_users):

@@ -251,7 +251,6 @@ class MaliciousClient(Client):
             self.num_items,
             np.array([self.profile.shape[0]], dtype=np.int64),
             mask,
-            copy=False,
         )
         positives = self.profile[: negatives.shape[0]]
         return self._train_on_profile(positives, negatives, item_factors, scorer)

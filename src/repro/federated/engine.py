@@ -102,13 +102,12 @@ class BatchedRoundTrainer:
             counts = np.array(
                 [clients[i].positives.shape[0] for i in fresh], dtype=np.int64
             )
-            # One gather out of the persistent mask matrix: a fresh private
-            # array, so the sampler may use it as its scratch bitmap.
+            # One gather out of the persistent mask matrix.
             masks = self._store.mask_rows(
                 np.array([benign_ids[i] for i in fresh], dtype=np.int64)
             )
             negatives, offsets = sample_uniform_negatives_batched(
-                self._round_rng, self._num_items, counts, masks, copy=False
+                self._round_rng, self._num_items, counts, masks
             )
             for row, i in enumerate(fresh):
                 clients[i].accept_negatives(negatives[offsets[row] : offsets[row + 1]])

@@ -39,21 +39,10 @@ class TrainingHistory:
     :class:`~repro.federated.dynamics.RoundIncident` records in occurrence
     order.  Empty for every run with the federation dynamics switches at
     their defaults.
-
-    The history is also the dirty-state ledger feeding the incremental
-    full-rank evaluator (:class:`~repro.metrics.topk_cache.TopKCache`):
-    :meth:`record_applied_round` marks which user rows trained (their
-    ``U``-rows changed on-device) and whether the server applied any item
-    gradient (``V``/``Theta`` changed) since the last evaluation;
-    :meth:`consume_dirty` drains that state at evaluation time.  Producers
-    must mark **conservatively** — over-reporting only costs rescoring
-    time, under-reporting would serve stale metrics.
     """
 
     records: list[EpochRecord] = field(default_factory=list)
     incidents: list[RoundIncident] = field(default_factory=list)
-    dirty_users: set[int] = field(default_factory=set)
-    item_factors_dirty: bool = False
 
     def append(self, record: EpochRecord) -> None:
         """Add one epoch record."""
@@ -62,34 +51,6 @@ class TrainingHistory:
     def record_incident(self, incident: RoundIncident) -> None:
         """Add one degradation event to the incident log."""
         self.incidents.append(incident)
-
-    def record_applied_round(
-        self, user_ids: "np.ndarray | list[int]", item_factors_changed: bool
-    ) -> None:
-        """Mark one applied round's dirty state.
-
-        ``user_ids`` are the participants whose local ``U``-rows trained this
-        round (benign clients — attackers hold no genuine row).
-        ``item_factors_changed`` is whether the server's ``apply_round``
-        received any update, i.e. whether ``V`` (and ``Theta``) may differ
-        from the last evaluation's.
-        """
-        self.dirty_users.update(int(user) for user in user_ids)
-        if item_factors_changed:
-            self.item_factors_dirty = True
-
-    def consume_dirty(self) -> tuple[np.ndarray, bool]:
-        """Drain and return ``(dirty user ids, item factors dirty)``.
-
-        The ids come back sorted int64 (deterministic regardless of set
-        iteration order); the dirty state resets so the next drain covers
-        only rounds applied after this call.
-        """
-        users = np.fromiter(sorted(self.dirty_users), dtype=np.int64)
-        flag = self.item_factors_dirty
-        self.dirty_users.clear()
-        self.item_factors_dirty = False
-        return users, flag
 
     def __len__(self) -> int:
         return len(self.records)

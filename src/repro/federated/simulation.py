@@ -39,7 +39,6 @@ from repro.federated.updates import ClientUpdate
 from repro.metrics.accuracy import AccuracyReport
 from repro.metrics.evaluation import evaluate_snapshot
 from repro.metrics.exposure import ExposureReport
-from repro.metrics.topk_cache import TopKCache
 from repro.rng import SeedSequenceFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
@@ -211,9 +210,6 @@ class FederatedSimulation:
         #: straggling clients, merged at the end of the round they arrive in.
         self._pending_arrivals: dict[int, list[ClientUpdate]] = {}
         self._history: TrainingHistory | None = None
-        # Incremental full-rank evaluator, built lazily on the first
-        # evaluation it applies to (num_negatives=None).
-        self._topk_cache: TopKCache | None = None
         self._current_epoch = 0
         self._trainer = BatchedRoundTrainer(
             self.benign_clients,
@@ -323,11 +319,6 @@ class FederatedSimulation:
         history = TrainingHistory()
         self._history = history
         self._pending_arrivals = {}
-        # A fresh history starts with no dirty bookkeeping, so any cached
-        # evaluation state from a previous run() must go: the first
-        # evaluation of every run is a full pass.
-        if self._topk_cache is not None:
-            self._topk_cache.invalidate()
 
         for epoch in range(1, epochs + 1):
             self._current_epoch = epoch
@@ -440,29 +431,11 @@ class FederatedSimulation:
             if self.update_observer is not None:
                 self.update_observer(round_index, updates)
             self.server.apply_round(updates)
-            self._record_applied_round(benign_ids, len(updates) > 0)
             return round_loss
         if self.update_observer is not None:
             self.update_observer(round_index, round_updates.to_client_updates())
         self.server.apply_round(round_updates)
-        self._record_applied_round(benign_ids, round_updates.client_ids.shape[0] > 0)
         return round_loss
-
-    def _record_applied_round(
-        self, benign_ids: list[int], item_factors_changed: bool
-    ) -> None:
-        """Mark one applied round's dirty state on the active history.
-
-        ``benign_ids`` are the round's benign participants — every one of
-        them trained its local ``U``-row before the server step, so their
-        rows are dirty even when dispositions later discarded their uploads.
-        ``item_factors_changed`` is whether the server applied any update
-        (an empty round increments the counter but leaves ``V``/``Theta``
-        untouched).  This feeds the incremental full-rank evaluator's
-        invalidation — see :class:`~repro.metrics.topk_cache.TopKCache`.
-        """
-        if self._history is not None:
-            self._history.record_applied_round(benign_ids, item_factors_changed)
 
     # ------------------------------------------------------------------ #
     # Federation dynamics
@@ -617,37 +590,14 @@ class FederatedSimulation:
     def _evaluate(self) -> tuple[AccuracyReport | None, ExposureReport | None]:
         """One evaluation epoch through :meth:`score_block_function`.
 
-        The sampled protocol draws its negatives from the ``"evaluation"``
-        stream, one stacked draw per user block, through
-        :func:`~repro.metrics.evaluation.evaluate_snapshot`.  Full-catalog
-        evaluations (``eval_num_negatives=None``) run through the incremental
-        :class:`~repro.metrics.topk_cache.TopKCache`, which drains the
-        history's dirty ledger and rescores only the user blocks whose rows
-        changed since the previous evaluation — bit-identical to a cold
-        :func:`~repro.metrics.evaluation.evaluate_snapshot` by construction
-        (the sampled protocol consumes RNG per evaluation and therefore
-        cannot be cached).
+        One :func:`~repro.metrics.evaluation.evaluate_snapshot` call serves
+        both protocols: it scores each user block once and reads every
+        metric from that block.  The sampled protocol draws its negatives
+        from the ``"evaluation"`` stream, one stacked draw per user block;
+        the full-rank protocol draws nothing.
         """
         if self.test_items is None and self.target_items is None:
             return None, None
-        if self.eval_num_negatives is None:
-            if self._topk_cache is None:
-                self._topk_cache = TopKCache(
-                    self.train,
-                    test_items=self.test_items,
-                    target_items=self.target_items,
-                    k=10,
-                )
-            if self._history is not None:
-                dirty_users, item_factors_changed = self._history.consume_dirty()
-            else:
-                dirty_users, item_factors_changed = None, True
-            result = self._topk_cache.evaluate(
-                self.score_block_function(),
-                dirty_users=dirty_users,
-                item_factors_changed=item_factors_changed,
-            )
-            return result.accuracy, result.exposure
         result = evaluate_snapshot(
             self.score_block_function(),
             self.train,

@@ -4,8 +4,8 @@ The paper uses three attack-effectiveness metrics — ER@5, ER@10 (exposure
 ratio, Eq. 8) and NDCG@10 of the target items — and HR@10 for recommendation
 accuracy (the side-effect / stealthiness analysis of Figure 3 and
 Table VIII).  :func:`evaluate_snapshot` computes all of them in one blocked
-pass on top of shared ranking utilities; :class:`TopKCache` is its
-incremental full-rank form.
+pass, one ``score_block`` call per user block, on top of shared ranking
+utilities.
 """
 
 from repro.metrics.accuracy import AccuracyReport, draw_ranking_negatives_batched
@@ -14,25 +14,19 @@ from repro.metrics.evaluation import (
     EvaluationResult,
     evaluate_snapshot,
     resolve_score_block,
-    resolve_score_candidates,
     user_blocks,
 )
-from repro.metrics.topk_cache import TopKCache
 from repro.metrics.exposure import ExposureReport
-from repro.metrics.ranking import cumulative_discounts, rank_of_items, top_k_items
+from repro.metrics.ranking import cumulative_discounts
 
 __all__ = [
     "AccuracyReport",
     "ExposureReport",
     "EvaluationResult",
     "DEFAULT_BLOCK_SIZE",
-    "TopKCache",
     "evaluate_snapshot",
     "resolve_score_block",
-    "resolve_score_candidates",
     "user_blocks",
     "draw_ranking_negatives_batched",
-    "rank_of_items",
-    "top_k_items",
     "cumulative_discounts",
 ]

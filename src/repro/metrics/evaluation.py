@@ -1,12 +1,17 @@
 """Evaluation engine.
 
 :func:`evaluate_snapshot` computes HR@K, NDCG@K, ER@5, ER@10 and
-target-NDCG@10 in **one pass over user blocks**:
+target-NDCG@10 in **one pass over user blocks**, with **one** ``score_block``
+call per canonical block whichever metrics are requested:
 
 * a block of users is scored with a single stacked ``U_block @ V.T``-style
   matrix product through the ``score_block(users)`` callback,
-* positives are masked via contiguous row slices of the shared
-  :class:`~repro.data.store.InteractionStore` mask matrix (views, no copies),
+* the sampled protocol draws the block's negatives in one stacked pass of
+  :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched` (blocks in
+  user order) and gathers each user's ``1 + num_negatives`` candidate
+  scores from that raw block, before anything is masked,
+* positives are then masked in place via the shared
+  :class:`~repro.data.store.InteractionStore` CSR coordinates,
 * top-K membership is decided by comparing each candidate's score against
   the block's K-th-largest masked score (one ``np.partition`` per block):
   with the optimistic rank ``r(v) = 1 + #{j : masked_j > s_v}`` used
@@ -14,29 +19,17 @@ target-NDCG@10 in **one pass over user blocks**:
   exactly — ties included — so exact ranks only ever need to be counted for
   the (typically few) items that actually made a top-K list.
 
-The sampled protocol never scores the catalog: each block's negatives come
-from one stacked draw of
-:func:`~repro.metrics.accuracy.draw_ranking_negatives_batched` (blocks in
-user order), and only the drawn candidate sets are scored, through
-:func:`resolve_score_candidates` (the
-:class:`~repro.models.base.CandidateScorerProtocol` gather, or a
-``score_block`` slice for sources without one).
-
 The per-user reference evaluation in ``tests/oracles`` reads its scores
-from the *same* ``score_block`` / ``score_candidates`` calls over the *same*
-block partitioning (BLAS results are not row-stable across GEMM shapes, so
-this, not re-computation, is what makes bit-identity possible), draws the
-same stream, and reduces per-user contributions with the same ``np.sum`` /
+from the *same* ``score_block`` calls over the *same* block partitioning
+(BLAS results are not row-stable across GEMM shapes, so this, not
+re-computation, is what makes bit-identity possible), draws the same
+stream, and reduces per-user contributions with the same ``np.sum`` /
 ``np.mean`` calls, so every metric is bit-identical to it.
-
-The per-block full-rank/exposure pipeline is factored into
-:func:`_measure_block` returning :class:`_BlockMetrics`, which is also the
-cache unit of the incremental :class:`~repro.metrics.topk_cache.TopKCache`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -50,7 +43,7 @@ from repro.metrics.accuracy import (
 )
 from repro.metrics.exposure import ExposureReport, _validate_targets
 from repro.metrics.ranking import cumulative_discounts
-from repro.models.base import CandidateScorerProtocol, ScorerProtocol
+from repro.models.base import ScorerProtocol
 from repro.rng import ensure_rng
 
 if TYPE_CHECKING:
@@ -60,17 +53,15 @@ __all__ = [
     "EvaluationResult",
     "evaluate_snapshot",
     "resolve_score_block",
-    "resolve_score_candidates",
     "user_blocks",
     "DEFAULT_BLOCK_SIZE",
 ]
 
 ScoreBlockFunction = Callable[[np.ndarray], np.ndarray]
-ScoreCandidatesFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: A scoring source: either a model implementing the formal id-based
 #: :class:`~repro.models.base.ScorerProtocol`, or a bare block-score callback
-#: (the legacy surface, still used for precomputed score matrices in tests).
+#: (what the simulation and the serving exposure hook pass).
 ScoreSource = ScorerProtocol | ScoreBlockFunction
 
 
@@ -87,29 +78,6 @@ def resolve_score_block(source: ScoreSource) -> ScoreBlockFunction:
         return source.score_block
     return source
 
-
-def resolve_score_candidates(source: ScoreSource) -> ScoreCandidatesFunction:
-    """Normalise a scoring source into a candidate-gather callback.
-
-    Sources implementing the optional
-    :class:`~repro.models.base.CandidateScorerProtocol` (MF, the MLP
-    adapter, factor snapshots' models) dispatch through their bound
-    ``score_candidates`` — the fast path that never touches the full
-    catalog.  Every other source gets the generic fallback: one
-    ``score_block`` call over the user block, sliced at the candidate
-    columns — the very same floats a full blocked pass would gather.
-    """
-    if isinstance(source, CandidateScorerProtocol):
-        return source.score_candidates
-    resolved = resolve_score_block(source)
-
-    def fallback(users: np.ndarray, candidate_items: np.ndarray, /) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64)
-        candidate_items = np.asarray(candidate_items, dtype=np.int64)
-        scores = np.asarray(resolved(users), dtype=np.float64)
-        return scores[np.arange(users.shape[0])[:, None], candidate_items]
-
-    return fallback
 
 #: Default user-block size.  Small enough that a block's score matrix stays
 #: cache-resident through the mask/partition/compare pipeline; any consumer
@@ -145,7 +113,8 @@ def evaluate_snapshot(
         :class:`~repro.models.base.ScorerProtocol` (dispatched through
         :func:`resolve_score_block`), or a bare callback mapping an array of
         user ids to their stacked ``(B, num_items)`` score matrix.  Every
-        catalog score comes from the resolved callback, block by block.
+        score comes from the resolved callback, one call per canonical
+        block, whichever metrics are requested.
     train:
         Training interactions; positives are masked out of the rankings and
         the shared :class:`~repro.data.store.InteractionStore` provides the
@@ -162,8 +131,7 @@ def evaluate_snapshot(
         Sampled-protocol negatives per user (``None`` ranks against the full
         catalog).  The sampled protocol draws one stacked pass per block
         through :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched`
-        and scores only the drawn candidates through
-        :func:`resolve_score_candidates`.
+        and reads the drawn candidates' scores from the block's raw scores.
     rng:
         Randomness for the sampled protocol.
     block_size:
@@ -188,44 +156,27 @@ def evaluate_snapshot(
         exposure_ndcg_k, num_items,
     )
 
-    # The sampled protocol ranks gathered candidate scores; the full-catalog
-    # blocked pass runs only when something ranks against the whole catalog:
-    # the full-rank protocol, or the exposure metrics by definition.
-    sampled_tests = test_items if num_negatives is not None else None
     full_rank_tests = test_items if num_negatives is None else None
-    score_candidates = (
-        resolve_score_candidates(score_block) if sampled_tests is not None else None
-    )
     resolved = resolve_score_block(score_block)
-    need_blocks = full_rank_tests is not None or target_items is not None
 
     blocks: list[_BlockMetrics] = []
     for lo, hi in user_blocks(num_users, block_size):
-        hits = 0
-        contributions: np.ndarray | None = None
-        if score_candidates is not None and sampled_tests is not None:
-            assert num_negatives is not None
-            hits, contributions = _accuracy_block_candidates(
-                score_candidates, store, lo, hi, sampled_tests, k, num_negatives,
-                generator,
-            )
-        if not need_blocks:
-            blocks.append(
-                _BlockMetrics(
-                    hits=hits, contributions=contributions, er=None, target_ndcg=None
-                )
-            )
-            continue
         scores = _score_block_checked(resolved, lo, hi, num_items)
+        # The sampled protocol ranks raw scores, so it reads the block before
+        # _measure_block masks it in place.
+        sampled = (
+            _accuracy_block_sampled(
+                scores, store, lo, hi, test_items, k, num_negatives, generator
+            )
+            if test_items is not None and num_negatives is not None
+            else None
+        )
         block = _measure_block(
             scores, lo, hi, store, full_rank_tests, target_items, k,
             cutoffs, exposure_ks, exposure_ndcg_k, ideal,
         )
-        if sampled_tests is not None:
-            block = _BlockMetrics(
-                hits=hits, contributions=contributions,
-                er=block.er, target_ndcg=block.target_ndcg,
-            )
+        if sampled is not None:
+            block = replace(block, hits=sampled[0], contributions=sampled[1])
         blocks.append(block)
     return _reduce_blocks(blocks, test_items, target_items, exposure_ks)
 
@@ -327,18 +278,13 @@ def _membership(
 class _BlockMetrics:
     """Every metric contribution of one canonical user block.
 
-    The unit :func:`evaluate_snapshot` reduces over — and the unit
-    :class:`~repro.metrics.topk_cache.TopKCache` caches between evaluation
-    epochs: a block whose users' factors did not change contributes the
-    bit-identical ``_BlockMetrics`` it contributed last epoch, so caching
-    them *is* skipping the rescore.
-
-    ``contributions`` is ``None`` when accuracy was not requested (not
-    merely empty — an empty valid set still contributes a zero-length
-    array, keeping the reduction's concatenation order stable); ``er`` /
-    ``target_ndcg`` are ``None`` when exposure was not requested or the
-    block had no contributing users (matching the historical
-    append-only-when-contributing reduction exactly).
+    The unit :func:`evaluate_snapshot` reduces over.  ``contributions`` is
+    ``None`` when accuracy was not requested (not merely empty — an empty
+    valid set still contributes a zero-length array, keeping the
+    reduction's concatenation order stable); ``er`` / ``target_ndcg`` are
+    ``None`` when exposure was not requested or the block had no
+    contributing users (matching the historical append-only-when-contributing
+    reduction exactly).
     """
 
     hits: int
@@ -381,13 +327,12 @@ def _measure_block(
 ) -> _BlockMetrics:
     """Mask, rank and measure one fresh pre-mask score block.
 
-    The single per-block pipeline shared by :func:`evaluate_snapshot` and
-    the incremental :class:`~repro.metrics.topk_cache.TopKCache`:
-    positives are masked to ``-inf`` in place, raw test/target gathers
+    Positives are masked to ``-inf`` in place, raw test/target gathers
     happen at the documented points relative to the in-place partition, and
     the block's full-rank accuracy (``test_items``; ``None`` under the
-    sampled protocol, which ranks gathered candidates instead) and exposure
-    contributions come back as one :class:`_BlockMetrics`.
+    sampled protocol, whose candidates :func:`evaluate_snapshot` gathers
+    before this call) and exposure contributions come back as one
+    :class:`_BlockMetrics`.
     """
     mask_block = store.masks[lo:hi]
     indptr, indices = store.indptr, store.indices
@@ -445,9 +390,7 @@ def _reduce_blocks(
     """Reduce per-block contributions into the final reports.
 
     Concatenates the per-block arrays in block order and reduces with the
-    same ``np.sum`` / ``np.mean`` calls as the per-user reference — which is
-    also what lets a cached block's :class:`_BlockMetrics` stand in for a
-    recomputed one bit-identically.
+    same ``np.sum`` / ``np.mean`` calls as the per-user reference.
     """
     accuracy = None
     if test_items is not None:
@@ -516,36 +459,35 @@ def _accuracy_block_full(
     return block_hits, contributions
 
 
-def _block_candidate_scores(
-    score_candidates: ScoreCandidatesFunction,
+def _accuracy_block_sampled(
+    scores: np.ndarray,
     store: InteractionStore,
-    block_start: int,
-    block_stop: int,
+    lo: int,
+    hi: int,
     test_items: np.ndarray,
+    k: int,
     num_negatives: int,
     generator: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one block's ranking negatives and score its candidate sets.
+) -> tuple[int, np.ndarray]:
+    """Sampled-protocol HR/NDCG of one block, read from its raw scores.
 
     One stacked :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched`
-    call draws the whole block's negatives; the rectangular
-    ``(B_full, 1 + num_negatives)`` candidate-id sets, test item in column
-    0, are scored in **one** ``score_candidates`` call.  Returns ``(valid,
-    full, saturated, candidate_scores)``: the block positions of the users
-    with a test item, the indices into ``valid`` of the users with a full
-    candidate set (the rows of ``candidate_scores``), and of the saturated
-    users whose positives plus test item cover the catalog (empty draw).
+    call draws the whole block's negatives; each test item's raw score is
+    ranked against its own negatives' raw scores in one broadcast
+    comparison.  Saturated users (positives plus test item cover the
+    catalog, so the draw is empty) rank their test item against nothing:
+    rank 1, a hit.  Returns the block's hit count and the per-evaluated-user
+    NDCG contributions (0 for misses), in user order.
 
     Segment lengths are validated against the ``{0, num_negatives}``
     invariant — a drawer violating it (a short segment, or negatives
     attached to an invalid user) is a hard :class:`ModelError`, never a
     silent row-misalignment of every later user's candidates.
     """
-    block_tests = test_items[block_start:block_stop]
+    block_tests = test_items[lo:hi]
     valid = np.flatnonzero(block_tests >= 0)
-    users = np.arange(block_start, block_stop, dtype=np.int64)
     negatives, offsets = draw_ranking_negatives_batched(
-        generator, store, users, block_tests, num_negatives
+        generator, store, np.arange(lo, hi, dtype=np.int64), block_tests, num_negatives
     )
     segment_lengths = np.diff(offsets)[valid]
     full = np.flatnonzero(segment_lengths == num_negatives)
@@ -556,58 +498,19 @@ def _block_candidate_scores(
             f"exactly num_negatives={num_negatives} long, got segment "
             f"lengths {np.unique(segment_lengths).tolist()}"
         )
-    candidate_sets = np.empty((full.shape[0], 1 + num_negatives), dtype=np.int64)
-    if full.shape[0] == 0:
-        return valid, full, saturated, np.empty(candidate_sets.shape, dtype=np.float64)
-    candidate_sets[:, 0] = block_tests[valid[full]]
-    candidate_sets[:, 1:] = negatives[
-        offsets[:-1][valid[full]][:, None]
-        + np.arange(num_negatives, dtype=np.int64)[None, :]
+    rows = valid[full]
+    negative_ids = negatives[
+        offsets[rows][:, None] + np.arange(num_negatives, dtype=np.int64)[None, :]
     ]
-    full_users = block_start + valid[full].astype(np.int64)
-    candidate_scores = np.asarray(
-        score_candidates(full_users, candidate_sets), dtype=np.float64
-    )
-    if candidate_scores.shape != candidate_sets.shape:
-        raise ModelError(
-            f"score_candidates must produce a {candidate_sets.shape} matrix, "
-            f"got {candidate_scores.shape}"
-        )
-    return valid, full, saturated, candidate_scores
-
-
-def _accuracy_block_candidates(
-    score_candidates: ScoreCandidatesFunction,
-    store: InteractionStore,
-    block_start: int,
-    block_stop: int,
-    test_items: np.ndarray,
-    k: int,
-    num_negatives: int,
-    generator: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    """Sampled-protocol HR/NDCG of one block through candidate gathers.
-
-    Counts each test item's rank among its own drawn negatives (see
-    :func:`_block_candidate_scores`) in one broadcast comparison.
-    Saturated users rank their test item against nothing: rank 1, a hit.
-    Returns the block's hit count and the per-evaluated-user NDCG
-    contributions (0 for misses), in user order.
-    """
-    valid, full, saturated, candidate_scores = _block_candidate_scores(
-        score_candidates, store, block_start, block_stop, test_items,
-        num_negatives, generator,
+    test_scores = scores[rows, block_tests[rows]]
+    ranks = 1 + np.count_nonzero(
+        scores[rows[:, None], negative_ids] > test_scores[:, None], axis=1
     )
     contributions = np.zeros(valid.shape[0], dtype=np.float64)
-    block_hits = int(saturated.shape[0])
     contributions[saturated] = 1.0  # 1 / log2(1 + 1)
-    ranks = 1 + np.count_nonzero(
-        candidate_scores[:, 1:] > candidate_scores[:, :1], axis=1
-    )
     hit = ranks <= k
-    block_hits += int(np.count_nonzero(hit))
     contributions[full[hit]] = 1.0 / np.log2(ranks[hit] + 1.0)
-    return block_hits, contributions
+    return int(saturated.shape[0] + np.count_nonzero(hit)), contributions
 
 
 def _exposure_block(

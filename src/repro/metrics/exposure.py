@@ -8,8 +8,8 @@ ranks, as in the paper's evaluation (Section V-A).
 All three metrics (ER@5, ER@10, target NDCG@10) come out of one blocked
 scoring pass of :func:`repro.metrics.evaluation.evaluate_snapshot`: the
 targets' optimistic ranks (``1 +`` the number of strictly higher-scoring
-non-interacted items, the same rank :func:`~repro.metrics.ranking.rank_of_items`
-assigns) drive every metric.  A target is counted as exposed at ``K`` iff
+non-interacted items, so tied items share the best rank of their tie group)
+drive every metric.  A target is counted as exposed at ``K`` iff
 its rank is ``<= K`` — equivalent to top-K-list membership except on exact
 score ties, which are resolved in the target's favor (a measure-zero event
 for continuous model scores).

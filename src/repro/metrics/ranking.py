@@ -4,45 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ModelError
-
-__all__ = ["top_k_items", "rank_of_items", "dcg_from_ranks", "cumulative_discounts"]
-
-
-def top_k_items(scores: np.ndarray, k: int, exclude: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the ``k`` highest scores, optionally masking ``exclude``.
-
-    Ties are broken deterministically by index order so results are
-    reproducible across runs.
-    """
-    if k <= 0:
-        raise ModelError(f"k must be positive, got {k}")
-    scores = np.asarray(scores, dtype=np.float64).copy()
-    if exclude is not None and len(exclude) > 0:
-        scores[np.asarray(exclude, dtype=np.int64)] = -np.inf
-    k = min(k, scores.shape[0])
-    top = np.argpartition(-scores, k - 1)[:k]
-    return top[np.argsort(-scores[top], kind="stable")]
-
-
-def rank_of_items(
-    scores: np.ndarray, items: np.ndarray, exclude: np.ndarray | None = None
-) -> np.ndarray:
-    """1-based rank of each requested item within the (masked) score vector.
-
-    The rank is *optimistic*: ``1 +`` the number of strictly higher-scoring
-    items, so tied items share the best rank of the tie group.  Items that
-    are themselves excluded get rank ``len(scores) + 1``.  One broadcast
-    comparison ranks all requested items at once (the former per-item Python
-    loop was ``O(items * n)`` with Python-level overhead per item).
-    """
-    scores = np.asarray(scores, dtype=np.float64).copy()
-    items = np.asarray(items, dtype=np.int64)
-    if exclude is not None and len(exclude) > 0:
-        scores[np.asarray(exclude, dtype=np.int64)] = -np.inf
-    item_scores = scores[items]
-    ranks = 1 + np.sum(scores[None, :] > item_scores[:, None], axis=1)
-    return np.where(np.isfinite(item_scores), ranks, scores.shape[0] + 1)
+__all__ = ["cumulative_discounts"]
 
 
 def cumulative_discounts(count: int) -> np.ndarray:
@@ -53,12 +15,3 @@ def cumulative_discounts(count: int) -> np.ndarray:
     """
     discounts = 1.0 / np.log2(np.arange(1, count + 1, dtype=np.float64) + 1.0)
     return np.concatenate([[0.0], np.cumsum(discounts)])
-
-
-def dcg_from_ranks(ranks: np.ndarray, k: int) -> float:
-    """Discounted cumulative gain of binary-relevant items at given ranks."""
-    ranks = np.asarray(ranks, dtype=np.float64)
-    in_list = ranks <= k
-    if not np.any(in_list):
-        return 0.0
-    return float(np.sum(1.0 / np.log2(ranks[in_list] + 1.0)))

@@ -27,50 +27,7 @@ import numpy as np
 
 from repro.exceptions import ModelError
 
-__all__ = [
-    "Recommender",
-    "ScorerProtocol",
-    "CandidateScorerProtocol",
-    "check_candidate_sets",
-]
-
-
-def check_candidate_sets(
-    users: np.ndarray,
-    candidate_items: np.ndarray,
-    *,
-    n_users: int,
-    n_items: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a ``score_candidates`` call's id arrays.
-
-    ``users`` must be a 1-D block of in-range user ids and
-    ``candidate_items`` a rectangular ``(B, C)`` matrix of in-range item
-    ids aligned row-for-row with ``users``.  Returns both as ``int64``
-    arrays.  Shared by every :class:`CandidateScorerProtocol`
-    implementation so the gather paths reject malformed sets identically.
-    """
-    users = np.asarray(users, dtype=np.int64)
-    candidate_items = np.asarray(candidate_items, dtype=np.int64)
-    if users.ndim != 1:
-        raise ModelError(f"users must be a 1-D array of user ids, got shape {users.shape}")
-    if candidate_items.ndim != 2:
-        raise ModelError(
-            "candidate_items must be a (B, C) matrix of item ids, got shape "
-            f"{candidate_items.shape}"
-        )
-    if candidate_items.shape[0] != users.shape[0]:
-        raise ModelError(
-            f"candidate_items must have one row per user, got {candidate_items.shape[0]} "
-            f"rows for {users.shape[0]} users"
-        )
-    if users.size and (int(users.min()) < 0 or int(users.max()) >= n_users):
-        raise ModelError(f"user ids out of range [0, {n_users})")
-    if candidate_items.size and (
-        int(candidate_items.min()) < 0 or int(candidate_items.max()) >= n_items
-    ):
-        raise ModelError(f"candidate item ids out of range [0, {n_items})")
-    return users, candidate_items
+__all__ = ["Recommender", "ScorerProtocol"]
 
 
 @runtime_checkable
@@ -94,11 +51,9 @@ class ScorerProtocol(Protocol):
     The protocol is ``runtime_checkable``: ``isinstance(x, ScorerProtocol)``
     checks the attribute surface, which is all the structural dispatch in
     :func:`repro.metrics.evaluation.resolve_score_block` needs.
-
-    Scorers that can score *per-user candidate sets* without a full-catalog
-    pass additionally implement the optional
-    :class:`CandidateScorerProtocol` extension (``score_candidates``) — the
-    sampled evaluation protocol's fast path.
+    ``score_block`` is the only block-scoring surface: the evaluation engine
+    reads every metric, the sampled protocol's candidates included, from
+    one ``score_block`` call per user block.
     """
 
     @property
@@ -117,36 +72,6 @@ class ScorerProtocol(Protocol):
 
     def score_block(self, users: np.ndarray, /) -> np.ndarray:
         """Stacked ``(B, n_items)`` scores for a 1-D block of user ids."""
-        ...
-
-
-@runtime_checkable
-class CandidateScorerProtocol(ScorerProtocol, Protocol):
-    """The optional candidate-gather extension of :class:`ScorerProtocol`.
-
-    The sampled ranking protocol only ever reads ``1 + num_negatives``
-    candidate columns per user, so scoring a whole ``(B, n_items)`` block
-    just to gather a few columns wastes the dominant GEMM.  Scorers that can
-    do better implement ``score_candidates(users, candidate_items)``: given
-    a 1-D block of ``B`` user ids and a rectangular ``(B, C)`` matrix of
-    item ids, return the ``(B, C)`` matrix of scores — row ``b`` scores user
-    ``users[b]`` on its own candidate row.
-
-    The surface is deliberately a *second* protocol, not new members on
-    :class:`ScorerProtocol`: ``isinstance(x, ScorerProtocol)`` keeps
-    admitting every existing minimal scorer, and consumers that want the
-    fast path check this protocol instead
-    (:func:`repro.metrics.evaluation.resolve_score_candidates` is the
-    sanctioned site, with a generic slicing fallback for sources that only
-    block-score).  Implementations must validate ids through
-    :func:`check_candidate_sets` so malformed sets fail identically on
-    every path.
-    """
-
-    def score_candidates(
-        self, users: np.ndarray, candidate_items: np.ndarray, /
-    ) -> np.ndarray:
-        """``(B, C)`` scores of per-user candidate sets for a block of user ids."""
         ...
 
 

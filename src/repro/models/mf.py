@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.models.base import Recommender, check_candidate_sets
+from repro.models.base import Recommender
 from repro.rng import ensure_rng
 
 __all__ = ["MatrixFactorizationModel"]
@@ -154,25 +154,6 @@ class MatrixFactorizationModel(Recommender):
         if users.size and (int(users.min()) < 0 or int(users.max()) >= self._num_users):
             raise ModelError(f"user ids out of range [0, {self._num_users})")
         return self.user_factors[users] @ self.item_factors.T
-
-    def score_candidates(self, users: np.ndarray, candidate_items: np.ndarray, /) -> np.ndarray:
-        """``(B, C)`` scores of per-user candidate sets, without the full GEMM.
-
-        Row ``b`` scores user ``users[b]`` on its own candidate row: one
-        ``einsum`` over the gathered ``U[users]`` and ``V[candidate_items]``
-        — ``B * C * k`` multiply-adds instead of the ``B * n_items * k`` of
-        :meth:`score_block`.  This is the
-        :class:`~repro.models.base.CandidateScorerProtocol` surface the
-        sampled evaluation protocol dispatches through.
-        """
-        users, candidate_items = check_candidate_sets(
-            users, candidate_items, n_users=self._num_users, n_items=self._num_items
-        )
-        return np.einsum(
-            "bf,bcf->bc",
-            self.user_factors[users],
-            self.item_factors[candidate_items],
-        )
 
     # ------------------------------------------------------------------ #
     # Convenience accessors

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.models.base import check_candidate_sets
 from repro.models.losses import segment_sum
 from repro.rng import ensure_rng
 
@@ -142,51 +141,6 @@ class MLPScorer:
         for start in range(0, num_users, chunk):
             stop = min(num_users, start + chunk)
             hidden = np.maximum(user_pre[start:stop, None, :] + item_pre[None, :, :], 0.0)
-            scores[start:stop] = hidden @ self.w2 + self.b2
-        return scores
-
-    def score_candidate_sets(
-        self,
-        user_vectors: np.ndarray,
-        item_vector_sets: np.ndarray,
-        max_chunk_elements: int = 1 << 21,
-    ) -> np.ndarray:
-        """Scores of per-user candidate sets, shape ``(B, C)``.
-
-        ``item_vector_sets`` is the ``(B, C, k)`` gather of each user's own
-        candidate vectors — the candidate-path counterpart of
-        :meth:`score_block`, which crosses a user block with the *whole*
-        item matrix.  The first layer is split the same way
-        (``W1 [u; v] = W1u u + W1v v``), the item half is applied to the
-        gathered ``(B, C, k)`` stack, and the ``(B, C, hidden)``
-        intermediate is processed in user chunks bounded by
-        ``max_chunk_elements`` float64 elements to keep memory flat.
-        """
-        user_vectors = np.atleast_2d(np.asarray(user_vectors, dtype=np.float64))
-        item_vector_sets = np.asarray(item_vector_sets, dtype=np.float64)
-        if item_vector_sets.ndim != 3:
-            raise ModelError(
-                "item_vector_sets must be a (B, C, k) stack of per-user "
-                f"candidate vectors, got shape {item_vector_sets.shape}"
-            )
-        if user_vectors.shape[1] != self.num_factors or item_vector_sets.shape[2] != self.num_factors:
-            raise ModelError(
-                f"expected feature dimension {self.num_factors}, got user "
-                f"{user_vectors.shape} and item {item_vector_sets.shape}"
-            )
-        if item_vector_sets.shape[0] != user_vectors.shape[0]:
-            raise ModelError(
-                "item_vector_sets must have one candidate row per user, got "
-                f"{item_vector_sets.shape[0]} rows for {user_vectors.shape[0]} users"
-            )
-        user_pre = user_vectors @ self.w1[:, : self.num_factors].T
-        item_pre = item_vector_sets @ self.w1[:, self.num_factors :].T + self.b1
-        num_users, num_candidates = item_vector_sets.shape[0], item_vector_sets.shape[1]
-        chunk = max(1, int(max_chunk_elements // max(1, num_candidates * self.hidden_units)))
-        scores = np.empty((num_users, num_candidates), dtype=np.float64)
-        for start in range(0, num_users, chunk):
-            stop = min(num_users, start + chunk)
-            hidden = np.maximum(user_pre[start:stop, None, :] + item_pre[start:stop], 0.0)
             scores[start:stop] = hidden @ self.w2 + self.b2
         return scores
 
@@ -388,19 +342,3 @@ class MLPRecommender:
         if users.size and (int(users.min()) < 0 or int(users.max()) >= self.n_users):
             raise ModelError(f"user ids out of range [0, {self.n_users})")
         return self.scorer.score_block(self.user_factors[users], self.item_factors)
-
-    def score_candidates(self, users: np.ndarray, candidate_items: np.ndarray, /) -> np.ndarray:
-        """``(B, C)`` scores of per-user candidate sets via the gathered forward.
-
-        Gathers each user's candidate vectors into a ``(B, C, k)`` stack and
-        runs the scorer's chunked
-        :meth:`~MLPScorer.score_candidate_sets` kernel — the
-        :class:`~repro.models.base.CandidateScorerProtocol` surface of the
-        MLP path.
-        """
-        users, candidate_items = check_candidate_sets(
-            users, candidate_items, n_users=self.n_users, n_items=self.n_items
-        )
-        return self.scorer.score_candidate_sets(
-            self.user_factors[users], self.item_factors[candidate_items]
-        )

@@ -13,7 +13,9 @@ both guarded by one re-entrant lock and both invalidated atomically by
   the raw rows means one GEMM serves every user of the block, every ``k``
   and the exposure hook alike;
 * a **per-user memo** of finished :class:`Recommendation` objects keyed by
-  ``(user, k)``, so repeat queries skip masking and selection entirely.
+  ``(user, min(k, n_items))``, so repeat queries skip masking and selection
+  entirely; it keeps at most ``n_users`` entries (least recently used
+  evicted first), so a client-chosen ``k`` cannot grow it without bound.
 
 Batch queries group users by block so each block is scored by a single
 stacked pass, then run the *same* per-row selection helper as single
@@ -306,22 +308,32 @@ class RecommenderService:
     # queries
     # ------------------------------------------------------------------
 
+    def _answer(self, user: int, k: int) -> Recommendation:
+        """One memoised answer; the caller holds the lock.
+
+        Every ``k`` at or past the catalog size asks for the same
+        full-catalog list, so the memo key caps ``k`` at ``n_items``; the
+        memo evicts its least recently used entry beyond ``n_users``.
+        """
+        self._queries += 1
+        memo_key = (user, min(k, self._snapshot.n_items))
+        hit = self._memo.get(memo_key)
+        if hit is not None:
+            self._memo_hits += 1
+            self._memo.move_to_end(memo_key)
+            return hit
+        recommendation = self._select_top_k(user, self._raw_row(user), memo_key[1])
+        self._memo[memo_key] = recommendation
+        if len(self._memo) > self._snapshot.n_users:
+            self._memo.popitem(last=False)
+        return recommendation
+
     def top_k(self, user: int, k: int | None = None) -> Recommendation:
         """The user's top-K recommendation list (memoised)."""
         resolved_user = self._checked_user(user)
         resolved_k = self._checked_k(k)
         with self._lock:
-            self._queries += 1
-            memo_key = (resolved_user, resolved_k)
-            hit = self._memo.get(memo_key)
-            if hit is not None:
-                self._memo_hits += 1
-                return hit
-            recommendation = self._select_top_k(
-                resolved_user, self._raw_row(resolved_user), resolved_k
-            )
-            self._memo[memo_key] = recommendation
-            return recommendation
+            return self._answer(resolved_user, resolved_k)
 
     def top_k_batch(
         self, users: "np.ndarray | list[int]", k: int | None = None
@@ -343,21 +355,7 @@ class RecommenderService:
         with self._lock:
             for block_index in sorted({self._block_index(u) for u in resolved_users}):
                 self._block_rows(block_index)
-            answers: list[Recommendation] = []
-            for resolved_user in resolved_users:
-                self._queries += 1
-                memo_key = (resolved_user, resolved_k)
-                hit = self._memo.get(memo_key)
-                if hit is not None:
-                    self._memo_hits += 1
-                    answers.append(hit)
-                    continue
-                recommendation = self._select_top_k(
-                    resolved_user, self._raw_row(resolved_user), resolved_k
-                )
-                self._memo[memo_key] = recommendation
-                answers.append(recommendation)
-            return answers
+            return [self._answer(user, resolved_k) for user in resolved_users]
 
     def score_block_function(self) -> ScoreBlockFunction:
         """A block-score callback serving *copies* of the cached raw rows.

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import ServingError
-from repro.models.base import CandidateScorerProtocol
+from repro.models.base import ScorerProtocol
 from repro.models.mf import MatrixFactorizationModel
 from repro.models.neural import MLPRecommender, MLPScorer
 
@@ -70,7 +70,7 @@ class FactorSnapshot:
     item_factors: np.ndarray
     scorer: MLPScorer | None = None
     version: int = 0
-    _model: list[CandidateScorerProtocol] = field(
+    _model: list[ScorerProtocol] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
 
@@ -114,19 +114,17 @@ class FactorSnapshot:
         """Feature-vector dimensionality ``k``."""
         return int(self.user_factors.shape[1])
 
-    def model(self) -> CandidateScorerProtocol:
+    def model(self) -> ScorerProtocol:
         """The scoring model over these factors (cached, protocol-typed).
 
         Plain MF adopts the frozen matrices directly
         (:meth:`~repro.models.mf.MatrixFactorizationModel.from_factors`);
         with a scorer present the :class:`~repro.models.neural.MLPRecommender`
         adapter wraps them.  Either way callers only see the structural
-        protocol surface — both builders implement the candidate-gather
-        extension, so the returned scorer is a
-        :class:`~repro.models.base.CandidateScorerProtocol`.
+        :class:`~repro.models.base.ScorerProtocol` surface.
         """
         if not self._model:
-            built: CandidateScorerProtocol
+            built: ScorerProtocol
             if self.scorer is None:
                 built = MatrixFactorizationModel.from_factors(
                     self.user_factors, self.item_factors
@@ -135,17 +133,6 @@ class FactorSnapshot:
                 built = MLPRecommender(self.user_factors, self.item_factors, self.scorer)
             self._model.append(built)
         return self._model[0]
-
-    def score_candidates(self, users: np.ndarray, candidate_items: np.ndarray, /) -> np.ndarray:
-        """``(B, C)`` scores of per-user candidate sets over the frozen factors.
-
-        Delegates to the cached :meth:`model` — the MF einsum or the MLP
-        gathered forward, depending on whether a scorer is present — so a
-        snapshot is a :class:`~repro.models.base.CandidateScorerProtocol`
-        source wherever a model is (the sampled evaluation protocol
-        included).
-        """
-        return self.model().score_candidates(users, candidate_items)
 
     @classmethod
     def from_model(

@@ -1,23 +1,12 @@
 """Per-user reference for :func:`repro.metrics.evaluation.evaluate_snapshot`.
 
-:func:`evaluate_loop` reads its scores from the same ``score_block`` /
-``score_candidates`` calls over the same canonical block partitioning as the
-blocked pass (BLAS results are not row-stable across GEMM shapes, so sharing
-the calls, not re-computing, is what makes bit-identity possible), draws the
-sampled protocol's negatives from the same stream in the same order, and
-then ranks one user at a time through the per-user metric loops of
+:func:`evaluate_loop` reads its scores from the same ``score_block`` calls
+over the same canonical block partitioning as the blocked pass (BLAS results
+are not row-stable across GEMM shapes, so sharing the calls, not
+re-computing, is what makes bit-identity possible), predraws the sampled
+protocol's negatives from the same stream in the same order, and then ranks
+one user at a time through the per-user metric loops of
 :mod:`oracles.accuracy` and :mod:`oracles.exposure`.
-
-The sampled protocol has two reference routes (``eval_path``):
-
-* ``"candidates"`` (default) scores the drawn candidate sets through the
-  same ``score_candidates`` calls as the library and ranks each user with
-  its own scalar comparison — the bit-exact reference of the library path;
-* ``"block"`` predraws the same negatives and gathers their scores out of
-  the full ``(B, num_items)`` block product — a second route to the same
-  metrics, equal to the first wherever candidate gathers and the block GEMM
-  agree (the column-slicing fallback always, integer-valued factors
-  exactly).
 """
 
 from __future__ import annotations
@@ -38,10 +27,8 @@ from repro.metrics.evaluation import (
     EvaluationResult,
     ScoreBlockFunction,
     ScoreSource,
-    _block_candidate_scores,
     _score_block_checked,
     resolve_score_block,
-    resolve_score_candidates,
     user_blocks,
 )
 from repro.rng import ensure_rng
@@ -50,8 +37,6 @@ from .accuracy import evaluate_accuracy
 from .exposure import evaluate_exposure
 
 __all__ = ["evaluate_loop", "predraw_negatives"]
-
-EVAL_PATHS = ("candidates", "block")
 
 
 def evaluate_loop(
@@ -64,7 +49,6 @@ def evaluate_loop(
     num_negatives: int | None = 99,
     rng: np.random.Generator | int | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    eval_path: str = "candidates",
 ) -> EvaluationResult:
     """The per-user reference evaluation, fed block-materialised scores.
 
@@ -72,20 +56,18 @@ def evaluate_loop(
     blocked pass makes (same block boundaries), then handed to the per-user
     loop metrics as a row-indexing callback — streamed one block at a time
     when only a single consumer needs them, concatenated only when both
-    accuracy and exposure read the same scores.
+    accuracy and exposure read the same scores.  The sampled protocol ranks
+    each test item against predrawn negatives (:func:`predraw_negatives`)
+    on the raw score rows.
     """
-    if eval_path not in EVAL_PATHS:
-        raise ModelError(f"eval_path must be one of {EVAL_PATHS}, got {eval_path!r}")
     if block_size <= 0:
         raise ModelError(f"block_size must be positive, got {block_size}")
     if test_items is None and target_items is None:
         return EvaluationResult(accuracy=None, exposure=None)
     generator = ensure_rng(rng)
     resolved = resolve_score_block(source)
-    gather = test_items is not None and num_negatives is not None and eval_path == "candidates"
-    accuracy_needs_blocks = test_items is not None and not gather
-    score_fn: Callable[[int], np.ndarray] | None = None
-    if accuracy_needs_blocks and target_items is not None:
+    score_fn: Callable[[int], np.ndarray]
+    if test_items is not None and target_items is not None:
         # Two consumers scan the same scores; materialise once.
         scores = np.concatenate(
             [
@@ -95,14 +77,10 @@ def evaluate_loop(
             axis=0,
         )
         score_fn = lambda user: scores[user]  # noqa: E731 - tiny adapter
-    elif accuracy_needs_blocks or target_items is not None:
+    else:
         score_fn = _BlockStreamScores(resolved, train.num_users, train.num_items, block_size)
     accuracy: AccuracyReport | None = None
-    if test_items is not None and num_negatives is not None and gather:
-        accuracy = _loop_accuracy_candidates(
-            source, train, test_items, k, num_negatives, generator, block_size
-        )
-    elif test_items is not None and score_fn is not None:
+    if test_items is not None:
         predrawn = None
         if num_negatives is not None:
             predrawn = predraw_negatives(
@@ -114,7 +92,7 @@ def evaluate_loop(
         )
     exposure = (
         evaluate_exposure(score_fn, train, target_items)
-        if target_items is not None and score_fn is not None
+        if target_items is not None
         else None
     )
     return EvaluationResult(accuracy=accuracy, exposure=exposure)
@@ -155,53 +133,6 @@ class _BlockStreamScores:
             self._scores = _score_block_checked(self._score_block, lo, hi, self._num_items)
             self._lo, self._hi = lo, hi
         return self._scores[user - self._lo]
-
-
-def _loop_accuracy_candidates(
-    source: ScoreSource,
-    train: InteractionDataset,
-    test_items: np.ndarray,
-    k: int,
-    num_negatives: int,
-    generator: np.random.Generator,
-    block_size: int,
-) -> AccuracyReport:
-    """The sampled accuracy pass through candidate gathers, one user at a time.
-
-    Draws and scores exactly like the library (same stream order, same
-    ``score_candidates`` calls over the same rectangular sets, hence
-    identical floats) but ranks each user with its own scalar comparison
-    loop.  The per-user contributions are collected in user order and
-    reduced with the same ``np.sum`` over the same concatenation, so the
-    two stay bit-identical by construction.
-    """
-    test_items = _validate_test_items(test_items, train.num_users, k)
-    store = train.interaction_store()
-    score_candidates = resolve_score_candidates(source)
-    hits = 0
-    parts: list[np.ndarray] = []
-    for lo, hi in user_blocks(train.num_users, block_size):
-        valid, full, saturated, candidate_scores = _block_candidate_scores(
-            score_candidates, store, lo, hi, test_items, num_negatives, generator
-        )
-        contributions = np.zeros(valid.shape[0], dtype=np.float64)
-        for position in saturated:
-            # The test item ranks against nothing: rank 1, a hit.
-            hits += 1
-            contributions[position] = 1.0
-        for index in range(full.shape[0]):
-            rank = 1 + int(np.sum(candidate_scores[index, 1:] > candidate_scores[index, 0]))
-            if rank <= k:
-                hits += 1
-                contributions[full[index]] = 1.0 / float(np.log2(rank + 1.0))
-        parts.append(contributions)
-    evaluated = int(sum(part.shape[0] for part in parts))
-    ndcg_sum = float(np.sum(np.concatenate(parts))) if parts else 0.0
-    return AccuracyReport(
-        hr_at_10=float(hits) / evaluated if evaluated else 0.0,
-        ndcg_at_10=ndcg_sum / evaluated if evaluated else 0.0,
-        num_evaluated_users=evaluated,
-    )
 
 
 def predraw_negatives(

@@ -64,5 +64,4 @@ class LoopRoundSimulation(FederatedSimulation):
         if self.update_observer is not None:
             self.update_observer(round_index, updates)
         self.server.apply_round(updates)
-        self._record_applied_round(benign_ids, len(updates) > 0)
         return round_loss

@@ -2,6 +2,9 @@
 
 The contract under test (see ``docs/architecture.md``):
 
+* :func:`repro.metrics.evaluation.evaluate_snapshot` makes exactly one
+  ``score_block`` call per canonical user block, whichever metrics are
+  requested, and reads every metric from that block;
 * full-rank HR@10 / NDCG@10 / ER@5 / ER@10 / target-NDCG@10 are
   **bit-identical** between :func:`repro.metrics.evaluation.evaluate_snapshot`
   and the per-user reference :func:`oracles.evaluate_loop` — both read the
@@ -9,12 +12,18 @@ The contract under test (see ``docs/architecture.md``):
 * under the sampled protocol both consume the evaluation stream through the
   same stacked per-block draws, so from equal seeds the metrics are equal;
 * the equivalence holds at realistic dataset shapes (the calibrated ml-100k
-  and steam-200k miniatures) through a bare block callback, the MF model and
-  the MLP adapter, on handcrafted edge users (empty positives, all-items
-  positives) at every block geometry, under score ties, through a custom
-  scorer that implements only ``score_items``, and end-to-end through
+  and steam-200k miniatures) and on a mixed edge block (saturated and
+  skipped users mid-block) through every scoring surface — a bare block
+  callback, the MF model, the MLP adapter and a snapshot's model — on
+  handcrafted edge users (empty positives, all-items positives) at every
+  block geometry, under score ties, through a custom scorer that implements
+  only ``score_items``, and end-to-end through
   :class:`~repro.federated.simulation.FederatedSimulation` for both the MF
-  and the MLP-scorer model.
+  and the MLP-scorer model, attacked or not, under both protocols;
+* the regression fixes ride along: the stream survives mixed empty/full
+  draw segments and invalid users mid-block (and rejects short segments
+  loudly), ``_top_k_thresholds`` enforces its cutoff precondition, and each
+  score block's shape is validated as it is produced.
 """
 
 from __future__ import annotations
@@ -28,24 +37,52 @@ import repro.federated.simulation as simulation_module
 from repro.attacks.shilling import RandomAttack
 from repro.data.dataset import InteractionDataset
 from repro.data.presets import get_preset
+from repro.data.splits import leave_one_out_split
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 from repro.exceptions import ModelError
 from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation
-from repro.metrics.evaluation import evaluate_snapshot
-from repro.metrics.topk_cache import TopKCache
+from repro.metrics.evaluation import (
+    DEFAULT_BLOCK_SIZE,
+    _top_k_thresholds,
+    evaluate_snapshot,
+    user_blocks,
+)
 from repro.models.mf import MatrixFactorizationModel
 from repro.models.neural import MLPRecommender, MLPScorer
 from repro.rng import SeedSequenceFactory
+from repro.serving.snapshot import FactorSnapshot
 
 from oracles import evaluate_loop
 
 
-def _mf_score_block(dataset: InteractionDataset, seed: int = 0):
+#: The scoring surfaces a source can reach evaluation through.
+SURFACES = ("callback", "mf", "mlp", "snapshot")
+
+
+def _source(kind: str, dataset: InteractionDataset, seed: int, *, constant: bool = False):
+    """A float-valued scoring source of ``dataset``'s shape.
+
+    ``"callback"`` is a bare ``score_block`` function; ``"mf"`` and
+    ``"mlp"`` are models dispatched through their own ``score_block``;
+    ``"snapshot"`` is the serving model rebuilt over frozen copies of the MF
+    factors.  ``constant`` sets every factor to one, so every score of a
+    row ties.
+    """
     model = MatrixFactorizationModel(
         dataset.num_users, dataset.num_items, num_factors=16, init_scale=1.0, rng=seed
     )
-    return model.score_block
+    if constant:
+        model.user_factors[:] = 1.0
+        model.item_factors[:] = 1.0
+    if kind == "callback":
+        return model.score_block
+    if kind == "mf":
+        return model
+    if kind == "snapshot":
+        return FactorSnapshot(model.user_factors, model.item_factors).model()
+    scorer = MLPScorer(model.num_factors, hidden_units=8, rng=seed)
+    return MLPRecommender(model.user_factors, model.item_factors, scorer)
 
 
 def _test_items(dataset: InteractionDataset, rng: np.random.Generator) -> np.ndarray:
@@ -106,7 +143,7 @@ class TestEdgeUsers:
     @pytest.mark.parametrize("num_negatives", PROTOCOLS)
     def test_engines_agree(self, dataset, num_negatives, block_size):
         rng = np.random.default_rng(5)
-        score_block = _mf_score_block(dataset)
+        score_block = _source("callback", dataset, seed=0)
         loop_result, vectorized_result = _both_engines(
             dataset,
             score_block,
@@ -126,7 +163,7 @@ class TestEdgeUsers:
         )
         loop_result, vectorized_result = _both_engines(
             only_full_user,
-            _mf_score_block(only_full_user),
+            _source("callback", only_full_user, seed=0),
             test_items=np.array([2]),
             target_items=np.array([1, 3]),
             num_negatives=None,
@@ -148,7 +185,7 @@ class TestEdgeUsers:
         )
         loop_result, vectorized_result = _both_engines(
             only_full_user,
-            _mf_score_block(only_full_user),
+            _source("callback", only_full_user, seed=0),
             test_items=np.array([2]),
             num_negatives=10,
         )
@@ -207,25 +244,7 @@ class TestScoreTies:
         assert loop_result.accuracy.ndcg_at_10 == 1.0
 
 
-def _source(kind: str, dataset: InteractionDataset, seed: int):
-    """A float-valued scoring source of ``dataset``'s shape.
-
-    ``"callback"`` is a bare ``score_block`` function (candidates are sliced
-    from the full block); ``"mf"`` and ``"mlp"`` are models whose own
-    candidate-gather kernels score the sampled protocol.
-    """
-    if kind == "callback":
-        return _mf_score_block(dataset, seed=seed)
-    model = MatrixFactorizationModel(
-        dataset.num_users, dataset.num_items, num_factors=16, init_scale=1.0, rng=seed
-    )
-    if kind == "mf":
-        return model
-    scorer = MLPScorer(model.num_factors, hidden_units=8, rng=seed)
-    return MLPRecommender(model.user_factors, model.item_factors, scorer)
-
-
-@pytest.mark.parametrize("source", ["callback", "mf", "mlp"])
+@pytest.mark.parametrize("source", SURFACES)
 @pytest.mark.parametrize("shape", ["ml-100k-mini", "steam-200k-mini"])
 @pytest.mark.parametrize("num_negatives", PROTOCOLS)
 class TestRealisticShapes:
@@ -272,7 +291,7 @@ class TestBatchedStreamContract:
         realization — does not depend on where the block boundaries fall.
         Same seed + same block size is always bit-identical."""
         dataset, test_items = setup
-        score_block = _mf_score_block(dataset, seed=9)
+        score_block = _source("callback", dataset, seed=9)
 
         def run(block_size):
             return evaluate_snapshot(
@@ -469,10 +488,10 @@ class TestSimulationIntegration:
     """Every evaluation of a training run against the reference, MF and MLP,
     with and without malicious clients poisoning the item factors.
 
-    The simulation's evaluation entry points are wrapped so each call also
+    The simulation's one evaluation entry point (``evaluate_snapshot`` as
+    :mod:`repro.federated.simulation` names it) is wrapped so each call also
     runs :func:`oracles.evaluate_loop` on the same scores — from a copy of
-    the evaluation stream's state under the sampled protocol — and the two
-    reports must be equal.
+    the evaluation stream's state — and the two reports must be equal.
     """
 
     @pytest.fixture()
@@ -496,27 +515,14 @@ class TestSimulationIntegration:
         checked = []
         evaluate = simulation_module.evaluate_snapshot
 
-        def sampled(source, train, *, rng, **kwargs):
+        def checked_evaluate(source, train, *, rng, **kwargs):
             expected = evaluate_loop(source, train, rng=copy.deepcopy(rng), **kwargs)
             result = evaluate(source, train, rng=rng, **kwargs)
             assert result == expected
             checked.append(result)
             return result
 
-        cached = TopKCache.evaluate
-
-        def full_rank(self, source, **kwargs):
-            result = cached(self, source, **kwargs)
-            expected = evaluate_loop(
-                source, dataset, test_items=test_items, target_items=targets,
-                num_negatives=None,
-            )
-            assert result == expected
-            checked.append(result)
-            return result
-
-        monkeypatch.setattr(simulation_module, "evaluate_snapshot", sampled)
-        monkeypatch.setattr(TopKCache, "evaluate", full_rank)
+        monkeypatch.setattr(simulation_module, "evaluate_snapshot", checked_evaluate)
         simulation = FederatedSimulation(
             train=dataset,
             config=FederatedConfig(num_factors=8, clients_per_round=8, num_epochs=4, **config),
@@ -547,6 +553,77 @@ class TestSimulationIntegration:
         assert all(record.accuracy is not None for record in result.history.records)
         assert all(record.exposure is not None for record in result.history.records)
 
+    def test_bit_identical_across_attacked_history(
+        self, small_split, small_targets, monkeypatch
+    ):
+        """Full-rank simulation evaluations == the cold reference, per epoch."""
+        cold: list[tuple] = []
+        evaluate = simulation_module.evaluate_snapshot
+
+        def recording(source, train, **kwargs):
+            reference = evaluate_loop(
+                source,
+                small_split.train,
+                test_items=small_split.test_items,
+                target_items=small_targets,
+                num_negatives=None,
+            )
+            cold.append((reference.accuracy, reference.exposure))
+            return evaluate(source, train, **kwargs)
+
+        monkeypatch.setattr(simulation_module, "evaluate_snapshot", recording)
+        simulation = FederatedSimulation(
+            small_split.train,
+            FederatedConfig(num_factors=4, num_epochs=3, clients_per_round=24),
+            test_items=small_split.test_items,
+            target_items=small_targets,
+            attack=RandomAttack(kappa=10),
+            num_malicious=4,
+            seed=77,
+            evaluate_every=1,
+            eval_num_negatives=None,
+        )
+        result = simulation.run()
+        series = [(record.accuracy, record.exposure) for record in result.history.records]
+        assert len(cold) == 3
+        assert series == cold
+
+    @pytest.mark.parametrize("eval_num_negatives", [9, None])
+    def test_one_score_block_call_per_block_per_evaluation(
+        self, monkeypatch, eval_num_negatives
+    ):
+        """A simulation evaluation scores each canonical block exactly once."""
+        dataset = generate_synthetic_dataset(
+            SyntheticConfig(num_users=300, num_items=90, num_interactions=2400),
+            np.random.default_rng(13),
+        )
+        split = leave_one_out_split(dataset, rng=np.random.default_rng(14))
+        calls: list[tuple[int, int]] = []
+        score_block_function = FederatedSimulation.score_block_function
+
+        def counting_function(self):
+            score_block = score_block_function(self)
+
+            def counting(users):
+                calls.append((int(users[0]), int(users[-1]) + 1))
+                return score_block(users)
+
+            return counting
+
+        monkeypatch.setattr(FederatedSimulation, "score_block_function", counting_function)
+        FederatedSimulation(
+            split.train,
+            FederatedConfig(num_factors=4, num_epochs=2, clients_per_round=64),
+            test_items=split.test_items,
+            target_items=_targets(split.train, 3),
+            seed=5,
+            evaluate_every=1,
+            eval_num_negatives=eval_num_negatives,
+        ).run()
+        blocks = user_blocks(split.train.num_users, DEFAULT_BLOCK_SIZE)
+        assert len(blocks) == 3
+        assert calls == blocks * 2
+
     def test_evaluation_stream_leaves_training_untouched(self, small_setup):
         """Training draws no evaluation randomness: losses match exactly
         between the sampled and the full-rank protocol."""
@@ -564,3 +641,252 @@ class TestSimulationIntegration:
             )
             losses.append(simulation.run().history.training_loss())
         np.testing.assert_array_equal(losses[0], losses[1])
+
+
+# --------------------------------------------------------------------- #
+# One scoring pass per block, through every scoring surface
+# --------------------------------------------------------------------- #
+def _edge_dataset() -> InteractionDataset:
+    """Mixed block content: a saturated user, invalid users, normal users.
+
+    User 1 interacted with *every* item, so its sampled draw has zero
+    negatives (an empty segment mid-block); every third user is skipped by
+    ``test_items`` (-1).  This is exactly the shape that broke the batched
+    stream's reshape-based gather.
+    """
+    num_users, num_items = 11, 9
+    interactions = [(1, item) for item in range(num_items)]
+    rng = np.random.default_rng(23)
+    for user in range(num_users):
+        if user == 1:
+            continue
+        for item in rng.choice(num_items, size=3, replace=False):
+            interactions.append((user, int(item)))
+    return InteractionDataset(num_users, num_items, interactions, name="edge")
+
+
+def _edge_test_items(dataset: InteractionDataset) -> np.ndarray:
+    rng = np.random.default_rng(29)
+    items = rng.integers(0, dataset.num_items, size=dataset.num_users)
+    items[::3] = -1
+    items[1] = 0  # the saturated user still carries a test item
+    return items.astype(np.int64)
+
+
+class TestOneScoringPassPerBlock:
+    """``evaluate_snapshot`` scores each canonical block exactly once."""
+
+    MODES = pytest.mark.parametrize(
+        "num_negatives, tests, targets",
+        [(5, True, True), (5, True, False), (None, True, True), (None, False, True)],
+        ids=["sampled-with-targets", "sampled-only", "full-rank-with-targets", "targets-only"],
+    )
+
+    @staticmethod
+    def _kwargs(dataset, num_negatives, tests, targets):
+        return dict(
+            test_items=_edge_test_items(dataset) if tests else None,
+            target_items=np.array([0, 4], dtype=np.int64) if targets else None,
+            num_negatives=num_negatives,
+            block_size=4,
+        )
+
+    @MODES
+    def test_one_score_block_call_per_canonical_block(self, num_negatives, tests, targets):
+        dataset = _edge_dataset()
+        model = _source("mf", dataset, seed=0)
+        calls: list[tuple[int, int]] = []
+
+        def counting(users):
+            calls.append((int(users[0]), int(users[-1]) + 1))
+            return model.score_block(users)
+
+        kwargs = self._kwargs(dataset, num_negatives, tests, targets)
+        result = evaluate_snapshot(
+            counting, dataset, rng=np.random.default_rng(3), **kwargs
+        )
+        assert calls == user_blocks(dataset.num_users, 4)
+        reference = evaluate_loop(
+            model, dataset, rng=np.random.default_rng(3), **kwargs
+        )
+        assert result == reference
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    @MODES
+    def test_every_surface_is_scored_once_per_block(
+        self, monkeypatch, num_negatives, tests, targets, surface
+    ):
+        """Model objects reach evaluation through their own ``score_block``,
+        and it too runs once per canonical block."""
+        dataset = _edge_dataset()
+        source = _source(surface, dataset, seed=0)
+        kwargs = self._kwargs(dataset, num_negatives, tests, targets)
+        reference = evaluate_loop(source, dataset, rng=np.random.default_rng(3), **kwargs)
+        score_block = source if surface == "callback" else source.score_block
+        calls: list[tuple[int, int]] = []
+
+        def counting(users):
+            calls.append((int(users[0]), int(users[-1]) + 1))
+            return score_block(users)
+
+        if surface == "callback":
+            source = counting
+        else:
+            monkeypatch.setattr(source, "score_block", counting)
+        result = evaluate_snapshot(source, dataset, rng=np.random.default_rng(3), **kwargs)
+        assert calls == user_blocks(dataset.num_users, 4)
+        assert result == reference
+
+
+class TestScoringSurfaces:
+    """Library vs reference on a mixed edge block, per scoring surface."""
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    @pytest.mark.parametrize("num_negatives", [3, 19])
+    def test_routes_agree(self, num_negatives, surface):
+        dataset = _edge_dataset()
+        _assert_identical(
+            *_both_engines(
+                dataset,
+                _source(surface, dataset, seed=0),
+                block_size=4,
+                seed=31,
+                test_items=_edge_test_items(dataset),
+                target_items=np.array([0, 4], dtype=np.int64),
+                num_negatives=num_negatives,
+            )
+        )
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_routes_agree_under_ties(self, surface):
+        """Constant scores: every comparison ties, both routes rank alike."""
+        dataset = _edge_dataset()
+        loop_result, vectorized_result = _both_engines(
+            dataset,
+            _source(surface, dataset, seed=0, constant=True),
+            block_size=4,
+            seed=37,
+            test_items=_edge_test_items(dataset),
+            num_negatives=4,
+        )
+        _assert_identical(loop_result, vectorized_result)
+        # All-ties ranks are 1: every evaluated user is a hit.
+        assert vectorized_result.accuracy.hr_at_10 == 1.0
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_routes_agree_under_full_ranking(self, surface):
+        dataset = _edge_dataset()
+        _assert_identical(
+            *_both_engines(
+                dataset,
+                _source(surface, dataset, seed=0),
+                block_size=4,
+                test_items=_edge_test_items(dataset),
+                num_negatives=None,
+            )
+        )
+
+
+class TestBatchedStreamRegression:
+    """The mixed empty/full segment gather of the sampled stream."""
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_mixed_segments_mid_block(self, surface):
+        """Saturated + invalid users mid-block: both routes agree, nothing raises."""
+        dataset = _edge_dataset()
+        test_items = _edge_test_items(dataset)
+        loop_result, vectorized_result = _both_engines(
+            dataset,
+            _source(surface, dataset, seed=0),
+            block_size=4,
+            seed=41,
+            test_items=test_items,
+            num_negatives=5,
+        )
+        _assert_identical(loop_result, vectorized_result)
+        # The saturated user ranks 1 by convention and still counts.
+        assert vectorized_result.accuracy.num_evaluated_users == int(np.sum(test_items >= 0))
+
+    def test_short_segment_raises(self, monkeypatch):
+        """A drawer returning neither 0 nor num_negatives per user is a bug."""
+        import repro.metrics.evaluation as evaluation_module
+
+        dataset = _edge_dataset()
+        model = _source("mf", dataset, seed=0)
+        real = evaluation_module.draw_ranking_negatives_batched
+
+        def truncating(generator, store, users, tests, num_negatives):
+            values, offsets = real(generator, store, users, tests, num_negatives)
+            if values.shape[0] > 0:
+                values = values[:-1]
+                offsets = np.minimum(offsets, values.shape[0])
+            return values, offsets
+
+        monkeypatch.setattr(
+            evaluation_module, "draw_ranking_negatives_batched", truncating
+        )
+        with pytest.raises(ModelError):
+            evaluate_snapshot(
+                model,
+                dataset,
+                test_items=_edge_test_items(dataset),
+                num_negatives=5,
+                rng=np.random.default_rng(43),
+                block_size=4,
+            )
+
+
+class TestTopKThresholdGuards:
+    """_top_k_thresholds validates its cutoff precondition."""
+
+    def test_k_equals_num_items(self):
+        scores = np.arange(12, dtype=np.float64).reshape(3, 4)
+        thresholds = _top_k_thresholds(scores.copy(), [4])
+        np.testing.assert_array_equal(thresholds[4], scores.min(axis=1))
+
+    def test_single_cutoff_of_one(self):
+        scores = np.arange(12, dtype=np.float64).reshape(3, 4)
+        thresholds = _top_k_thresholds(scores.copy(), [1])
+        np.testing.assert_array_equal(thresholds[1], scores.max(axis=1))
+
+    def test_descending_cutoffs(self):
+        scores = np.random.default_rng(47).normal(size=(5, 8))
+        thresholds = _top_k_thresholds(scores.copy(), [6, 3, 1])
+        for kk in (6, 3, 1):
+            expected = np.sort(scores, axis=1)[:, -kk]
+            np.testing.assert_array_equal(thresholds[kk], expected)
+
+    @pytest.mark.parametrize("cutoffs", [[0], [9], [-1], [3, 3], [2, 5], [5, 2, 2]])
+    def test_invalid_cutoffs_raise(self, cutoffs):
+        scores = np.zeros((2, 8))
+        with pytest.raises(ModelError):
+            _top_k_thresholds(scores, cutoffs)
+
+    def test_empty_cutoffs_allowed(self):
+        assert _top_k_thresholds(np.zeros((2, 4)), []) == {}
+
+
+class TestLoopBlockValidation:
+    """Each score block's shape is validated as it is produced."""
+
+    @pytest.mark.parametrize(
+        "evaluate", [evaluate_loop, evaluate_snapshot], ids=["oracle", "library"]
+    )
+    def test_wrong_width_block_names_offender(self, evaluate):
+        dataset = _edge_dataset()
+        model = _source("mf", dataset, seed=0)
+
+        def bad_block(users):
+            scores = model.score_block(users)
+            if int(users[0]) >= 4:
+                return scores[:, :-1]  # second block loses a column
+            return scores
+
+        with pytest.raises(ModelError, match=r"\[4, 8\)"):
+            evaluate(
+                bad_block,
+                dataset,
+                test_items=_edge_test_items(dataset),
+                num_negatives=None,
+                block_size=4,
+            )

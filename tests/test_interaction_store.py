@@ -97,26 +97,26 @@ class TestSharing:
         counts = store.degrees[users].copy()
         rng = np.random.default_rng(0)
         negatives, offsets = sample_uniform_negatives_batched(
-            rng, dataset.num_items, counts, masks, copy=False
+            rng, dataset.num_items, counts, masks
         )
+        np.testing.assert_array_equal(masks, store.masks[users])
         for row, user in enumerate(users):
             drawn = negatives[offsets[row] : offsets[row + 1]]
             assert drawn.shape[0] == counts[row]
             assert not np.any(store.masks[int(user)][drawn])
             assert np.unique(drawn).shape[0] == drawn.shape[0]
 
-    def test_copy_false_matches_copy_true_draws(self, dataset):
+    def test_batched_sampler_reads_the_shared_mask_block(self, dataset):
+        """The store's read-only block view draws like a gathered copy."""
         store = dataset.interaction_store()
-        users = np.array([0, 1, 3])
-        counts = store.degrees[users].copy()
-        reference, _ = sample_uniform_negatives_batched(
-            np.random.default_rng(7), dataset.num_items, counts, store.mask_rows(users)
+        counts = store.degrees[0:3].copy()
+        view, _ = sample_uniform_negatives_batched(
+            np.random.default_rng(7), dataset.num_items, counts, store.mask_block(0, 3)
         )
-        scratch, _ = sample_uniform_negatives_batched(
+        gathered, _ = sample_uniform_negatives_batched(
             np.random.default_rng(7),
             dataset.num_items,
             counts,
-            store.mask_rows(users),
-            copy=False,
+            store.mask_rows(np.arange(3)),
         )
-        np.testing.assert_array_equal(reference, scratch)
+        np.testing.assert_array_equal(view, gathered)

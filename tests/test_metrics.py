@@ -1,4 +1,4 @@
-"""Tests for the ranking utilities and the per-user metric references.
+"""Tests for the per-user metric references.
 
 The per-user metric loops in ``tests/oracles`` are the references the
 blocked evaluation is checked against, so their semantics are pinned here on
@@ -12,7 +12,6 @@ import pytest
 
 from repro.data.dataset import InteractionDataset
 from repro.exceptions import ModelError
-from repro.metrics.ranking import dcg_from_ranks, rank_of_items, top_k_items
 
 from oracles.accuracy import evaluate_accuracy, hit_ratio_at_k, ndcg_at_k_leave_one_out
 from oracles.evaluation import predraw_negatives
@@ -27,42 +26,6 @@ def toy_train():
 
 def _score_fn_from_matrix(matrix):
     return lambda user: matrix[user]
-
-
-class TestRankingUtilities:
-    def test_top_k_items_order(self):
-        scores = np.array([0.1, 0.9, 0.5, 0.7])
-        np.testing.assert_array_equal(top_k_items(scores, 2), [1, 3])
-
-    def test_top_k_items_with_exclusion(self):
-        scores = np.array([0.1, 0.9, 0.5, 0.7])
-        np.testing.assert_array_equal(top_k_items(scores, 2, exclude=np.array([1])), [3, 2])
-
-    def test_top_k_larger_than_catalogue(self):
-        scores = np.array([0.3, 0.1])
-        assert top_k_items(scores, 10).shape == (2,)
-
-    def test_top_k_invalid_k(self):
-        with pytest.raises(ModelError):
-            top_k_items(np.array([1.0]), 0)
-
-    def test_top_k_tie_break_deterministic(self):
-        scores = np.array([0.5, 0.5, 0.5])
-        np.testing.assert_array_equal(top_k_items(scores, 2), [0, 1])
-
-    def test_rank_of_items(self):
-        scores = np.array([0.1, 0.9, 0.5, 0.7])
-        np.testing.assert_array_equal(rank_of_items(scores, np.array([1, 0])), [1, 4])
-
-    def test_rank_of_excluded_item_is_last(self):
-        scores = np.array([0.1, 0.9, 0.5])
-        ranks = rank_of_items(scores, np.array([1]), exclude=np.array([1]))
-        assert ranks[0] == 4
-
-    def test_dcg_from_ranks(self):
-        assert dcg_from_ranks(np.array([1]), 10) == pytest.approx(1.0)
-        assert dcg_from_ranks(np.array([2]), 10) == pytest.approx(1.0 / np.log2(3))
-        assert dcg_from_ranks(np.array([20]), 10) == 0.0
 
 
 class TestExposureRatio:

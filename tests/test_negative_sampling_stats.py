@@ -157,6 +157,48 @@ class TestBatchedSpecifics:
         sample_uniform_negatives_batched(rng, NUM_ITEMS, np.array([20]), masks)
         np.testing.assert_array_equal(masks, snapshot)
 
+    @staticmethod
+    def _dense_rows() -> np.ndarray:
+        """Three rows with at least 90% of a 50-item catalog positive."""
+        masks = np.ones((3, 50), dtype=bool)
+        for row, free in enumerate([(2, 9, 23, 31, 47), (5, 17, 40, 44), (0, 28, 49)]):
+            masks[row, list(free)] = False
+        return masks
+
+    def test_multi_round_draw_is_pinned(self):
+        """A three-round draw, pinned to the exact arrays it has always given."""
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.rounds = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.rounds += 1
+                return self.rng.integers(*args, **kwargs)
+
+        rng = CountingRng(np.random.default_rng(3))
+        values, offsets = sample_uniform_negatives_batched(
+            rng, 50, np.array([3, 2, 3]), self._dense_rows()
+        )
+        assert rng.rounds == 3
+        np.testing.assert_array_equal(values, [9, 31, 23, 44, 17, 0, 28, 49])
+        np.testing.assert_array_equal(offsets, [0, 3, 5, 8])
+
+    def test_read_only_masks_accepted(self):
+        masks = self._dense_rows()
+        read_only = masks.copy()
+        read_only.setflags(write=False)
+        for seed in range(8):
+            drawn = sample_uniform_negatives_batched(
+                np.random.default_rng(seed), 50, np.array([3, 2, 3]), read_only
+            )
+            expected = sample_uniform_negatives_batched(
+                np.random.default_rng(seed), 50, np.array([3, 2, 3]), masks.copy()
+            )
+            np.testing.assert_array_equal(drawn[0], expected[0])
+            np.testing.assert_array_equal(drawn[1], expected[1])
+        np.testing.assert_array_equal(read_only, masks)
+
 
 class TestBatchedRankingStream:
     """The evaluation side's stacked with-replacement draw."""

@@ -15,7 +15,6 @@ from repro.federated.privacy import clip_rows
 from repro.federated.updates import ClientUpdate
 from repro.federated.aggregation import MedianAggregator, SumAggregator, TrimmedMeanAggregator
 from repro.metrics.evaluation import evaluate_snapshot
-from repro.metrics.ranking import rank_of_items, top_k_items
 from repro.models.losses import bpr_loss, bpr_loss_and_gradients, sigmoid
 
 from oracles import evaluate_loop
@@ -32,12 +31,6 @@ finite_rows = hnp.arrays(
     dtype=np.float64,
     shape=st.tuples(st.integers(1, 6), st.integers(1, 5)),
     elements=st.floats(-50, 50, allow_nan=False, allow_infinity=False),
-)
-
-score_vectors = hnp.arrays(
-    dtype=np.float64,
-    shape=st.integers(2, 40),
-    elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
 )
 
 
@@ -147,36 +140,6 @@ class TestLossProperties:
 
 
 # --------------------------------------------------------------------- #
-# Ranking invariants
-# --------------------------------------------------------------------- #
-class TestRankingProperties:
-    @given(scores=score_vectors, k=st.integers(1, 10))
-    @settings(max_examples=60, deadline=None)
-    def test_top_k_items_are_the_best(self, scores, k):
-        top = top_k_items(scores, k)
-        k_effective = min(k, scores.shape[0])
-        assert top.shape[0] == k_effective
-        worst_selected = scores[top].min()
-        not_selected = np.setdiff1d(np.arange(scores.shape[0]), top)
-        if not_selected.shape[0] > 0:
-            assert worst_selected >= scores[not_selected].max() - 1e-12
-
-    @given(scores=score_vectors)
-    @settings(max_examples=60, deadline=None)
-    def test_ranks_are_valid_positions(self, scores):
-        items = np.arange(scores.shape[0])
-        ranks = rank_of_items(scores, items)
-        assert ranks.min() >= 1
-        assert ranks.max() <= scores.shape[0]
-
-    @given(scores=score_vectors)
-    @settings(max_examples=60, deadline=None)
-    def test_top1_item_has_rank_one(self, scores):
-        best = int(np.argmax(scores))
-        assert rank_of_items(scores, np.array([best]))[0] == 1
-
-
-# --------------------------------------------------------------------- #
 # Evaluation-stream invariants
 # --------------------------------------------------------------------- #
 class TestEvaluationStreamProperties:
@@ -184,8 +147,8 @@ class TestEvaluationStreamProperties:
 
     For any interaction matrix, any scores (including degenerate all-ties)
     and any block partitioning (including single-user blocks), the blocked
-    pass and both per-user reference routes must report identical
-    sampled-protocol metrics under a shared stream seed.
+    pass and the per-user reference must report identical sampled-protocol
+    metrics under a shared stream seed.
     """
 
     @given(
@@ -193,12 +156,9 @@ class TestEvaluationStreamProperties:
         seed=st.integers(0, 10_000),
         block_size=st.sampled_from([1, 3, 7, 64]),
         all_ties=st.booleans(),
-        eval_path=st.sampled_from(["candidates", "block"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_engines_agree_on_sampled_ranks(
-        self, interactions, seed, block_size, all_ties, eval_path
-    ):
+    def test_engines_agree_on_sampled_ranks(self, interactions, seed, block_size, all_ties):
         num_users, num_items = 15, 20
         dataset = InteractionDataset(num_users, num_items, interactions)
         rng = np.random.default_rng(seed)
@@ -215,8 +175,7 @@ class TestEvaluationStreamProperties:
             score_block, dataset, rng=np.random.default_rng(seed + 1), **kwargs
         )
         reference = evaluate_loop(
-            score_block, dataset, rng=np.random.default_rng(seed + 1),
-            eval_path=eval_path, **kwargs,
+            score_block, dataset, rng=np.random.default_rng(seed + 1), **kwargs
         )
         assert library.accuracy == reference.accuracy
 

@@ -241,6 +241,32 @@ class TestCaches:
         assert stats["memo_hits"] == 1
         assert stats["memo_entries"] == 2
 
+    def test_memo_is_bounded_by_the_user_count(self):
+        """A client-chosen ``k`` cannot grow the memo past ``n_users``."""
+        service = RecommenderService(_snapshot(), _dataset())
+        for k in range(1, 2001):
+            service.top_k(7, k=k)
+        assert service.stats()["memo_entries"] <= NUM_USERS
+        # Every k at or past the catalog asks for the same full-catalog list.
+        full = service.top_k(7, k=NUM_ITEMS)
+        assert full.items.shape[0] == NUM_ITEMS
+        for k in (NUM_ITEMS + 1, 2 * NUM_ITEMS, 10_000):
+            assert service.top_k(7, k=k) is full
+        assert service.top_k_batch([7], k=5_000)[0] is full
+
+    def test_memo_evicts_least_recently_used(self):
+        service = RecommenderService(_snapshot(), _dataset())
+        first = service.top_k(0, k=1)
+        for k in range(2, NUM_USERS + 1):
+            service.top_k(1, k=k)
+        assert service.top_k(0, k=1) is first  # a hit refreshes the entry
+        service.top_k(2)  # one past the bound evicts the oldest: (1, 2)
+        assert service.stats()["memo_entries"] == NUM_USERS
+        assert service.top_k(0, k=1) is first
+        hits = service.stats()["memo_hits"]
+        service.top_k(1, k=2)  # evicted: recomputed, not a hit
+        assert service.stats()["memo_hits"] == hits
+
     def test_batch_reuses_the_memo(self):
         service = RecommenderService(_snapshot(), _dataset())
         single = service.top_k(4)
