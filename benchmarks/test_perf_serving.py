@@ -10,7 +10,11 @@ Table II shapes the rest of the perf suite uses):
   a memo hit (the per-user cache the serving layer exists for);
 * **batch sizes** — fresh services answer the same users through
   ``top_k_batch`` at several batch sizes (one blocked scoring pass per
-  touched block per batch).
+  touched block per batch);
+* **HTTP round trip** — a warm service behind the HTTP front end answers
+  the same ``GET /recommend`` stream over one persistent connection and
+  with one connection per request (``Connection: close``); every answer is
+  a memo hit, so the two timings differ only in connection handling.
 
 Correctness first, timing second: before any measurement the module asserts
 the serving layer's bit-reproducibility contract — served lists equal an
@@ -19,14 +23,18 @@ bit-identical to single queries, and
 :func:`~repro.serving.exposure_under_serving` equals evaluating the
 snapshot's model directly.
 
-Gate: warm >= 5x cold queries/sec at the ml-100k shape.  A fast smoke
-variant (reduced repeats, lower threshold for noisy shared CI runners) runs
-in the CI perf job via ``-k smoke``.  The latest timings land in
+Gate: warm >= 5x cold queries/sec at the ml-100k shape, and the persistent
+HTTP stream is served on exactly one accepted connection with bodies
+byte-identical to the per-request stream (a count, never a timing ratio).
+A fast smoke variant (reduced repeats, lower threshold for noisy shared CI
+runners) runs in the CI perf job via ``-k smoke``.  The latest timings land in
 ``benchmarks/results/local/perf_serving.json`` / ``.txt`` (ignored by git).
 """
 
 from __future__ import annotations
 
+import http.client
+import threading
 import time
 
 import numpy as np
@@ -38,7 +46,12 @@ from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 from repro.metrics.evaluation import evaluate_snapshot, user_blocks
 from repro.models.mf import MatrixFactorizationModel
 from repro.rng import SeedSequenceFactory
-from repro.serving import FactorSnapshot, RecommenderService, exposure_under_serving
+from repro.serving import (
+    FactorSnapshot,
+    RecommenderService,
+    build_http_server,
+    exposure_under_serving,
+)
 
 NUM_FACTORS = 32
 NUM_TARGETS = 10
@@ -119,6 +132,80 @@ def _time_queries(service, users) -> float:
     return time.perf_counter() - start
 
 
+def _measure_http(snapshot, dataset, users, repeats: int) -> dict:
+    """Best-of timings of one GET stream, persistent vs one connection each.
+
+    Asserts that both streams return byte-identical bodies and counts the
+    connections the server accepted for each (its ``process_request`` is
+    wrapped), which is what the gates check.
+    """
+    service = RecommenderService(snapshot, dataset)
+    for user in users:
+        service.top_k(user)
+    server = build_http_server(service)
+    accepted = [0]
+    process = server.process_request
+
+    def counting(request, client_address):
+        accepted[0] += 1
+        process(request, client_address)
+
+    server.process_request = counting
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    host, port = server.server_address[0], server.server_address[1]
+    paths = [f"/recommend?user={user}" for user in users]
+
+    def stream(headers: dict[str, str]) -> tuple[float, list[bytes], int]:
+        before = accepted[0]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        bodies = []
+        start = time.perf_counter()
+        for path in paths:
+            conn.request("GET", path, headers=headers)
+            response = conn.getresponse()
+            assert response.status == 200
+            bodies.append(response.read())
+        seconds = time.perf_counter() - start
+        conn.close()
+        return seconds, bodies, accepted[0] - before
+
+    best_persistent = best_per_request = float("inf")
+    try:
+        for _ in range(repeats):
+            seconds, persistent_bodies, persistent_connections = stream({})
+            best_persistent = min(best_persistent, seconds)
+            seconds, closed_bodies, per_request_connections = stream(
+                {"Connection": "close"}
+            )
+            best_per_request = min(best_per_request, seconds)
+            assert persistent_bodies == closed_bodies, (
+                "a persistent connection must serve the same bytes as one "
+                "connection per request"
+            )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    return {
+        "requests": len(paths),
+        "persistent_ms_per_request": 1000.0 * best_persistent / len(paths),
+        "per_request_ms_per_request": 1000.0 * best_per_request / len(paths),
+        "persistent_connections": persistent_connections,
+        "per_request_connections": per_request_connections,
+    }
+
+
+def _assert_http_connections(round_trip: dict) -> None:
+    assert round_trip["persistent_connections"] == 1, (
+        f"the persistent stream of {round_trip['requests']} requests was served "
+        f"on {round_trip['persistent_connections']} connections"
+    )
+    assert round_trip["per_request_connections"] == round_trip["requests"]
+
+
 def _measure_shape(name: str, repeats: int) -> dict:
     preset, dataset, snapshot, user_array = _build(name)
     _assert_bit_reproducible(snapshot, dataset, user_array)
@@ -155,6 +242,7 @@ def _measure_shape(name: str, repeats: int) -> dict:
         "warm_queries_per_sec": warm_qps,
         "warm_speedup": warm_qps / cold_qps,
         "batch_queries_per_sec": batch_qps,
+        "http": _measure_http(snapshot, dataset, users, repeats),
     }
 
 
@@ -181,7 +269,17 @@ def test_perf_serving(benchmark):
         ]
         for batch_size, qps in shape["batch_queries_per_sec"].items():
             lines.append(f"  batch={batch_size:>3}:  {qps:10.0f} queries/sec (cold)")
+        round_trip = shape["http"]
+        lines += [
+            f"  HTTP GET, one persistent connection: "
+            f"{round_trip['persistent_ms_per_request']:.3f} ms/request (warm)",
+            f"  HTTP GET, one connection per request: "
+            f"{round_trip['per_request_ms_per_request']:.3f} ms/request (warm)",
+        ]
     save_perf_record("perf_serving", payload, "\n".join(lines))
+
+    for shape in payload["shapes"]:
+        _assert_http_connections(shape["http"])
 
     gate = next(s for s in payload["shapes"] if s["dataset"] == GATE_SHAPE)
     assert gate["warm_speedup"] >= MIN_WARM_SPEEDUP, (
@@ -204,9 +302,11 @@ def test_perf_serving_smoke(benchmark):
     the full benchmark's so shared CI runners do not flake, while a genuine
     loss of the memo cache's advantage (far larger when healthy) still fails
     the build.  Bit-reproducibility is asserted inside the measurement
-    helper before any timing.
+    helper before any timing, and the HTTP round trip's connection count
+    (a deterministic fact, not a timing) is gated as in the full benchmark.
     """
     payload = run_once(benchmark, lambda: _measure_shape(GATE_SHAPE, 1))
+    _assert_http_connections(payload["http"])
     assert payload["warm_speedup"] >= SMOKE_MIN_WARM_SPEEDUP, (
         f"the warm memo cache is only {payload['warm_speedup']:.2f}x faster than "
         f"cold serving in the smoke measurement (required: {SMOKE_MIN_WARM_SPEEDUP}x)"

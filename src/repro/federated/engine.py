@@ -63,10 +63,10 @@ class BatchedRoundTrainer:
         client selection order.
     store:
         The dataset's shared :class:`~repro.data.store.InteractionStore`.
-        The sampler gathers its stacked positive masks straight out of the
-        store's cached mask matrix (one fancy-index gather it may scribble
-        on).  Client ids must equal dataset user ids, which is how the
-        simulation builds its benign registry.
+        The sampler reads its stacked positive masks straight out of the
+        store's cached mask matrix (one fancy-index gather) and their
+        popcounts out of the cached degrees.  Client ids must equal dataset
+        user ids, which is how the simulation builds its benign registry.
     """
 
     def __init__(
@@ -102,12 +102,15 @@ class BatchedRoundTrainer:
             counts = np.array(
                 [clients[i].positives.shape[0] for i in fresh], dtype=np.int64
             )
+            ids = np.array([benign_ids[i] for i in fresh], dtype=np.int64)
             # One gather out of the persistent mask matrix.
-            masks = self._store.mask_rows(
-                np.array([benign_ids[i] for i in fresh], dtype=np.int64)
-            )
+            masks = self._store.mask_rows(ids)
             negatives, offsets = sample_uniform_negatives_batched(
-                self._round_rng, self._num_items, counts, masks
+                self._round_rng,
+                self._num_items,
+                counts,
+                masks,
+                num_positives=self._store.degrees[ids],
             )
             for row, i in enumerate(fresh):
                 clients[i].accept_negatives(negatives[offsets[row] : offsets[row + 1]])

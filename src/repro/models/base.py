@@ -1,11 +1,10 @@
 """Abstract recommender interface and the formal scoring protocol.
 
-Every recommender in the library exposes the same small surface: score all
-items for a user feature vector and produce top-K recommendations excluding
-already-interacted items.  The federated simulator and the attacks only rely
-on this interface, which is what makes the attack model-agnostic (the paper's
-Section III-A notes the attack applies to any collaborative-filtering
-recommender).
+Every recommender in the library exposes the same small surface: its
+dimensions and the scores of all items for a user feature vector.  The
+federated simulator and the attacks only rely on this interface, which is
+what makes the attack model-agnostic (the paper's Section III-A notes the
+attack applies to any collaborative-filtering recommender).
 
 :class:`ScorerProtocol` is the *structural* half of that contract: the
 id-based scoring surface the evaluation engine and the serving layer consume.
@@ -24,8 +23,6 @@ from abc import ABC, abstractmethod
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-
-from repro.exceptions import ModelError
 
 __all__ = ["Recommender", "ScorerProtocol"]
 
@@ -97,22 +94,3 @@ class Recommender(ABC):
     def score_items(self, user_vector: np.ndarray, items: np.ndarray | None = None) -> np.ndarray:
         """Predicted rating scores of ``items`` (all items if ``None``)."""
 
-    def recommend(
-        self,
-        user_vector: np.ndarray,
-        k: int,
-        exclude_items: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Top-``k`` items for ``user_vector``, excluding ``exclude_items``.
-
-        This is ``V^rec_i``: the ``K`` highest-scoring items among the items
-        the user has not interacted with (Section III-C).
-        """
-        if k <= 0:
-            raise ModelError(f"k must be positive, got {k}")
-        scores = self.score_items(user_vector).astype(np.float64, copy=True)
-        if exclude_items is not None and len(exclude_items) > 0:
-            scores[np.asarray(exclude_items, dtype=np.int64)] = -np.inf
-        k = min(k, scores.shape[0])
-        top = np.argpartition(-scores, k - 1)[:k]
-        return top[np.argsort(-scores[top], kind="stable")]

@@ -11,7 +11,6 @@ The model implements the id-based
 *ids* and scores them in one ``U[users] @ V.T`` product — bit-identical to
 the historical vector-based idiom ``score_block(user_factors[users])``,
 since the gather and the GEMM are the same operations in the same order.
-Vector-based block scoring remains available as :meth:`score_matrix`.
 """
 
 from __future__ import annotations
@@ -162,18 +161,6 @@ class MatrixFactorizationModel(Recommender):
         """Scores for the stored feature vector of ``user``."""
         self._check_user(user)
         return self.score_items(self.user_factors[user], items)
-
-    def score_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
-        """Dense score matrix ``U V^T`` for the requested users."""
-        factors = self.user_factors if users is None else self.user_factors[np.asarray(users)]
-        return factors @ self.item_factors.T
-
-    def recommend_for_user(
-        self, user: int, k: int, exclude_items: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Top-``k`` recommendation for a stored user."""
-        self._check_user(user)
-        return self.recommend(self.user_factors[user], k, exclude_items)
 
     def copy(self) -> "MatrixFactorizationModel":
         """Deep copy of the model (used to snapshot server state)."""

@@ -16,7 +16,25 @@ Errors come back as ``{"error": ...}`` with a 400 (bad request / unknown
 user) or 404 (unknown path).  The server is a ``ThreadingHTTPServer``; the
 service's internal lock makes concurrent handler threads safe.
 
-Robustness (PR 9):
+Connections:
+
+* **Persistent.**  The handler speaks HTTP/1.1: a client that does not send
+  ``Connection: close`` keeps its connection, and one handler thread serves
+  every request on it.  HTTP/1.0 clients and ``Connection: close`` requests
+  get one answer per connection.  Every answer after which the server
+  closes the connection carries ``Connection: close``.
+* **No Nagle stall.**  Accepted sockets set ``TCP_NODELAY``.  An answer is a
+  header write and a body write; without it the body would wait for the
+  client's delayed ACK (about 40 ms on Linux) on every kept-alive request.
+* **Body-safe early answers.**  Every request's declared body is read off the
+  socket before it is dispatched, so a 404, a shed 503 or an injected 500
+  leaves the connection at the next request.  A body of unknown length
+  (chunked, or a malformed ``Content-Length``) cannot be skipped: its answer
+  carries ``Connection: close``.
+* **Idle timeout.**  A connection with no traffic for
+  :data:`IDLE_TIMEOUT_SECONDS` is closed.
+
+Robustness:
 
 * **Bounded admission.**  ``max_in_flight`` caps concurrently served
   ``/recommend`` requests; excess load is *shed* with a JSON 503 carrying a
@@ -29,16 +47,21 @@ Robustness (PR 9):
   :class:`~repro.serving.faults.ServingFaultInjector` runs inside the held
   admission slot (injected latency therefore drives real load-shedding) and
   its injected failures surface as JSON 500s.
-* **Clean shutdown.**  :func:`run_http_server` handles ``SIGINT`` /
-  ``SIGTERM`` / ``KeyboardInterrupt`` by closing the listening socket and
-  draining in-flight requests for a bounded ``drain_timeout`` — no traceback
-  out of ``serve_forever``, no dropped in-flight connections.
+* **Clean shutdown.**  ``server_close()`` closes the listening socket and
+  the read side of every open connection: an idle persistent connection is
+  closed at once, and a request in flight finishes with
+  ``Connection: close``.  ``drain(timeout)`` then waits, bounded, for every
+  connection's handler to finish.  :func:`run_http_server` does both on
+  ``SIGINT`` / ``SIGTERM`` / ``KeyboardInterrupt`` / ``stop_event``, or once
+  ``max_requests`` requests (not connections) are answered — no traceback
+  out of ``serve_forever``, no dropped in-flight request.
 """
 
 from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -54,16 +77,58 @@ __all__ = ["build_http_server", "run_http_server"]
 #: Seconds suggested to shed clients in the 503 ``Retry-After`` header.
 RETRY_AFTER_SECONDS = 1
 
+#: Seconds a persistent connection may sit without traffic before the
+#: server closes it.
+IDLE_TIMEOUT_SECONDS = 30.0
+
 
 class _ServingRequestHandler(BaseHTTPRequestHandler):
     """Request handler bound to one service via the server instance."""
 
     server: "_ServingHTTPServer"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: The request's declared body, read before dispatch; ``None`` when its
+    #: length is unknown (the connection then closes after the answer).
+    request_body: bytes | None = b""
 
     # Quiet by default: serving benchmarks and tests should not spray one
     # log line per request onto stderr.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
+
+    def setup(self) -> None:
+        super().setup()
+        self.connection.settimeout(IDLE_TIMEOUT_SECONDS)
+
+    def parse_request(self) -> bool:
+        """Parse the request, read its body, then count it as served.
+
+        Returning ``False`` without an answer (the server's request budget
+        is spent) closes the connection unanswered.
+        """
+        if not super().parse_request():
+            return False
+        self.request_body = self._read_body()
+        if not self.server.claim_request():
+            self.close_connection = True
+            return False
+        return True
+
+    def _read_body(self) -> bytes | None:
+        """The declared body, read off the socket before anything answers.
+
+        An early answer (404, a shed 503, an injected 500) that left the
+        body unread would have the next request on a persistent connection
+        parsed out of it.
+        """
+        if "Transfer-Encoding" in self.headers:
+            return None
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            return None
+        return self.rfile.read(length) if length >= 0 else None
 
     def _send_json(
         self,
@@ -78,6 +143,8 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
         if headers:
             for name, value in headers.items():
                 self.send_header(name, value)
+        if self.close_connection or self.request_body is None or self.server.closing:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -174,8 +241,9 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
     def _recommend_batch(self) -> tuple[int, dict[str, object]]:
         service = self.server.service
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            if self.request_body is None:
+                raise ValueError("the request body has no readable length")
+            payload = json.loads(self.request_body.decode("utf-8"))
             users = payload["users"]
             k = payload.get("k")
             if not isinstance(users, list) or not all(
@@ -200,9 +268,10 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
 class _ServingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the service plus robustness state.
 
-    One lock/condition pair guards the admission counter and the robustness
-    counters; handler threads admit non-blockingly and the shutdown path
-    waits on the condition to drain in-flight requests.
+    One lock/condition pair guards the admission counter, the robustness
+    counters, the request budget and the set of open connections; handler
+    threads admit non-blockingly and the shutdown path waits on the
+    condition for every connection to close.
     """
 
     daemon_threads = True
@@ -215,6 +284,7 @@ class _ServingHTTPServer(ThreadingHTTPServer):
         request_timeout: float | None = None,
         max_in_flight: int | None = None,
         fault_injector: ServingFaultInjector | None = None,
+        max_requests: int | None = None,
     ) -> None:
         if request_timeout is not None and request_timeout <= 0:
             raise ServingError(
@@ -234,6 +304,55 @@ class _ServingHTTPServer(ThreadingHTTPServer):
         self._shed_requests = 0
         self._deadline_hits = 0
         self._injected_errors = 0
+        self._requests_left = max_requests
+        self._connections: set[socket.socket] = set()
+        #: Whether answers close their connection: the request budget is
+        #: spent, or ``server_close`` has begun.
+        self.closing = False
+
+    def claim_request(self) -> bool:
+        """Count one request against ``max_requests``; ``False`` once spent."""
+        with self._admission:
+            if self._requests_left is None:
+                return True
+            if self._requests_left == 0:
+                return False
+            self._requests_left -= 1
+            if self._requests_left == 0:
+                self.closing = True
+            return True
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Register an accepted connection, then start its handler thread.
+
+        Registering on the accepting thread means that once ``shutdown()``
+        has returned, ``server_close`` and ``drain`` see every connection.
+        """
+        with self._admission:
+            self._connections.add(request)
+            if self.closing:
+                _shut_reads(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        # Under the lock, so ``server_close`` never shuts a closed socket.
+        with self._admission:
+            self._connections.discard(request)
+            super().shutdown_request(request)
+            self._admission.notify_all()
+
+    def server_close(self) -> None:
+        """Close the listening socket and the read side of every connection.
+
+        An idle persistent connection reads end-of-file and closes at once;
+        a request in flight finishes, answered with ``Connection: close``.
+        Non-daemon handler threads are then joined (``ThreadingMixIn``).
+        """
+        with self._admission:
+            self.closing = True
+            for connection in self._connections:
+                _shut_reads(connection)
+        super().server_close()
 
     def try_admit(self) -> bool:
         """Claim an in-flight slot, or shed the request (non-blocking)."""
@@ -248,10 +367,9 @@ class _ServingHTTPServer(ThreadingHTTPServer):
             return True
 
     def release(self) -> None:
-        """Release an admitted request's slot and wake any drain waiter."""
+        """Release an admitted request's slot."""
         with self._admission:
             self._in_flight -= 1
-            self._admission.notify_all()
 
     def deadline_exceeded(self, started: float) -> bool:
         """Whether the request blew its response deadline (counted if so)."""
@@ -279,20 +397,32 @@ class _ServingHTTPServer(ThreadingHTTPServer):
         return payload
 
     def drain(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` seconds for in-flight requests to finish.
+        """Wait up to ``timeout`` seconds for every connection to close.
 
-        Returns whether the server fully drained — ``False`` means handler
-        threads were still running at the deadline (they are daemons, so
-        process exit will not hang on them).
+        In-flight requests finish inside their connection's handler, so
+        this drains them too.  Call it after ``server_close()``, which ends
+        idle persistent connections; before it, an idle connection stays
+        open until :data:`IDLE_TIMEOUT_SECONDS`.  Returns whether the server
+        fully drained — ``False`` means handler threads were still running
+        at the deadline (they are daemons, so process exit will not hang on
+        them).
         """
         deadline = time.monotonic() + timeout
         with self._admission:
-            while self._in_flight > 0:
+            while self._connections:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
                 self._admission.wait(remaining)
             return True
+
+
+def _shut_reads(connection: socket.socket) -> None:
+    """End a connection's reads: its handler sees end-of-file, writes still work."""
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:  # already closed by its handler
+        pass
 
 
 def build_http_server(
@@ -335,36 +465,34 @@ def run_http_server(
 ) -> tuple[str, int]:
     """Bind and serve until stopped; returns the bound ``(host, port)``.
 
-    ``max_requests`` bounds the number of requests handled before returning
-    (``0`` binds, reports the address and returns without serving — the CLI
-    smoke-test mode); ``None`` serves until stopped.
+    ``max_requests`` bounds the number of requests answered before returning,
+    whatever connections they arrive on: the last one is answered with
+    ``Connection: close`` and later ones go unanswered (``0`` binds, reports
+    the address and returns without serving — the CLI smoke-test mode);
+    ``None`` serves until stopped.
 
-    The open-ended mode shuts down *cleanly*: ``SIGINT`` / ``SIGTERM``
-    (installed only when running on the main thread) or ``stop_event`` (the
-    programmatic/test hook) stop the accept loop, close the listening socket
-    so no new connections land, then drain in-flight requests for up to
-    ``drain_timeout`` seconds before returning — instead of tracebacking out
-    of ``serve_forever`` mid-request.
+    Every mode shuts down *cleanly*: ``SIGINT`` / ``SIGTERM`` (installed only
+    when running on the main thread), ``stop_event`` (the programmatic/test
+    hook) or the spent ``max_requests`` stop the accept loop, close the
+    listening socket and every idle connection, then drain in-flight
+    requests for up to ``drain_timeout`` seconds before returning — instead
+    of tracebacking out of ``serve_forever`` mid-request.
     """
     if max_requests is not None and max_requests < 0:
         raise ServingError(f"max_requests must be non-negative, got {max_requests}")
     if drain_timeout < 0:
         raise ServingError(f"drain_timeout must be non-negative, got {drain_timeout}")
-    server = build_http_server(
+    server = _ServingHTTPServer(
+        (host, port),
         service,
-        host,
-        port,
         request_timeout=request_timeout,
         max_in_flight=max_in_flight,
         fault_injector=fault_injector,
+        max_requests=max_requests,
     )
     bound_host, bound_port = server.server_address[0], int(server.server_address[1])
-    if max_requests is not None:
-        try:
-            for _ in range(max_requests):
-                server.handle_request()
-        finally:
-            server.server_close()
+    if max_requests == 0:
+        server.server_close()
         return str(bound_host), bound_port
 
     stop = stop_event if stop_event is not None else threading.Event()
@@ -382,9 +510,9 @@ def run_http_server(
     )
     serve_thread.start()
     try:
-        while not stop.is_set():
+        while not (stop.is_set() or server.closing):
             try:
-                stop.wait(0.2)
+                stop.wait(0.05)
             except KeyboardInterrupt:
                 stop.set()
     finally:

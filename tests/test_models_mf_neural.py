@@ -51,34 +51,6 @@ class TestMatrixFactorizationModel:
         with pytest.raises(ModelError):
             model.score_items(np.zeros(3))
 
-    def test_recommend_returns_best_items(self):
-        model = MatrixFactorizationModel(1, 5, num_factors=1, rng=0)
-        model.item_factors = np.array([[0.1], [0.9], [0.5], [0.7], [0.3]])
-        top = model.recommend(np.array([1.0]), 2)
-        np.testing.assert_array_equal(top, [1, 3])
-
-    def test_recommend_excludes_items(self):
-        model = MatrixFactorizationModel(1, 5, num_factors=1, rng=0)
-        model.item_factors = np.array([[0.1], [0.9], [0.5], [0.7], [0.3]])
-        top = model.recommend(np.array([1.0]), 2, exclude_items=np.array([1]))
-        np.testing.assert_array_equal(top, [3, 2])
-
-    def test_recommend_invalid_k(self):
-        model = MatrixFactorizationModel(1, 5, num_factors=1, rng=0)
-        with pytest.raises(ModelError):
-            model.recommend(np.array([1.0]), 0)
-
-    def test_recommend_k_larger_than_catalogue(self):
-        model = MatrixFactorizationModel(1, 3, num_factors=1, rng=0)
-        top = model.recommend(np.array([1.0]), 10)
-        assert top.shape == (3,)
-
-    def test_score_matrix(self):
-        model = MatrixFactorizationModel(4, 6, num_factors=3, rng=0)
-        matrix = model.score_matrix()
-        assert matrix.shape == (4, 6)
-        np.testing.assert_allclose(matrix[2], model.score_user(2))
-
     def test_copy_is_independent(self):
         model = MatrixFactorizationModel(3, 3, num_factors=2, rng=0)
         clone = model.copy()

@@ -35,6 +35,7 @@ import pytest
 
 from repro.attacks.fedrecattack import FedRecAttack, FedRecAttackConfig
 from repro.data.dataset import InteractionDataset
+from repro.federated import engine
 from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation, SimulationResult
 from repro.federated.updates import ClientUpdate
@@ -346,6 +347,27 @@ class TestTrainerState:
         np.testing.assert_array_equal(after_empty.item_ids, reference.item_ids)
         np.testing.assert_array_equal(after_empty.coefficients, reference.coefficients)
         np.testing.assert_array_equal(after_empty.user_vectors, reference.user_vectors)
+
+    def test_sampler_gets_the_store_degrees(
+        self, small_split, small_targets, negatives, monkeypatch
+    ):
+        # The draw is the same with or without ``num_positives``; passing the
+        # store's cached degrees spares a popcount of the stacked masks.
+        simulation = self._simulation(small_split, small_targets, negatives)
+        batch = sorted(simulation.benign_clients)[:8]
+        calls = []
+        sample = engine.sample_uniform_negatives_batched
+
+        def spy(rng, num_items, counts, masks, *, num_positives=None):
+            calls.append((masks.sum(axis=1), num_positives))
+            return sample(rng, num_items, counts, masks, num_positives=num_positives)
+
+        monkeypatch.setattr(engine, "sample_uniform_negatives_batched", spy)
+        simulation._trainer.draw_round_pairs(batch)
+        [(popcounts, num_positives)] = calls
+        store = small_split.train.interaction_store()
+        np.testing.assert_array_equal(num_positives, store.degrees[batch])
+        np.testing.assert_array_equal(num_positives, popcounts)
 
 
 class TestFixedNegatives:

@@ -11,8 +11,11 @@ JSON body rather than a stack trace.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -30,6 +33,7 @@ from repro.serving import (
     build_http_server,
     run_http_server,
 )
+from repro.serving import http as http_module
 
 NUM_USERS = 20
 NUM_ITEMS = 25
@@ -241,3 +245,272 @@ class TestRunHttpServer:
         thread.join(timeout=30)
         assert not thread.is_alive(), "server must exit after max_requests"
         assert bound["address"] == ("127.0.0.1", port)
+
+
+# --------------------------------------------------------------------------- #
+# Persistent connections (HTTP/1.1 keep-alive through ``http.client``)
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def live():
+    """A live server (the object, so tests can count its accepts)."""
+    server = build_http_server(_service())
+    thread = threading.Thread(
+        target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def _count_accepts(server) -> list[int]:
+    """Wrap ``process_request``: one count per accepted connection."""
+    accepted = [0]
+    original = server.process_request
+
+    def counting(request, client_address):
+        accepted[0] += 1
+        original(request, client_address)
+
+    server.process_request = counting
+    return accepted
+
+
+def _connect(server) -> http.client.HTTPConnection:
+    host, port = server.server_address[0], server.server_address[1]
+    return http.client.HTTPConnection(host, port, timeout=10)
+
+
+def _exchange(
+    conn: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    payload: dict | None = None,
+    headers: dict[str, str] | None = None,
+) -> tuple[int, str | None, bytes]:
+    """One request on ``conn``: (status, ``Connection`` header, raw body)."""
+    headers = dict(headers or {})
+    body = None
+    if payload is not None:
+        body = json.dumps(payload)
+        headers["Content-Type"] = "application/json"
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, response.getheader("Connection"), response.read()
+
+
+def _wait_until_listening(port: int) -> None:
+    """Connect and hang up until the port accepts; no request is sent."""
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+            return
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.02)
+
+
+def _free_port() -> int:
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+STREAM = [
+    ("GET", "/recommend?user=3", None),
+    ("GET", "/recommend?user=4&k=2", None),
+    ("POST", "/recommend", {"users": [4, 0, 19], "k": 3}),
+    ("GET", "/health", None),
+    ("GET", "/recommend?user=pony", None),
+    ("POST", "/recommend", {"users": [7]}),
+    ("GET", "/recommend?user=19", None),
+]
+
+
+class TestPersistentConnections:
+    def test_one_connection_serves_every_request(self, live):
+        accepted = _count_accepts(live)
+        conn = _connect(live)
+        kept = [_exchange(conn, method, path, payload) for method, path, payload in STREAM]
+        conn.close()
+        assert accepted[0] == 1
+        assert all(connection is None for _, connection, _ in kept)
+
+        # ``Connection: close`` is echoed, so a client reusing its connection
+        # object reconnects for every request.
+        conn = _connect(live)
+        closed = [
+            _exchange(conn, method, path, payload, {"Connection": "close"})
+            for method, path, payload in STREAM
+        ]
+        conn.close()
+        assert accepted[0] == 1 + len(STREAM)
+        assert all(connection == "close" for _, connection, _ in closed)
+        assert [(status, body) for status, _, body in kept] == [
+            (status, body) for status, _, body in closed
+        ]
+        assert [status for status, _, _ in kept] == [200, 200, 200, 200, 400, 200, 200]
+
+        # An HTTP/1.0 client gets one answer, then the server hangs up.
+        with socket.create_connection(live.server_address, timeout=10) as raw:
+            raw.sendall(b"GET /health HTTP/1.0\r\n\r\n")
+            answer = b""
+            while chunk := raw.recv(65536):
+                answer += chunk
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head and body == kept[3][2]
+        assert accepted[0] == 2 + len(STREAM)
+
+    def test_answers_do_not_wait_on_nagle(self, live):
+        # A header write then a body write: with Nagle on, the body waits for
+        # the client's delayed ACK (~40 ms) on every kept-alive request.
+        accepted = _count_accepts(live)
+        conn = _connect(live)
+        seconds = []
+        for index in range(50):
+            start = time.perf_counter()
+            status, _, _ = _exchange(conn, "GET", f"/recommend?user={index % NUM_USERS}")
+            seconds.append(time.perf_counter() - start)
+            assert status == 200
+        conn.close()
+        assert accepted[0] == 1
+        assert statistics.median(seconds) < 0.010, (
+            f"median {1000 * statistics.median(seconds):.1f} ms per kept-alive request"
+        )
+
+    def test_unknown_path_post_leaves_the_connection_usable(self, live):
+        accepted = _count_accepts(live)
+        conn = _connect(live)
+        status, _, body = _exchange(conn, "POST", "/nope", {"users": [1]})
+        assert status == 404 and "/nope" in json.loads(body)["error"]
+        status, _, body = _exchange(conn, "GET", "/recommend?user=3")
+        conn.close()
+        assert status == 200
+        assert json.loads(body) == live.service.top_k(3).to_json_dict()
+        assert accepted[0] == 1
+
+    def test_get_with_a_body_leaves_the_connection_usable(self, live):
+        accepted = _count_accepts(live)
+        conn = _connect(live)
+        status, _, _ = _exchange(conn, "GET", "/health", {"ignored": True})
+        assert status == 200
+        status, _, body = _exchange(conn, "GET", "/recommend?user=3")
+        conn.close()
+        assert status == 200
+        assert json.loads(body) == live.service.top_k(3).to_json_dict()
+        assert accepted[0] == 1
+
+    def test_body_of_unknown_length_closes_after_the_answer(self, live):
+        with socket.create_connection(live.server_address, timeout=10) as raw:
+            raw.sendall(
+                b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: pony\r\n\r\n{}GET /health HTTP/1.1\r\n\r\n"
+            )
+            answer = b""
+            while chunk := raw.recv(65536):
+                answer += chunk
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert "bad batch request" in json.loads(body)["error"]
+
+    def test_idle_connection_is_closed_after_the_timeout(self, monkeypatch):
+        shipped = getattr(http_module, "IDLE_TIMEOUT_SECONDS", None)
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_SECONDS", 0.3, raising=False)
+        server = build_http_server(_service())
+        accepted = _count_accepts(server)
+        thread = threading.Thread(
+            target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
+        )
+        thread.start()
+        conn = _connect(server)
+        try:
+            # Traffic more often than the timeout keeps the connection open
+            # well past it: the timeout counts idle time only.
+            for _ in range(6):
+                time.sleep(0.1)
+                assert _exchange(conn, "GET", "/health")[0] == 200
+            idle_since = time.monotonic()
+            assert accepted[0] == 1
+            conn.sock.settimeout(5.0)
+            assert conn.sock.recv(1) == b"", "the server must hang up"
+            assert 0.15 < time.monotonic() - idle_since < 2.0
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        # The shipped timeout outlasts the pauses of a real client, such as
+        # the serving benchmark's block warm-up between its /health probes
+        # and its first streamed request.
+        assert shipped is not None and shipped >= 10
+
+    def test_max_requests_counts_requests_not_connections(self):
+        port = _free_port()
+        thread = threading.Thread(
+            target=lambda: run_http_server(_service(), port=port, max_requests=3),
+            daemon=True,
+        )
+        thread.start()
+        _wait_until_listening(port)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        answers = []
+        for _ in range(6):
+            try:
+                answers.append(_exchange(conn, "GET", "/health"))
+            except (OSError, http.client.HTTPException):
+                conn.close()
+        conn.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "run_http_server must return after 3 answers"
+        assert [status for status, _, _ in answers] == [200, 200, 200]
+        # The first two kept the connection; the last one closed it.
+        assert [connection for _, connection, _ in answers] == [None, None, "close"]
+
+    def test_max_requests_holds_across_concurrent_connections(self):
+        # Eight keep-alive clients (more than the cores) race for a budget of
+        # 40 requests with a tiny switch interval: a lost update in the
+        # server's request count would answer more or fewer than 40.
+        port = _free_port()
+        thread = threading.Thread(
+            target=lambda: run_http_server(_service(), port=port, max_requests=40),
+            daemon=True,
+        )
+        thread.start()
+        _wait_until_listening(port)
+        answered: list[int] = []
+
+        def client() -> None:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                for _ in range(20):
+                    assert _exchange(conn, "GET", "/health")[0] == 200
+                    answered.append(1)
+            except (OSError, http.client.HTTPException):
+                pass
+            finally:
+                conn.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for worker in clients:
+                worker.start()
+            for worker in clients:
+                worker.join(timeout=30)
+            thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in clients)
+        assert not thread.is_alive(), "run_http_server must return after 40 answers"
+        assert len(answered) == 40

@@ -11,9 +11,11 @@ of the federated layer's :class:`~repro.federated.dynamics.FaultSchedule`.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -267,3 +269,198 @@ class TestCleanShutdown:
             server.shutdown()
             server.server_close()
             thread.join()
+
+
+# --------------------------------------------------------------------------- #
+# Persistent connections: early answers and shutdown
+# --------------------------------------------------------------------------- #
+
+
+def _keep_alive(address) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection(address[0], address[1], timeout=10)
+
+
+def _exchange(conn, method: str, path: str, payload: dict | None = None):
+    """One request on ``conn``: (status, ``Connection`` header, json body)."""
+    body = None if payload is None else json.dumps(payload)
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return (
+        response.status,
+        response.getheader("Connection"),
+        json.loads(response.read().decode("utf-8")),
+    )
+
+
+def _handler_threads() -> set[threading.Thread]:
+    return {
+        thread
+        for thread in threading.enumerate()
+        if "process_request_thread" in thread.name
+    }
+
+
+def _run_in_thread(stop: threading.Event, **kwargs):
+    """``run_http_server`` on a free port in a daemon thread, once listening."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    thread = threading.Thread(
+        target=lambda: run_http_server(
+            _service(), port=port, stop_event=stop, drain_timeout=2.0, **kwargs
+        ),
+        daemon=True,
+    )
+    thread.start()
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+            return thread, ("127.0.0.1", port)
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.02)
+
+
+class TestEarlyAnswersKeepTheConnection:
+    def test_shed_post_leaves_the_connection_usable(self):
+        injector = ServingFaultInjector(latency=0.5, latency_rate=1.0, rng=11)
+        server = build_http_server(
+            _service(), max_in_flight=1, fault_injector=injector
+        )
+        thread, base = _serve(server)
+        slow = threading.Thread(target=lambda: _fetch(f"{base}/recommend?user=0"))
+        conn = _keep_alive(server.server_address)
+        try:
+            slow.start()
+            deadline = time.monotonic() + 10
+            while server.stats_payload()["in_flight"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            status, _, body = _exchange(conn, "POST", "/recommend", {"users": [1]})
+            assert status == 503 and "over capacity" in body["error"]
+            status, connection, body = _exchange(conn, "GET", "/health")
+            assert status == 200 and body["status"] == "ok"
+            assert connection is None
+            slow.join(timeout=30)
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join()
+
+    def test_injected_failure_post_leaves_the_connection_usable(self):
+        injector = ServingFaultInjector(error_rate=1.0, rng=11)
+        server = build_http_server(_service(), fault_injector=injector)
+        thread, _ = _serve(server)
+        conn = _keep_alive(server.server_address)
+        try:
+            status, _, body = _exchange(conn, "POST", "/recommend", {"users": [1]})
+            assert status == 500 and "injected serving failure" in body["error"]
+            status, connection, body = _exchange(conn, "GET", "/stats")
+            assert status == 200 and body["injected_errors"] == 1
+            assert connection is None
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join()
+
+
+class TestShutdownClosesConnections:
+    def test_stop_closes_idle_connections(self):
+        before = _handler_threads()
+        stop = threading.Event()
+        thread, address = _run_in_thread(stop)
+        conn = _keep_alive(address)
+        try:
+            status, connection, _ = _exchange(conn, "GET", "/health")
+            assert status == 200 and connection is None
+            handlers = _handler_threads() - before
+            assert handlers, "the kept-alive connection has a handler thread"
+            stopped_at = time.monotonic()
+            stop.set()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "run_http_server must return once stopped"
+            assert time.monotonic() - stopped_at < 2.0 + 1.0  # drain bound + polls
+            for handler in handlers:
+                handler.join(timeout=1.0)
+            assert not any(handler.is_alive() for handler in handlers)
+            with pytest.raises((OSError, http.client.HTTPException)):
+                _exchange(conn, "GET", "/recommend?user=3")
+        finally:
+            stop.set()
+            conn.close()
+
+    def test_request_in_flight_at_stop_finishes_with_close(self):
+        injector = ServingFaultInjector(latency=0.5, latency_rate=1.0, rng=11)
+        started = threading.Event()
+        inject = injector.before_request
+
+        def before_request(path: str) -> None:
+            started.set()
+            inject(path)
+
+        injector.before_request = before_request  # type: ignore[method-assign]
+        stop = threading.Event()
+        thread, address = _run_in_thread(stop, fault_injector=injector)
+        conn = _keep_alive(address)
+        answers = []
+        try:
+            assert _exchange(conn, "GET", "/health")[:2] == (200, None)
+            client = threading.Thread(
+                target=lambda: answers.append(
+                    _exchange(conn, "GET", "/recommend?user=3")
+                )
+            )
+            client.start()
+            assert started.wait(timeout=10)
+            stop.set()
+            client.join(timeout=10)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            stop.set()
+            conn.close()
+        [(status, connection, body)] = answers
+        assert status == 200 and connection == "close"
+        assert body == _service().top_k(3).to_json_dict()
+
+    def test_drain_waits_for_open_connections(self):
+        server = build_http_server(_service())
+        thread, _ = _serve(server)
+        conn = _keep_alive(server.server_address)
+        try:
+            assert _exchange(conn, "GET", "/health")[:2] == (200, None)
+            # Nothing is in flight, but the kept-alive connection is open.
+            assert not server.drain(timeout=0.2)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=30)
+        try:
+            assert server.drain(timeout=5.0)
+        finally:
+            conn.close()
+
+    def test_server_close_does_not_wait_for_idle_connections(self):
+        server = build_http_server(_service())
+        # Non-daemon handler threads are joined by server_close().
+        server.daemon_threads = False
+        thread, _ = _serve(server)
+        conn = _keep_alive(server.server_address)
+        try:
+            assert _exchange(conn, "GET", "/health")[:2] == (200, None)
+        finally:
+            server.shutdown()
+            thread.join(timeout=30)
+        closer = threading.Thread(target=server.server_close, daemon=True)
+        closer.start()
+        closer.join(timeout=5)
+        try:
+            assert not closer.is_alive(), "server_close() hung on an idle connection"
+        finally:
+            conn.close()
+            closer.join(timeout=30)
