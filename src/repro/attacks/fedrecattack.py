@@ -232,7 +232,10 @@ def attack_loss_and_gradient_vectorized(
         ids, unsure = _candidate_items(block, top_k)
         padding = ids >= num_items
         ids[padding] = 0
-        candidates = np.take_along_axis(block, ids, axis=1)
+        # A flat gather out of the contiguous block (np.take_along_axis
+        # builds a two-array fancy index and costs several times more).
+        row_starts = np.arange(0, block.size, num_items)[:, None]
+        candidates = np.take(block, ids + row_starts)
         candidates[padding | is_target[ids]] = -np.inf
         found, values, tied = _list_boundaries(candidates, listed_targets, top_k)
         items = ids[np.arange(ids.shape[0]), np.argmax(candidates == values[:, None], axis=1)]
@@ -293,7 +296,8 @@ def _candidate_items(block: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndar
         unsure = np.zeros(num_rows, dtype=bool)
     else:
         groups = np.argpartition(maxima, width - top_k, axis=1)[:, width - top_k :]
-        floor = np.take_along_axis(maxima, groups, axis=1).min(axis=1)
+        # The partition's pivot is the lowest kept maximum.
+        floor = maxima[np.arange(num_rows), groups[:, 0]]
         ties = np.count_nonzero(maxima >= floor[:, None], axis=1) > top_k
         unsure = ties & (floor > -np.inf)
         groups.sort(axis=1)

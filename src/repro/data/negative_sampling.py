@@ -116,15 +116,9 @@ def sample_uniform_negatives_batched(
         else:
             ok = ~taken[slot[pending[owners]], candidates]
         owners, candidates = owners[ok], candidates[ok]
-        # Deduplicate per (user, item) keeping first occurrences, then restore
-        # draw order so truncation to the remaining quota stays unbiased.
-        keys = owners * num_items + candidates
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        owners, candidates = owners[first], candidates[first]
-        # Rank of each accepted candidate within its user (owners are sorted
-        # ascending after np.unique + sort, with draw order preserved inside
-        # each user because keys share the owner's block).
+        owners, candidates = _first_occurrences(owners, candidates, num_items)
+        # Rank of each accepted candidate within its user (owners stay sorted
+        # ascending, with draw order preserved inside each user's run).
         starts = np.searchsorted(owners, np.arange(pending.shape[0]))
         ranks = np.arange(owners.shape[0], dtype=np.int64) - starts[owners]
         keep = ranks < remaining[pending[owners]]
@@ -142,6 +136,27 @@ def sample_uniform_negatives_batched(
             marked = slot[users] >= 0
             taken[slot[users[marked]], candidates[marked]] = True
     return negatives, offsets
+
+
+def _first_occurrences(
+    owners: np.ndarray, candidates: np.ndarray, num_items: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop repeated (owner, item) pairs, keeping first occurrences in draw order.
+
+    ``owners`` is non-decreasing, so one stable argsort of the item ids puts
+    equal pairs next to each other, earliest draw first, and one adjacent
+    comparison marks the repeats; the kept entries never leave draw order,
+    so no second sort restores it.  The ids are sorted in the smallest
+    unsigned type that holds them, where numpy's stable sort is a radix sort
+    (8- and 16-bit keys).  Extra memory is O(draws).
+    """
+    items = candidates.astype(np.min_scalar_type(num_items - 1))
+    order = np.argsort(items, kind="stable")
+    items, ordered_owners = items[order], owners[order]
+    repeated = (items[1:] == items[:-1]) & (ordered_owners[1:] == ordered_owners[:-1])
+    keep = np.ones(candidates.shape[0], dtype=bool)
+    keep[order[1:][repeated]] = False
+    return owners[keep], candidates[keep]
 
 
 def sample_ranking_negatives_batched(

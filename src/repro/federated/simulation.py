@@ -81,11 +81,6 @@ class SimulationResult:
         return self.exposure.er_at_5 if self.exposure else 0.0
 
     @property
-    def final_er_at_10(self) -> float:
-        """ER@10 at the end of training."""
-        return self.exposure.er_at_10 if self.exposure else 0.0
-
-    @property
     def final_hr_at_10(self) -> float:
         """HR@10 at the end of training."""
         return self.accuracy.hr_at_10 if self.accuracy else 0.0

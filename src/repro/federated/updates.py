@@ -572,11 +572,13 @@ class FactoredRoundUpdates:
     def _base_sum_item_gradient(self, num_items: int, num_factors: int) -> np.ndarray:
         if self.item_ids.shape[0] == 0:
             return np.zeros((num_items, num_factors), dtype=np.float64)
-        coefficient_matrix = _sparse.csr_matrix(
+        # The (num_items, clients) transpose of the coefficient CSR, built
+        # directly: the same three arrays read column-major.
+        coefficient_matrix = _sparse.csc_matrix(
             (self.coefficients, self.item_ids, self.client_offsets),
-            shape=(self.num_factored_clients, num_items),
+            shape=(num_items, self.num_factored_clients),
         )
-        total = np.asarray(coefficient_matrix.T @ self.user_vectors)
+        total = np.asarray(coefficient_matrix @ self.user_vectors)
         if self.ridge != 0.0:
             counts = np.bincount(self.item_ids, minlength=num_items).astype(np.float64)
             total += self.ridge * counts[:, None] * self.ridge_matrix

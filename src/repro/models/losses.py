@@ -45,7 +45,10 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable ``log(sigmoid(x))``."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, bit for bit, so
+    # one log1p(exp) serves both branches.
+    tail = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -tail, x - tail)
 
 
 @dataclass(frozen=True)
@@ -198,15 +201,17 @@ def segment_sum(
         if weights is None
         else np.asarray(weights, dtype=np.float64)
     )
-    indicator = _sparse.csr_matrix(
+    # Built column-major directly: column i of the (num_segments, n) indicator
+    # holds row i's one entry, so no transpose copy is made.
+    indicator = _sparse.csc_matrix(
         (
             data,
             np.asarray(segments, dtype=np.int64),
             np.arange(num_rows + 1, dtype=np.int64),
         ),
-        shape=(num_rows, num_segments),
+        shape=(num_segments, num_rows),
     )
-    return np.asarray(indicator.T @ np.ascontiguousarray(rows, dtype=np.float64))
+    return np.asarray(indicator @ np.ascontiguousarray(rows, dtype=np.float64))
 
 
 def fold_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,9 +285,9 @@ def bpr_coefficients_batched(
     Semantically equivalent to calling :func:`bpr_loss_and_gradients` once
     per user (up to floating-point summation order), but computed with
     stacked numpy operations: one GEMM for all pairwise scores, one
-    margin/coefficient computation over every ``(j, k)`` pair, one sort that
-    folds the coefficients per (user, item), and one sparse-matrix product
-    for the user-vector gradients.  The ``(nnz, k)`` gradient-row array is
+    margin/coefficient computation over every ``(j, k)`` pair, one bitmap
+    pass that folds the coefficients per (user, item) in key order, and one
+    sparse-matrix product for the user-vector gradients.  The ``(nnz, k)`` gradient-row array is
     never materialised: the item gradient comes back as folded
     per-(user, item) coefficients (see :class:`BatchedBPRCoefficients`).
     With ``l2_reg > 0`` the implied row is ``c_bj * u_b + 2 * l2_reg * v_j``;
@@ -314,16 +319,35 @@ def bpr_coefficients_batched(
     scores = user_vectors @ item_factors.T
     flat_scores = scores.ravel()
     score_base = segment_ids * num_items
-    margins = flat_scores[score_base + positives] - flat_scores[score_base + negatives]
+    positive_keys = score_base + positives
+    negative_keys = score_base + negatives
+    margins = flat_scores[positive_keys] - flat_scores[negative_keys]
     losses = np.bincount(segment_ids, weights=-_log_sigmoid(margins), minlength=num_segments)
     coefficients = -sigmoid(-margins)
 
-    # Fold the per-pair coefficients into per-(user, item) coefficients with a
-    # single stable sort over combined keys; within each user the ids come out
-    # sorted, matching the per-user np.unique of the reference implementation.
-    keys = np.concatenate([score_base + positives, score_base + negatives])
-    signed = np.concatenate([coefficients, -coefficients])
-    unique_keys, folded = fold_by_key(keys, signed)
+    # Fold the per-pair coefficients into per-(user, item) coefficients, keys
+    # ascending: within each user the ids come out sorted, matching the
+    # per-user np.unique of the reference implementation.  A (B, N) bitmap
+    # lists the keys in order, and the coefficients are summed in the score
+    # buffer, dead once the margins are read.  When every key is distinct
+    # (always, for BPR pairs: positives are distinct and negatives are drawn
+    # outside them) the fold is a pure permutation and plain assignment does
+    # it; np.add.at, which also sums repeated keys, is about 8x slower than
+    # the assignment on a benign round, so only repeats pay for it.  The sums
+    # start from -0.0, the additive identity, so a key seen once keeps its
+    # coefficient's bits.
+    marked = np.zeros(flat_scores.shape[0], dtype=bool)
+    marked[positive_keys] = True
+    marked[negative_keys] = True
+    unique_keys = np.flatnonzero(marked)
+    if unique_keys.shape[0] == 2 * positives.shape[0]:
+        flat_scores[positive_keys] = coefficients
+        flat_scores[negative_keys] = -coefficients
+    else:
+        flat_scores[unique_keys] = -0.0
+        np.add.at(flat_scores, positive_keys, coefficients)
+        np.add.at(flat_scores, negative_keys, -coefficients)
+    folded = flat_scores[unique_keys]
     item_ids = unique_keys % num_items
     owners = unique_keys // num_items
     segment_offsets = np.searchsorted(owners, np.arange(num_segments + 1))

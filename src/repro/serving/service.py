@@ -161,11 +161,6 @@ class RecommenderService:
         """Users per scoring block (the bit-reproducibility contract knob)."""
         return self._block_size
 
-    @property
-    def default_top_k(self) -> int:
-        """List length used when a query does not specify ``k``."""
-        return self._top_k
-
     def stats(self) -> dict[str, int]:
         """Monotone counters: queries, memo hits, blocks scored, swaps."""
         with self._lock:

@@ -5,8 +5,8 @@ the item matrix ``V`` and the optional MLP scorer ``Theta`` — behind
 read-only float64 arrays, so a :class:`~repro.serving.service.RecommenderService`
 can cache scores computed from it without ever worrying about the simulation
 mutating the factors underneath the cache.  The ``version`` field (the
-server's authoritative ``rounds_applied`` counter when exported from a live
-simulation) is what lets the service detect and invalidate on snapshot swaps.
+server's authoritative ``rounds_applied`` counter when exported from a
+simulation run) is what lets the service detect and invalidate on snapshot swaps.
 
 The snapshot exposes its scoring surface only through the formal
 :class:`~repro.models.base.ScorerProtocol`: :meth:`FactorSnapshot.model`
@@ -29,7 +29,6 @@ from repro.models.mf import MatrixFactorizationModel
 from repro.models.neural import MLPRecommender, MLPScorer
 
 if TYPE_CHECKING:
-    from repro.federated.server import Server
     from repro.federated.simulation import SimulationResult
 
 __all__ = ["FactorSnapshot"]
@@ -143,22 +142,6 @@ class FactorSnapshot:
             user_factors=model.user_factors,
             item_factors=model.item_factors,
             version=version,
-        )
-
-    @classmethod
-    def from_server(cls, server: "Server", user_factors: np.ndarray) -> "FactorSnapshot":
-        """Snapshot a live federated server plus the gathered user matrix.
-
-        The server only ever holds ``V`` (and ``Theta``); the caller supplies
-        the user matrix gathered from the clients (e.g.
-        ``FederatedSimulation.gather_user_factors()``).  The snapshot version
-        is the server's authoritative ``rounds_applied`` counter.
-        """
-        return cls(
-            user_factors=user_factors,
-            item_factors=server.snapshot_item_factors(),
-            scorer=server.snapshot_scorer(),
-            version=server.rounds_applied,
         )
 
     @classmethod

@@ -8,7 +8,9 @@ lives here, so no ``src/`` module branches on which version to run:
 * :mod:`oracles.attacks` — the per-user attack loss, the per-user
   user-matrix approximation and the attacks running them;
 * :mod:`oracles.evaluation`, :mod:`oracles.accuracy`, :mod:`oracles.exposure`
-  — the per-user evaluation and its metric loops.
+  — the per-user evaluation and its metric loops;
+* :mod:`oracles.sampling` — the stacked training sampler with its original
+  ``np.unique`` deduplication.
 
 Every reference consumes the library's random streams in the same order, so
 from one seed it matches the library bit for bit (evaluation) or up to
@@ -18,6 +20,7 @@ floating-point summation order (training).
 from .attacks import LoopFedRecAttack, LoopPipAttack, attack_loss_and_gradient, loop_refresh
 from .evaluation import evaluate_loop, predraw_negatives
 from .federated import LoopRoundSimulation
+from .sampling import sample_uniform_negatives_unique
 
 __all__ = [
     "LoopFedRecAttack",
@@ -27,4 +30,5 @@ __all__ = [
     "evaluate_loop",
     "loop_refresh",
     "predraw_negatives",
+    "sample_uniform_negatives_unique",
 ]

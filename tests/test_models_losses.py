@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.models.losses import BPRGradients, bpr_loss, bpr_loss_and_gradients, sigmoid
+from repro.models.losses import (
+    BPRGradients,
+    bpr_coefficients_batched,
+    bpr_loss,
+    bpr_loss_and_gradients,
+    fold_by_key,
+    sigmoid,
+)
 
 
 def _numerical_user_gradient(user, items, pos, neg, epsilon=1e-6):
@@ -76,6 +83,21 @@ class TestBPRLossValue:
         user = rng.normal(size=4)
         with pytest.raises(ModelError):
             bpr_loss(user, items, np.array([0, 1]), np.array([2]))
+
+    @pytest.mark.parametrize(
+        "margin", [0.0, 1e-300, -1e-300, 0.5, -0.5, 30.0, -30.0, 700.0, -700.0, 800.0, -800.0]
+    )
+    def test_one_pair_loss_is_the_two_branch_log_sigmoid_bit_for_bit(self, margin):
+        # One pair with scores (margin, 0) has exactly that margin; its loss
+        # must be -log(sigmoid(margin)) as the branch-per-sign formula gives it.
+        user = np.array([1.0])
+        items = np.array([[margin], [0.0]])
+        x = np.float64(margin)
+        with np.errstate(over="ignore"):
+            log_sigmoid = -np.log1p(np.exp(-x)) if x >= 0 else x - np.log1p(np.exp(x))
+        expected = float(-np.sum(np.array([log_sigmoid])))
+        loss = bpr_loss(user, items, np.array([0]), np.array([1]))
+        assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
 
 
 class TestBPRGradients:
@@ -171,3 +193,77 @@ class TestBPRGradients:
         dense = gradients.as_dense_item_gradient(4)
         assert dense.shape == (4, 3)
         np.testing.assert_array_equal(dense[1], np.zeros(3))
+
+
+class TestBatchedCoefficientFold:
+    """``bpr_coefficients_batched`` folds per-pair coefficients per (user, item)."""
+
+    NUM_ITEMS = 12
+
+    def _stack(self, pairs):
+        segment_ids = np.repeat(np.arange(len(pairs)), [len(p) for p, _ in pairs])
+        positives = np.concatenate([p for p, _ in pairs]).astype(np.int64)
+        negatives = np.concatenate([n for _, n in pairs]).astype(np.int64)
+        return segment_ids, positives, negatives
+
+    @pytest.mark.parametrize("l2_reg", [0.0, 0.01])
+    def test_repeated_keys_are_summed(self, rng, l2_reg):
+        pairs = [
+            (np.array([1, 1, 2]), np.array([5, 6, 7])),  # a repeated positive
+            (np.array([3, 4]), np.array([4, 8])),  # a negative equal to a positive
+            (np.array([0, 9]), np.array([10, 11])),
+        ]
+        users = rng.normal(size=(3, 4))
+        items = rng.normal(size=(self.NUM_ITEMS, 4))
+        batched = bpr_coefficients_batched(users, items, *self._stack(pairs), l2_reg=l2_reg)
+        for b, (positives, negatives) in enumerate(pairs):
+            expected = bpr_loss_and_gradients(users[b], items, positives, negatives, l2_reg)
+            lo, hi = batched.segment_offsets[b], batched.segment_offsets[b + 1]
+            np.testing.assert_array_equal(batched.item_ids[lo:hi], expected.item_ids)
+            rows = batched.coefficients[lo:hi, None] * users[b][None, :]
+            rows = rows + 2.0 * l2_reg * items[expected.item_ids]
+            np.testing.assert_allclose(rows, expected.grad_items, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(batched.grad_users[b], expected.grad_user, rtol=1e-12)
+            assert batched.losses[b] == pytest.approx(expected.loss, rel=1e-12)
+
+    @staticmethod
+    def _sorted_fold(users, items, segment_ids, positives, negatives):
+        """The sort-based fold: ``fold_by_key`` over the per-pair coefficients."""
+        num_users, num_items = users.shape[0], items.shape[0]
+        scores = (users @ items.T).ravel()
+        base = segment_ids * num_items
+        coefficients = -sigmoid(-(scores[base + positives] - scores[base + negatives]))
+        keys, folded = fold_by_key(
+            np.concatenate([base + positives, base + negatives]),
+            np.concatenate([coefficients, -coefficients]),
+        )
+        offsets = np.searchsorted(keys // num_items, np.arange(num_users + 1))
+        return keys % num_items, folded, offsets
+
+    def _assert_matches_sorted_fold(self, users, items, stacked):
+        batched = bpr_coefficients_batched(users, items, *stacked)
+        item_ids, folded, offsets = self._sorted_fold(users, items, *stacked)
+        np.testing.assert_array_equal(batched.item_ids, item_ids)
+        assert batched.coefficients.tobytes() == folded.tobytes()
+        np.testing.assert_array_equal(batched.segment_offsets, offsets)
+
+    def test_distinct_keys_match_the_sorted_fold_bit_for_bit(self, rng):
+        num_users, num_items = 6, 40
+        pairs = []
+        for _ in range(num_users):
+            drawn = rng.choice(num_items, size=2 * int(rng.integers(0, 8)), replace=False)
+            half = drawn.shape[0] // 2
+            pairs.append((drawn[:half], drawn[half:]))
+        users = rng.normal(size=(num_users, 4))
+        items = rng.normal(size=(num_items, 4))
+        self._assert_matches_sorted_fold(users, items, self._stack(pairs))
+
+    def test_repeated_keys_match_the_sorted_fold_bit_for_bit(self, rng):
+        pairs = [
+            (np.array([1, 1, 2, 1]), np.array([5, 6, 7, 5])),
+            (np.array([3, 4]), np.array([4, 3])),
+            (np.array([0, 9]), np.array([10, 11])),
+        ]
+        users = rng.normal(size=(3, 4))
+        items = rng.normal(size=(self.NUM_ITEMS, 4))
+        self._assert_matches_sorted_fold(users, items, self._stack(pairs))

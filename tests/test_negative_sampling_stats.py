@@ -9,6 +9,11 @@ dense user histories, for a user drawn alone and for the same user drawn as
 one row of a stack next to other users (the round trainer's layout: one
 shared stream, per-row constraints).
 
+The sampler keeps each (user, item) pair's first draw through one stable
+argsort of the item ids; a draw-identity test checks it against the
+``np.unique`` deduplication it replaced (``tests/oracles/sampling.py``):
+the same negatives, offsets and generator state on randomized inputs.
+
 The *evaluation* side's ranking stream
 (:func:`sample_ranking_negatives_batched`, drawn **with** replacement and
 excluding each row's test item) gets the same treatment: uniformity over the
@@ -26,6 +31,8 @@ from repro.data.negative_sampling import (
     sample_uniform_negatives_batched,
 )
 from repro.exceptions import DataError
+
+from oracles import sample_uniform_negatives_unique
 
 NUM_ITEMS = 60
 
@@ -198,6 +205,62 @@ class TestBatchedSpecifics:
             np.testing.assert_array_equal(drawn[0], expected[0])
             np.testing.assert_array_equal(drawn[1], expected[1])
         np.testing.assert_array_equal(read_only, masks)
+
+
+class _CountingRng:
+    """A generator that counts its ``integers`` calls (one per rejection round)."""
+
+    def __init__(self, seed: int) -> None:
+        self.generator = np.random.default_rng(seed)
+        self.rounds = 0
+
+    def integers(self, *args, **kwargs):
+        self.rounds += 1
+        return self.generator.integers(*args, **kwargs)
+
+
+def _random_case(rng: np.random.Generator, num_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked masks and counts mixing empty, sparse and near-full rows.
+
+    Counts include zeros and requests above a row's complement, so some
+    quotas are capped; near-full rows need several rejection rounds.
+    """
+    num_rows = int(rng.integers(1, 9))
+    masks = np.zeros((num_rows, num_items), dtype=bool)
+    counts = np.zeros(num_rows, dtype=np.int64)
+    for row in range(num_rows):
+        kind = rng.integers(3)
+        if kind == 1:
+            degree = int(rng.integers(1, min(num_items, 60) + 1))
+        elif kind == 2:
+            degree = num_items - int(rng.integers(0, min(num_items, 12) + 1))
+        else:
+            degree = 0
+        masks[row, rng.choice(num_items, size=degree, replace=False)] = True
+        counts[row] = rng.choice([0, int(rng.integers(1, 60)), num_items])
+    return masks, counts
+
+
+@pytest.mark.parametrize("num_items", [7, 300, 1682, 70_000])
+def test_first_occurrence_dedup_matches_unique_oracle(num_items):
+    """Same negatives, offsets and generator state as the np.unique sampler.
+
+    ``num_items`` covers the 8- and 16-bit radix sort keys and, at 70,000,
+    the 32-bit ids numpy sorts without radix sort.
+    """
+    cases = np.random.default_rng(num_items)
+    multi_round = 0
+    for seed in range(12):
+        masks, counts = _random_case(cases, num_items)
+        library, oracle = _CountingRng(seed), _CountingRng(seed)
+        drawn = sample_uniform_negatives_batched(library, num_items, counts, masks)
+        expected = sample_uniform_negatives_unique(oracle, num_items, counts, masks)
+        np.testing.assert_array_equal(drawn[0], expected[0])
+        np.testing.assert_array_equal(drawn[1], expected[1])
+        assert library.rounds == oracle.rounds
+        assert library.generator.bit_generator.state == oracle.generator.bit_generator.state
+        multi_round += library.rounds > 1
+    assert multi_round > 0
 
 
 class TestBatchedRankingStream:
