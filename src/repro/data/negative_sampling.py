@@ -53,8 +53,10 @@ def sample_uniform_negatives_batched(
         Requested negatives per user, shape ``(B,)``.  Automatically capped at
         each user's complement size ``N - |positives|``.
     positive_masks:
-        Stacked boolean positive masks, shape ``(B, N)``.  Never modified
-        and never copied whole; read-only arrays are welcome.
+        Stacked boolean positive masks, shape ``(B, N)``, C-contiguous (a row
+        gather or a row slice is; a column-strided view raises
+        :class:`DataError`).  Never modified and never copied whole;
+        read-only arrays are welcome.
     num_positives:
         Optional per-row popcount of ``positive_masks`` for callers that
         cache it (e.g. :attr:`InteractionStore.degrees`); computed from the
@@ -85,6 +87,7 @@ def sample_uniform_negatives_batched(
         )
     if np.any(counts < 0):
         raise DataError("counts must be non-negative")
+    flat_masks = _flat_rows(positive_masks)
     if num_positives is None:
         num_positives = positive_masks.sum(axis=1)
     num_positives = np.asarray(num_positives, dtype=np.int64)
@@ -96,9 +99,10 @@ def sample_uniform_negatives_batched(
     if total == 0:
         return negatives, offsets
 
-    # After the first round, ``taken[slot[user]]`` marks everything a pending
-    # user's candidates must avoid: its positives plus its negatives accepted
-    # in earlier rounds.
+    # Candidates are tested by one flat lookup, row * N + item.  After the
+    # first round, row ``slot[user]`` of the flat ``taken`` bitmap marks
+    # everything a pending user's candidates must avoid: its positives plus
+    # its negatives accepted in earlier rounds.
     taken: np.ndarray | None = None
     slot = np.full(num_users, -1, dtype=np.int64)
     filled = np.zeros(num_users, dtype=np.int64)
@@ -112,9 +116,9 @@ def sample_uniform_negatives_batched(
         owners = np.repeat(np.arange(pending.shape[0], dtype=np.int64), draws)
         candidates = rng.integers(0, num_items, size=owners.shape[0], dtype=np.int64)
         if taken is None:
-            ok = ~positive_masks[pending[owners], candidates]
+            ok = ~flat_masks[pending[owners] * num_items + candidates]
         else:
-            ok = ~taken[slot[pending[owners]], candidates]
+            ok = ~taken[slot[pending[owners]] * num_items + candidates]
         owners, candidates = owners[ok], candidates[ok]
         owners, candidates = _first_occurrences(owners, candidates, num_items)
         # Rank of each accepted candidate within its user (owners stay sorted
@@ -131,11 +135,25 @@ def sample_uniform_negatives_batched(
         pending = pending[remaining[pending] > 0]
         if taken is None and pending.shape[0] > 0:
             slot[pending] = np.arange(pending.shape[0], dtype=np.int64)
-            taken = positive_masks[pending]
+            taken = positive_masks[pending].reshape(-1)
         if taken is not None:
             marked = slot[users] >= 0
-            taken[slot[users[marked]], candidates[marked]] = True
+            taken[slot[users[marked]] * num_items + candidates[marked]] = True
     return negatives, offsets
+
+
+def _flat_rows(masks: np.ndarray) -> np.ndarray:
+    """``masks`` as one flat view, row ``r`` and item ``i`` at ``r * N + i``.
+
+    Only a C-contiguous array flattens without a copy, so any other layout
+    is refused rather than copied whole.
+    """
+    if not masks.flags.c_contiguous:
+        raise DataError(
+            "positive_masks must be C-contiguous (a row gather or row slice "
+            "of the mask matrix), not a strided view"
+        )
+    return masks.reshape(-1)
 
 
 def _first_occurrences(
@@ -189,7 +207,8 @@ def sample_ranking_negatives_batched(
         negatives; because the draw is with replacement, every other row
         receives exactly its requested count.
     positive_masks:
-        Stacked boolean positive masks, shape ``(B, N)``.  Never mutated —
+        Stacked boolean positive masks, shape ``(B, N)``, C-contiguous (a
+        column-strided view raises :class:`DataError`).  Never mutated —
         read-only views (e.g. contiguous
         :meth:`repro.data.store.InteractionStore.mask_block` slices) are
         welcome, which is what keeps the stacked draw allocation-free per
@@ -210,10 +229,10 @@ def sample_ranking_negatives_batched(
 
     Every rejection round oversamples the pending rows by the inverse
     acceptance probability (plus slack), tests the flat candidate vector
-    against the positive masks and the excluded items, and keeps each row's
-    accepted candidates in draw order up to its remaining quota — classic
-    rejection sampling, so each accepted draw is an exact uniform sample
-    from the row's free items.
+    against the positive masks (one flat lookup, row * N + item) and the
+    excluded items, and keeps each row's accepted candidates in draw order
+    up to its remaining quota — classic rejection sampling, so each
+    accepted draw is an exact uniform sample from the row's free items.
     """
     counts = np.asarray(counts, dtype=np.int64)
     num_rows = counts.shape[0]
@@ -231,6 +250,7 @@ def sample_ranking_negatives_batched(
         raise DataError("excluded item id out of range")
     if np.any(counts < 0):
         raise DataError("counts must be non-negative")
+    flat_masks = _flat_rows(positive_masks)
     if num_positives is None:
         num_positives = positive_masks.sum(axis=1)
     # Free items per row: the catalog minus the positives, minus the excluded
@@ -238,8 +258,8 @@ def sample_ranking_negatives_batched(
     excluded_is_free = np.zeros(num_rows, dtype=np.int64)
     excludable = np.flatnonzero(excluded_items >= 0)
     if excludable.shape[0] > 0:
-        excluded_is_free[excludable] = ~positive_masks[
-            excludable, excluded_items[excludable]
+        excluded_is_free[excludable] = ~flat_masks[
+            excludable * num_items + excluded_items[excludable]
         ]
     free = num_items - np.asarray(num_positives, dtype=np.int64) - excluded_is_free
     effective = np.where(free > 0, counts, 0)
@@ -262,7 +282,7 @@ def sample_ranking_negatives_batched(
         owners = np.repeat(np.arange(pending.shape[0], dtype=np.int64), draws)
         candidates = rng.integers(0, num_items, size=owners.shape[0], dtype=np.int64)
         rows = pending[owners]
-        ok = ~positive_masks[rows, candidates] & (candidates != excluded_items[rows])
+        ok = ~flat_masks[rows * num_items + candidates] & (candidates != excluded_items[rows])
         owners, candidates = owners[ok], candidates[ok]
         # Rank of each accepted candidate within its owner (owners stay sorted
         # ascending with draw order preserved inside each owner's run), then

@@ -38,16 +38,6 @@ class TrainTestSplit:
     test_items: np.ndarray
     full: InteractionDataset = field(repr=False)
 
-    @property
-    def num_test_users(self) -> int:
-        """Number of users that have a held-out test item."""
-        return int(np.sum(self.test_items >= 0))
-
-    def test_pairs(self) -> np.ndarray:
-        """The held-out interactions as an ``(N, 2)`` array."""
-        users = np.flatnonzero(self.test_items >= 0)
-        return np.column_stack([users, self.test_items[users]])
-
 
 def leave_one_out_split(
     dataset: InteractionDataset,
@@ -72,14 +62,21 @@ def leave_one_out_split(
     if min_train_interactions < 1:
         raise DataError("min_train_interactions must be at least 1")
     generator = ensure_rng(rng)
+    store = dataset.interaction_store()
+    eligible = np.flatnonzero(store.degrees > min_train_interactions)
+    # One bounded draw per eligible user, in user order: the same positions,
+    # and the same generator state afterwards, as one ``choice(items)`` per
+    # user.  ``held_out`` indexes the CSR item array and is ascending.
+    held_out = store.indptr[eligible] + generator.integers(0, store.degrees[eligible])
     test_items = np.full(dataset.num_users, -1, dtype=np.int64)
-    removals: list[tuple[int, int]] = []
-    for user in dataset.iter_users():
-        items = dataset.positive_items(user)
-        if items.shape[0] <= min_train_interactions:
-            continue
-        held_out = int(generator.choice(items))
-        test_items[user] = held_out
-        removals.append((user, held_out))
-    train = dataset.with_interactions_removed(removals, name=f"{dataset.name}-train")
+    test_items[eligible] = store.indices[held_out]
+    kept = np.ones(store.indices.shape[0], dtype=bool)
+    kept[held_out] = False
+    train = InteractionDataset._from_csr(
+        dataset.num_users,
+        dataset.num_items,
+        store.indptr - np.searchsorted(held_out, store.indptr),
+        store.indices[kept],
+        f"{dataset.name}-train",
+    )
     return TrainTestSplit(train=train, test_items=test_items, full=dataset)

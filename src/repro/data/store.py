@@ -11,25 +11,20 @@ that answer:
 * the **evaluation metrics** allocated a fresh per-user mask for every
   sampled-protocol ranking.
 
-:class:`InteractionStore` computes the answer once per dataset: the
+:class:`InteractionStore` holds the answer once per dataset: the
 interactions in CSR layout (``indptr`` / ``indices``) plus a lazily built,
 read-only ``(num_users, num_items)`` boolean mask matrix whose rows are
 shared — as views, never copies — by all three consumers.  Obtain the store
-through :meth:`repro.data.dataset.InteractionDataset.interaction_store`,
-which caches one instance per dataset so every subsystem sees the same
-arrays.
+through :meth:`repro.data.dataset.InteractionDataset.interaction_store`:
+each dataset keeps its interactions in exactly one store, over its own CSR
+arrays (no copy), so every subsystem sees the same arrays.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.exceptions import DataError
-
-if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
-    from repro.data.dataset import InteractionDataset
 
 __all__ = ["InteractionStore"]
 
@@ -74,16 +69,6 @@ class InteractionStore:
         self._degrees = np.diff(indptr)
         self._degrees.setflags(write=False)
         self._masks: np.ndarray | None = None
-
-    @classmethod
-    def from_dataset(cls, dataset: "InteractionDataset") -> "InteractionStore":
-        """Build the store from a dataset's (already deduplicated) pairs."""
-        pairs = dataset.pairs
-        counts = np.bincount(pairs[:, 0], minlength=dataset.num_users)
-        indptr = np.zeros(dataset.num_users + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return cls(dataset.num_users, dataset.num_items, indptr, pairs[order, 1])
 
     # ------------------------------------------------------------------ #
     # Basic properties

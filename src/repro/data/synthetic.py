@@ -29,6 +29,9 @@ from repro.rng import ensure_rng
 
 __all__ = ["SyntheticConfig", "generate_synthetic_dataset"]
 
+#: Upper bound on one block of exponential keys (one row when a row is larger).
+_KEY_BLOCK_BYTES = 4 << 20
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -97,31 +100,54 @@ def generate_synthetic_dataset(
     config: SyntheticConfig,
     rng: np.random.Generator | int | None = None,
 ) -> InteractionDataset:
-    """Generate an :class:`InteractionDataset` according to ``config``."""
+    """Generate an :class:`InteractionDataset` according to ``config``.
+
+    Each user draws its interactions without replacement, weighted by global
+    popularity mixed with a preference for the items of the user's cluster:
+    the Efraimidis-Spirakis trick keeps the ``budget`` smallest keys
+    ``Exp(1) / weight``, which is exact for weighted sampling without
+    replacement.  The weights are built once per cluster, a
+    ``(num_clusters, num_items)`` array.  The keys of a block of users (at
+    most :data:`_KEY_BLOCK_BYTES`, at least one user) come from one call,
+    which consumes the stream in the same order as one call per user; a
+    user with no budget draws nothing.  Each user's items are sorted and
+    copied straight into the dataset's CSR item array.
+    """
     config.validate()
     generator = ensure_rng(rng)
+    num_users, num_items = config.num_users, config.num_items
 
     user_budgets = _user_interaction_budgets(config, generator)
     item_weights = _item_popularity_weights(config)
-    user_clusters = generator.integers(0, config.num_clusters, size=config.num_users)
-    item_clusters = generator.integers(0, config.num_clusters, size=config.num_items)
+    user_clusters = generator.integers(0, config.num_clusters, size=num_users)
+    item_clusters = generator.integers(0, config.num_clusters, size=num_items)
 
-    pairs: list[np.ndarray] = []
-    for user in range(config.num_users):
-        budget = int(user_budgets[user])
-        weights = _personalised_weights(
-            item_weights,
-            item_clusters,
-            int(user_clusters[user]),
-            config.cluster_strength,
-        )
-        items = _weighted_sample_without_replacement(weights, budget, generator)
-        pairs.append(np.column_stack([np.full(items.shape[0], user, dtype=np.int64), items]))
-
-    interactions = np.concatenate(pairs, axis=0)
-    return InteractionDataset(
-        config.num_users, config.num_items, interactions, name=config.name
+    affinity = np.where(
+        item_clusters == np.arange(config.num_clusters)[:, None],
+        1.0,
+        1.0 - config.cluster_strength,
     )
+    weights = item_weights * affinity
+    floors = np.maximum(weights / weights.sum(axis=1, keepdims=True), 1e-12)
+
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(user_budgets, out=indptr[1:])
+    items = np.empty(int(indptr[-1]), dtype=np.int64)
+    starts, clusters = indptr.tolist(), user_clusters.tolist()
+    drawing = np.flatnonzero(user_budgets > 0)
+    block_rows = max(1, _KEY_BLOCK_BYTES // (8 * num_items))
+    block_keys = np.empty((min(block_rows, drawing.shape[0]), num_items))
+    for first in range(0, drawing.shape[0], block_rows):
+        block = drawing[first : first + block_rows].tolist()
+        # The same bytes and stream use as ``exponential()``, filled in place.
+        keys = generator.standard_exponential(out=block_keys[: len(block)])
+        for user, row in zip(block, keys):
+            row /= floors[clusters[user]]
+            lo, hi = starts[user], starts[user + 1]
+            chosen = np.argpartition(row, hi - lo - 1)[: hi - lo]
+            chosen.sort()
+            items[lo:hi] = chosen
+    return InteractionDataset._from_csr(num_users, num_items, indptr, items, config.name)
 
 
 def _user_interaction_budgets(
@@ -164,30 +190,3 @@ def _item_popularity_weights(config: SyntheticConfig) -> np.ndarray:
     ranks = np.arange(1, config.num_items + 1, dtype=np.float64)
     weights = 1.0 / np.power(ranks, config.popularity_exponent)
     return weights / weights.sum()
-
-
-def _personalised_weights(
-    base_weights: np.ndarray,
-    item_clusters: np.ndarray,
-    user_cluster: int,
-    cluster_strength: float,
-) -> np.ndarray:
-    """Mix global popularity with the user's cluster preference."""
-    affinity = np.where(item_clusters == user_cluster, 1.0, 1.0 - cluster_strength)
-    weights = base_weights * affinity
-    return weights / weights.sum()
-
-
-def _weighted_sample_without_replacement(
-    weights: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample ``count`` item indices without replacement, weighted by ``weights``.
-
-    Uses the Efraimidis-Spirakis exponential-sort trick which is fully
-    vectorised and exact for weighted sampling without replacement.
-    """
-    count = min(count, weights.shape[0])
-    if count <= 0:
-        return np.empty(0, dtype=np.int64)
-    keys = rng.exponential(size=weights.shape[0]) / np.maximum(weights, 1e-12)
-    return np.argpartition(keys, count - 1)[:count].astype(np.int64)

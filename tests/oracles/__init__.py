@@ -10,14 +10,17 @@ lives here, so no ``src/`` module branches on which version to run:
 * :mod:`oracles.evaluation`, :mod:`oracles.accuracy`, :mod:`oracles.exposure`
   — the per-user evaluation and its metric loops;
 * :mod:`oracles.sampling` — the stacked training sampler with its original
-  ``np.unique`` deduplication.
+  ``np.unique`` deduplication;
+* :mod:`oracles.data` — the synthetic generator one user at a time and the
+  leave-one-out split one ``choice`` call per user.
 
 Every reference consumes the library's random streams in the same order, so
-from one seed it matches the library bit for bit (evaluation) or up to
+from one seed it matches the library bit for bit (evaluation, data) or up to
 floating-point summation order (training).
 """
 
 from .attacks import LoopFedRecAttack, LoopPipAttack, attack_loss_and_gradient, loop_refresh
+from .data import generate_synthetic_dataset_loop, leave_one_out_split_loop
 from .evaluation import evaluate_loop, predraw_negatives
 from .federated import LoopRoundSimulation
 from .sampling import sample_uniform_negatives_unique
@@ -28,6 +31,8 @@ __all__ = [
     "LoopRoundSimulation",
     "attack_loss_and_gradient",
     "evaluate_loop",
+    "generate_synthetic_dataset_loop",
+    "leave_one_out_split_loop",
     "loop_refresh",
     "predraw_negatives",
     "sample_uniform_negatives_unique",

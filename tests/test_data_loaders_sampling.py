@@ -119,7 +119,7 @@ class TestUniformNegativeDraw:
 
     def test_default_count_matches_positives(self, small_split):
         negatives = _negatives_for_user(small_split.train, 0)
-        assert negatives.shape[0] == small_split.train.user_degree(0)
+        assert negatives.shape[0] == small_split.train.positive_items(0).shape[0]
 
     def test_explicit_count(self, small_split):
         assert _negatives_for_user(small_split.train, 0, 5).shape[0] == 5

@@ -19,8 +19,8 @@ def dataset():
 
 
 class TestConstruction:
-    def test_from_dataset_matches_positive_items(self, dataset):
-        store = InteractionStore.from_dataset(dataset)
+    def test_store_matches_positive_items(self, dataset):
+        store = dataset.interaction_store()
         for user in range(dataset.num_users):
             np.testing.assert_array_equal(
                 store.positives(user), dataset.positive_items(user)

@@ -206,6 +206,25 @@ class TestBatchedSpecifics:
             np.testing.assert_array_equal(drawn[1], expected[1])
         np.testing.assert_array_equal(read_only, masks)
 
+    def test_row_slice_accepted_column_strided_view_rejected(self):
+        # Candidates are tested through one flat view of the masks: a row
+        # slice gives it for free, a column-strided view only by copying the
+        # masks whole, so it is refused.
+        padded = np.vstack([np.zeros((1, 50), dtype=bool), self._dense_rows()])
+        expected = sample_uniform_negatives_batched(
+            np.random.default_rng(4), 50, np.array([3, 2, 3]), self._dense_rows()
+        )
+        drawn = sample_uniform_negatives_batched(
+            np.random.default_rng(4), 50, np.array([3, 2, 3]), padded[1:]
+        )
+        np.testing.assert_array_equal(drawn[0], expected[0])
+        strided = np.repeat(self._dense_rows(), 2, axis=1)[:, ::2]
+        assert not strided.flags.c_contiguous
+        with pytest.raises(DataError, match="C-contiguous"):
+            sample_uniform_negatives_batched(
+                np.random.default_rng(4), 50, np.array([3, 2, 3]), strided
+            )
+
 
 class _CountingRng:
     """A generator that counts its ``integers`` calls (one per rejection round)."""
@@ -346,6 +365,15 @@ class TestBatchedRankingStream:
             masks[[0, 2]], excluded[[0, 2]],
         )
         np.testing.assert_array_equal(with_skip[0], without[0])
+
+    def test_column_strided_masks_rejected(self):
+        masks, excluded = self._masks()
+        strided = np.repeat(masks, 2, axis=1)[:, ::2]
+        assert not strided.flags.c_contiguous
+        with pytest.raises(DataError, match="C-contiguous"):
+            sample_ranking_negatives_batched(
+                np.random.default_rng(26), NUM_ITEMS, np.array([1, 1, 1]), strided, excluded
+            )
 
     def test_rejects_bad_shapes(self):
         masks, excluded = self._masks()

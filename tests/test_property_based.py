@@ -61,7 +61,8 @@ class TestDatasetProperties:
     def test_leave_one_out_partitions_interactions(self, interactions, seed):
         dataset = InteractionDataset(15, 20, interactions)
         split = leave_one_out_split(dataset, rng=seed)
-        assert split.train.num_interactions + split.num_test_users == dataset.num_interactions
+        num_test_users = int(np.sum(split.test_items >= 0))
+        assert split.train.num_interactions + num_test_users == dataset.num_interactions
 
     @given(interactions=interaction_lists)
     @settings(max_examples=60, deadline=None)
@@ -96,7 +97,7 @@ class TestDatasetProperties:
         public = sample_public_interactions(dataset, xi, rng=seed)
         assert public.num_interactions <= dataset.num_interactions
         for user, item in public.dataset.pairs:
-            assert dataset.has_interaction(int(user), int(item))
+            assert item in dataset.positive_items(int(user))
 
 
 # --------------------------------------------------------------------- #
