@@ -10,7 +10,7 @@ described in the paper from scratch on NumPy:
   to MovieLens-100K / MovieLens-1M / Steam-200K, leave-one-out splits, and
   public-interaction exposure,
 * :mod:`repro.models` — the matrix-factorization recommender with BPR loss
-  and analytic gradients (plus an optional learnable MLP scorer),
+  and analytic gradients, and the formal scoring protocol,
 * :mod:`repro.metrics` — ER@K, target NDCG@K, HR@K, leave-one-out NDCG@K,
 * :mod:`repro.federated` — the federated training protocol: server, clients,
   privacy noise, aggregation rules (including byzantine-robust ones),

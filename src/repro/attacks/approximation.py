@@ -3,9 +3,10 @@
 The private user matrix ``U`` is the attacker's missing piece.  Eq. (19) of
 the paper approximates it by minimising the recommender's own BPR loss over
 the *public* interactions ``D'`` while keeping the shared item matrix ``V``
-fixed:
+fixed (the interaction function is the dot product, so ``V`` is the only
+shared parameter):
 
-    U^t  ~=  argmin_U  L_rec(U, V^t, Theta^t; D')
+    U^t  ~=  argmin_U  L_rec(U, V^t; D')
 
 :class:`UserMatrixApproximator` performs that optimisation with SGD.  Only
 users that have at least one public interaction are updated — for the others

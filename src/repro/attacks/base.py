@@ -28,7 +28,6 @@ from repro.data.dataset import InteractionDataset
 from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
 from repro.federated.updates import ClientUpdate
-from repro.models.neural import MLPScorer
 from repro.rng import ensure_rng
 
 __all__ = ["AttackContext", "Attack", "NoAttack", "ProfileInjectionAttack"]
@@ -102,7 +101,6 @@ class Attack(ABC):
         self,
         round_index: int,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         selected_malicious_ids: list[int],
     ) -> None:
         """Hook called before malicious clients of this round upload."""
@@ -112,7 +110,6 @@ class Attack(ABC):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
         """Produce the upload of one selected malicious client (or ``None``)."""
@@ -132,7 +129,6 @@ class NoAttack(Attack):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
         return None
@@ -169,7 +165,6 @@ class ProfileInjectionAttack(Attack):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
-        return client.train_on_profile(item_factors, scorer)
+        return client.train_on_profile(item_factors)

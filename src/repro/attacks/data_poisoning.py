@@ -32,7 +32,6 @@ from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
 from repro.federated.updates import ClientUpdate
 from repro.models.losses import bpr_loss_and_gradients
-from repro.models.neural import MLPScorer
 
 __all__ = ["SurrogateMFDataPoisoning", "SurrogateDLDataPoisoning"]
 
@@ -110,10 +109,9 @@ class _SurrogateDataPoisoning(Attack):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
-        return client.train_on_profile(item_factors, scorer)
+        return client.train_on_profile(item_factors)
 
 
 class SurrogateMFDataPoisoning(_SurrogateDataPoisoning):

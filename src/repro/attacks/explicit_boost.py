@@ -22,7 +22,6 @@ from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
 from repro.federated.privacy import clip_rows
 from repro.federated.updates import ClientUpdate
-from repro.models.neural import MLPScorer
 
 __all__ = ["ExplicitBoostAttack"]
 
@@ -43,7 +42,6 @@ class ExplicitBoostAttack(Attack):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
         context = self._require_context()

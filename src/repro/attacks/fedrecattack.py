@@ -36,7 +36,6 @@ from repro.federated.client import MaliciousClient
 from repro.federated.privacy import clip_rows
 from repro.federated.updates import ClientUpdate
 from repro.models.losses import segment_sum
-from repro.models.neural import MLPScorer
 
 __all__ = [
     "ATTACK_LOSS_BLOCK_ROWS",
@@ -390,7 +389,6 @@ class FedRecAttack(Attack):
         self,
         round_index: int,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         selected_malicious_ids: list[int],
     ) -> None:
         """Approximate ``U`` and compute this round's poisoned gradient."""
@@ -429,7 +427,6 @@ class FedRecAttack(Attack):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
         context = self._require_context()

@@ -33,7 +33,6 @@ from repro.federated.client import MaliciousClient
 from repro.federated.privacy import clip_rows
 from repro.federated.updates import ClientUpdate
 from repro.models.losses import bpr_loss_and_gradients
-from repro.models.neural import MLPScorer
 
 __all__ = ["GradientBoostingAttack", "LittleIsEnoughAttack"]
 
@@ -54,7 +53,6 @@ class GradientBoostingAttack(Attack):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
         context = self._require_context()
@@ -108,7 +106,6 @@ class LittleIsEnoughAttack(Attack):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
         context = self._require_context()

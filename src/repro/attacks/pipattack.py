@@ -24,7 +24,6 @@ from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
 from repro.federated.privacy import clip_rows
 from repro.federated.updates import ClientUpdate
-from repro.models.neural import MLPScorer
 
 __all__ = ["PipAttack"]
 
@@ -68,7 +67,6 @@ class PipAttack(Attack):
         self,
         round_index: int,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         selected_malicious_ids: list[int],
     ) -> None:
         """Craft every selected client's rows in one stacked computation.
@@ -103,7 +101,6 @@ class PipAttack(Attack):
         self,
         client: MaliciousClient,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         round_index: int,
     ) -> ClientUpdate | None:
         context = self._require_context()

@@ -12,7 +12,7 @@ two arrays.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -157,12 +157,6 @@ class InteractionDataset:
         """Number of interactions of every user, shape ``(num_users,)``."""
         return np.diff(self._store.indptr)
 
-    def positive_mask(self, user: int) -> np.ndarray:
-        """Boolean mask over items, True at the user's interacted items."""
-        mask = np.zeros(self._num_items, dtype=bool)
-        mask[self.positive_items(user)] = True
-        return mask
-
     # ------------------------------------------------------------------ #
     # Aggregate views
     # ------------------------------------------------------------------ #
@@ -175,35 +169,6 @@ class InteractionDataset:
         immutable, which is what makes the sharing safe).
         """
         return self._store
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    def with_interactions_removed(
-        self, removals: Sequence[tuple[int, int]] | np.ndarray, name: str | None = None
-    ) -> "InteractionDataset":
-        """Return a copy with the given (user, item) pairs removed.
-
-        Pairs absent from the dataset are ignored; ids outside the dataset
-        raise :class:`DataError` (a row-major key would alias them onto
-        another user's row).
-        """
-        removed = np.asarray(removals, dtype=np.int64).reshape(-1, 2)
-        if removed.shape[0] > 0 and (
-            removed.min() < 0
-            or removed[:, 0].max() >= self._num_users
-            or removed[:, 1].max() >= self._num_items
-        ):
-            raise DataError("removal pair id out of range")
-        pairs = self.pairs
-        keys = pairs[:, 0] * self._num_items + pairs[:, 1]
-        removed_keys = removed[:, 0] * self._num_items + removed[:, 1]
-        return InteractionDataset(
-            self._num_users,
-            self._num_items,
-            pairs[~np.isin(keys, removed_keys)],
-            name=name or self._name,
-        )
 
     # ------------------------------------------------------------------ #
     # Dunder methods

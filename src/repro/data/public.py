@@ -61,18 +61,30 @@ def sample_public_interactions(
     ``xi`` which keeps the expected public fraction exactly ``xi`` and, as in
     the paper, leaves many users with zero or one public interaction at small
     ``xi``.  ``xi = 0`` yields an empty public set (used by the Table IX
-    ablation).
+    ablation) and draws nothing.
+
+    The draw runs over the training CSR in its own order (by user, then
+    item), one uniform per interaction, and the kept entries stay sorted
+    and distinct, so the public CSR is cut out of the training one directly.
     """
     if not 0.0 <= xi <= 1.0:
         raise DataError(f"xi must be in [0, 1], got {xi}")
     generator = ensure_rng(rng)
-    pairs = train.pairs
-    if xi == 0.0 or pairs.shape[0] == 0:
-        selected = np.empty((0, 2), dtype=np.int64)
+    store = train.interaction_store()
+    num_interactions = store.indices.shape[0]
+    if xi == 0.0 or num_interactions == 0:
+        keep = np.zeros(num_interactions, dtype=bool)
     else:
-        mask = generator.random(pairs.shape[0]) < xi
-        selected = pairs[mask]
-    public_dataset = InteractionDataset(
-        train.num_users, train.num_items, selected, name=f"{train.name}-public"
+        keep = generator.random(num_interactions) < xi
+    # kept[p] counts the kept entries before CSR position p, so it maps the
+    # training row pointer onto the public one.
+    kept = np.zeros(num_interactions + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    public_dataset = InteractionDataset._from_csr(
+        train.num_users,
+        train.num_items,
+        kept[store.indptr],
+        store.indices[keep],
+        f"{train.name}-public",
     )
     return PublicInteractions(dataset=public_dataset, xi=xi)

@@ -59,8 +59,6 @@ class ExperimentConfig:
     straggler_rate: float = 0.0
     straggler_policy: str = "wait"
     min_reporters: int = 0
-    use_learnable_scorer: bool = False
-    scorer_hidden_units: int = 32
     evaluate_every: int | None = None
     eval_num_negatives: int | None = 99
     seed: int = 0
@@ -112,8 +110,6 @@ class ExperimentConfig:
             l2_reg=self.l2_reg,
             aggregator=self.aggregator,
             aggregator_options=dict(self.aggregator_options),
-            use_learnable_scorer=self.use_learnable_scorer,
-            scorer_hidden_units=self.scorer_hidden_units,
             **switches,
         )
 

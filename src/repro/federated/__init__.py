@@ -1,10 +1,9 @@
 """Federated recommendation substrate.
 
 Implements the FR framework of Section III-B: a central server maintains the
-shared parameters (item matrix ``V`` and, when the interaction function is
-learnable, ``Theta``) while every user client keeps its interaction data and
-its own feature vector ``u_i`` private.  Each round the server samples a
-batch of clients, sends them the shared parameters, collects their (possibly
+shared item matrix ``V`` while every user client keeps its interaction data
+and its own feature vector ``u_i`` private.  Each round the server samples a
+batch of clients, sends them ``V``, collects their (possibly
 noisy) gradients and applies the aggregated update (Eq. 5-7).
 """
 

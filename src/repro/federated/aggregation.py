@@ -9,7 +9,7 @@ against them.
 Every aggregator accepts a plain ``list[ClientUpdate]``, the CSR-style
 :class:`~repro.federated.updates.SparseRoundUpdates`, or the lazy
 :class:`~repro.federated.updates.FactoredRoundUpdates` the batched round
-trainer produces on the MF path (a list is packed into the sparse form first,
+trainer produces (a list is packed into the sparse form first,
 so there is a single code path).  ``sum`` / ``mean`` / ``norm_bounding``
 consume the round structure through its reduction methods — one scatter-add
 (sparse) or one sparse-matrix product (factored), never a dense per-client
@@ -19,14 +19,12 @@ transparently convert a factored round to the CSR form and densify only over
 the *union* of touched item rows: rows no client touched are zero for every
 client, so the statistics computed on the union tensor equal the full dense
 computation at a fraction of the memory.  All rules return a dense
-``(num_items, k)`` item-gradient (plus an optional flat ``Theta`` gradient)
-for the server's SGD step.
+``(num_items, k)`` item-gradient for the server's SGD step.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -39,7 +37,6 @@ from repro.federated.updates import (
 )
 
 __all__ = [
-    "AggregationResult",
     "Aggregator",
     "SumAggregator",
     "MeanAggregator",
@@ -51,14 +48,6 @@ __all__ = [
 ]
 
 RoundUpdates = list[ClientUpdate] | SparseRoundUpdates | FactoredRoundUpdates
-
-
-@dataclass(frozen=True)
-class AggregationResult:
-    """Aggregated gradients for one round."""
-
-    item_gradient: np.ndarray
-    theta_gradient: np.ndarray | None
 
 
 def _as_round(
@@ -88,8 +77,8 @@ class Aggregator(ABC):
     @abstractmethod
     def aggregate(
         self, updates: RoundUpdates, num_items: int, num_factors: int
-    ) -> AggregationResult:
-        """Combine the round's client updates into a single gradient."""
+    ) -> np.ndarray:
+        """Combine the round's updates into one dense ``(num_items, k)`` gradient."""
 
 
 class SumAggregator(Aggregator):
@@ -99,35 +88,24 @@ class SumAggregator(Aggregator):
 
     def aggregate(
         self, updates: RoundUpdates, num_items: int, num_factors: int
-    ) -> AggregationResult:
-        round_updates = _as_round(updates, num_factors)
-        return AggregationResult(
-            item_gradient=round_updates.sum_item_gradient(num_items, num_factors),
-            theta_gradient=round_updates.sum_theta(),
-        )
+    ) -> np.ndarray:
+        return _as_round(updates, num_factors).sum_item_gradient(num_items, num_factors)
 
 
 class MeanAggregator(Aggregator):
     """Average of the client gradients (FedAvg-style).
 
-    The item gradient is divided by the number of participating clients; the
-    theta gradient is divided by the number of clients that actually uploaded
-    one (a plain-MF malicious upload carries no theta and must not dilute the
-    average).
+    The sum is divided by the number of participating clients.
     """
 
     name = "mean"
 
     def aggregate(
         self, updates: RoundUpdates, num_items: int, num_factors: int
-    ) -> AggregationResult:
+    ) -> np.ndarray:
         round_updates = _as_round(updates, num_factors)
         count = max(round_updates.num_clients, 1)
-        item_gradient = round_updates.sum_item_gradient(num_items, num_factors) / count
-        theta = round_updates.sum_theta()
-        if theta is not None:
-            theta = theta / max(round_updates.num_theta_contributors, 1)
-        return AggregationResult(item_gradient=item_gradient, theta_gradient=theta)
+        return round_updates.sum_item_gradient(num_items, num_factors) / count
 
 
 class TrimmedMeanAggregator(Aggregator):
@@ -147,11 +125,11 @@ class TrimmedMeanAggregator(Aggregator):
 
     def aggregate(
         self, updates: RoundUpdates, num_items: int, num_factors: int
-    ) -> AggregationResult:
+    ) -> np.ndarray:
         round_updates = _as_csr(_as_round(updates, num_factors))
         num_clients = round_updates.num_clients
         if num_clients == 0:
-            return AggregationResult(np.zeros((num_items, num_factors)), None)
+            return np.zeros((num_items, num_factors))
         tensor, union = round_updates.dense_over_union()
         trim = int(np.floor(self.trim_ratio * num_clients))
         if trim > 0 and num_clients - 2 * trim > 0:
@@ -161,9 +139,7 @@ class TrimmedMeanAggregator(Aggregator):
             mean = tensor.mean(axis=0)
         item_gradient = np.zeros((num_items, num_factors), dtype=np.float64)
         item_gradient[union] = mean * num_clients
-        return AggregationResult(
-            item_gradient=item_gradient, theta_gradient=round_updates.sum_theta()
-        )
+        return item_gradient
 
 
 class MedianAggregator(Aggregator):
@@ -173,17 +149,15 @@ class MedianAggregator(Aggregator):
 
     def aggregate(
         self, updates: RoundUpdates, num_items: int, num_factors: int
-    ) -> AggregationResult:
+    ) -> np.ndarray:
         round_updates = _as_csr(_as_round(updates, num_factors))
         num_clients = round_updates.num_clients
         if num_clients == 0:
-            return AggregationResult(np.zeros((num_items, num_factors)), None)
+            return np.zeros((num_items, num_factors))
         tensor, union = round_updates.dense_over_union()
         item_gradient = np.zeros((num_items, num_factors), dtype=np.float64)
         item_gradient[union] = np.median(tensor, axis=0) * num_clients
-        return AggregationResult(
-            item_gradient=item_gradient, theta_gradient=round_updates.sum_theta()
-        )
+        return item_gradient
 
 
 class KrumAggregator(Aggregator):
@@ -191,9 +165,9 @@ class KrumAggregator(Aggregator):
 
     ``num_malicious`` is the server's assumption about how many uploads per
     round may be malicious (the classical ``f`` of Krum).  The selected item
-    gradient (mean of the ``multi_krum`` chosen updates) and the selected
-    theta gradient are both rescaled by the number of participating clients so
-    their magnitudes stay comparable to the sum rule.
+    gradient (mean of the ``multi_krum`` chosen updates) is rescaled by the
+    number of participating clients so its magnitude stays comparable to the
+    sum rule.
     """
 
     name = "krum"
@@ -208,25 +182,18 @@ class KrumAggregator(Aggregator):
 
     def aggregate(
         self, updates: RoundUpdates, num_items: int, num_factors: int
-    ) -> AggregationResult:
+    ) -> np.ndarray:
         round_updates = _as_csr(_as_round(updates, num_factors))
         num_clients = round_updates.num_clients
         if num_clients == 0:
-            return AggregationResult(np.zeros((num_items, num_factors)), None)
+            return np.zeros((num_items, num_factors))
         tensor, union = round_updates.dense_over_union()
         flattened = tensor.reshape(num_clients, -1)
         scores = self._krum_scores(flattened)
         selected = np.argsort(scores, kind="stable")[: self.multi_krum]
         item_gradient = np.zeros((num_items, num_factors), dtype=np.float64)
         item_gradient[union] = tensor[selected].mean(axis=0) * num_clients
-        theta = None
-        if round_updates.theta_gradients is not None:
-            selected_mask = round_updates.theta_mask[selected]
-            contributors = int(selected_mask.sum())
-            if contributors > 0:
-                selected_thetas = round_updates.theta_gradients[selected][selected_mask]
-                theta = selected_thetas.sum(axis=0) / contributors * num_clients
-        return AggregationResult(item_gradient=item_gradient, theta_gradient=theta)
+        return item_gradient
 
     def _krum_scores(self, flattened: np.ndarray) -> np.ndarray:
         num_clients = flattened.shape[0]
@@ -261,13 +228,9 @@ class NormBoundingAggregator(Aggregator):
 
     def aggregate(
         self, updates: RoundUpdates, num_items: int, num_factors: int
-    ) -> AggregationResult:
-        round_updates = _as_round(updates, num_factors)
-        return AggregationResult(
-            item_gradient=round_updates.clipped_sum_item_gradient(
-                num_items, num_factors, self.max_row_norm
-            ),
-            theta_gradient=round_updates.sum_theta(),
+    ) -> np.ndarray:
+        return _as_round(updates, num_factors).clipped_sum_item_gradient(
+            num_items, num_factors, self.max_row_norm
         )
 
 

@@ -2,7 +2,7 @@
 
 Each user's interaction data and feature vector ``u_i`` live only on its own
 client (Section III-B).  A benign client performs one local BPR step per
-round: it computes the gradients of the shared parameters and of its own
+round: it computes the gradients of the shared item matrix and of its own
 vector, uploads the former and applies the latter locally (Eq. 6).
 
 A malicious client is structurally identical but is controlled by an attack:
@@ -18,8 +18,7 @@ import numpy as np
 from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.exceptions import FederationError
 from repro.federated.updates import ClientUpdate
-from repro.models.losses import bpr_loss_and_gradients, sigmoid
-from repro.models.neural import MLPScorer
+from repro.models.losses import bpr_loss_and_gradients
 from repro.rng import ensure_rng
 
 __all__ = ["Client", "BenignClient", "MaliciousClient"]
@@ -67,71 +66,20 @@ class Client:
         positives: np.ndarray,
         negatives: np.ndarray,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None = None,
-        update_local_vector: bool = True,
     ) -> ClientUpdate:
         """One local SGD step on the given positive/negative pairs."""
-        if scorer is None:
-            gradients = bpr_loss_and_gradients(
-                self.user_vector, item_factors, positives, negatives, l2_reg=self.l2_reg
-            )
-            loss = gradients.loss
-            grad_user = gradients.grad_user
-            item_ids = gradients.item_ids
-            item_grads = gradients.grad_items
-            theta_grad = None
-        else:
-            loss, grad_user, item_ids, item_grads, theta_grad = self._scorer_gradients(
-                positives, negatives, item_factors, scorer
-            )
-        if update_local_vector:
-            self.user_vector = self.user_vector - self.learning_rate * grad_user
+        gradients = bpr_loss_and_gradients(
+            self.user_vector, item_factors, positives, negatives, l2_reg=self.l2_reg
+        )
+        self.user_vector = self.user_vector - self.learning_rate * gradients.grad_user
         self.participation_count += 1
         return ClientUpdate(
             client_id=self.client_id,
-            item_ids=item_ids,
-            item_gradients=item_grads,
-            theta_gradient=theta_grad,
-            loss=loss,
+            item_ids=gradients.item_ids,
+            item_gradients=gradients.grad_items,
+            loss=gradients.loss,
             is_malicious=self.is_malicious,
         )
-
-    def _scorer_gradients(
-        self,
-        positives: np.ndarray,
-        negatives: np.ndarray,
-        item_factors: np.ndarray,
-        scorer: MLPScorer,
-    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """BPR gradients through the learnable interaction function."""
-        positives = np.asarray(positives, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64)
-        if positives.shape[0] == 0:
-            return (
-                0.0,
-                np.zeros(self.num_factors),
-                np.empty(0, dtype=np.int64),
-                np.empty((0, self.num_factors)),
-                np.zeros(scorer.num_parameters),
-            )
-        user_batch = np.tile(self.user_vector, (positives.shape[0], 1))
-        pos_scores = scorer.score(user_batch, item_factors[positives])
-        neg_scores = scorer.score(user_batch, item_factors[negatives])
-        margins = pos_scores - neg_scores
-        loss = float(-np.sum(np.log(np.clip(sigmoid(margins), 1e-12, 1.0))))
-        coefficients = -sigmoid(-margins)
-
-        _, pos_grads = scorer.score_and_gradients(user_batch, item_factors[positives], coefficients)
-        _, neg_grads = scorer.score_and_gradients(user_batch, item_factors[negatives], -coefficients)
-
-        grad_user = pos_grads.grad_user.sum(axis=0) + neg_grads.grad_user.sum(axis=0)
-        item_ids = np.concatenate([positives, negatives])
-        item_rows = np.concatenate([pos_grads.grad_item, neg_grads.grad_item], axis=0)
-        unique_ids, inverse = np.unique(item_ids, return_inverse=True)
-        accumulated = np.zeros((unique_ids.shape[0], self.num_factors), dtype=np.float64)
-        np.add.at(accumulated, inverse, item_rows)
-        theta_grad = pos_grads.grad_params + neg_grads.grad_params
-        return loss, grad_user, unique_ids, accumulated, theta_grad
 
 
 class BenignClient(Client):
@@ -233,9 +181,7 @@ class MaliciousClient(Client):
             raise FederationError("profile item id out of range")
         self.profile = items
 
-    def train_on_profile(
-        self, item_factors: np.ndarray, scorer: MLPScorer | None = None
-    ) -> ClientUpdate:
+    def train_on_profile(self, item_factors: np.ndarray) -> ClientUpdate:
         """Honest BPR training on the fake profile (Random/Bandwagon/Popular)."""
         if self.profile.shape[0] == 0:
             return ClientUpdate(
@@ -253,4 +199,4 @@ class MaliciousClient(Client):
             mask,
         )
         positives = self.profile[: negatives.shape[0]]
-        return self._train_on_profile(positives, negatives, item_factors, scorer)
+        return self._train_on_profile(positives, negatives, item_factors)

@@ -49,11 +49,6 @@ class FederatedConfig:
         Eq. 7; robust alternatives are provided for the defense extension).
     aggregator_options:
         Extra keyword arguments passed to the aggregator factory.
-    use_learnable_scorer:
-        If True the recommender uses the MLP interaction function (shared
-        ``Theta``); if False it is plain MF with the dot product.
-    scorer_hidden_units:
-        Hidden width of the MLP scorer when enabled.
     dropout_rate:
         Per-round probability that a sampled client *drops out*: it never
         trains and never reports, consuming no training/sampling/privacy
@@ -101,8 +96,6 @@ class FederatedConfig:
     resample_negatives_each_epoch: bool = True
     aggregator: str = "sum"
     aggregator_options: dict[str, Any] = field(default_factory=dict)
-    use_learnable_scorer: bool = False
-    scorer_hidden_units: int = 32
     dropout_rate: float = 0.0
     crash_rate: float = 0.0
     straggler_rate: float = 0.0
@@ -127,8 +120,6 @@ class FederatedConfig:
             raise ConfigurationError("l2_reg must be non-negative")
         if self.init_scale <= 0:
             raise ConfigurationError("init_scale must be positive")
-        if self.scorer_hidden_units <= 0:
-            raise ConfigurationError("scorer_hidden_units must be positive")
         # Per-switch value checks come from the declarative registry.
         for spec in SWITCH_REGISTRY:
             spec.validate_value(getattr(self, spec.name))

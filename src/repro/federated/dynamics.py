@@ -74,11 +74,6 @@ class RoundFaults:
         return not (self.dropped or self.crashed or self.stragglers)
 
     @property
-    def dropped_set(self) -> frozenset[int]:
-        """The dropped client ids as a set (membership tests)."""
-        return frozenset(self.dropped)
-
-    @property
     def crashed_set(self) -> frozenset[int]:
         """The crashed client ids as a set."""
         return frozenset(self.crashed)

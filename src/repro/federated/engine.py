@@ -13,17 +13,11 @@ per-client Python loop:
   negative item vectors are gathered once, and the BPR margins, coefficients,
   per-user losses and all gradients are computed in bulk
   (:func:`repro.models.losses.bpr_coefficients_batched`),
-* on the MF path the per-(client, item) item gradients stay in the *lazy
-  factored* form — folded coefficients in CSR layout plus the stacked user
-  matrix, packaged as
-  :class:`~repro.federated.updates.FactoredRoundUpdates` — which the ``sum``
-  / ``mean`` aggregators and the DP mechanism consume without ever
+* the per-(client, item) item gradients stay in the *lazy factored* form —
+  folded coefficients in CSR layout plus the stacked user matrix, packaged
+  as :class:`~repro.federated.updates.FactoredRoundUpdates` — which the
+  ``sum`` / ``mean`` aggregators and the DP mechanism consume without ever
   materialising the ``(nnz, k)`` gradient-row array.
-
-The MLP-scorer path is batched the same way through
-:meth:`MLPScorer.score_and_segment_gradients`, which returns per-client
-``Theta`` gradients in one call; its item-gradient rows are not rank-1, so it
-emits the CSR-style :class:`~repro.federated.updates.SparseRoundUpdates`.
 """
 
 from __future__ import annotations
@@ -36,14 +30,7 @@ from repro.federated.client import BenignClient
 from repro.federated.config import FederatedConfig
 from repro.federated.privacy import GaussianNoiseMechanism
 from repro.federated.updates import FactoredRoundUpdates, SparseRoundUpdates
-from repro.models.losses import (
-    BatchedBPRGradients,
-    bpr_coefficients_batched,
-    fold_by_key,
-    segment_sum,
-    sigmoid,
-)
-from repro.models.neural import MLPScorer
+from repro.models.losses import bpr_coefficients_batched
 
 __all__ = ["BatchedRoundTrainer"]
 
@@ -123,14 +110,13 @@ class BatchedRoundTrainer:
         self,
         benign_ids: list[int],
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
     ) -> tuple["FactoredRoundUpdates | SparseRoundUpdates", float]:
         """One local-training round for ``benign_ids``.
 
         Returns the privatised round structure — the lazy
-        :class:`FactoredRoundUpdates` on the MF path, the CSR-style
-        :class:`SparseRoundUpdates` on the scorer path — plus the round's
-        total benign training loss (measured before privacy noise).
+        :class:`FactoredRoundUpdates`, or an empty :class:`SparseRoundUpdates`
+        when no benign client trains — plus the round's total benign training
+        loss (measured before privacy noise).
         """
         num_clients = len(benign_ids)
         if num_clients == 0:
@@ -141,50 +127,29 @@ class BatchedRoundTrainer:
         segment_ids, positives, negatives = _stack_pairs(pair_lists)
         user_vectors = np.stack([client.user_vector for client in clients])
 
-        round_updates: FactoredRoundUpdates | SparseRoundUpdates
-        if scorer is None:
-            l2_reg = self._config.l2_reg
-            batched = bpr_coefficients_batched(
-                user_vectors,
-                item_factors,
-                segment_ids,
-                positives,
-                negatives,
-                l2_reg=l2_reg,
-            )
-            round_updates = FactoredRoundUpdates(
-                client_ids=np.asarray(benign_ids, dtype=np.int64),
-                item_ids=batched.item_ids,
-                coefficients=batched.coefficients,
-                client_offsets=batched.segment_offsets,
-                user_vectors=user_vectors,
-                losses=batched.losses,
-                malicious_mask=np.zeros(num_clients, dtype=bool),
-                ridge=2.0 * l2_reg if l2_reg > 0.0 else 0.0,
-                ridge_matrix=item_factors if l2_reg > 0.0 else None,
-            )
-            grad_users = batched.grad_users
-            losses = batched.losses
-        else:
-            scored, theta_gradients = self._scorer_round(
-                user_vectors, item_factors, segment_ids, positives, negatives, scorer
-            )
-            round_updates = SparseRoundUpdates(
-                client_ids=np.asarray(benign_ids, dtype=np.int64),
-                item_ids=scored.item_ids,
-                grad_rows=scored.grad_rows,
-                client_offsets=scored.segment_offsets,
-                losses=scored.losses,
-                malicious_mask=np.zeros(num_clients, dtype=bool),
-                theta_gradients=theta_gradients,
-                theta_mask=np.ones(num_clients, dtype=bool),
-            )
-            grad_users = scored.grad_users
-            losses = scored.losses
+        l2_reg = self._config.l2_reg
+        batched = bpr_coefficients_batched(
+            user_vectors,
+            item_factors,
+            segment_ids,
+            positives,
+            negatives,
+            l2_reg=l2_reg,
+        )
+        round_updates = FactoredRoundUpdates(
+            client_ids=np.asarray(benign_ids, dtype=np.int64),
+            item_ids=batched.item_ids,
+            coefficients=batched.coefficients,
+            client_offsets=batched.segment_offsets,
+            user_vectors=user_vectors,
+            losses=batched.losses,
+            malicious_mask=np.zeros(num_clients, dtype=bool),
+            ridge=2.0 * l2_reg if l2_reg > 0.0 else 0.0,
+            ridge_matrix=item_factors if l2_reg > 0.0 else None,
+        )
 
-        self._step_clients(clients, user_vectors, grad_users)
-        round_updates = self._privacy.apply_round(round_updates)
-        return round_updates, float(losses.sum())
+        self._step_clients(clients, user_vectors, batched.grad_users)
+        return self._privacy.apply_round(round_updates), float(batched.losses.sum())
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -211,70 +176,6 @@ class BatchedRoundTrainer:
         for index, client in enumerate(clients):
             client.user_vector = stepped[index].copy()
             client.participation_count += 1
-
-    def _scorer_round(
-        self,
-        user_vectors: np.ndarray,
-        item_factors: np.ndarray,
-        segment_ids: np.ndarray,
-        positives: np.ndarray,
-        negatives: np.ndarray,
-        scorer: MLPScorer,
-    ) -> tuple[BatchedBPRGradients, np.ndarray]:
-        """Batched BPR-through-the-scorer gradients for a whole round.
-
-        Mirrors :meth:`Client._scorer_gradients` client by client: the same
-        margins, the same clipped-log loss, and per-(client, item) gradient
-        rows accumulated over the union of each client's positives and
-        negatives.
-        """
-        num_clients = user_vectors.shape[0]
-        num_factors = user_vectors.shape[1]
-        if positives.shape[0] == 0:
-            empty = BatchedBPRGradients(
-                losses=np.zeros(num_clients, dtype=np.float64),
-                grad_users=np.zeros((num_clients, num_factors), dtype=np.float64),
-                item_ids=np.empty(0, dtype=np.int64),
-                grad_rows=np.empty((0, num_factors), dtype=np.float64),
-                segment_offsets=np.zeros(num_clients + 1, dtype=np.int64),
-            )
-            return empty, np.zeros((num_clients, scorer.num_parameters), dtype=np.float64)
-
-        pair_users = user_vectors[segment_ids]
-        pos_scores = scorer.score(pair_users, item_factors[positives])
-        neg_scores = scorer.score(pair_users, item_factors[negatives])
-        margins = pos_scores - neg_scores
-        pair_losses = -np.log(np.clip(sigmoid(margins), 1e-12, 1.0))
-        losses = np.bincount(segment_ids, weights=pair_losses, minlength=num_clients)
-        coefficients = -sigmoid(-margins)
-
-        _, pos_grad_user, pos_grad_item, pos_params = scorer.score_and_segment_gradients(
-            pair_users, item_factors[positives], coefficients, segment_ids, num_clients
-        )
-        _, neg_grad_user, neg_grad_item, neg_params = scorer.score_and_segment_gradients(
-            pair_users, item_factors[negatives], -coefficients, segment_ids, num_clients
-        )
-        grad_users = segment_sum(pos_grad_user + neg_grad_user, segment_ids, num_clients)
-        theta_gradients = pos_params + neg_params
-
-        # Accumulate item rows per (client, item) exactly like the MF path.
-        num_items = self._num_items
-        keys = np.concatenate([segment_ids, segment_ids]) * num_items
-        keys += np.concatenate([positives, negatives])
-        all_rows = np.concatenate([pos_grad_item, neg_grad_item], axis=0)
-        unique_keys, grad_rows = fold_by_key(keys, all_rows)
-        item_ids = unique_keys % num_items
-        owners = unique_keys // num_items
-        segment_offsets = np.searchsorted(owners, np.arange(num_clients + 1))
-
-        batched = BatchedBPRGradients(
-            losses=losses,
-            grad_users=grad_users,
-            item_ids=item_ids,
-            grad_rows=grad_rows,
-            segment_offsets=segment_offsets,
-        )
-        return batched, theta_gradients
 
 
 def _stack_pairs(pair_lists: list[Pairs]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -72,10 +72,6 @@ class GaussianNoiseMechanism:
         if self.noise_scale > 0.0 and gradients.size > 0:
             gradients = gradients + self._rng.normal(0.0, self.noise_stddev, size=gradients.shape)
         result.item_gradients = gradients
-        if result.theta_gradient is not None and self.noise_scale > 0.0:
-            result.theta_gradient = result.theta_gradient + self._rng.normal(
-                0.0, self.noise_stddev, size=result.theta_gradient.shape
-            )
         return result
 
     def apply_round(
@@ -106,8 +102,6 @@ class GaussianNoiseMechanism:
             grad_rows = clip_rows(grad_rows, self.clip_norm)
         else:
             grad_rows = grad_rows.copy()
-        theta = round_updates.theta_gradients
-        theta = None if theta is None else theta.copy()
         if self.noise_scale > 0.0:
             offsets = round_updates.client_offsets
             for index in range(round_updates.num_clients):
@@ -116,10 +110,6 @@ class GaussianNoiseMechanism:
                     grad_rows[start:stop] += self._rng.normal(
                         0.0, self.noise_stddev, size=(stop - start, grad_rows.shape[1])
                     )
-                if theta is not None and bool(round_updates.theta_mask[index]):
-                    theta[index] += self._rng.normal(
-                        0.0, self.noise_stddev, size=theta.shape[1]
-                    )
         return SparseRoundUpdates(
             client_ids=round_updates.client_ids,
             item_ids=round_updates.item_ids,
@@ -127,7 +117,5 @@ class GaussianNoiseMechanism:
             client_offsets=round_updates.client_offsets,
             losses=round_updates.losses,
             malicious_mask=round_updates.malicious_mask,
-            theta_gradients=theta,
-            theta_mask=round_updates.theta_mask,
             metadata=round_updates.metadata,
         )

@@ -1,7 +1,6 @@
 """Central server.
 
-The server owns the shared parameters: the item feature matrix ``V`` and,
-when the interaction function is learnable, its parameters ``Theta``.  Each
+The server owns the shared parameter, the item feature matrix ``V``.  Each
 round it collects the selected clients' gradients, aggregates them and
 applies one SGD step (Eq. 7).  The server never sees any user's feature
 vector or raw interactions.
@@ -15,7 +14,6 @@ from repro.exceptions import FederationError
 from repro.federated.aggregation import Aggregator, make_aggregator
 from repro.federated.config import FederatedConfig
 from repro.federated.updates import ClientUpdate, FactoredRoundUpdates, SparseRoundUpdates
-from repro.models.neural import MLPScorer
 from repro.rng import ensure_rng
 
 __all__ = ["Server"]
@@ -42,12 +40,6 @@ class Server:
         self.item_factors = generator.normal(
             0.0, config.init_scale, size=(num_items, config.num_factors)
         )
-        #: Shared interaction-function parameters ``Theta`` (None for MF).
-        self.scorer: MLPScorer | None = None
-        if config.use_learnable_scorer:
-            self.scorer = MLPScorer(
-                config.num_factors, config.scorer_hidden_units, rng=generator
-            )
         self.aggregator = aggregator or make_aggregator(
             config.aggregator, **config.aggregator_options
         )
@@ -63,30 +55,21 @@ class Server:
 
         Accepts a list of per-client updates (what rounds with faults and the
         per-client reference round produce), one CSR-style
-        :class:`SparseRoundUpdates` (the batched trainer's scorer path), or
-        one lazy :class:`FactoredRoundUpdates` (its MF path).  A
-        round with no uploads still counts towards :attr:`rounds_applied` —
-        every selection of clients is a protocol round, whether or not anyone
-        uploaded — but leaves the parameters untouched.
+        :class:`SparseRoundUpdates`, or one lazy :class:`FactoredRoundUpdates`
+        (what the batched trainer produces).  A round with no uploads still
+        counts towards :attr:`rounds_applied` — every selection of clients is
+        a protocol round, whether or not anyone uploaded — but leaves the
+        parameters untouched.
         """
         self.rounds_applied += 1
         if len(updates) == 0:
             return
-        result = self.aggregator.aggregate(updates, self.num_items, self.num_factors)
-        self.item_factors = self.item_factors - self.config.learning_rate * result.item_gradient
-        if self.scorer is not None and result.theta_gradient is not None:
-            parameters = self.scorer.get_parameters()
-            self.scorer.set_parameters(
-                parameters - self.config.learning_rate * result.theta_gradient
-            )
+        gradient = self.aggregator.aggregate(updates, self.num_items, self.num_factors)
+        self.item_factors = self.item_factors - self.config.learning_rate * gradient
 
     def snapshot_item_factors(self) -> np.ndarray:
         """A copy of the current item matrix (what clients receive each round)."""
         return self.item_factors.copy()
-
-    def snapshot_scorer(self) -> MLPScorer | None:
-        """A copy of the current scorer, or ``None`` for plain MF."""
-        return None if self.scorer is None else self.scorer.copy()
 
     def __repr__(self) -> str:
         return (

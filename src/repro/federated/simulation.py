@@ -43,7 +43,6 @@ from repro.rng import SeedSequenceFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.attacks.base import Attack
-    from repro.models.neural import MLPScorer
 
 __all__ = ["FederatedSimulation", "SimulationResult"]
 
@@ -54,10 +53,8 @@ UpdateObserver = Callable[[int, list[ClientUpdate]], None]
 class SimulationResult:
     """Outcome of one federated training run.
 
-    ``scorer`` is a snapshot copy of the server's MLP interaction function
-    (``None`` for plain MF) and ``rounds_applied`` the server's authoritative
-    protocol-round counter — together with ``user_factors`` /
-    ``item_factors`` this is everything
+    ``rounds_applied`` is the server's authoritative protocol-round counter
+    — together with ``user_factors`` / ``item_factors`` this is everything
     :meth:`repro.serving.FactorSnapshot.from_result` needs to rebuild the
     trained model for serving.
     """
@@ -67,7 +64,6 @@ class SimulationResult:
     accuracy: AccuracyReport | None
     item_factors: np.ndarray
     user_factors: np.ndarray
-    scorer: "MLPScorer | None" = None
     rounds_applied: int = 0
 
     @property
@@ -347,7 +343,6 @@ class FederatedSimulation:
             accuracy=history.final_accuracy(),
             item_factors=self.server.item_factors.copy(),
             user_factors=self.gather_user_factors(),
-            scorer=self.server.snapshot_scorer(),
             rounds_applied=self.server.rounds_applied,
         )
 
@@ -381,10 +376,7 @@ class FederatedSimulation:
         ]
         if self.attack is not None and selected_malicious:
             self.attack.on_round_start(
-                round_index,
-                self.server.item_factors,
-                self.server.scorer,
-                selected_malicious,
+                round_index, self.server.item_factors, selected_malicious
             )
         return self._train_round(participants, round_index, selected_malicious, faults)
 
@@ -406,15 +398,12 @@ class FederatedSimulation:
         """
         benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
         round_updates, round_loss = self._trainer.train_round(
-            benign_ids, self.server.item_factors, self.server.scorer
+            benign_ids, self.server.item_factors
         )
         if self.attack is not None and selected_malicious:
             crafted = [
                 self.attack.craft_update(
-                    self.malicious_clients[cid],
-                    self.server.item_factors,
-                    self.server.scorer,
-                    round_index,
+                    self.malicious_clients[cid], self.server.item_factors, round_index
                 )
                 for cid in selected_malicious
             ]
@@ -571,16 +560,12 @@ class FederatedSimulation:
         """Return a function scoring a block of benign users in one shot.
 
         This is the scoring primitive of evaluation: it maps an array of
-        user ids to their stacked ``(B, num_items)`` score matrix —
-        one ``U_block @ V.T`` product on the MF path, the broadcast scorer
-        block on the learnable-interaction path.
+        user ids to their stacked ``(B, num_items)`` score matrix, one
+        ``U_block @ V.T`` product.
         """
         item_factors = self.server.item_factors
-        scorer = self.server.scorer
         user_factors = self.gather_user_factors()
-        if scorer is None:
-            return lambda users: user_factors[users] @ item_factors.T
-        return lambda users: scorer.score_block(user_factors[users], item_factors)
+        return lambda users: user_factors[users] @ item_factors.T
 
     def _evaluate(self) -> tuple[AccuracyReport | None, ExposureReport | None]:
         """One evaluation epoch through :meth:`score_block_function`.

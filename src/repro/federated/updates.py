@@ -1,10 +1,8 @@
 """Client update containers.
 
-Each selected client uploads the gradients of the shared parameters: a
+Each selected client uploads the gradient of the shared item matrix: a
 sparse set of item-embedding gradient rows (only the rows of items the client
-touched are non-zero, which is what the paper's ``kappa`` constraint counts)
-plus, when the interaction function is learnable, a dense gradient of
-``Theta``.
+touched are non-zero, which is what the paper's ``kappa`` constraint counts).
 
 Three representations exist:
 
@@ -16,9 +14,9 @@ Three representations exist:
   delimiting each client's segment).  The aggregators consume it without ever
   materialising a dense ``(num_clients, num_items, k)`` tensor.
 * :class:`FactoredRoundUpdates` — the *lazy factored* form the batched round
-  trainer emits on the MF path.  A benign BPR gradient row is the rank-1
-  product ``c_bj * u_b`` (plus an optional shared ridge term), so the round is
-  fully described by the folded coefficients in CSR layout plus the small
+  trainer emits.  A benign BPR gradient row is the rank-1 product
+  ``c_bj * u_b`` (plus an optional shared ridge term), so the round is fully
+  described by the folded coefficients in CSR layout plus the small
   stacked user matrix; ``sum`` / ``mean`` aggregation and norm bounding reduce
   it with one sparse-matrix product and never materialise the ``(nnz, k)``
   gradient-row array.  Robust aggregators (and anything else that needs the
@@ -76,9 +74,6 @@ class ClientUpdate:
         Ids of the items whose embedding rows carry non-zero gradient.
     item_gradients:
         The gradient rows aligned with ``item_ids``, shape ``(len, k)``.
-    theta_gradient:
-        Flat gradient of the shared interaction-function parameters, or
-        ``None`` for plain MF.
     loss:
         The client's local training loss (used for the Figure 3 curves).
     is_malicious:
@@ -90,7 +85,6 @@ class ClientUpdate:
     client_id: int
     item_ids: np.ndarray
     item_gradients: np.ndarray
-    theta_gradient: np.ndarray | None = None
     loss: float = 0.0
     is_malicious: bool = False
     metadata: dict[str, Any] = field(default_factory=dict)
@@ -134,7 +128,6 @@ class ClientUpdate:
             client_id=self.client_id,
             item_ids=self.item_ids.copy(),
             item_gradients=self.item_gradients.copy(),
-            theta_gradient=None if self.theta_gradient is None else self.theta_gradient.copy(),
             loss=self.loss,
             is_malicious=self.is_malicious,
             metadata=dict(self.metadata),
@@ -148,8 +141,8 @@ class SparseRoundUpdates:
     Client ``i``'s item gradient lives in
     ``item_ids[client_offsets[i]:client_offsets[i + 1]]`` /
     ``grad_rows[client_offsets[i]:client_offsets[i + 1]]``; per-client scalar
-    metadata (loss, malicious flag, theta gradient) is stored in aligned
-    arrays of length ``num_clients``.
+    metadata (loss, malicious flag) is stored in aligned arrays of length
+    ``num_clients``.
 
     Attributes
     ----------
@@ -165,12 +158,6 @@ class SparseRoundUpdates:
         Per-client local training losses, shape ``(B,)``.
     malicious_mask:
         Per-client attacker flags (analysis metadata only), shape ``(B,)``.
-    theta_gradients:
-        Per-client flat ``Theta`` gradients, shape ``(B, P)``, or ``None``
-        when no client uploaded one.
-    theta_mask:
-        Which rows of ``theta_gradients`` are real uploads (a client without
-        a theta gradient has a zero row and ``False`` here).
     metadata:
         Per-client metadata dictionaries (same role as
         :attr:`ClientUpdate.metadata`); empty list means "all empty".
@@ -182,8 +169,6 @@ class SparseRoundUpdates:
     client_offsets: np.ndarray
     losses: np.ndarray
     malicious_mask: np.ndarray
-    theta_gradients: np.ndarray | None = None
-    theta_mask: np.ndarray | None = None
     metadata: list[dict[str, Any]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -200,13 +185,6 @@ class SparseRoundUpdates:
             raise FederationError("grad_rows must have one row per item id")
         if self.losses.shape[0] != num_clients or self.malicious_mask.shape[0] != num_clients:
             raise FederationError("losses and malicious_mask must have one entry per client")
-        if (self.theta_gradients is None) != (self.theta_mask is None):
-            raise FederationError("theta_gradients and theta_mask must be given together")
-        if self.theta_gradients is not None:
-            self.theta_gradients = np.asarray(self.theta_gradients, dtype=np.float64)
-            self.theta_mask = np.asarray(self.theta_mask, dtype=bool)
-            if self.theta_gradients.shape[0] != num_clients:
-                raise FederationError("theta_gradients must have one row per client")
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -257,20 +235,6 @@ class SparseRoundUpdates:
         else:
             item_ids = np.empty(0, dtype=np.int64)
             grad_rows = np.empty((0, num_factors), dtype=np.float64)
-        theta_gradients = None
-        theta_mask = None
-        thetas = [u.theta_gradient for u in updates]
-        if any(theta is not None for theta in thetas):
-            width = next(t.shape[0] for t in thetas if t is not None)
-            theta_gradients = np.zeros((len(updates), width), dtype=np.float64)
-            theta_mask = np.zeros(len(updates), dtype=bool)
-            for index, theta in enumerate(thetas):
-                if theta is None:
-                    continue
-                if theta.shape[0] != width:
-                    raise FederationError("theta gradients must all have the same length")
-                theta_gradients[index] = theta
-                theta_mask[index] = True
         metadata = [dict(u.metadata) for u in updates] if any(u.metadata for u in updates) else []
         return cls(
             client_ids=np.array([u.client_id for u in updates], dtype=np.int64),
@@ -279,8 +243,6 @@ class SparseRoundUpdates:
             client_offsets=offsets,
             losses=np.array([u.loss for u in updates], dtype=np.float64),
             malicious_mask=np.array([u.is_malicious for u in updates], dtype=bool),
-            theta_gradients=theta_gradients,
-            theta_mask=theta_mask,
             metadata=metadata,
         )
 
@@ -295,15 +257,11 @@ class SparseRoundUpdates:
         updates: list[ClientUpdate] = []
         for index in range(self.num_clients):
             ids, rows = self.segment(index)
-            theta = None
-            if self.theta_gradients is not None and bool(self.theta_mask[index]):
-                theta = self.theta_gradients[index]
             updates.append(
                 ClientUpdate(
                     client_id=int(self.client_ids[index]),
                     item_ids=ids,
                     item_gradients=rows,
-                    theta_gradient=theta,
                     loss=float(self.losses[index]),
                     is_malicious=bool(self.malicious_mask[index]),
                     metadata=dict(self.client_metadata(index)),
@@ -325,29 +283,6 @@ class SparseRoundUpdates:
             grad_rows = self.grad_rows
         else:
             grad_rows = np.concatenate([self.grad_rows, other.grad_rows], axis=0)
-        theta_gradients = None
-        theta_mask = None
-        if self.theta_gradients is not None or other.theta_gradients is not None:
-            width = (
-                self.theta_gradients.shape[1]
-                if self.theta_gradients is not None
-                else other.theta_gradients.shape[1]
-            )
-            if (
-                self.theta_gradients is not None
-                and other.theta_gradients is not None
-                and other.theta_gradients.shape[1] != width
-            ):
-                raise FederationError("theta gradients must all have the same length")
-            total = self.num_clients + other.num_clients
-            theta_gradients = np.zeros((total, width), dtype=np.float64)
-            theta_mask = np.zeros(total, dtype=bool)
-            if self.theta_gradients is not None:
-                theta_gradients[: self.num_clients] = self.theta_gradients
-                theta_mask[: self.num_clients] = self.theta_mask
-            if other.theta_gradients is not None:
-                theta_gradients[self.num_clients :] = other.theta_gradients
-                theta_mask[self.num_clients :] = other.theta_mask
         metadata: list[dict[str, Any]] = []
         if self.metadata or other.metadata:
             metadata = [dict(self.client_metadata(i)) for i in range(self.num_clients)]
@@ -361,8 +296,6 @@ class SparseRoundUpdates:
             ),
             losses=np.concatenate([self.losses, other.losses]),
             malicious_mask=np.concatenate([self.malicious_mask, other.malicious_mask]),
-            theta_gradients=theta_gradients,
-            theta_mask=theta_mask,
             metadata=metadata,
         )
 
@@ -382,19 +315,6 @@ class SparseRoundUpdates:
             norms = np.linalg.norm(grad_rows, axis=1)
             grad_rows = grad_rows * _row_clip_scales(norms, max_norm)[:, None]
         return scatter_rows(self.item_ids, grad_rows, num_items, num_factors)
-
-    def sum_theta(self) -> np.ndarray | None:
-        """Sum of the uploaded theta gradients, or ``None`` when there are none."""
-        if self.theta_gradients is None or not bool(self.theta_mask.any()):
-            return None
-        return self.theta_gradients[self.theta_mask].sum(axis=0)
-
-    @property
-    def num_theta_contributors(self) -> int:
-        """Number of clients that actually uploaded a theta gradient."""
-        if self.theta_mask is None:
-            return 0
-        return int(self.theta_mask.sum())
 
     def dense_over_union(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-client dense tensor restricted to the union of touched rows.
@@ -423,8 +343,8 @@ class SparseRoundUpdates:
 class FactoredRoundUpdates:
     """One round's benign uploads in lazy factored "coefficients + users" form.
 
-    On the MF path every benign gradient row is the rank-1 product of a scalar
-    BPR coefficient and the client's private vector:
+    Every benign gradient row is the rank-1 product of a scalar BPR
+    coefficient and the client's private vector:
 
         grad_row(b, j) = coefficients[r] * user_vectors[b] + ridge * V[j]
 
@@ -454,7 +374,7 @@ class FactoredRoundUpdates:
     user_vectors:
         The clients' stacked private vectors *before* the local step, shape
         ``(B, k)`` — the right factor of every gradient row.
-    losses, malicious_mask, theta_gradients, theta_mask, metadata:
+    losses, malicious_mask, metadata:
         Per-client metadata with the same meaning as on
         :class:`SparseRoundUpdates`.
     ridge:
@@ -475,8 +395,6 @@ class FactoredRoundUpdates:
     malicious_mask: np.ndarray
     ridge: float = 0.0
     ridge_matrix: np.ndarray | None = None
-    theta_gradients: np.ndarray | None = None
-    theta_mask: np.ndarray | None = None
     metadata: list[dict[str, Any]] = field(default_factory=list)
     tail: SparseRoundUpdates | None = None
 
@@ -500,13 +418,6 @@ class FactoredRoundUpdates:
             raise FederationError("losses and malicious_mask must have one entry per client")
         if self.ridge != 0.0 and self.ridge_matrix is None:
             raise FederationError("a non-zero ridge requires ridge_matrix")
-        if (self.theta_gradients is None) != (self.theta_mask is None):
-            raise FederationError("theta_gradients and theta_mask must be given together")
-        if self.theta_gradients is not None:
-            self.theta_gradients = np.asarray(self.theta_gradients, dtype=np.float64)
-            self.theta_mask = np.asarray(self.theta_mask, dtype=bool)
-            if self.theta_gradients.shape[0] != num_clients:
-                raise FederationError("theta_gradients must have one row per client")
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -605,8 +516,6 @@ class FactoredRoundUpdates:
                 client_offsets=tail.client_offsets,
                 losses=tail.losses,
                 malicious_mask=tail.malicious_mask,
-                theta_gradients=tail.theta_gradients,
-                theta_mask=tail.theta_mask,
                 metadata=tail.metadata,
             )
         return FactoredRoundUpdates(
@@ -619,30 +528,9 @@ class FactoredRoundUpdates:
             malicious_mask=self.malicious_mask,
             ridge=0.0,
             ridge_matrix=None,
-            theta_gradients=self.theta_gradients,
-            theta_mask=self.theta_mask,
             metadata=self.metadata,
             tail=tail,
         )
-
-    def sum_theta(self) -> np.ndarray | None:
-        """Sum of the uploaded theta gradients, or ``None`` when there are none."""
-        total = None
-        if self.theta_gradients is not None and bool(self.theta_mask.any()):
-            total = self.theta_gradients[self.theta_mask].sum(axis=0)
-        if self.tail is not None:
-            tail_sum = self.tail.sum_theta()
-            if tail_sum is not None:
-                total = tail_sum if total is None else total + tail_sum
-        return total
-
-    @property
-    def num_theta_contributors(self) -> int:
-        """Number of clients that actually uploaded a theta gradient."""
-        count = int(self.theta_mask.sum()) if self.theta_mask is not None else 0
-        if self.tail is not None:
-            count += self.tail.num_theta_contributors
-        return count
 
     # ------------------------------------------------------------------ #
     # Conversions (materialise only when a consumer needs actual rows)
@@ -660,8 +548,6 @@ class FactoredRoundUpdates:
             client_offsets=self.client_offsets,
             losses=self.losses,
             malicious_mask=self.malicious_mask,
-            theta_gradients=self.theta_gradients,
-            theta_mask=self.theta_mask,
             metadata=list(self.metadata),
         )
         if self.tail is None:
@@ -699,8 +585,6 @@ class FactoredRoundUpdates:
             malicious_mask=self.malicious_mask,
             ridge=self.ridge,
             ridge_matrix=self.ridge_matrix,
-            theta_gradients=self.theta_gradients,
-            theta_mask=self.theta_mask,
             metadata=list(self.metadata),
             tail=tail,
         )

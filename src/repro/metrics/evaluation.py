@@ -72,7 +72,7 @@ def resolve_score_block(source: ScoreSource) -> ScoreBlockFunction:
     plain callables pass through unchanged.  This structural check is the
     *only* sanctioned model dispatch outside ``models/`` — repro-lint R8
     forbids ``isinstance`` checks against concrete model classes, which is
-    what keeps MF, the MLP adapter and any future scorer on one code path.
+    what keeps MF and any other protocol object on one code path.
     """
     if isinstance(source, ScorerProtocol):
         return source.score_block

@@ -1,10 +1,9 @@
-"""Recommender substrate: matrix factorization, losses and scorers.
+"""Recommender substrate: matrix factorization, losses and the scoring protocol.
 
 The paper's base recommender is matrix factorization (MF) trained with the
 Bayesian Personalized Ranking (BPR) loss (Section III-A).  This subpackage
-implements that model with hand-derived analytic gradients on NumPy, plus an
-optional learnable interaction function (a small MLP scorer) demonstrating
-the paper's claim that the attack generalises to deep recommenders.
+implements that model with hand-derived analytic gradients on NumPy, and the
+structural :class:`ScorerProtocol` that evaluation and serving consume.
 """
 
 from repro.models.base import Recommender, ScorerProtocol
@@ -13,21 +12,16 @@ from repro.models.losses import (
     bpr_loss,
     bpr_loss_and_gradients,
     BatchedBPRCoefficients,
-    BatchedBPRGradients,
     BPRGradients,
     sigmoid,
 )
 from repro.models.mf import MatrixFactorizationModel
-from repro.models.neural import MLPRecommender, MLPScorer
 
 __all__ = [
     "Recommender",
     "ScorerProtocol",
     "MatrixFactorizationModel",
-    "MLPScorer",
-    "MLPRecommender",
     "BPRGradients",
-    "BatchedBPRGradients",
     "BatchedBPRCoefficients",
     "bpr_loss",
     "bpr_loss_and_gradients",

@@ -9,12 +9,11 @@ attack applies to any collaborative-filtering recommender).
 :class:`ScorerProtocol` is the *structural* half of that contract: the
 id-based scoring surface the evaluation engine and the serving layer consume.
 It is a :class:`typing.Protocol`, not a base class — MF implements it by
-inheritance from :class:`Recommender`, the MLP path through the standalone
-:class:`~repro.models.neural.MLPRecommender` adapter, and any future scorer
-qualifies by shape alone.  Consumers dispatch on the protocol (one
-``isinstance(source, ScorerProtocol)`` check is the sanctioned idiom), never
-on concrete model classes — repro-lint R8 enforces exactly that outside
-``models/``.
+inheritance from :class:`Recommender`, and any object with the same surface
+qualifies by shape alone, subclass or not.  Consumers dispatch on the
+protocol (one ``isinstance(source, ScorerProtocol)`` check is the sanctioned
+idiom), never on concrete model classes — repro-lint R8 enforces exactly
+that outside ``models/``.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ class ScorerProtocol(Protocol):
     """The id-based scoring surface served models must expose.
 
     Implementations score *stored* users by id — the caller never sees the
-    feature vectors, which is what lets an immutable factor snapshot, a live
-    MF model and an MLP-scored model serve identically.  The contract:
+    feature vectors, which is what lets an immutable factor snapshot and a
+    live MF model serve identically.  The contract:
 
     * ``n_users`` / ``n_items`` give the catalog dimensions,
     * ``score(user, items)`` returns one user's scores for the requested

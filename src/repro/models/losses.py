@@ -30,9 +30,7 @@ __all__ = [
     "bpr_loss_and_gradients",
     "bpr_coefficients_batched",
     "BPRGradients",
-    "BatchedBPRGradients",
     "BatchedBPRCoefficients",
-    "fold_by_key",
     "segment_sum",
 ]
 
@@ -72,12 +70,6 @@ class BPRGradients:
     grad_user: np.ndarray
     item_ids: np.ndarray
     grad_items: np.ndarray
-
-    def as_dense_item_gradient(self, num_items: int) -> np.ndarray:
-        """Scatter the item gradient rows into a dense ``(num_items, k)`` array."""
-        dense = np.zeros((num_items, self.grad_items.shape[1]), dtype=np.float64)
-        np.add.at(dense, self.item_ids, self.grad_items)
-        return dense
 
 
 def bpr_loss(
@@ -149,37 +141,6 @@ def bpr_loss_and_gradients(
     return BPRGradients(loss=loss, grad_user=grad_user, item_ids=item_ids, grad_items=grad_rows)
 
 
-@dataclass(frozen=True)
-class BatchedBPRGradients:
-    """Gradients of the BPR loss for a whole batch of users at once.
-
-    The per-item gradients come back in the CSR-style layout consumed by
-    :class:`repro.federated.updates.SparseRoundUpdates`: segment ``i`` of
-    ``item_ids`` / ``grad_rows`` (delimited by ``segment_offsets``) holds user
-    ``i``'s touched items, deduplicated and sorted by item id — exactly what
-    the per-user :func:`bpr_loss_and_gradients` produces.
-
-    Attributes
-    ----------
-    losses:
-        Per-user loss values, shape ``(num_segments,)``.
-    grad_users:
-        Per-user gradients of the private vectors, shape ``(num_segments, k)``.
-    item_ids:
-        Concatenated per-user touched item ids, shape ``(nnz,)``.
-    grad_rows:
-        Gradient rows aligned with ``item_ids``, shape ``(nnz, k)``.
-    segment_offsets:
-        Offsets delimiting each user's segment, shape ``(num_segments + 1,)``.
-    """
-
-    losses: np.ndarray
-    grad_users: np.ndarray
-    item_ids: np.ndarray
-    grad_rows: np.ndarray
-    segment_offsets: np.ndarray
-
-
 def segment_sum(
     rows: np.ndarray,
     segments: np.ndarray,
@@ -212,29 +173,6 @@ def segment_sum(
         shape=(num_segments, num_rows),
     )
     return np.asarray(indicator @ np.ascontiguousarray(rows, dtype=np.float64))
-
-
-def fold_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ``values`` by ``keys`` and sum entries sharing a key.
-
-    ``values`` may be 1-D (scalars per entry) or 2-D (one row per entry).
-    Returns ``(unique_keys, folded_values)`` with the keys sorted ascending.
-    When every key is distinct — the common case for BPR pairs, whose
-    positives and negatives are disjoint per user — the fold is a pure
-    permutation and no reduction runs.
-    """
-    if keys.shape[0] == 0:
-        return keys, values
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.empty(sorted_keys.shape[0], dtype=bool)
-    boundaries[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundaries[1:])
-    if bool(boundaries.all()):
-        return sorted_keys, values[order]
-    starts = np.flatnonzero(boundaries)
-    folded = np.add.reduceat(values[order], starts, axis=0)
-    return sorted_keys[starts], folded
 
 
 @dataclass(frozen=True)

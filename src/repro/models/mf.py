@@ -66,7 +66,7 @@ class MatrixFactorizationModel(Recommender):
     ) -> "MatrixFactorizationModel":
         """A model wrapping existing factor matrices, without drawing RNG.
 
-        The serving layer rebuilds a scorer around an immutable
+        The serving layer rebuilds a model around an immutable
         :class:`~repro.serving.FactorSnapshot`; routing that through
         ``__init__`` would burn generator draws (and copy) for factors that
         are immediately replaced.  The given arrays are adopted as-is (no

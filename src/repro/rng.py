@@ -9,8 +9,6 @@ components statistically independent.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 __all__ = ["SeedSequenceFactory", "ensure_rng", "spawn_rngs"]
@@ -70,11 +68,6 @@ class SeedSequenceFactory:
         entropy = np.random.SeedSequence((self._master_seed, _stable_hash(name)))
         child_seed = int(entropy.generate_state(1, dtype=np.uint64)[0] % (2**62))
         return SeedSequenceFactory(child_seed)
-
-    def iter_generators(self, name: str) -> Iterator[np.random.Generator]:
-        """Yield an endless stream of generators for ``name``."""
-        while True:
-            yield self.generator(name)
 
 
 def _stable_hash(name: str) -> int:

@@ -4,7 +4,7 @@ The simulator's job ends with trained factors; this subpackage puts them
 behind a deployable query surface:
 
 * :class:`FactorSnapshot` — an immutable, versioned export of the trained
-  parameters (``U``, ``V`` and the optional MLP scorer ``Theta``), built
+  factors (``U`` and ``V``), built
   from a :class:`~repro.federated.server.Server`, a
   :class:`~repro.federated.simulation.SimulationResult` or raw matrices,
 * :class:`RecommenderService` — answers top-K queries against the current

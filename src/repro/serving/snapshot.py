@@ -1,19 +1,17 @@
 """Immutable, versioned exports of trained factors.
 
-A :class:`FactorSnapshot` freezes one training state — the user matrix ``U``,
-the item matrix ``V`` and the optional MLP scorer ``Theta`` — behind
-read-only float64 arrays, so a :class:`~repro.serving.service.RecommenderService`
-can cache scores computed from it without ever worrying about the simulation
-mutating the factors underneath the cache.  The ``version`` field (the
+A :class:`FactorSnapshot` freezes one training state — the user matrix ``U``
+and the item matrix ``V`` — behind read-only float64 arrays, so a
+:class:`~repro.serving.service.RecommenderService` can cache scores computed
+from it without ever worrying about the simulation mutating the factors
+underneath the cache.  The ``version`` field (the
 server's authoritative ``rounds_applied`` counter when exported from a
 simulation run) is what lets the service detect and invalidate on snapshot swaps.
 
 The snapshot exposes its scoring surface only through the formal
 :class:`~repro.models.base.ScorerProtocol`: :meth:`FactorSnapshot.model`
-builds either a plain-MF model or the MLP adapter depending on whether a
-scorer is present — a ``None`` check on the exported parameters, never an
-``isinstance`` against model classes (repro-lint R8 enforces the latter
-package-wide).
+adopts the frozen matrices as a matrix-factorization model, and callers see
+only the protocol surface.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import numpy as np
 from repro.exceptions import ServingError
 from repro.models.base import ScorerProtocol
 from repro.models.mf import MatrixFactorizationModel
-from repro.models.neural import MLPRecommender, MLPScorer
 
 if TYPE_CHECKING:
     from repro.federated.simulation import SimulationResult
@@ -55,10 +52,6 @@ class FactorSnapshot:
         ``(num_users, num_factors)`` user matrix ``U`` (read-only copy).
     item_factors:
         ``(num_items, num_factors)`` item matrix ``V`` (read-only copy).
-    scorer:
-        The MLP interaction function ``Theta`` when the run used the
-        learnable scorer, else ``None`` (plain MF dot product).  Stored as a
-        private copy with read-only parameter arrays.
     version:
         Monotone identity of the training state — the server's
         ``rounds_applied`` counter when exported from a simulation.  Two
@@ -67,7 +60,6 @@ class FactorSnapshot:
 
     user_factors: np.ndarray
     item_factors: np.ndarray
-    scorer: MLPScorer | None = None
     version: int = 0
     _model: list[ScorerProtocol] = field(
         default_factory=list, init=False, repr=False, compare=False
@@ -81,21 +73,10 @@ class FactorSnapshot:
                 "user_factors and item_factors must share the feature "
                 f"dimension, got {user_factors.shape} and {item_factors.shape}"
             )
-        scorer = self.scorer
-        if scorer is not None:
-            if scorer.num_factors != user_factors.shape[1]:
-                raise ServingError(
-                    f"scorer expects {scorer.num_factors} factors, "
-                    f"snapshot has {user_factors.shape[1]}"
-                )
-            scorer = scorer.copy()
-            for parameter in (scorer.w1, scorer.b1, scorer.w2):
-                parameter.setflags(write=False)
         if int(self.version) < 0:
             raise ServingError(f"version must be non-negative, got {self.version}")
         object.__setattr__(self, "user_factors", user_factors)
         object.__setattr__(self, "item_factors", item_factors)
-        object.__setattr__(self, "scorer", scorer)
         object.__setattr__(self, "version", int(self.version))
 
     @property
@@ -116,21 +97,15 @@ class FactorSnapshot:
     def model(self) -> ScorerProtocol:
         """The scoring model over these factors (cached, protocol-typed).
 
-        Plain MF adopts the frozen matrices directly
+        The model adopts the frozen matrices directly
         (:meth:`~repro.models.mf.MatrixFactorizationModel.from_factors`);
-        with a scorer present the :class:`~repro.models.neural.MLPRecommender`
-        adapter wraps them.  Either way callers only see the structural
+        callers only see the structural
         :class:`~repro.models.base.ScorerProtocol` surface.
         """
         if not self._model:
-            built: ScorerProtocol
-            if self.scorer is None:
-                built = MatrixFactorizationModel.from_factors(
-                    self.user_factors, self.item_factors
-                )
-            else:
-                built = MLPRecommender(self.user_factors, self.item_factors, self.scorer)
-            self._model.append(built)
+            self._model.append(
+                MatrixFactorizationModel.from_factors(self.user_factors, self.item_factors)
+            )
         return self._model[0]
 
     @classmethod
@@ -150,6 +125,5 @@ class FactorSnapshot:
         return cls(
             user_factors=result.user_factors,
             item_factors=result.item_factors,
-            scorer=result.scorer,
             version=result.rounds_applied,
         )

@@ -67,22 +67,22 @@ def test_tests_may_assert_concrete_types(tmp_path) -> None:
 def test_issubclass_and_tuple_classinfo_flagged(tmp_path) -> None:
     module = _NOMINAL_DISPATCH.replace(
         "isinstance(model, MatrixFactorizationModel)",
-        "issubclass(type(model), (MLPRecommender, Recommender))",
+        "issubclass(type(model), (MatrixFactorizationModel, Recommender))",
     )
     root = write_tree(tmp_path, {**CLEAN_TREE, "src/repro/metrics/serve.py": module})
     found = messages(lint(root, select=["R8"]))
-    assert any("issubclass" in m and "MLPRecommender" in m for m in found)
+    assert any("issubclass" in m and "'MatrixFactorizationModel'" in m for m in found)
     assert any("'Recommender'" in m for m in found)
 
 
 def test_attribute_reference_flagged(tmp_path) -> None:
     module = _NOMINAL_DISPATCH.replace(
         "isinstance(model, MatrixFactorizationModel)",
-        "isinstance(model, models.MLPScorer)",
+        "isinstance(model, models.MatrixFactorizationModel)",
     )
     root = write_tree(tmp_path, {**CLEAN_TREE, "src/repro/metrics/serve.py": module})
     found = messages(lint(root, select=["R8"]))
-    assert any("MLPScorer" in m for m in found)
+    assert any("'MatrixFactorizationModel'" in m for m in found)
 
 
 def test_clean_tree_has_no_r8_violations(tmp_path) -> None:

@@ -7,7 +7,7 @@ selection, attack construction, federated training, periodic evaluation)
 whose full metric history is serialized to JSON and replayed bit-identically
 by ``test_golden_histories.py``.
 
-The grid covers MF and the MLP scorer, benign and FedRecAttack runs, plus
+The grid covers benign and FedRecAttack runs of the MF recommender, plus
 one case per straggler policy under federation dynamics, so each value of
 the one remaining choice switch has a committed history;
 ``test_every_choice_has_a_golden_case`` checks that against the switch
@@ -49,10 +49,10 @@ _BASE = dict(
 _BENIGN = dict(attack="none", rho=0.0)
 _ATTACK = dict(attack="fedrecattack", rho=0.2)
 
-GOLDEN_CASES: dict[str, dict] = {}
-for _model, _model_kwargs in (("mf", {}), ("mlp", {"use_learnable_scorer": True})):
-    for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
-        GOLDEN_CASES[f"{_model}-{_mode}"] = {**_BASE, **_model_kwargs, **_mode_kwargs}
+GOLDEN_CASES: dict[str, dict] = {
+    "mf-benign": {**_BASE, **_BENIGN},
+    "mf-attack": {**_BASE, **_ATTACK},
+}
 # Federation dynamics: seeded churn/straggler realizations are part of the
 # seed-history contract, so each straggler policy pins one
 # degraded-but-deterministic history — including its full incident log.  The

@@ -23,7 +23,6 @@ from repro.attacks.fedrecattack import FedRecAttack, g_derivative, g_function
 from repro.attacks.pipattack import PipAttack
 from repro.data.public import PublicInteractions
 from repro.models.losses import bpr_loss_and_gradients
-from repro.models.neural import MLPScorer
 
 __all__ = [
     "attack_loss_and_gradient",
@@ -164,7 +163,6 @@ class LoopFedRecAttack(FedRecAttack):
         self,
         round_index: int,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         selected_malicious_ids: list[int],
     ) -> None:
         context = self._require_context()
@@ -200,7 +198,6 @@ class LoopPipAttack(PipAttack):
         self,
         round_index: int,
         item_factors: np.ndarray,
-        scorer: MLPScorer | None,
         selected_malicious_ids: list[int],
     ) -> None:
         self._round_rows = {}

@@ -1,4 +1,5 @@
-"""Per-user references for the synthetic generator and the leave-one-out split.
+"""Per-user references for the synthetic generator, the leave-one-out split
+and the public-interaction sample.
 
 * :func:`generate_synthetic_dataset_loop` — the generator of
   :func:`repro.data.synthetic.generate_synthetic_dataset` one user at a
@@ -8,7 +9,14 @@
 * :func:`leave_one_out_split_loop` — the split of
   :func:`repro.data.splits.leave_one_out_split` with one ``choice`` call per
   eligible user, where the library draws every held-out position in one
-  ``integers`` call.
+  ``integers`` call;
+* :func:`sample_public_interactions_pairs` — the sample of
+  :func:`repro.data.public.sample_public_interactions` over the ``(N, 2)``
+  pair array, rebuilt through the dataset constructor's sort and dedup,
+  where the library cuts the public CSR out of the training one.
+
+:func:`with_interactions_removed` is the pair-level removal the split
+reference builds its training set with.
 
 Each reference consumes its generator exactly like the library, so from one
 seed both give the same pairs and leave the generator in the same state.
@@ -16,17 +24,26 @@ seed both give the same pairs and leave the generator in the same state.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
+from repro.data.public import PublicInteractions
 from repro.data.splits import TrainTestSplit
 from repro.data.synthetic import (
     SyntheticConfig,
     _item_popularity_weights,
     _user_interaction_budgets,
 )
+from repro.exceptions import DataError
 
-__all__ = ["generate_synthetic_dataset_loop", "leave_one_out_split_loop"]
+__all__ = [
+    "generate_synthetic_dataset_loop",
+    "leave_one_out_split_loop",
+    "sample_public_interactions_pairs",
+    "with_interactions_removed",
+]
 
 
 def generate_synthetic_dataset_loop(
@@ -99,5 +116,47 @@ def leave_one_out_split_loop(
         held_out = int(generator.choice(items))
         test_items[user] = held_out
         removals.append((user, held_out))
-    train = dataset.with_interactions_removed(removals, name=f"{dataset.name}-train")
+    train = with_interactions_removed(dataset, removals, name=f"{dataset.name}-train")
     return TrainTestSplit(train=train, test_items=test_items, full=dataset)
+
+
+def with_interactions_removed(
+    dataset: InteractionDataset,
+    removals: Sequence[tuple[int, int]] | np.ndarray,
+    name: str | None = None,
+) -> InteractionDataset:
+    """A copy of ``dataset`` with the given (user, item) pairs removed.
+
+    Pairs absent from the dataset are ignored; ids outside the dataset
+    raise :class:`DataError` (a row-major key would alias them onto another
+    user's row).
+    """
+    num_users, num_items = dataset.num_users, dataset.num_items
+    removed = np.asarray(removals, dtype=np.int64).reshape(-1, 2)
+    if removed.shape[0] > 0 and (
+        removed.min() < 0
+        or removed[:, 0].max() >= num_users
+        or removed[:, 1].max() >= num_items
+    ):
+        raise DataError("removal pair id out of range")
+    pairs = dataset.pairs
+    keys = pairs[:, 0] * num_items + pairs[:, 1]
+    removed_keys = removed[:, 0] * num_items + removed[:, 1]
+    return InteractionDataset(
+        num_users, num_items, pairs[~np.isin(keys, removed_keys)], name=name or dataset.name
+    )
+
+
+def sample_public_interactions_pairs(
+    train: InteractionDataset, xi: float, generator: np.random.Generator
+) -> PublicInteractions:
+    """The library's public sample, selected from the pair array."""
+    pairs = train.pairs
+    if xi == 0.0 or pairs.shape[0] == 0:
+        selected = np.empty((0, 2), dtype=np.int64)
+    else:
+        selected = pairs[generator.random(pairs.shape[0]) < xi]
+    public_dataset = InteractionDataset(
+        train.num_users, train.num_items, selected, name=f"{train.name}-public"
+    )
+    return PublicInteractions(dataset=public_dataset, xi=xi)

@@ -44,7 +44,7 @@ class LoopRoundSimulation(FederatedSimulation):
             if cid in self.benign_clients:
                 positives, negatives = pairs[cid]
                 update = self.benign_clients[cid]._train_on_profile(
-                    positives, negatives, self.server.item_factors, self.server.scorer
+                    positives, negatives, self.server.item_factors
                 )
                 round_loss += update.loss
                 update = self.privacy.apply(update)
@@ -52,10 +52,7 @@ class LoopRoundSimulation(FederatedSimulation):
                 continue
             else:
                 update = self.attack.craft_update(
-                    self.malicious_clients[cid],
-                    self.server.item_factors,
-                    self.server.scorer,
-                    round_index,
+                    self.malicious_clients[cid], self.server.item_factors, round_index
                 )
             if update is not None:
                 updates.append(update)

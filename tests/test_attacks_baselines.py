@@ -80,7 +80,7 @@ class TestNoAttack:
         attack = NoAttack()
         attack.setup(_context(small_split, small_targets), _clients(small_split))
         client = MaliciousClient(0, small_split.train.num_items, NUM_FACTORS, 0.05, rng=0)
-        assert attack.craft_update(client, rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), None, 0) is None
+        assert attack.craft_update(client, rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), 0) is None
 
 
 class TestShillingAttacks:
@@ -139,7 +139,7 @@ class TestShillingAttacks:
         attack.setup(_context(small_split, small_targets), clients)
         client = clients[200]
         item_factors = rng.normal(size=(small_split.train.num_items, NUM_FACTORS))
-        update = attack.craft_update(client, item_factors, None, 0)
+        update = attack.craft_update(client, item_factors, 0)
         assert update.is_malicious
         assert update.loss > 0.0
         assert set(client.profile.tolist()).issubset(set(update.item_ids.tolist()))
@@ -160,7 +160,7 @@ class TestExplicitBoostAttack:
         attack.setup(_context(small_split, small_targets), clients)
         client = clients[200]
         item_factors = rng.normal(size=(small_split.train.num_items, NUM_FACTORS))
-        update = attack.craft_update(client, item_factors, None, 0)
+        update = attack.craft_update(client, item_factors, 0)
         np.testing.assert_array_equal(update.item_ids, small_targets)
         for row in update.item_gradients:
             assert row @ client.user_vector < 0.0
@@ -170,7 +170,7 @@ class TestExplicitBoostAttack:
         clients = _clients(small_split)
         attack.setup(_context(small_split, small_targets), clients)
         update = attack.craft_update(
-            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), None, 0
+            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), 0
         )
         assert update.max_row_norm <= 1.0 + 1e-9
 
@@ -193,7 +193,7 @@ class TestPipAttack:
         clients = _clients(small_split)
         attack.setup(_context(small_split, small_targets), clients)
         update = attack.craft_update(
-            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), None, 0
+            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), 0
         )
         np.testing.assert_array_equal(update.item_ids, small_targets)
         assert update.max_row_norm <= 1.0 + 1e-9
@@ -206,7 +206,7 @@ class TestPipAttack:
         context = _context(small_split, small_targets)
         attack.setup(context, clients)
         item_factors = rng.normal(size=(small_split.train.num_items, NUM_FACTORS))
-        update = attack.craft_update(clients[200], item_factors, None, 0)
+        update = attack.craft_update(clients[200], item_factors, 0)
         centroid = item_factors[attack._popular_items].mean(axis=0)
         target = small_targets[0]
         row = update.item_gradients[update.item_ids.tolist().index(target)]
@@ -227,7 +227,7 @@ class TestGenericModelPoisoning:
         clients = _clients(small_split)
         attack.setup(_context(small_split, small_targets), clients)
         update = attack.craft_update(
-            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), None, 0
+            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), 0
         )
         np.testing.assert_array_equal(update.item_ids, small_targets)
         assert update.max_row_norm <= 1.0 + 1e-9
@@ -241,7 +241,7 @@ class TestGenericModelPoisoning:
         clients = _clients(small_split)
         attack.setup(_context(small_split, small_targets), clients)
         update = attack.craft_update(
-            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), None, 0
+            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), 0
         )
         np.testing.assert_array_equal(update.item_ids, small_targets)
         assert np.isfinite(update.item_gradients).all()
@@ -280,7 +280,7 @@ class TestDataPoisoningBaselines:
         clients = _clients(small_split)
         attack.setup(_context(small_split, small_targets), clients)
         update = attack.craft_update(
-            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), None, 0
+            clients[200], rng.normal(size=(small_split.train.num_items, NUM_FACTORS)), 0
         )
         assert update.is_malicious
         assert update.num_nonzero_rows > 0

@@ -683,8 +683,8 @@ class TestFedRecAttackUpload:
             small_split, small_public, small_targets, kappa=10
         )
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.5)
-        attack.on_round_start(0, item_factors, None, [100])
-        update = attack.craft_update(clients[100], item_factors, None, 0)
+        attack.on_round_start(0, item_factors, [100])
+        update = attack.craft_update(clients[100], item_factors, 0)
         assert update is not None
         assert update.num_nonzero_rows <= 10
 
@@ -693,8 +693,8 @@ class TestFedRecAttackUpload:
             small_split, small_public, small_targets
         )
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.5)
-        attack.on_round_start(0, item_factors, None, [100])
-        update = attack.craft_update(clients[100], item_factors, None, 0)
+        attack.on_round_start(0, item_factors, [100])
+        update = attack.craft_update(clients[100], item_factors, 0)
         assert update.max_row_norm <= 1.0 + 1e-9
 
     def test_target_items_always_in_upload(self, small_split, small_public, small_targets, rng):
@@ -702,8 +702,8 @@ class TestFedRecAttackUpload:
             small_split, small_public, small_targets
         )
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.5)
-        attack.on_round_start(0, item_factors, None, [100])
-        update = attack.craft_update(clients[100], item_factors, None, 0)
+        attack.on_round_start(0, item_factors, [100])
+        update = attack.craft_update(clients[100], item_factors, 0)
         assert set(small_targets.tolist()).issubset(set(update.item_ids.tolist()))
 
     def test_assigned_items_persist_across_rounds(
@@ -713,10 +713,10 @@ class TestFedRecAttackUpload:
             small_split, small_public, small_targets
         )
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.5)
-        attack.on_round_start(0, item_factors, None, [100])
-        first = attack.craft_update(clients[100], item_factors, None, 0)
-        attack.on_round_start(1, item_factors, None, [100])
-        second = attack.craft_update(clients[100], item_factors, None, 1)
+        attack.on_round_start(0, item_factors, [100])
+        first = attack.craft_update(clients[100], item_factors, 0)
+        attack.on_round_start(1, item_factors, [100])
+        second = attack.craft_update(clients[100], item_factors, 1)
         np.testing.assert_array_equal(first.item_ids, second.item_ids)
 
     def test_remainder_subtracted_within_round(
@@ -728,11 +728,11 @@ class TestFedRecAttackUpload:
             small_split, small_public, small_targets
         )
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.5)
-        attack.on_round_start(0, item_factors, None, [100, 101])
+        attack.on_round_start(0, item_factors, [100, 101])
         total_before = np.linalg.norm(attack._poison_gradient)
-        attack.craft_update(clients[100], item_factors, None, 0)
+        attack.craft_update(clients[100], item_factors, 0)
         total_middle = np.linalg.norm(attack._poison_gradient)
-        attack.craft_update(clients[101], item_factors, None, 0)
+        attack.craft_update(clients[101], item_factors, 0)
         total_after = np.linalg.norm(attack._poison_gradient)
         assert total_middle <= total_before + 1e-9
         assert total_after <= total_middle + 1e-9
@@ -742,8 +742,8 @@ class TestFedRecAttackUpload:
             small_split, small_public, small_targets
         )
         item_factors = rng.normal(size=(small_split.train.num_items, 8), scale=0.5)
-        attack.on_round_start(0, item_factors, None, [100])
-        update = attack.craft_update(clients[100], item_factors, None, 0)
+        attack.on_round_start(0, item_factors, [100])
+        update = attack.craft_update(clients[100], item_factors, 0)
         assert update.is_malicious
 
     def test_no_public_interactions_produces_zero_poison(
@@ -763,14 +763,14 @@ class TestFedRecAttackUpload:
         client = MaliciousClient(100, small_split.train.num_items, 8, 0.05, rng=0)
         attack.setup(context, {100: client})
         item_factors = rng.normal(size=(small_split.train.num_items, 8))
-        attack.on_round_start(0, item_factors, None, [100])
-        update = attack.craft_update(client, item_factors, None, 0)
+        attack.on_round_start(0, item_factors, [100])
+        update = attack.craft_update(client, item_factors, 0)
         assert update.num_nonzero_rows == 0
 
     def test_setup_required_before_round(self, small_public):
         attack = FedRecAttack(small_public)
         with pytest.raises(AttackError):
-            attack.on_round_start(0, np.zeros((10, 8)), None, [0])
+            attack.on_round_start(0, np.zeros((10, 8)), [0])
 
     def test_craft_before_round_start_returns_none(
         self, small_split, small_public, small_targets
@@ -778,7 +778,7 @@ class TestFedRecAttackUpload:
         attack, context, clients = self._make_attack_and_context(
             small_split, small_public, small_targets
         )
-        assert attack.craft_update(clients[100], np.zeros((small_split.train.num_items, 8)), None, 0) is None
+        assert attack.craft_update(clients[100], np.zeros((small_split.train.num_items, 8)), 0) is None
 
     def test_mismatched_item_universe_rejected(self, small_split, small_targets):
         public = sample_public_interactions(small_split.train, 0.1, rng=0)

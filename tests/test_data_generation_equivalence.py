@@ -1,4 +1,5 @@
-"""The block-drawn generator and the one-draw split against their per-user references.
+"""The block-drawn generator, the one-draw split and the CSR public sample
+against their references.
 
 The contract under test (see ``docs/architecture.md``, "The shared
 ``InteractionStore``"):
@@ -18,11 +19,19 @@ The contract under test (see ``docs/architecture.md``, "The shared
   (:func:`oracles.leave_one_out_split_loop`) and leaves the generator in the
   same state, also with no eligible user and with
   ``min_train_interactions=3``;
+* :func:`repro.data.public.sample_public_interactions` cuts the public CSR
+  out of the training one; it gives the same public dataset as selecting
+  from the ``(N, 2)`` pair array and rebuilding it through the constructor
+  (:func:`oracles.sample_public_interactions_pairs`) and leaves the
+  generator in the same state, on every preset's training set for
+  ``xi`` from 0 to 1, and on an empty training set;
 * a dataset keeps its interactions as one read-only CSR that its
   :class:`~repro.data.store.InteractionStore` shares rather than copies.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -30,14 +39,20 @@ import pytest
 from repro.data import synthetic
 from repro.data.dataset import InteractionDataset
 from repro.data.presets import DATASET_PRESETS, scaled_preset
+from repro.data.public import sample_public_interactions
 from repro.data.splits import leave_one_out_split
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 
-from oracles import generate_synthetic_dataset_loop, leave_one_out_split_loop
+from oracles import (
+    generate_synthetic_dataset_loop,
+    leave_one_out_split_loop,
+    sample_public_interactions_pairs,
+)
 
 FULL_PRESETS = [name for name in DATASET_PRESETS if not name.endswith("-mini")]
 MINI_PRESETS = [name for name in DATASET_PRESETS if name.endswith("-mini")]
 SEEDS = (0, 3, 7919)
+PUBLIC_XI = (0.0, 0.001, 0.01, 0.1, 1.0)
 
 
 def _assert_same_dataset(actual: InteractionDataset, expected: InteractionDataset) -> None:
@@ -164,6 +179,47 @@ class TestSplitEdges:
         assert split.train == dataset
         assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
         _assert_same_split(dataset, seed=9)
+
+
+@lru_cache(maxsize=None)
+def _preset_train_set(name: str) -> InteractionDataset:
+    """The leave-one-out training set of a preset, built once per test run."""
+    config = SyntheticConfig.from_preset(DATASET_PRESETS[name])
+    dataset = generate_synthetic_dataset(config, np.random.default_rng(5))
+    return leave_one_out_split(dataset, rng=6).train
+
+
+def _assert_same_public_sample(train: InteractionDataset, xi: float, seed: int) -> None:
+    library_rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    public = sample_public_interactions(train, xi, library_rng)
+    expected = sample_public_interactions_pairs(train, xi, oracle_rng)
+    assert public.xi == expected.xi
+    _assert_same_dataset(public.dataset, expected.dataset)
+    assert public.dataset.item_popularity.tobytes() == expected.dataset.item_popularity.tobytes()
+    assert library_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestPublicSample:
+    @pytest.mark.parametrize("seed", (0, 3))
+    @pytest.mark.parametrize("xi", PUBLIC_XI)
+    @pytest.mark.parametrize("name", list(DATASET_PRESETS))
+    def test_csr_cut_matches_the_pair_selection(self, name, xi, seed):
+        _assert_same_public_sample(_preset_train_set(name), xi, seed)
+
+    def test_empty_training_set_draws_nothing(self):
+        train = InteractionDataset(3, 4, [], name="empty")
+        _assert_same_public_sample(train, 0.5, seed=4)
+        rng = np.random.default_rng(4)
+        public = sample_public_interactions(train, 0.5, rng)
+        assert public.dataset.user_degrees().tolist() == [0, 0, 0]
+        assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+    def test_users_without_interactions_between_sampled_users(self):
+        # Empty CSR rows between non-empty ones map to empty public rows.
+        train = InteractionDataset(5, 6, [(0, 1), (0, 4), (2, 0), (2, 5), (4, 3)])
+        for seed in SEEDS:
+            _assert_same_public_sample(train, 0.5, seed)
 
 
 class TestSharedCSR:

@@ -14,12 +14,12 @@ The contract under test (see ``docs/architecture.md``):
 * the equivalence holds at realistic dataset shapes (the calibrated ml-100k
   and steam-200k miniatures) and on a mixed edge block (saturated and
   skipped users mid-block) through every scoring surface — a bare block
-  callback, the MF model, the MLP adapter and a snapshot's model — on
+  callback, the MF model, a non-MF structural scorer and a snapshot's model — on
   handcrafted edge users (empty positives, all-items positives) at every
   block geometry, under score ties, through a custom scorer that implements
   only ``score_items``, and end-to-end through
-  :class:`~repro.federated.simulation.FederatedSimulation` for both the MF
-  and the MLP-scorer model, attacked or not, under both protocols;
+  :class:`~repro.federated.simulation.FederatedSimulation`, attacked or
+  not, under both protocols;
 * the regression fixes ride along: the stream survives mixed empty/full
   draw segments and invalid users mid-block (and rejects short segments
   loudly), ``_top_k_thresholds`` enforces its cutoff precondition, and each
@@ -49,22 +49,23 @@ from repro.metrics.evaluation import (
     user_blocks,
 )
 from repro.models.mf import MatrixFactorizationModel
-from repro.models.neural import MLPRecommender, MLPScorer
 from repro.rng import SeedSequenceFactory
 from repro.serving.snapshot import FactorSnapshot
 
-from oracles import evaluate_loop
+from oracles import DistanceScorer, evaluate_loop
 
 
 #: The scoring surfaces a source can reach evaluation through.
-SURFACES = ("callback", "mf", "mlp", "snapshot")
+SURFACES = ("callback", "mf", "structural", "snapshot")
 
 
 def _source(kind: str, dataset: InteractionDataset, seed: int, *, constant: bool = False):
     """A float-valued scoring source of ``dataset``'s shape.
 
     ``"callback"`` is a bare ``score_block`` function; ``"mf"`` and
-    ``"mlp"`` are models dispatched through their own ``score_block``;
+    ``"structural"`` (:class:`oracles.DistanceScorer` over the same factors,
+    not a dot product and not a ``Recommender``) are models dispatched
+    through their own ``score_block``;
     ``"snapshot"`` is the serving model rebuilt over frozen copies of the MF
     factors.  ``constant`` sets every factor to one, so every score of a
     row ties.
@@ -81,8 +82,7 @@ def _source(kind: str, dataset: InteractionDataset, seed: int, *, constant: bool
         return model
     if kind == "snapshot":
         return FactorSnapshot(model.user_factors, model.item_factors).model()
-    scorer = MLPScorer(model.num_factors, hidden_units=8, rng=seed)
-    return MLPRecommender(model.user_factors, model.item_factors, scorer)
+    return DistanceScorer(model.user_factors, model.item_factors)
 
 
 def _test_items(dataset: InteractionDataset, rng: np.random.Generator) -> np.ndarray:
@@ -485,8 +485,8 @@ class TestGenericScorerFallback:
 
 
 class TestSimulationIntegration:
-    """Every evaluation of a training run against the reference, MF and MLP,
-    with and without malicious clients poisoning the item factors.
+    """Every evaluation of a training run against the reference, with and
+    without malicious clients poisoning the item factors.
 
     The simulation's one evaluation entry point (``evaluate_snapshot`` as
     :mod:`repro.federated.simulation` names it) is wrapped so each call also
@@ -540,15 +540,13 @@ class TestSimulationIntegration:
 
     @pytest.mark.parametrize("attacked", [False, True])
     @pytest.mark.parametrize("eval_num_negatives", [9, None])
-    @pytest.mark.parametrize("use_scorer", [False, True])
     def test_every_evaluation_matches_the_reference(
-        self, small_setup, monkeypatch, use_scorer, eval_num_negatives, attacked
+        self, small_setup, monkeypatch, eval_num_negatives, attacked
     ):
         dataset, test_items, targets = small_setup
         result = self._checked_run(
             monkeypatch, dataset, test_items, targets, eval_num_negatives,
             attack=RandomAttack(kappa=6) if attacked else None,
-            use_learnable_scorer=use_scorer,
         )
         assert all(record.accuracy is not None for record in result.history.records)
         assert all(record.exposure is not None for record in result.history.records)

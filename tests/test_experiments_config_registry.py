@@ -61,6 +61,23 @@ class TestExperimentConfig:
         with pytest.raises(TypeError):
             FederatedConfig(sampler="permutation")
 
+    @pytest.mark.parametrize("field", ["use_learnable_scorer", "scorer_hidden_units"])
+    @pytest.mark.parametrize("owner", ["experiment", "federated"])
+    def test_removed_scorer_fields_raise_type_error(self, owner, field):
+        # The dot product is the only interaction function: a stale config
+        # that still asks for a learnable scorer fails instead of running MF.
+        from repro.federated.config import FederatedConfig
+
+        value = True if field == "use_learnable_scorer" else 8
+        if owner == "experiment":
+            with pytest.raises(TypeError):
+                ExperimentConfig(**{field: value})
+            with pytest.raises(TypeError):
+                ExperimentConfig().with_overrides(**{field: value})
+        else:
+            with pytest.raises(TypeError):
+                FederatedConfig(**{field: value})
+
     def test_with_overrides(self):
         config = ExperimentConfig().with_overrides(rho=0.1, dataset="steam-200k")
         assert config.rho == pytest.approx(0.1)

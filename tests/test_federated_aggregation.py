@@ -21,12 +21,11 @@ NUM_ITEMS = 6
 NUM_FACTORS = 2
 
 
-def _update(client_id, ids, rows, theta=None, malicious=False):
+def _update(client_id, ids, rows, malicious=False):
     return ClientUpdate(
         client_id=client_id,
         item_ids=np.asarray(ids, dtype=np.int64),
         item_gradients=np.asarray(rows, dtype=np.float64),
-        theta_gradient=theta,
         is_malicious=malicious,
     )
 
@@ -46,40 +45,18 @@ class TestSumAggregator:
         expected = np.zeros((NUM_ITEMS, NUM_FACTORS))
         for update in benign_updates:
             expected += update.to_dense(NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(result.item_gradient, expected)
+        np.testing.assert_allclose(result, expected)
 
     def test_empty_round(self):
         result = SumAggregator().aggregate([], NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(result.item_gradient, 0.0)
-
-    def test_theta_summed(self, benign_updates):
-        benign_updates[0].theta_gradient = np.ones(3)
-        benign_updates[1].theta_gradient = 2 * np.ones(3)
-        result = SumAggregator().aggregate(benign_updates, NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(result.theta_gradient, 3 * np.ones(3))
-
-    def test_theta_none_when_absent(self, benign_updates):
-        result = SumAggregator().aggregate(benign_updates, NUM_ITEMS, NUM_FACTORS)
-        assert result.theta_gradient is None
+        np.testing.assert_allclose(result, 0.0)
 
 
 class TestMeanAggregator:
     def test_mean_is_sum_divided_by_count(self, benign_updates):
         total = SumAggregator().aggregate(benign_updates, NUM_ITEMS, NUM_FACTORS)
         mean = MeanAggregator().aggregate(benign_updates, NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(mean.item_gradient, total.item_gradient / 3)
-
-    def test_theta_divided_by_contributors_not_all_clients(self, benign_updates):
-        # Regression: only two of the three clients upload a theta gradient;
-        # the average must divide by 2, not by len(updates) == 3.
-        benign_updates[0].theta_gradient = np.ones(4)
-        benign_updates[1].theta_gradient = 3 * np.ones(4)
-        result = MeanAggregator().aggregate(benign_updates, NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(result.theta_gradient, 2 * np.ones(4))
-
-    def test_theta_none_when_no_contributors(self, benign_updates):
-        result = MeanAggregator().aggregate(benign_updates, NUM_ITEMS, NUM_FACTORS)
-        assert result.theta_gradient is None
+        np.testing.assert_allclose(mean, total / 3)
 
 
 class TestRobustAggregators:
@@ -91,13 +68,13 @@ class TestRobustAggregators:
         ]
         result = MedianAggregator().aggregate(updates, NUM_ITEMS, NUM_FACTORS)
         # Median per coordinate is ~1, rescaled by 3 clients.
-        assert abs(result.item_gradient[0, 0]) < 5.0
+        assert abs(result[0, 0]) < 5.0
 
     def test_trimmed_mean_suppresses_outlier(self):
         updates = [_update(i, [0], [[1.0, 1.0]]) for i in range(5)]
         updates.append(_update(9, [0], [[1000.0, 1000.0]], malicious=True))
         result = TrimmedMeanAggregator(trim_ratio=0.2).aggregate(updates, NUM_ITEMS, NUM_FACTORS)
-        assert result.item_gradient[0, 0] < 50.0
+        assert result[0, 0] < 50.0
 
     def test_trimmed_mean_invalid_ratio(self):
         with pytest.raises(ConfigurationError):
@@ -112,7 +89,7 @@ class TestRobustAggregators:
         ]
         result = KrumAggregator(num_malicious=1).aggregate(updates, NUM_ITEMS, NUM_FACTORS)
         # The selected gradient (rescaled by 4) must be near the benign cluster.
-        assert abs(result.item_gradient[0, 0] - 4.0) < 1.0
+        assert abs(result[0, 0] - 4.0) < 1.0
 
     def test_krum_invalid_options(self):
         with pytest.raises(ConfigurationError):
@@ -122,31 +99,7 @@ class TestRobustAggregators:
 
     def test_krum_empty_round(self):
         result = KrumAggregator().aggregate([], NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(result.item_gradient, 0.0)
-
-    def test_krum_scales_theta_like_item_gradient(self):
-        # Regression: the selected update's theta gradient must receive the
-        # same num_clients rescaling as its item gradient.
-        updates = [
-            _update(0, [0], [[1.0, 1.0]], theta=np.array([1.0, 2.0])),
-            _update(1, [0], [[1.05, 0.95]], theta=np.array([1.1, 1.9])),
-            _update(2, [0], [[0.95, 1.05]], theta=np.array([0.9, 2.1])),
-            _update(3, [0], [[500.0, -500.0]], theta=np.array([100.0, -100.0]), malicious=True),
-        ]
-        result = KrumAggregator(num_malicious=1).aggregate(updates, NUM_ITEMS, NUM_FACTORS)
-        selected = np.argmax(
-            [np.allclose(result.item_gradient[0], 4 * u.item_gradients[0]) for u in updates]
-        )
-        np.testing.assert_allclose(result.theta_gradient, 4 * updates[selected].theta_gradient)
-
-    def test_krum_theta_none_when_selected_has_none(self):
-        updates = [
-            _update(0, [0], [[1.0, 1.0]]),
-            _update(1, [0], [[1.05, 0.95]]),
-            _update(2, [0], [[0.95, 1.05]]),
-        ]
-        result = KrumAggregator(num_malicious=0).aggregate(updates, NUM_ITEMS, NUM_FACTORS)
-        assert result.theta_gradient is None
+        np.testing.assert_allclose(result, 0.0)
 
     def test_norm_bounding_limits_each_row(self):
         updates = [
@@ -157,7 +110,7 @@ class TestRobustAggregators:
             updates, NUM_ITEMS, NUM_FACTORS
         )
         # First row clipped to norm 1, second untouched: total norm <= 1.5.
-        assert np.linalg.norm(result.item_gradient[0]) <= 1.5 + 1e-9
+        assert np.linalg.norm(result[0]) <= 1.5 + 1e-9
 
     def test_norm_bounding_invalid(self):
         with pytest.raises(ConfigurationError):
@@ -165,7 +118,7 @@ class TestRobustAggregators:
 
     def test_median_empty_round(self):
         result = MedianAggregator().aggregate([], NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(result.item_gradient, 0.0)
+        np.testing.assert_allclose(result, 0.0)
 
 
 class TestSparseInputParity:
@@ -189,7 +142,6 @@ class TestSparseInputParity:
                 client_id=i,
                 item_ids=rng.choice(NUM_ITEMS, size=3, replace=False),
                 item_gradients=rng.normal(size=(3, NUM_FACTORS)),
-                theta_gradient=rng.normal(size=5) if i % 2 == 0 else None,
             )
             for i in range(6)
         ]
@@ -197,11 +149,7 @@ class TestSparseInputParity:
         aggregator = make_aggregator(name, **options)
         from_list = aggregator.aggregate(updates, NUM_ITEMS, NUM_FACTORS)
         from_sparse = aggregator.aggregate(packed, NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(from_list.item_gradient, from_sparse.item_gradient)
-        if from_list.theta_gradient is None:
-            assert from_sparse.theta_gradient is None
-        else:
-            np.testing.assert_allclose(from_list.theta_gradient, from_sparse.theta_gradient)
+        np.testing.assert_allclose(from_list, from_sparse)
 
     def test_robust_rules_densify_only_union(self):
         updates = [
@@ -212,6 +160,37 @@ class TestSparseInputParity:
         tensor, union = packed.dense_over_union()
         assert tensor.shape == (2, 2, NUM_FACTORS)
         np.testing.assert_array_equal(union, [0, 2])
+
+
+class TestReturnContract:
+    """``aggregate`` hands the server the dense ``(num_items, k)`` gradient.
+
+    ``Server.apply_round`` subtracts the result from ``V`` directly, so a
+    wrongly shaped result (a scalar zero for an empty round, one selected
+    row) would broadcast silently instead of failing.
+    """
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("sum", {}),
+            ("mean", {}),
+            ("trimmed_mean", {"trim_ratio": 0.2}),
+            ("median", {}),
+            ("krum", {"num_malicious": 1}),
+            ("norm_bounding", {"max_row_norm": 1.0}),
+        ],
+    )
+    def test_every_input_form_gives_a_dense_item_gradient(
+        self, benign_updates, name, options
+    ):
+        aggregator = make_aggregator(name, **options)
+        packed = SparseRoundUpdates.from_client_updates(benign_updates)
+        for updates in (benign_updates, packed, []):
+            result = aggregator.aggregate(updates, NUM_ITEMS, NUM_FACTORS)
+            assert isinstance(result, np.ndarray)
+            assert result.shape == (NUM_ITEMS, NUM_FACTORS)
+            assert result.dtype == np.float64
 
 
 class TestFactory:

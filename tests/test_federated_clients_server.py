@@ -11,7 +11,6 @@ from repro.federated.client import BenignClient, MaliciousClient
 from repro.federated.config import FederatedConfig
 from repro.federated.server import Server
 from repro.federated.updates import ClientUpdate
-from repro.models.neural import MLPScorer
 
 NUM_ITEMS = 30
 NUM_FACTORS = 4
@@ -29,7 +28,7 @@ def _benign_client(positives=(0, 1, 2), seed=0, **kwargs):
     )
 
 
-def _local_train(client, item_factors, scorer=None, rng=None):
+def _local_train(client, item_factors, rng=None):
     """One local step on freshly drawn pairs, the way a round trains a client."""
     rng = np.random.default_rng(0) if rng is None else rng
     mask = np.zeros((1, NUM_ITEMS), dtype=bool)
@@ -39,7 +38,7 @@ def _local_train(client, item_factors, scorer=None, rng=None):
     )
     client.accept_negatives(negatives)
     positives, negatives = client.current_pairs()
-    return client._train_on_profile(positives, negatives, item_factors, scorer)
+    return client._train_on_profile(positives, negatives, item_factors)
 
 
 class TestFederatedConfig:
@@ -62,7 +61,6 @@ class TestFederatedConfig:
             ("clip_norm", 0.0),
             ("l2_reg", -1.0),
             ("init_scale", 0.0),
-            ("scorer_hidden_units", 0),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -116,13 +114,6 @@ class TestBenignClient:
         _local_train(client, item_factors)
         _local_train(client, item_factors)
         assert client.participation_count == 2
-
-    def test_scorer_path_produces_theta_gradient(self, rng):
-        client = _benign_client()
-        scorer = MLPScorer(NUM_FACTORS, hidden_units=4, rng=0)
-        update = _local_train(client, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)), scorer)
-        assert update.theta_gradient is not None
-        assert update.theta_gradient.shape == (scorer.num_parameters,)
 
     def test_pairs_need_a_draw_first(self):
         client = _benign_client()
@@ -185,13 +176,18 @@ class TestServer:
     def test_initial_state(self):
         server = Server(NUM_ITEMS, FederatedConfig(num_factors=NUM_FACTORS), rng=0)
         assert server.item_factors.shape == (NUM_ITEMS, NUM_FACTORS)
-        assert server.scorer is None
         assert server.rounds_applied == 0
 
-    def test_learnable_scorer_enabled(self):
-        config = FederatedConfig(num_factors=NUM_FACTORS, use_learnable_scorer=True)
-        server = Server(NUM_ITEMS, config, rng=0)
-        assert server.scorer is not None
+    def test_init_draws_only_the_item_matrix(self):
+        # ``V`` is the only shared parameter: the server's stream advances by
+        # that one draw and nothing else, so seeded runs replay exactly.
+        config = FederatedConfig(num_factors=NUM_FACTORS, init_scale=0.3)
+        stream = np.random.default_rng(21)
+        server = Server(NUM_ITEMS, config, rng=stream)
+        reference = np.random.default_rng(21)
+        expected = reference.normal(0.0, 0.3, size=(NUM_ITEMS, NUM_FACTORS))
+        np.testing.assert_array_equal(server.item_factors, expected)
+        assert stream.bit_generator.state == reference.bit_generator.state
 
     def test_apply_round_is_sgd_step(self):
         config = FederatedConfig(num_factors=NUM_FACTORS, learning_rate=0.5)
@@ -224,21 +220,6 @@ class TestServer:
         # An empty round is still a protocol round: the authoritative counter
         # must advance so attack schedules cannot drift from it.
         assert server.rounds_applied == 1
-
-    def test_scorer_updated_from_theta_gradient(self):
-        config = FederatedConfig(
-            num_factors=NUM_FACTORS, learning_rate=0.1, use_learnable_scorer=True
-        )
-        server = Server(NUM_ITEMS, config, rng=0)
-        before = server.scorer.get_parameters().copy()
-        update = ClientUpdate(
-            client_id=0,
-            item_ids=np.array([0]),
-            item_gradients=np.zeros((1, NUM_FACTORS)),
-            theta_gradient=np.ones(server.scorer.num_parameters),
-        )
-        server.apply_round([update])
-        np.testing.assert_allclose(server.scorer.get_parameters(), before - 0.1)
 
     def test_snapshot_is_a_copy(self):
         server = Server(NUM_ITEMS, FederatedConfig(num_factors=NUM_FACTORS), rng=0)

@@ -97,18 +97,6 @@ class TestEngineEquivalence:
         _assert_equivalent(result_loop, result_vec)
 
     @pytest.mark.parametrize("negatives", NEGATIVES)
-    def test_mlp_scorer_path(self, small_split, small_targets, negatives):
-        kwargs = dict(use_learnable_scorer=True, scorer_hidden_units=8, **_negatives(negatives))
-        result_loop, sim_loop = _run(small_split, small_targets, "oracle", **kwargs)
-        result_vec, sim_vec = _run(small_split, small_targets, "library", **kwargs)
-        _assert_equivalent(result_loop, result_vec)
-        np.testing.assert_allclose(
-            sim_loop.server.scorer.get_parameters(),
-            sim_vec.server.scorer.get_parameters(),
-            atol=FACTOR_ATOL,
-        )
-
-    @pytest.mark.parametrize("negatives", NEGATIVES)
     def test_l2_regularised_path(self, small_split, small_targets, negatives):
         kwargs = dict(l2_reg=0.01, **_negatives(negatives))
         result_loop, _ = _run(small_split, small_targets, "oracle", **kwargs)

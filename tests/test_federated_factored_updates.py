@@ -142,8 +142,7 @@ class TestAggregatorEquivalence:
         aggregator = make_aggregator(name, **options)
         lazy = aggregator.aggregate(factored, NUM_ITEMS, NUM_FACTORS)
         dense = aggregator.aggregate(factored.materialize(), NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(lazy.item_gradient, dense.item_gradient, atol=1e-12)
-        assert (lazy.theta_gradient is None) == (dense.theta_gradient is None)
+        np.testing.assert_allclose(lazy, dense, atol=1e-12)
 
     @pytest.mark.parametrize("name,options", ALL_AGGREGATORS)
     def test_factored_with_tail_matches_csr(self, rng, name, options):
@@ -153,7 +152,7 @@ class TestAggregatorEquivalence:
         aggregator = make_aggregator(name, **options)
         lazy = aggregator.aggregate(factored, NUM_ITEMS, NUM_FACTORS)
         dense = aggregator.aggregate(factored.materialize(), NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(lazy.item_gradient, dense.item_gradient, atol=1e-12)
+        np.testing.assert_allclose(lazy, dense, atol=1e-12)
 
     @pytest.mark.parametrize("name,options", ALL_AGGREGATORS)
     def test_ridge_round_matches_csr(self, rng, name, options):
@@ -162,21 +161,20 @@ class TestAggregatorEquivalence:
         aggregator = make_aggregator(name, **options)
         lazy = aggregator.aggregate(factored, NUM_ITEMS, NUM_FACTORS)
         dense = aggregator.aggregate(factored.materialize(), NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(lazy.item_gradient, dense.item_gradient, atol=1e-12)
+        np.testing.assert_allclose(lazy, dense, atol=1e-12)
 
     @pytest.mark.parametrize("name,options", ALL_AGGREGATORS)
     def test_empty_round(self, name, options):
         aggregator = make_aggregator(name, **options)
         result = aggregator.aggregate(_empty_factored(), NUM_ITEMS, NUM_FACTORS)
-        np.testing.assert_allclose(result.item_gradient, 0.0)
-        assert result.theta_gradient is None
+        np.testing.assert_allclose(result, 0.0)
 
     def test_mean_divides_by_total_clients_including_tail(self, rng):
         factored = _make_factored(rng, num_clients=3).extended([_malicious_update(rng)])
         assert factored.num_clients == 4
         result = make_aggregator("mean").aggregate(factored, NUM_ITEMS, NUM_FACTORS)
         expected = factored.sum_item_gradient(NUM_ITEMS, NUM_FACTORS) / 4
-        np.testing.assert_allclose(result.item_gradient, expected, atol=1e-15)
+        np.testing.assert_allclose(result, expected, atol=1e-15)
 
 
 class TestPrivacyOnFactoredRounds:
@@ -256,7 +254,7 @@ class TestEngineEmitsFactoredForm:
     def test_mf_round_is_factored(self, small_split):
         simulation = self._simulation(small_split)
         round_updates, _ = simulation._trainer.train_round(
-            list(range(16)), simulation.server.item_factors, None
+            list(range(16)), simulation.server.item_factors
         )
         assert isinstance(round_updates, FactoredRoundUpdates)
         assert round_updates.tail is None
@@ -264,20 +262,11 @@ class TestEngineEmitsFactoredForm:
     def test_mf_round_with_l2_carries_ridge(self, small_split):
         simulation = self._simulation(small_split, l2_reg=0.01)
         round_updates, _ = simulation._trainer.train_round(
-            list(range(16)), simulation.server.item_factors, None
+            list(range(16)), simulation.server.item_factors
         )
         assert isinstance(round_updates, FactoredRoundUpdates)
         assert round_updates.ridge == pytest.approx(0.02)
         assert round_updates.ridge_matrix is simulation.server.item_factors
-
-    def test_scorer_round_stays_sparse(self, small_split):
-        simulation = self._simulation(
-            small_split, use_learnable_scorer=True, scorer_hidden_units=8
-        )
-        round_updates, _ = simulation._trainer.train_round(
-            list(range(16)), simulation.server.item_factors, simulation.server.scorer
-        )
-        assert isinstance(round_updates, SparseRoundUpdates)
 
     def test_empty_round_counts_but_changes_nothing(self, small_split):
         simulation = self._simulation(small_split)

@@ -168,25 +168,6 @@ class TestTraining:
         assert result.accuracy is None
         assert result.exposure is not None
 
-    def test_learnable_scorer_training_runs(self, small_split, small_targets):
-        config = FederatedConfig(
-            num_factors=8,
-            clients_per_round=32,
-            num_epochs=1,
-            use_learnable_scorer=True,
-            scorer_hidden_units=8,
-        )
-        simulation = FederatedSimulation(
-            train=small_split.train,
-            config=config,
-            test_items=small_split.test_items,
-            target_items=small_targets,
-            seed=SeedSequenceFactory(0),
-            eval_num_negatives=10,
-        )
-        result = simulation.run()
-        assert result.accuracy is not None
-
     def test_dp_noise_training_runs(self, small_split, small_targets):
         simulation = _simulation(small_split, small_targets, noise_scale=0.1)
         result = simulation.run()

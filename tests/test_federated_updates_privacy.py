@@ -125,19 +125,26 @@ class TestGaussianNoiseMechanism:
         clipped = mechanism.apply(update)
         assert clipped.max_row_norm <= 1.0 + 1e-9
 
-    def test_theta_gradient_receives_noise(self):
-        mechanism = GaussianNoiseMechanism(noise_scale=0.5, clip_norm=1.0, rng=0)
-        update = _make_update()
-        update.theta_gradient = np.zeros(10)
-        noisy = mechanism.apply(update)
-        assert not np.allclose(noisy.theta_gradient, 0.0)
-
     def test_original_update_not_mutated(self):
         mechanism = GaussianNoiseMechanism(noise_scale=0.5, clip_norm=1.0, rng=0)
         update = _make_update()
         before = update.item_gradients.copy()
         mechanism.apply(update)
         np.testing.assert_array_equal(update.item_gradients, before)
+
+    def test_noise_is_one_draw_of_the_row_shape(self):
+        # The privacy stream advances by exactly one normal per gradient
+        # entry, so noisy runs replay the same stream draw for draw.
+        stream = np.random.default_rng(17)
+        mechanism = GaussianNoiseMechanism(noise_scale=0.5, clip_norm=2.0, rng=stream)
+        update = _make_update()
+        noisy = mechanism.apply(update)
+        reference = np.random.default_rng(17)
+        expected = update.item_gradients + reference.normal(
+            0.0, 1.0, size=update.item_gradients.shape
+        )
+        np.testing.assert_array_equal(noisy.item_gradients, expected)
+        assert stream.bit_generator.state == reference.bit_generator.state
 
     def test_invalid_parameters(self):
         with pytest.raises(FederationError):
@@ -152,7 +159,6 @@ def _round_fixture():
             client_id=0,
             item_ids=np.array([1, 4]),
             item_gradients=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            theta_gradient=np.array([1.0, 1.0, 1.0]),
             loss=0.5,
         ),
         ClientUpdate(
@@ -192,20 +198,11 @@ class TestSparseRoundUpdates:
             assert original.loss == copy.loss
             assert original.is_malicious == copy.is_malicious
             assert original.metadata == copy.metadata
-            if original.theta_gradient is None:
-                assert copy.theta_gradient is None
-            else:
-                np.testing.assert_allclose(original.theta_gradient, copy.theta_gradient)
 
     def test_sum_item_gradient_matches_dense_sum(self):
         updates, packed = _round_fixture()
         expected = sum(u.to_dense(10, 2) for u in updates)
         np.testing.assert_allclose(packed.sum_item_gradient(10, 2), expected)
-
-    def test_sum_theta_counts_contributors(self):
-        _, packed = _round_fixture()
-        np.testing.assert_allclose(packed.sum_theta(), [1.0, 1.0, 1.0])
-        assert packed.num_theta_contributors == 1
 
     def test_extended_appends_clients(self):
         _, packed = _round_fixture()
@@ -220,8 +217,6 @@ class TestSparseRoundUpdates:
         np.testing.assert_array_equal(merged.client_ids, [0, 3, 7, 9])
         np.testing.assert_array_equal(merged.client_offsets, [0, 2, 3, 3, 4])
         assert bool(merged.malicious_mask[3])
-        # theta padding: the appended MF update carries no theta.
-        assert merged.num_theta_contributors == 1
 
     def test_extended_with_nothing_is_identity(self):
         _, packed = _round_fixture()
@@ -291,8 +286,24 @@ class TestApplyRound:
         batched = mech_b.apply_round(packed).to_client_updates()
         for expected, actual in zip(one_by_one, batched):
             np.testing.assert_allclose(expected.item_gradients, actual.item_gradients)
-            if expected.theta_gradient is not None:
-                np.testing.assert_allclose(expected.theta_gradient, actual.theta_gradient)
+
+    def test_noise_draws_only_the_uploaded_rows(self):
+        # One draw per uploading client, in upload order; client 7 uploads
+        # no rows and draws nothing.
+        updates, packed = _round_fixture()
+        stream = np.random.default_rng(5)
+        mechanism = GaussianNoiseMechanism(noise_scale=0.5, clip_norm=1.0, rng=stream)
+        noisy = mechanism.apply_round(packed).to_client_updates()
+        reference = np.random.default_rng(5)
+        for original, actual in zip(updates, noisy):
+            if original.item_gradients.shape[0] == 0:
+                assert actual.item_gradients.shape == (0, 2)
+                continue
+            expected = original.item_gradients + reference.normal(
+                0.0, 0.5, size=original.item_gradients.shape
+            )
+            np.testing.assert_array_equal(actual.item_gradients, expected)
+        assert stream.bit_generator.state == reference.bit_generator.state
 
     def test_original_round_not_mutated(self):
         _, packed = _round_fixture()

@@ -118,8 +118,8 @@ class TestFaultSchedule:
         schedule = self._schedule(dropout_rate=0.5, crash_rate=0.5, straggler_rate=0.5)
         for round_index in range(20):
             faults = schedule.draw(round_index, np.arange(40, dtype=np.int64))
-            assert not faults.dropped_set & faults.crashed_set
-            assert not faults.dropped_set & faults.straggler_set
+            assert not set(faults.dropped) & faults.crashed_set
+            assert not set(faults.dropped) & faults.straggler_set
             assert not faults.crashed_set & faults.straggler_set
             assert set(faults.delays) == faults.straggler_set
 

@@ -49,9 +49,9 @@ class TestMasks:
     def test_mask_rows_match_dataset_masks(self, dataset):
         store = dataset.interaction_store()
         for user in range(dataset.num_users):
-            np.testing.assert_array_equal(
-                store.masks[user], dataset.positive_mask(user)
-            )
+            expected = np.zeros(dataset.num_items, dtype=bool)
+            expected[dataset.positive_items(user)] = True
+            np.testing.assert_array_equal(store.masks[user], expected)
 
     def test_masks_are_read_only(self, dataset):
         store = dataset.interaction_store()

@@ -18,6 +18,7 @@ from repro.metrics.evaluation import evaluate_snapshot
 from repro.models.losses import bpr_loss, bpr_loss_and_gradients, sigmoid
 
 from oracles import evaluate_loop
+from oracles.data import with_interactions_removed
 
 # --------------------------------------------------------------------- #
 # Strategies
@@ -84,7 +85,7 @@ class TestDatasetProperties:
         any_pair = st.tuples(st.integers(0, 14), st.integers(0, 19))
         removals = data.draw(st.lists(st.one_of(present, any_pair), max_size=40))
         dataset = InteractionDataset(15, 20, interactions)
-        reduced = dataset.with_interactions_removed(removals)
+        reduced = with_interactions_removed(dataset, removals)
         expected = sorted(set(interactions) - set(removals))
         assert reduced.pairs.dtype == np.int64
         assert reduced.pairs.shape == (len(expected), 2)
@@ -237,8 +238,8 @@ class TestFederatedProperties:
             )
             for i in range(num_clients)
         ]
-        forward = SumAggregator().aggregate(updates, 8, 4).item_gradient
-        backward = SumAggregator().aggregate(list(reversed(updates)), 8, 4).item_gradient
+        forward = SumAggregator().aggregate(updates, 8, 4)
+        backward = SumAggregator().aggregate(list(reversed(updates)), 8, 4)
         np.testing.assert_allclose(forward, backward)
 
     @given(seed=st.integers(0, 10_000))
@@ -257,7 +258,7 @@ class TestFederatedProperties:
         ]
         stacked = np.stack([u.to_dense(4, 3) for u in updates])
         lower, upper = stacked.min(axis=0), stacked.max(axis=0)
-        median = MedianAggregator().aggregate(updates, 4, 3).item_gradient / 5
-        trimmed = TrimmedMeanAggregator(0.2).aggregate(updates, 4, 3).item_gradient / 5
+        median = MedianAggregator().aggregate(updates, 4, 3) / 5
+        trimmed = TrimmedMeanAggregator(0.2).aggregate(updates, 4, 3) / 5
         assert np.all(median >= lower - 1e-9) and np.all(median <= upper + 1e-9)
         assert np.all(trimmed >= lower - 1e-9) and np.all(trimmed <= upper + 1e-9)

@@ -78,16 +78,6 @@ class TestSeedSequenceFactory:
     def test_master_seed_property(self):
         assert SeedSequenceFactory(99).master_seed == 99
 
-    def test_iter_generators(self):
-        factory = SeedSequenceFactory(3)
-        iterator = factory.iter_generators("loop")
-        first = next(iterator)
-        second = next(iterator)
-        assert isinstance(first, np.random.Generator)
-        assert not np.array_equal(
-            first.integers(0, 10**9, size=5), second.integers(0, 10**9, size=5)
-        )
-
 
 class TestEdgeCases:
     """Edge contracts the RNG-discipline lint rule (R1) leans on."""

@@ -4,8 +4,7 @@ Every federated round runs through one in-process path.  However an epoch's
 shuffled client order is cut into rounds — one-client rounds, ragged rounds,
 one round larger than the whole federation — whether each client's negatives
 are redrawn every round or drawn once and kept
-(``resample_negatives_each_epoch``), and whether items are scored by the dot
-product or the learnable MLP scorer, the protocol must:
+(``resample_negatives_each_epoch``), the protocol must:
 
 * replay **bit for bit** from one master seed (losses, both factor matrices,
   metrics, round counter),
@@ -47,8 +46,6 @@ SCENARIOS = ("benign", "fedrecattack")
 CLIENTS_PER_ROUND = (1, 9, 128)
 #: Per-round redrawn negatives (the default) or one draw kept for the run.
 NEGATIVES = ("resampled", "fixed")
-#: The dot-product model and the learnable MLP scorer.
-MODELS = ("mf", "mlp")
 NUM_EPOCHS = 2
 NUM_MALICIOUS = 4
 KAPPA = 12
@@ -103,23 +100,18 @@ def _run(
     return _Run(simulation.run(), simulation, observed)
 
 
-def _variant(negatives: str = "resampled", model: str = "mf") -> dict[str, object]:
-    """The ``FederatedConfig`` fields of one (negatives, model) variant."""
-    kwargs: dict[str, object] = {
-        "resample_negatives_each_epoch": negatives == "resampled"
-    }
-    if model == "mlp":
-        kwargs.update(use_learnable_scorer=True, scorer_hidden_units=8)
-    return kwargs
+def _variant(negatives: str = "resampled") -> dict[str, object]:
+    """The ``FederatedConfig`` fields of one negatives variant."""
+    return {"resample_negatives_each_epoch": negatives == "resampled"}
 
 
-#: (scenario, clients_per_round, negatives, model) -> the grid point's first
-#: run, shared by the grid's tests so each point trains once for them all.
-_GRID_RUNS: dict[tuple[str, int, str, str], _Run] = {}
+#: (scenario, clients_per_round, negatives) -> the grid point's first run,
+#: shared by the grid's tests so each point trains once for them all.
+_GRID_RUNS: dict[tuple[str, int, str], _Run] = {}
 
 
-def _grid_run(small_split, small_public, small_targets, scenario, cpr, negatives, model):
-    key = (scenario, cpr, negatives, model)
+def _grid_run(small_split, small_public, small_targets, scenario, cpr, negatives):
+    key = (scenario, cpr, negatives)
     if key not in _GRID_RUNS:
         _GRID_RUNS[key] = _run(
             small_split,
@@ -127,7 +119,7 @@ def _grid_run(small_split, small_public, small_targets, scenario, cpr, negatives
             small_targets,
             scenario,
             clients_per_round=cpr,
-            **_variant(negatives, model),
+            **_variant(negatives),
         )
     return _GRID_RUNS[key]
 
@@ -144,34 +136,29 @@ def _assert_bit_identical(run_a: _Run, run_b: _Run) -> None:
     assert a.exposure == b.exposure
 
 
-@pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("negatives", NEGATIVES)
 @pytest.mark.parametrize("cpr", CLIENTS_PER_ROUND)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 class TestRoundProtocolGrid:
     def test_replay_is_bit_identical(
-        self, small_split, small_public, small_targets, scenario, cpr, negatives, model
+        self, small_split, small_public, small_targets, scenario, cpr, negatives
     ):
-        first = _grid_run(
-            small_split, small_public, small_targets, scenario, cpr, negatives, model
-        )
+        first = _grid_run(small_split, small_public, small_targets, scenario, cpr, negatives)
         second = _run(
             small_split,
             small_public,
             small_targets,
             scenario,
             clients_per_round=cpr,
-            **_variant(negatives, model),
+            **_variant(negatives),
         )
         _assert_bit_identical(first, second)
         assert first.result.rounds_applied > 0
 
     def test_round_bookkeeping(
-        self, small_split, small_public, small_targets, scenario, cpr, negatives, model
+        self, small_split, small_public, small_targets, scenario, cpr, negatives
     ):
-        run = _grid_run(
-            small_split, small_public, small_targets, scenario, cpr, negatives, model
-        )
+        run = _grid_run(small_split, small_public, small_targets, scenario, cpr, negatives)
         num_users = small_split.train.num_users
         num_clients = num_users + (NUM_MALICIOUS if scenario == "fedrecattack" else 0)
         rounds_per_epoch = math.ceil(num_clients / cpr)
@@ -206,11 +193,9 @@ class TestRoundProtocolGrid:
             assert malicious_uploads == 0
 
     def test_uploads_stay_within_budget(
-        self, small_split, small_public, small_targets, scenario, cpr, negatives, model
+        self, small_split, small_public, small_targets, scenario, cpr, negatives
     ):
-        run = _grid_run(
-            small_split, small_public, small_targets, scenario, cpr, negatives, model
-        )
+        run = _grid_run(small_split, small_public, small_targets, scenario, cpr, negatives)
         num_items = small_split.train.num_items
         clip_norm = run.simulation.config.clip_norm
         for _, updates in run.observed:
@@ -320,9 +305,9 @@ class TestTrainerState:
         simulation = self._simulation(small_split, small_targets, negatives)
         batch = sorted(simulation.benign_clients)[:8]
         factors = simulation.server.item_factors
-        first, _ = simulation._trainer.train_round(batch, factors, None)
+        first, _ = simulation._trainer.train_round(batch, factors)
         stepped = np.stack([simulation.benign_clients[cid].user_vector for cid in batch])
-        second, _ = simulation._trainer.train_round(batch, factors, None)
+        second, _ = simulation._trainer.train_round(batch, factors)
 
         np.testing.assert_array_equal(second.user_vectors, stepped)
         assert not np.array_equal(second.user_vectors, first.user_vectors)
@@ -334,15 +319,13 @@ class TestTrainerState:
         plain = self._simulation(small_split, small_targets, negatives)
         batch = sorted(plain.benign_clients)[:16]
 
-        empty, empty_loss = with_empty._trainer.train_round(
-            [], with_empty.server.item_factors, None
-        )
+        empty, empty_loss = with_empty._trainer.train_round([], with_empty.server.item_factors)
         assert empty.num_clients == 0 and empty_loss == 0.0
 
         after_empty, loss_a = with_empty._trainer.train_round(
-            batch, with_empty.server.item_factors, None
+            batch, with_empty.server.item_factors
         )
-        reference, loss_b = plain._trainer.train_round(batch, plain.server.item_factors, None)
+        reference, loss_b = plain._trainer.train_round(batch, plain.server.item_factors)
         assert loss_a == loss_b
         np.testing.assert_array_equal(after_empty.item_ids, reference.item_ids)
         np.testing.assert_array_equal(after_empty.coefficients, reference.coefficients)

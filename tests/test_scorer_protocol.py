@@ -5,9 +5,9 @@ engine, the serving layer) dispatches *structurally* on
 :class:`repro.models.base.ScorerProtocol`, never nominally on concrete model
 classes.  This suite pins the three legs:
 
-* **conformance** — plain MF implements the protocol by inheritance, the MLP
-  path through the standalone :class:`~repro.models.neural.MLPRecommender`
-  adapter, and arbitrary objects/callables do *not* conform;
+* **conformance** — plain MF implements the protocol by inheritance, a
+  structural stand-in (:class:`oracles.DistanceScorer`, which subclasses
+  nothing) by shape alone, and arbitrary objects/callables do *not* conform;
 * **dispatch** — :func:`~repro.metrics.evaluation.resolve_score_block`
   normalises protocol objects to their bound ``score_block`` and passes bare
   callables through, and ``evaluate_snapshot`` produces bit-identical
@@ -27,7 +27,8 @@ from repro.exceptions import ModelError
 from repro.metrics.evaluation import evaluate_snapshot, resolve_score_block
 from repro.models.base import Recommender, ScorerProtocol
 from repro.models.mf import MatrixFactorizationModel
-from repro.models.neural import MLPRecommender, MLPScorer
+
+from oracles import DistanceScorer
 
 
 def _dataset(num_users: int = 20, num_items: int = 30, seed: int = 11) -> InteractionDataset:
@@ -44,12 +45,9 @@ def _mf(num_users: int = 20, num_items: int = 30, seed: int = 3) -> MatrixFactor
     return MatrixFactorizationModel(num_users, num_items, num_factors=8, init_scale=1.0, rng=seed)
 
 
-def _mlp(num_users: int = 20, num_items: int = 30, seed: int = 5) -> MLPRecommender:
+def _structural(num_users: int = 20, num_items: int = 30, seed: int = 5) -> DistanceScorer:
     rng = np.random.default_rng(seed)
-    scorer = MLPScorer(num_factors=8, hidden_units=6, rng=7)
-    return MLPRecommender(
-        rng.normal(size=(num_users, 8)), rng.normal(size=(num_items, 8)), scorer
-    )
+    return DistanceScorer(rng.normal(size=(num_users, 8)), rng.normal(size=(num_items, 8)))
 
 
 class _VectorOnlyScorer(Recommender):
@@ -79,13 +77,13 @@ class TestConformance:
     def test_mf_is_a_scorer(self):
         assert isinstance(_mf(), ScorerProtocol)
 
-    def test_mlp_adapter_is_a_scorer(self):
-        assert isinstance(_mlp(), ScorerProtocol)
+    def test_structural_stand_in_is_a_scorer(self):
+        assert isinstance(_structural(), ScorerProtocol)
 
-    def test_mlp_adapter_is_not_a_recommender_subclass(self):
-        # Structural conformance is the point: the adapter serves through
+    def test_structural_stand_in_is_not_a_recommender_subclass(self):
+        # Structural conformance is the point: the stand-in serves through
         # the protocol without inheriting the ABC.
-        assert not isinstance(_mlp(), Recommender)
+        assert not isinstance(_structural(), Recommender)
 
     def test_bare_callable_does_not_conform(self):
         assert not isinstance(lambda users: users, ScorerProtocol)
@@ -95,8 +93,9 @@ class TestConformance:
 
 
 class TestResolveScoreBlock:
-    def test_protocol_object_resolves_to_bound_method(self):
-        model = _mf()
+    @pytest.mark.parametrize("build", [_mf, _structural], ids=["mf", "structural"])
+    def test_protocol_object_resolves_to_bound_method(self, build):
+        model = build()
         resolved = resolve_score_block(model)
         assert resolved.__self__ is model
         users = np.arange(5, dtype=np.int64)
@@ -108,7 +107,7 @@ class TestResolveScoreBlock:
 
         assert resolve_score_block(score_block) is score_block
 
-    @pytest.mark.parametrize("build", [_mf, _mlp], ids=["mf", "mlp"])
+    @pytest.mark.parametrize("build", [_mf, _structural], ids=["mf", "structural"])
     def test_evaluate_snapshot_accepts_protocol_objects(self, build):
         """Passing the model and passing its callback are bit-identical."""
         dataset = _dataset()
@@ -172,32 +171,31 @@ class TestMatrixFactorizationProtocolSurface:
         )
 
 
-class TestMLPRecommenderAdapter:
-    def test_ctor_validates_feature_dimension(self):
-        scorer = MLPScorer(num_factors=8, rng=0)
-        with pytest.raises(ModelError, match="feature dimension 8"):
-            MLPRecommender(np.zeros((3, 7)), np.zeros((4, 8)), scorer)
-        with pytest.raises(ModelError, match="2-D"):
-            MLPRecommender(np.zeros(8), np.zeros((4, 8)), scorer)
+class TestStructuralStandInSurface:
+    """The non-MF surface the evaluation suites sweep is itself consistent."""
+
+    def test_scores_are_negative_squared_distances(self):
+        scorer = _structural(num_users=4, num_items=6)
+        block = scorer.score_block(np.arange(4, dtype=np.int64))
+        for user in range(4):
+            for item in range(6):
+                diff = scorer.user_factors[user] - scorer.item_factors[item]
+                assert block[user, item] == pytest.approx(-float(diff @ diff), abs=1e-12)
+        # Not the dot product of the same factors.
+        assert not np.allclose(block, scorer.user_factors @ scorer.item_factors.T)
 
     def test_score_matches_score_block_row(self):
-        adapter = _mlp()
-        for user in (0, 7, 19):
-            np.testing.assert_array_equal(
-                adapter.score(user),
-                adapter.score_block(np.array([user], dtype=np.int64))[0],
-            )
-
-    def test_score_subsets_items(self):
-        adapter = _mlp()
-        items = np.array([2, 0, 11], dtype=np.int64)
-        np.testing.assert_array_equal(adapter.score(1, items), adapter.score(1)[items])
+        scorer = _structural()
+        row = scorer.score_block(np.array([4], dtype=np.int64))[0]
+        np.testing.assert_array_equal(scorer.score(4), row)
+        items = np.array([7, 0, 7], dtype=np.int64)
+        np.testing.assert_array_equal(scorer.score(4, items), row[items])
 
     def test_score_block_validates_ids(self):
-        adapter = _mlp(num_users=4)
+        scorer = _structural(num_users=5)
         with pytest.raises(ModelError, match="out of range"):
-            adapter.score_block(np.array([4], dtype=np.int64))
+            scorer.score_block(np.array([0, 5], dtype=np.int64))
+        with pytest.raises(ModelError, match="out of range"):
+            scorer.score_block(np.array([-1], dtype=np.int64))
         with pytest.raises(ModelError, match="1-D"):
-            adapter.score_block(np.zeros((1, 1), dtype=np.int64))
-        with pytest.raises(ModelError, match="out of range"):
-            adapter.score(-1)
+            scorer.score_block(np.zeros((2, 2), dtype=np.int64))

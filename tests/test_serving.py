@@ -28,7 +28,6 @@ from repro.data.dataset import InteractionDataset
 from repro.exceptions import ServingError
 from repro.metrics.evaluation import evaluate_snapshot, user_blocks
 from repro.models.mf import MatrixFactorizationModel
-from repro.models.neural import MLPScorer
 from repro.serving import (
     FactorSnapshot,
     Recommendation,
@@ -88,21 +87,26 @@ class TestFactorSnapshot:
         after = snapshot.model().score_block(np.arange(NUM_USERS, dtype=np.int64))
         np.testing.assert_array_equal(before, after)
 
-    def test_scorer_is_a_frozen_copy(self):
-        scorer = MLPScorer(num_factors=NUM_FACTORS, rng=1)
-        model = _model()
-        snapshot = FactorSnapshot(model.user_factors, model.item_factors, scorer=scorer)
-        before = snapshot.model().score_block(np.arange(5, dtype=np.int64))
-        scorer.w1 += 10.0
-        after = snapshot.model().score_block(np.arange(5, dtype=np.int64))
-        np.testing.assert_array_equal(before, after)
-        assert snapshot.scorer is not scorer
-        with pytest.raises(ValueError):
-            snapshot.scorer.w1[0, 0] = 1.0
-
     def test_model_is_cached(self):
         snapshot = _snapshot()
         assert snapshot.model() is snapshot.model()
+
+    def test_model_adopts_the_frozen_matrices(self):
+        # Positional factors and a keyword version, the way callers outside
+        # the package build snapshots; the model scores those frozen arrays
+        # themselves and cannot write through them.
+        rng = np.random.default_rng(12)
+        users, items = rng.normal(size=(NUM_USERS, 4)), rng.normal(size=(NUM_ITEMS, 4))
+        snapshot = FactorSnapshot(users, items, version=3)
+        model = snapshot.model()
+        assert isinstance(model, MatrixFactorizationModel)
+        assert model.user_factors is snapshot.user_factors
+        assert model.item_factors is snapshot.item_factors
+        with pytest.raises(ValueError):
+            model.item_factors[0, 0] = 1.0
+        block = np.array([2, 0, 2], dtype=np.int64)
+        np.testing.assert_array_equal(model.score_block(block), users[block] @ items.T)
+        assert snapshot.version == 3
 
     def test_shape_and_version_properties(self):
         snapshot = _snapshot(version=7)
@@ -120,8 +124,6 @@ class TestFactorSnapshot:
             FactorSnapshot(np.ones((3, 5)), good)
         with pytest.raises(ServingError, match="version"):
             FactorSnapshot(good, good, version=-1)
-        with pytest.raises(ServingError, match="scorer expects"):
-            FactorSnapshot(good, good, scorer=MLPScorer(num_factors=8, rng=0))
 
 
 class TestServiceValidation:
