@@ -52,11 +52,9 @@ class ExplicitBoostAttack(Attack):
         # malicious user's own scores on the targets.
         rows = np.tile(-client.user_vector * self.boost_factor, (targets.shape[0], 1))
         rows = clip_rows(rows, clip)
-        client.participation_count += 1
         return ClientUpdate(
             client_id=client.client_id,
             item_ids=targets.copy(),
             item_gradients=rows,
             is_malicious=True,
-            metadata={"attack": self.name},
         )

@@ -444,14 +444,12 @@ class FedRecAttack(Attack):
         # Eq. 24: remove what this client uploads from the remaining poison.
         self._poison_gradient[assigned] -= rows
 
-        client.participation_count += 1
         return ClientUpdate(
             client_id=client.client_id,
             item_ids=assigned.copy(),
             item_gradients=rows,
             loss=0.0,
             is_malicious=True,
-            metadata={"attack": self.name},
         )
 
     # ------------------------------------------------------------------ #

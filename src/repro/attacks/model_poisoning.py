@@ -68,13 +68,11 @@ class GradientBoostingAttack(Attack):
         # SGD step increase those scores.
         rows = np.tile(-client.user_vector, (targets.shape[0], 1)) * boost
         rows = clip_rows(rows, clip)
-        client.participation_count += 1
         return ClientUpdate(
             client_id=client.client_id,
             item_ids=targets.copy(),
             item_gradients=rows,
             is_malicious=True,
-            metadata={"attack": self.name},
         )
 
 
@@ -117,13 +115,11 @@ class LittleIsEnoughAttack(Attack):
         direction = -np.sign(client.user_vector)
         rows = np.tile(mean + self.z_max * std * direction, (targets.shape[0], 1))
         rows = clip_rows(rows, clip)
-        client.participation_count += 1
         return ClientUpdate(
             client_id=client.client_id,
             item_ids=targets.copy(),
             item_gradients=rows,
             is_malicious=True,
-            metadata={"attack": self.name},
         )
 
     def _estimate_benign_envelope(

@@ -115,13 +115,11 @@ class PipAttack(Attack):
             boost = np.tile(-client.user_vector, (targets.shape[0], 1))
             rows = self.alignment_weight * alignment + self.boost_weight * boost
             rows = clip_rows(rows, clip)
-        client.participation_count += 1
         return ClientUpdate(
             client_id=client.client_id,
             item_ids=targets.copy(),
             item_gradients=rows,
             is_malicious=True,
-            metadata={"attack": self.name},
         )
 
     def _alignment_rows(self, item_factors: np.ndarray, targets: np.ndarray) -> np.ndarray:

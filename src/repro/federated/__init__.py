@@ -4,7 +4,10 @@ Implements the FR framework of Section III-B: a central server maintains the
 shared item matrix ``V`` while every user client keeps its interaction data
 and its own feature vector ``u_i`` private.  Each round the server samples a
 batch of clients, sends them ``V``, collects their (possibly
-noisy) gradients and applies the aggregated update (Eq. 5-7).
+noisy) gradients and applies the aggregated update (Eq. 5-7).  The benign
+clients' private state is held as arrays by :class:`BatchedRoundTrainer`
+(one user matrix, one negatives buffer); attacker-controlled clients are
+:class:`MaliciousClient` objects.
 """
 
 from repro.federated.aggregation import (
@@ -17,7 +20,7 @@ from repro.federated.aggregation import (
     TrimmedMeanAggregator,
     make_aggregator,
 )
-from repro.federated.client import BenignClient, Client, MaliciousClient
+from repro.federated.client import MaliciousClient
 from repro.federated.config import FederatedConfig
 from repro.federated.dynamics import (
     FaultSchedule,
@@ -49,9 +52,7 @@ __all__ = [
     "KrumAggregator",
     "NormBoundingAggregator",
     "make_aggregator",
-    "BenignClient",
     "MaliciousClient",
-    "Client",
     "FederatedConfig",
     "FaultSchedule",
     "RoundFaults",

@@ -1,14 +1,15 @@
-"""User clients.
+"""Attacker-controlled clients.
 
-Each user's interaction data and feature vector ``u_i`` live only on its own
-client (Section III-B).  A benign client performs one local BPR step per
-round: it computes the gradients of the shared item matrix and of its own
-vector, uploads the former and applies the latter locally (Eq. 6).
+Each benign user's interaction data and feature vector ``u_i`` live only on
+its own client (Section III-B); the simulator keeps that private state as
+arrays in :class:`~repro.federated.engine.BatchedRoundTrainer`, which trains
+every selected benign client of a round in one stacked step.
 
-A malicious client is structurally identical but is controlled by an attack:
-shilling-style attacks (Random / Bandwagon / Popular) give it a fake
-interaction profile and let it train honestly on it, while model-poisoning
-attacks (FedRecAttack, EB, PipAttack, ...) craft its upload directly.
+A malicious client is controlled by an attack and keeps per-client state of
+its own: shilling-style attacks (Random / Bandwagon / Popular) give it a
+fake interaction profile and let it train honestly on it, while
+model-poisoning attacks (FedRecAttack, EB, PipAttack, ...) craft its upload
+directly.
 """
 
 from __future__ import annotations
@@ -21,11 +22,17 @@ from repro.federated.updates import ClientUpdate
 from repro.models.losses import bpr_loss_and_gradients
 from repro.rng import ensure_rng
 
-__all__ = ["Client", "BenignClient", "MaliciousClient"]
+__all__ = ["MaliciousClient"]
 
 
-class Client:
-    """Base class holding the private state shared by all clients."""
+class MaliciousClient:
+    """An attacker-controlled client.
+
+    The ``profile`` is the fake interaction set used by honest-training
+    attacks; model-poisoning attacks instead use the per-client persistent
+    item set ``assigned_items`` (the ``V_i`` of Eq. 21, chosen on first
+    participation and kept fixed afterwards).
+    """
 
     def __init__(
         self,
@@ -49,130 +56,10 @@ class Client:
         self._rng = ensure_rng(rng)
         #: Private user feature vector, never shared with the server.
         self.user_vector = self._rng.normal(0.0, init_scale, size=num_factors)
-        #: Number of rounds this client has participated in.
-        self.participation_count = 0
-
-    @property
-    def is_malicious(self) -> bool:
-        """Whether the client is controlled by the attacker."""
-        return False
-
-    # ------------------------------------------------------------------ #
-    # Local training (honest-training attacks; the per-client reference
-    # round in ``tests/oracles`` reuses it for benign clients)
-    # ------------------------------------------------------------------ #
-    def _train_on_profile(
-        self,
-        positives: np.ndarray,
-        negatives: np.ndarray,
-        item_factors: np.ndarray,
-    ) -> ClientUpdate:
-        """One local SGD step on the given positive/negative pairs."""
-        gradients = bpr_loss_and_gradients(
-            self.user_vector, item_factors, positives, negatives, l2_reg=self.l2_reg
-        )
-        self.user_vector = self.user_vector - self.learning_rate * gradients.grad_user
-        self.participation_count += 1
-        return ClientUpdate(
-            client_id=self.client_id,
-            item_ids=gradients.item_ids,
-            item_gradients=gradients.grad_items,
-            loss=gradients.loss,
-            is_malicious=self.is_malicious,
-        )
-
-
-class BenignClient(Client):
-    """An honest user client training on its real interactions.
-
-    The client holds no sampler of its own: the round engine draws every
-    selected client's negatives in one stacked pass from the shared round
-    stream and hands each client its slice through
-    :meth:`accept_negatives`.  With ``resample_negatives=False`` the first
-    slice is kept for every later round (the fixed ``V-_i'`` of
-    Section III-B).
-    """
-
-    def __init__(
-        self,
-        client_id: int,
-        positives: np.ndarray,
-        num_items: int,
-        num_factors: int,
-        learning_rate: float,
-        init_scale: float = 0.01,
-        l2_reg: float = 0.0,
-        resample_negatives: bool = True,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        super().__init__(
-            client_id, num_items, num_factors, learning_rate, init_scale, l2_reg, rng
-        )
-        self.positives = np.asarray(positives, dtype=np.int64)
-        self.resample_negatives = bool(resample_negatives)
-        self._negatives: np.ndarray | None = None
-
-    @property
-    def needs_fresh_negatives(self) -> bool:
-        """Whether the round engine must draw this client's negatives.
-
-        True every round when resampling, else only until the first draw:
-        a client whose positives exceed half the catalog gets a quota
-        shorter than its positive set, so the cached sample's length says
-        nothing about whether it was drawn.
-        """
-        return self.resample_negatives or self._negatives is None
-
-    def accept_negatives(self, negatives: np.ndarray) -> None:
-        """Install the round engine's negatives.
-
-        The client keeps its slice, so ``resample_negatives=False`` reuses
-        it on later rounds through :meth:`current_pairs`.
-        """
-        self._negatives = np.asarray(negatives, dtype=np.int64)
-
-    def current_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The aligned (positives, negatives) pairs of the installed sample."""
-        if self._negatives is None:
-            raise FederationError(
-                f"client {self.client_id} has no negatives yet; the round "
-                "engine installs them with accept_negatives"
-            )
-        negatives = self._negatives[: self.positives.shape[0]]
-        positives = self.positives[: negatives.shape[0]]
-        return positives, negatives
-
-
-class MaliciousClient(Client):
-    """An attacker-controlled client.
-
-    The ``profile`` is the fake interaction set used by honest-training
-    attacks; model-poisoning attacks instead use the per-client persistent
-    item set ``assigned_items`` (the ``V_i`` of Eq. 21, chosen on first
-    participation and kept fixed afterwards).
-    """
-
-    def __init__(
-        self,
-        client_id: int,
-        num_items: int,
-        num_factors: int,
-        learning_rate: float,
-        init_scale: float = 0.01,
-        l2_reg: float = 0.0,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        super().__init__(
-            client_id, num_items, num_factors, learning_rate, init_scale, l2_reg, rng
-        )
         #: Fake interaction profile (item ids); empty until an attack sets it.
         self.profile: np.ndarray = np.empty(0, dtype=np.int64)
         #: Persistent item set ``V_i`` for constrained gradient uploads.
         self.assigned_items: np.ndarray | None = None
-
-    @property
-    def is_malicious(self) -> bool:
-        return True
 
     def set_profile(self, items: np.ndarray) -> None:
         """Install a fake interaction profile (shilling-style attacks)."""
@@ -182,7 +69,11 @@ class MaliciousClient(Client):
         self.profile = items
 
     def train_on_profile(self, item_factors: np.ndarray) -> ClientUpdate:
-        """Honest BPR training on the fake profile (Random/Bandwagon/Popular)."""
+        """Honest BPR training on the fake profile (Random/Bandwagon/Popular).
+
+        One local SGD step on the profile's pairs: the item gradient is
+        uploaded, the user-vector gradient applied locally (Eq. 6).
+        """
         if self.profile.shape[0] == 0:
             return ClientUpdate(
                 client_id=self.client_id,
@@ -199,4 +90,14 @@ class MaliciousClient(Client):
             mask,
         )
         positives = self.profile[: negatives.shape[0]]
-        return self._train_on_profile(positives, negatives, item_factors)
+        gradients = bpr_loss_and_gradients(
+            self.user_vector, item_factors, positives, negatives, l2_reg=self.l2_reg
+        )
+        self.user_vector = self.user_vector - self.learning_rate * gradients.grad_user
+        return ClientUpdate(
+            client_id=self.client_id,
+            item_ids=gradients.item_ids,
+            item_gradients=gradients.grad_items,
+            loss=gradients.loss,
+            is_malicious=True,
+        )

@@ -1,20 +1,20 @@
 """Batched round engine.
 
-:class:`BatchedRoundTrainer` performs one aggregation round's local training
-for *all* selected benign clients with stacked numpy operations instead of a
-per-client Python loop:
+:class:`BatchedRoundTrainer` holds the benign clients' private state as
+arrays — the user matrix ``user_factors`` (row ``u`` is user ``u``'s
+``u_i``), a negatives buffer aligned with the store's CSR item ids and each
+user's drawn length — and trains *all* selected benign clients of a round in
+stacked numpy operations instead of a per-client Python loop:
 
-* every client's (positives, negatives) pairs for the round are drawn through
-  :meth:`draw_round_pairs` — one stacked rejection-sampling pass over all
-  selected clients from the shared round stream (the per-client reference
-  round in ``tests/oracles`` calls the same method, so both train on
-  identical pairs),
-* the user vectors are stacked into a ``(B, k)`` matrix, the positive and
-  negative item vectors are gathered once, and the BPR margins, coefficients,
-  per-user losses and all gradients are computed in bulk
-  (:func:`repro.models.losses.bpr_coefficients_batched`),
+* :meth:`BatchedRoundTrainer.draw_round_pairs` draws fresh negatives in one
+  stacked rejection-sampling pass from the shared round stream and gathers
+  every selected client's pairs at once (the per-client reference round in
+  ``tests/oracles`` calls the same method, so both train on identical pairs),
+* the BPR margins, coefficients, per-user losses and all gradients are
+  computed in bulk (:func:`repro.models.losses.bpr_coefficients_batched`),
+  and the local SGD step is one scatter into ``user_factors``,
 * the per-(client, item) item gradients stay in the *lazy factored* form —
-  folded coefficients in CSR layout plus the stacked user matrix, packaged
+  folded coefficients in CSR layout plus the gathered user vectors, packaged
   as :class:`~repro.federated.updates.FactoredRoundUpdates` — which the
   ``sum`` / ``mean`` aggregators and the DP mechanism consume without ever
   materialising the ``(nnz, k)`` gradient-row array.
@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.data.store import InteractionStore
-from repro.federated.client import BenignClient
 from repro.federated.config import FederatedConfig
 from repro.federated.privacy import GaussianNoiseMechanism
 from repro.federated.updates import FactoredRoundUpdates, SparseRoundUpdates
@@ -34,81 +33,95 @@ from repro.models.losses import bpr_coefficients_batched
 
 __all__ = ["BatchedRoundTrainer"]
 
-Pairs = tuple[np.ndarray, np.ndarray]
-
 
 class BatchedRoundTrainer:
     """Trains a round's benign clients in one batched computation.
 
     Parameters
     ----------
-    clients, config, privacy, num_items:
-        The benign client registry, the protocol configuration, the DP
-        mechanism and the catalog size.
+    user_factors:
+        The initial user matrix, shape ``(num_users, k)``; the trainer owns
+        it from here on and steps its rows in place.
+    config, privacy, num_items:
+        The protocol configuration, the DP mechanism and the catalog size.
     round_rng:
         The shared round-sampler stream: one stacked draw per round, in
         client selection order.
     store:
         The dataset's shared :class:`~repro.data.store.InteractionStore`.
-        The sampler reads its stacked positive masks straight out of the
-        store's cached mask matrix (one fancy-index gather) and their
-        popcounts out of the cached degrees.  Client ids must equal dataset
-        user ids, which is how the simulation builds its benign registry.
+        Client ids are dataset user ids: a client's positives are its CSR
+        slice, the sampler reads its stacked positive masks straight out of
+        the store's cached mask matrix (one fancy-index gather) and their
+        popcounts out of the cached degrees.
     """
 
     def __init__(
         self,
-        clients: dict[int, BenignClient],
+        user_factors: np.ndarray,
         config: FederatedConfig,
         privacy: GaussianNoiseMechanism,
         num_items: int,
         round_rng: np.random.Generator,
         store: InteractionStore,
     ) -> None:
-        self._clients = clients
+        #: Private user vectors, one row per user, never shared with the server.
+        self.user_factors = user_factors
         self._config = config
         self._privacy = privacy
         self._num_items = int(num_items)
         self._round_rng = round_rng
         self._store = store
+        # User u's negatives occupy ``_negatives[indptr[u] : indptr[u] + n]``
+        # with ``n = _drawn[u]``: a user asks for one negative per positive,
+        # capped at the complement of its positives, so its draw fits its
+        # CSR slice.  A heavy user's quota is shorter than its slice, which
+        # is why the drawn length, not the slice, says whether it has drawn.
+        self._negatives = np.empty(store.indices.shape[0], dtype=np.int64)
+        self._drawn = np.full(store.num_users, -1, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Pair drawing
     # ------------------------------------------------------------------ #
-    def draw_round_pairs(self, benign_ids: list[int]) -> list[Pairs]:
-        """The round's (positives, negatives) pairs, aligned with ``benign_ids``.
+    def draw_round_pairs(
+        self, benign_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The round's pairs as stacked ``(offsets, positives, negatives)``.
 
-        One stacked rejection-sampling draw from the round stream covers
-        every selected client that needs fresh negatives; clients keeping
-        their first sample (``resample_negatives_each_epoch=False``) reuse
-        it and consume no stream.
+        Row ``b`` (client ``benign_ids[b]``) pairs its first ``n`` positives
+        with its ``n`` drawn negatives at ``offsets[b]:offsets[b + 1]``.  One
+        stacked draw from the round stream covers every selected client that
+        needs fresh negatives: all of them when resampling, else those that
+        never drew; the others reuse their first draw and consume no stream.
         """
-        clients = [self._clients[cid] for cid in benign_ids]
-        fresh = [i for i, client in enumerate(clients) if client.needs_fresh_negatives]
-        if fresh:
-            counts = np.array(
-                [clients[i].positives.shape[0] for i in fresh], dtype=np.int64
-            )
-            ids = np.array([benign_ids[i] for i in fresh], dtype=np.int64)
-            # One gather out of the persistent mask matrix.
-            masks = self._store.mask_rows(ids)
+        ids = np.asarray(benign_ids, dtype=np.int64)
+        store = self._store
+        if self._config.resample_negatives_each_epoch:
+            fresh = ids
+        else:
+            fresh = ids[self._drawn[ids] < 0]
+        if fresh.shape[0] > 0:
+            degrees = store.degrees[fresh]
             negatives, offsets = sample_uniform_negatives_batched(
                 self._round_rng,
                 self._num_items,
-                counts,
-                masks,
-                num_positives=self._store.degrees[ids],
+                degrees,
+                # One gather out of the persistent mask matrix.
+                store.mask_rows(fresh),
+                num_positives=degrees,
             )
-            for row, i in enumerate(fresh):
-                clients[i].accept_negatives(negatives[offsets[row] : offsets[row + 1]])
-        return [client.current_pairs() for client in clients]
+            self._negatives[_slots(store.indptr[fresh], offsets)] = negatives
+            self._drawn[fresh] = np.diff(offsets)
+        offsets = np.zeros(ids.shape[0] + 1, dtype=np.int64)
+        np.cumsum(self._drawn[ids], out=offsets[1:])
+        slots = _slots(store.indptr[ids], offsets)
+        return offsets, store.indices[slots], self._negatives[slots]
 
     # ------------------------------------------------------------------ #
     # Single-round training
     # ------------------------------------------------------------------ #
     def train_round(
         self,
-        benign_ids: list[int],
+        benign_ids: np.ndarray,
         item_factors: np.ndarray,
     ) -> tuple["FactoredRoundUpdates | SparseRoundUpdates", float]:
         """One local-training round for ``benign_ids``.
@@ -118,14 +131,16 @@ class BatchedRoundTrainer:
         when no benign client trains — plus the round's total benign training
         loss (measured before privacy noise).
         """
-        num_clients = len(benign_ids)
+        ids = np.asarray(benign_ids, dtype=np.int64)
+        num_clients = ids.shape[0]
         if num_clients == 0:
             return self._empty_round(), 0.0
 
-        clients = [self._clients[cid] for cid in benign_ids]
-        pair_lists = self.draw_round_pairs(benign_ids)
-        segment_ids, positives, negatives = _stack_pairs(pair_lists)
-        user_vectors = np.stack([client.user_vector for client in clients])
+        offsets, positives, negatives = self.draw_round_pairs(ids)
+        segment_ids = np.repeat(np.arange(num_clients, dtype=np.int64), np.diff(offsets))
+        # A fancy-index gather copies, so the round structure below keeps the
+        # vectors the gradients were taken at after the step writes back.
+        user_vectors = self.user_factors[ids]
 
         l2_reg = self._config.l2_reg
         batched = bpr_coefficients_batched(
@@ -137,7 +152,7 @@ class BatchedRoundTrainer:
             l2_reg=l2_reg,
         )
         round_updates = FactoredRoundUpdates(
-            client_ids=np.asarray(benign_ids, dtype=np.int64),
+            client_ids=ids,
             item_ids=batched.item_ids,
             coefficients=batched.coefficients,
             client_offsets=batched.segment_offsets,
@@ -148,7 +163,8 @@ class BatchedRoundTrainer:
             ridge_matrix=item_factors if l2_reg > 0.0 else None,
         )
 
-        self._step_clients(clients, user_vectors, batched.grad_users)
+        # Every client's local SGD step on its private vector (Eq. 6).
+        self.user_factors[ids] = user_vectors - self._config.learning_rate * batched.grad_users
         return self._privacy.apply_round(round_updates), float(batched.losses.sum())
 
     # ------------------------------------------------------------------ #
@@ -165,27 +181,8 @@ class BatchedRoundTrainer:
             malicious_mask=np.empty(0, dtype=bool),
         )
 
-    def _step_clients(
-        self,
-        clients: list[BenignClient],
-        user_vectors: np.ndarray,
-        grad_users: np.ndarray,
-    ) -> None:
-        """Apply every client's local SGD step on its private vector."""
-        stepped = user_vectors - self._config.learning_rate * grad_users
-        for index, client in enumerate(clients):
-            client.user_vector = stepped[index].copy()
-            client.participation_count += 1
 
-
-def _stack_pairs(pair_lists: list[Pairs]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate per-client pairs into (segment_ids, positives, negatives)."""
-    counts = np.array([pairs[0].shape[0] for pairs in pair_lists], dtype=np.int64)
-    segment_ids = np.repeat(np.arange(len(pair_lists), dtype=np.int64), counts)
-    if counts.sum() > 0:
-        positives = np.concatenate([pairs[0] for pairs in pair_lists])
-        negatives = np.concatenate([pairs[1] for pairs in pair_lists])
-    else:
-        positives = np.empty(0, dtype=np.int64)
-        negatives = np.empty(0, dtype=np.int64)
-    return segment_ids, positives, negatives
+def _slots(starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Buffer slots ``starts[b] + 0 .. n_b - 1`` for ``n_b = diff(offsets)[b]``, row by row."""
+    lengths = np.diff(offsets)
+    return np.arange(offsets[-1], dtype=np.int64) + np.repeat(starts - offsets[:-1], lengths)

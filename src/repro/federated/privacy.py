@@ -117,5 +117,4 @@ class GaussianNoiseMechanism:
             client_offsets=round_updates.client_offsets,
             losses=round_updates.losses,
             malicious_mask=round_updates.malicious_mask,
-            metadata=round_updates.metadata,
         )

@@ -67,10 +67,6 @@ class Server:
         gradient = self.aggregator.aggregate(updates, self.num_items, self.num_factors)
         self.item_factors = self.item_factors - self.config.learning_rate * gradient
 
-    def snapshot_item_factors(self) -> np.ndarray:
-        """A copy of the current item matrix (what clients receive each round)."""
-        return self.item_factors.copy()
-
     def __repr__(self) -> str:
         return (
             f"Server(items={self.num_items}, factors={self.num_factors}, "

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.data.dataset import InteractionDataset
 from repro.exceptions import FederationError
-from repro.federated.client import BenignClient, MaliciousClient
+from repro.federated.client import MaliciousClient
 from repro.federated.config import FederatedConfig
 from repro.federated.dynamics import FaultSchedule, RoundFaults, RoundIncident
 from repro.federated.engine import BatchedRoundTrainer
@@ -39,7 +39,7 @@ from repro.federated.updates import ClientUpdate
 from repro.metrics.accuracy import AccuracyReport
 from repro.metrics.evaluation import evaluate_snapshot
 from repro.metrics.exposure import ExposureReport
-from repro.rng import SeedSequenceFactory
+from repro.rng import SeedSequenceFactory, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.attacks.base import Attack
@@ -71,16 +71,6 @@ class SimulationResult:
         """The run's structured degradation log (empty with dynamics off)."""
         return self.history.incidents
 
-    @property
-    def final_er_at_5(self) -> float:
-        """ER@5 at the end of training (0 when no targets were configured)."""
-        return self.exposure.er_at_5 if self.exposure else 0.0
-
-    @property
-    def final_hr_at_10(self) -> float:
-        """HR@10 at the end of training."""
-        return self.accuracy.hr_at_10 if self.accuracy else 0.0
-
 
 class FederatedSimulation:
     """Simulates federated training of the recommender, optionally under attack.
@@ -92,7 +82,8 @@ class FederatedSimulation:
     Parameters
     ----------
     train:
-        The benign training interactions; one benign client is built per user.
+        The benign training interactions; every user is one benign client,
+        whose private vector is a row of the round trainer's user matrix.
     config:
         Protocol hyper-parameters.
     test_items:
@@ -176,11 +167,8 @@ class FederatedSimulation:
             clip_before_noise=config.clip_benign_gradients,
             rng=self._seeds.generator("privacy"),
         )
-        self.benign_clients = self._build_benign_clients()
         self.malicious_clients = self._build_malicious_clients()
-        self._all_client_ids = np.array(
-            sorted(self.benign_clients) + sorted(self.malicious_clients), dtype=np.int64
-        )
+        self._all_client_ids = np.arange(train.num_users + self.num_malicious, dtype=np.int64)
         # Federation dynamics: one dedicated, named fault stream (so enabling
         # churn never perturbs any training/evaluation stream — with every
         # rate at 0.0 no FaultSchedule is built and no stream is consumed,
@@ -203,7 +191,7 @@ class FederatedSimulation:
         self._history: TrainingHistory | None = None
         self._current_epoch = 0
         self._trainer = BatchedRoundTrainer(
-            self.benign_clients,
+            self._initial_user_factors(),
             config,
             self.privacy,
             train.num_items,
@@ -220,23 +208,21 @@ class FederatedSimulation:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    def _build_benign_clients(self) -> dict[int, BenignClient]:
-        clients: dict[int, BenignClient] = {}
-        client_rngs = self._seeds.generator("benign-clients")
-        seeds = client_rngs.integers(0, 2**62, size=self.train.num_users)
-        for user in range(self.train.num_users):
-            clients[user] = BenignClient(
-                client_id=user,
-                positives=self.train.positive_items(user),
-                num_items=self.train.num_items,
-                num_factors=self.config.num_factors,
-                learning_rate=self.config.learning_rate,
-                init_scale=self.config.init_scale,
-                l2_reg=self.config.l2_reg,
-                resample_negatives=self.config.resample_negatives_each_epoch,
-                rng=int(seeds[user]),
+    def _initial_user_factors(self) -> np.ndarray:
+        """The benign users' initial vectors, one row per user.
+
+        Each row is drawn from its own per-user seed, the way each user's
+        client would draw its own vector.
+        """
+        seeds = self._seeds.generator("benign-clients").integers(
+            0, 2**62, size=self.train.num_users
+        )
+        user_factors = np.empty((self.train.num_users, self.config.num_factors))
+        for user, seed in enumerate(seeds):
+            user_factors[user] = ensure_rng(int(seed)).normal(
+                0.0, self.config.init_scale, size=self.config.num_factors
             )
-        return clients
+        return user_factors
 
     def _build_malicious_clients(self) -> dict[int, MaliciousClient]:
         clients: dict[int, MaliciousClient] = {}
@@ -371,9 +357,9 @@ class FederatedSimulation:
             participants = batch[~np.isin(batch, np.asarray(faults.dropped, dtype=np.int64))]
         else:
             participants = batch
-        selected_malicious = [
-            int(cid) for cid in participants if int(cid) in self.malicious_clients
-        ]
+        selected_malicious: list[int] = participants[
+            participants >= self.train.num_users
+        ].tolist()
         if self.attack is not None and selected_malicious:
             self.attack.on_round_start(
                 round_index, self.server.item_factors, selected_malicious
@@ -396,9 +382,8 @@ class FederatedSimulation:
         crash/straggler dispositions can filter them; the zero-fault round
         keeps the lazy structured path untouched.
         """
-        benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
         round_updates, round_loss = self._trainer.train_round(
-            benign_ids, self.server.item_factors
+            batch[batch < self.train.num_users], self.server.item_factors
         )
         if self.attack is not None and selected_malicious:
             crafted = [
@@ -551,10 +536,8 @@ class FederatedSimulation:
     # Evaluation
     # ------------------------------------------------------------------ #
     def gather_user_factors(self) -> np.ndarray:
-        """Benign users' private vectors stacked into a matrix (analysis only)."""
-        return np.stack(
-            [self.benign_clients[user].user_vector for user in range(self.train.num_users)]
-        )
+        """A copy of the benign users' private vectors (analysis only)."""
+        return self._trainer.user_factors.copy()
 
     def score_block_function(self) -> Callable[[np.ndarray], np.ndarray]:
         """Return a function scoring a block of benign users in one shot.

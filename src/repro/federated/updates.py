@@ -25,8 +25,8 @@ Three representations exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -87,7 +87,6 @@ class ClientUpdate:
     item_gradients: np.ndarray
     loss: float = 0.0
     is_malicious: bool = False
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.item_ids = np.asarray(self.item_ids, dtype=np.int64)
@@ -130,7 +129,6 @@ class ClientUpdate:
             item_gradients=self.item_gradients.copy(),
             loss=self.loss,
             is_malicious=self.is_malicious,
-            metadata=dict(self.metadata),
         )
 
 
@@ -158,9 +156,6 @@ class SparseRoundUpdates:
         Per-client local training losses, shape ``(B,)``.
     malicious_mask:
         Per-client attacker flags (analysis metadata only), shape ``(B,)``.
-    metadata:
-        Per-client metadata dictionaries (same role as
-        :attr:`ClientUpdate.metadata`); empty list means "all empty".
     """
 
     client_ids: np.ndarray
@@ -169,7 +164,6 @@ class SparseRoundUpdates:
     client_offsets: np.ndarray
     losses: np.ndarray
     malicious_mask: np.ndarray
-    metadata: list[dict[str, Any]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.client_ids = np.asarray(self.client_ids, dtype=np.int64)
@@ -207,10 +201,6 @@ class SparseRoundUpdates:
         start, stop = self.client_offsets[index], self.client_offsets[index + 1]
         return self.item_ids[start:stop], self.grad_rows[start:stop]
 
-    def client_metadata(self, index: int) -> dict[str, Any]:
-        """Metadata dictionary of client ``index`` (empty when absent)."""
-        return self.metadata[index] if self.metadata else {}
-
     # ------------------------------------------------------------------ #
     # Conversions
     # ------------------------------------------------------------------ #
@@ -235,7 +225,6 @@ class SparseRoundUpdates:
         else:
             item_ids = np.empty(0, dtype=np.int64)
             grad_rows = np.empty((0, num_factors), dtype=np.float64)
-        metadata = [dict(u.metadata) for u in updates] if any(u.metadata for u in updates) else []
         return cls(
             client_ids=np.array([u.client_id for u in updates], dtype=np.int64),
             item_ids=item_ids,
@@ -243,7 +232,6 @@ class SparseRoundUpdates:
             client_offsets=offsets,
             losses=np.array([u.loss for u in updates], dtype=np.float64),
             malicious_mask=np.array([u.is_malicious for u in updates], dtype=bool),
-            metadata=metadata,
         )
 
     def to_client_updates(self) -> list[ClientUpdate]:
@@ -264,7 +252,6 @@ class SparseRoundUpdates:
                     item_gradients=rows,
                     loss=float(self.losses[index]),
                     is_malicious=bool(self.malicious_mask[index]),
-                    metadata=dict(self.client_metadata(index)),
                 )
             )
         return updates
@@ -283,10 +270,6 @@ class SparseRoundUpdates:
             grad_rows = self.grad_rows
         else:
             grad_rows = np.concatenate([self.grad_rows, other.grad_rows], axis=0)
-        metadata: list[dict[str, Any]] = []
-        if self.metadata or other.metadata:
-            metadata = [dict(self.client_metadata(i)) for i in range(self.num_clients)]
-            metadata += [dict(other.client_metadata(i)) for i in range(other.num_clients)]
         return SparseRoundUpdates(
             client_ids=np.concatenate([self.client_ids, other.client_ids]),
             item_ids=np.concatenate([self.item_ids, other.item_ids]),
@@ -296,7 +279,6 @@ class SparseRoundUpdates:
             ),
             losses=np.concatenate([self.losses, other.losses]),
             malicious_mask=np.concatenate([self.malicious_mask, other.malicious_mask]),
-            metadata=metadata,
         )
 
     # ------------------------------------------------------------------ #
@@ -374,8 +356,8 @@ class FactoredRoundUpdates:
     user_vectors:
         The clients' stacked private vectors *before* the local step, shape
         ``(B, k)`` — the right factor of every gradient row.
-    losses, malicious_mask, metadata:
-        Per-client metadata with the same meaning as on
+    losses, malicious_mask:
+        Per-client losses and attacker flags with the same meaning as on
         :class:`SparseRoundUpdates`.
     ridge:
         Scalar weight of the shared ridge term (``2 * l2_reg``; 0 disables).
@@ -395,7 +377,6 @@ class FactoredRoundUpdates:
     malicious_mask: np.ndarray
     ridge: float = 0.0
     ridge_matrix: np.ndarray | None = None
-    metadata: list[dict[str, Any]] = field(default_factory=list)
     tail: SparseRoundUpdates | None = None
 
     def __post_init__(self) -> None:
@@ -516,7 +497,6 @@ class FactoredRoundUpdates:
                 client_offsets=tail.client_offsets,
                 losses=tail.losses,
                 malicious_mask=tail.malicious_mask,
-                metadata=tail.metadata,
             )
         return FactoredRoundUpdates(
             client_ids=self.client_ids,
@@ -528,7 +508,6 @@ class FactoredRoundUpdates:
             malicious_mask=self.malicious_mask,
             ridge=0.0,
             ridge_matrix=None,
-            metadata=self.metadata,
             tail=tail,
         )
 
@@ -548,7 +527,6 @@ class FactoredRoundUpdates:
             client_offsets=self.client_offsets,
             losses=self.losses,
             malicious_mask=self.malicious_mask,
-            metadata=list(self.metadata),
         )
         if self.tail is None:
             return base
@@ -585,6 +563,5 @@ class FactoredRoundUpdates:
             malicious_mask=self.malicious_mask,
             ridge=self.ridge,
             ridge_matrix=self.ridge_matrix,
-            metadata=list(self.metadata),
             tail=tail,
         )

@@ -2,9 +2,10 @@
 
 :class:`LoopRoundSimulation` overrides only
 :meth:`repro.federated.simulation.FederatedSimulation._train_round`: it
-trains the round's clients one at a time, in selection order, through
-:meth:`repro.federated.client.Client._train_on_profile`, privatises each
-benign upload on its own and hands the server a plain list of
+trains the round's clients one at a time, in selection order, stepping each
+benign client's row of the trainer's ``user_factors`` through the per-user
+:func:`repro.models.losses.bpr_loss_and_gradients`, privatises each benign
+upload on its own and hands the server a plain list of
 :class:`~repro.federated.updates.ClientUpdate`.  The round's pairs come from
 the trainer's own :meth:`~repro.federated.engine.BatchedRoundTrainer.draw_round_pairs`
 (one stacked draw from the shared round stream), and the privacy mechanism
@@ -20,6 +21,7 @@ import numpy as np
 from repro.federated.dynamics import RoundFaults
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.updates import ClientUpdate
+from repro.models.losses import bpr_loss_and_gradients
 
 __all__ = ["LoopRoundSimulation"]
 
@@ -34,20 +36,37 @@ class LoopRoundSimulation(FederatedSimulation):
         selected_malicious: list[int],
         faults: RoundFaults | None = None,
     ) -> float:
-        benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
-        pairs = dict(zip(benign_ids, self._trainer.draw_round_pairs(benign_ids)))
+        num_users = self.train.num_users
+        benign_ids = batch[batch < num_users]
+        offsets, positives, negatives = self._trainer.draw_round_pairs(benign_ids)
+        rows = {int(cid): row for row, cid in enumerate(benign_ids)}
+        user_factors = self._trainer.user_factors
         updates: list[ClientUpdate] = []
         round_loss = 0.0
         for cid in batch:
             cid = int(cid)
             update: ClientUpdate | None
-            if cid in self.benign_clients:
-                positives, negatives = pairs[cid]
-                update = self.benign_clients[cid]._train_on_profile(
-                    positives, negatives, self.server.item_factors
+            if cid < num_users:
+                pairs = slice(offsets[rows[cid]], offsets[rows[cid] + 1])
+                gradients = bpr_loss_and_gradients(
+                    user_factors[cid],
+                    self.server.item_factors,
+                    positives[pairs],
+                    negatives[pairs],
+                    l2_reg=self.config.l2_reg,
                 )
-                round_loss += update.loss
-                update = self.privacy.apply(update)
+                user_factors[cid] = (
+                    user_factors[cid] - self.config.learning_rate * gradients.grad_user
+                )
+                round_loss += gradients.loss
+                update = self.privacy.apply(
+                    ClientUpdate(
+                        client_id=cid,
+                        item_ids=gradients.item_ids,
+                        item_gradients=gradients.grad_items,
+                        loss=gradients.loss,
+                    )
+                )
             elif self.attack is None:
                 continue
             else:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.negative_sampling import sample_uniform_negatives_batched
+from repro.data.store import InteractionStore
 from repro.exceptions import ConfigurationError, FederationError
-from repro.federated.client import BenignClient, MaliciousClient
+from repro.federated.client import MaliciousClient
 from repro.federated.config import FederatedConfig
+from repro.federated.engine import BatchedRoundTrainer
+from repro.federated.privacy import GaussianNoiseMechanism
 from repro.federated.server import Server
 from repro.federated.updates import ClientUpdate
 
@@ -16,29 +18,30 @@ NUM_ITEMS = 30
 NUM_FACTORS = 4
 
 
-def _benign_client(positives=(0, 1, 2), seed=0, **kwargs):
-    return BenignClient(
-        client_id=0,
-        positives=np.array(positives, dtype=np.int64),
-        num_items=NUM_ITEMS,
+def _benign_trainer(positives=(0, 1, 2), seed=0, resample_negatives=True):
+    """A one-user federation: the benign client is row 0 of the trainer's arrays."""
+    positives = np.asarray(positives, dtype=np.int64)
+    store = InteractionStore(1, NUM_ITEMS, np.array([0, positives.shape[0]]), positives)
+    config = FederatedConfig(
         num_factors=NUM_FACTORS,
         learning_rate=0.1,
-        rng=seed,
-        **kwargs,
+        resample_negatives_each_epoch=resample_negatives,
+    )
+    return BatchedRoundTrainer(
+        np.random.default_rng(seed).normal(0.0, config.init_scale, size=(1, NUM_FACTORS)),
+        config,
+        GaussianNoiseMechanism(noise_scale=0.0, clip_norm=config.clip_norm, rng=seed),
+        NUM_ITEMS,
+        round_rng=np.random.default_rng(seed),
+        store=store,
     )
 
 
-def _local_train(client, item_factors, rng=None):
-    """One local step on freshly drawn pairs, the way a round trains a client."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    mask = np.zeros((1, NUM_ITEMS), dtype=bool)
-    mask[0, client.positives] = True
-    negatives, _ = sample_uniform_negatives_batched(
-        rng, NUM_ITEMS, np.array([client.positives.shape[0]], dtype=np.int64), mask
-    )
-    client.accept_negatives(negatives)
-    positives, negatives = client.current_pairs()
-    return client._train_on_profile(positives, negatives, item_factors)
+def _local_train(trainer, item_factors):
+    """One round training the lone client, its upload as a :class:`ClientUpdate`."""
+    round_updates, _ = trainer.train_round(np.array([0]), item_factors)
+    [update] = round_updates.to_client_updates()
+    return update
 
 
 class TestFederatedConfig:
@@ -73,77 +76,76 @@ class TestFederatedConfig:
 
 class TestBenignClient:
     def test_local_train_returns_update_with_touched_items(self, rng):
-        client = _benign_client()
-        item_factors = rng.normal(size=(NUM_ITEMS, NUM_FACTORS))
-        update = _local_train(client, item_factors)
+        trainer = _benign_trainer()
+        update = _local_train(trainer, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
         assert isinstance(update, ClientUpdate)
+        assert update.client_id == 0
         assert not update.is_malicious
         # Positives must be among the touched rows.
         assert set([0, 1, 2]).issubset(set(update.item_ids.tolist()))
 
     def test_local_train_updates_private_vector(self, rng):
-        client = _benign_client()
-        before = client.user_vector.copy()
-        _local_train(client, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
-        assert not np.allclose(before, client.user_vector)
+        trainer = _benign_trainer()
+        before = trainer.user_factors[0].copy()
+        update = _local_train(trainer, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
+        assert not np.allclose(before, trainer.user_factors[0])
+        # The private vector never leaves the client: the upload is item rows.
+        assert update.item_gradients.shape == (update.item_ids.shape[0], NUM_FACTORS)
 
     def test_gradient_rows_bounded_by_twice_profile(self, rng):
-        client = _benign_client(positives=range(5))
-        update = _local_train(client, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
+        trainer = _benign_trainer(positives=range(5))
+        update = _local_train(trainer, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
         assert update.num_nonzero_rows <= 2 * 5
 
     def test_loss_is_positive(self, rng):
-        client = _benign_client()
-        update = _local_train(client, rng.normal(size=(NUM_ITEMS, NUM_FACTORS)))
+        trainer = _benign_trainer()
+        round_updates, loss = trainer.train_round(
+            np.array([0]), rng.normal(size=(NUM_ITEMS, NUM_FACTORS))
+        )
+        [update] = round_updates.to_client_updates()
         assert update.loss > 0.0
+        assert loss == update.loss
 
     def test_repeated_training_reduces_loss(self, rng):
-        client = _benign_client(positives=range(6), seed=1)
+        trainer = _benign_trainer(positives=range(6), seed=1)
         item_factors = rng.normal(size=(NUM_ITEMS, NUM_FACTORS), scale=0.1)
         losses = []
-        draws = np.random.default_rng(1)
         for _ in range(30):
-            update = _local_train(client, item_factors, rng=draws)
+            update = _local_train(trainer, item_factors)
             losses.append(update.loss)
             item_factors = item_factors - 0.1 * update.to_dense(NUM_ITEMS, NUM_FACTORS)
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
-    def test_participation_counter(self, rng):
-        client = _benign_client()
-        item_factors = rng.normal(size=(NUM_ITEMS, NUM_FACTORS))
-        _local_train(client, item_factors)
-        _local_train(client, item_factors)
-        assert client.participation_count == 2
-
     def test_pairs_need_a_draw_first(self):
-        client = _benign_client()
-        assert client.needs_fresh_negatives
-        with pytest.raises(FederationError):
-            client.current_pairs()
+        # A client that never drew has no negatives to reuse, so even under
+        # fixed negatives its first round draws from the round stream.
+        trainer = _benign_trainer(resample_negatives=False)
+        stream = trainer._round_rng.bit_generator.state
+        offsets, positives, negatives = trainer.draw_round_pairs(np.array([0]))
+        assert trainer._round_rng.bit_generator.state != stream
+        np.testing.assert_array_equal(offsets, [0, 3])
+        np.testing.assert_array_equal(positives, [0, 1, 2])
+        assert not set(negatives.tolist()) & {0, 1, 2}
 
     def test_fixed_negatives_drawn_once(self):
-        client = _benign_client(positives=range(20), resample_negatives=False)
-        assert client.needs_fresh_negatives
-        # 20 positives in a 30-item catalog leave a quota of 10 negatives.
-        client.accept_negatives(np.arange(20, 30))
-        positives, negatives = client.current_pairs()
-        assert positives.shape == negatives.shape == (10,)
-        assert not client.needs_fresh_negatives
-        kept = client.current_pairs()
-        np.testing.assert_array_equal(kept[0], positives)
-        np.testing.assert_array_equal(kept[1], negatives)
-
-    def test_invalid_construction(self):
-        with pytest.raises(FederationError):
-            BenignClient(0, np.array([0]), num_items=0, num_factors=4, learning_rate=0.1)
-        with pytest.raises(FederationError):
-            BenignClient(0, np.array([0]), num_items=5, num_factors=4, learning_rate=0.0)
+        trainer = _benign_trainer(positives=range(20), resample_negatives=False)
+        # 20 positives in a 30-item catalog leave a quota of 10 negatives,
+        # paired with the first 10 positives.
+        offsets, positives, negatives = trainer.draw_round_pairs(np.array([0]))
+        np.testing.assert_array_equal(offsets, [0, 10])
+        np.testing.assert_array_equal(positives, np.arange(10))
+        assert sorted(negatives.tolist()) == list(range(20, 30))
+        stream = trainer._round_rng.bit_generator.state
+        kept = trainer.draw_round_pairs(np.array([0]))
+        assert trainer._round_rng.bit_generator.state == stream
+        np.testing.assert_array_equal(kept[0], offsets)
+        np.testing.assert_array_equal(kept[1], positives)
+        np.testing.assert_array_equal(kept[2], negatives)
 
 
 class TestMaliciousClient:
     def test_default_profile_is_empty(self):
         client = MaliciousClient(10, NUM_ITEMS, NUM_FACTORS, 0.1, rng=0)
-        assert client.is_malicious
         assert client.profile.shape == (0,)
 
     def test_empty_profile_training_uploads_nothing(self, rng):
@@ -170,6 +172,12 @@ class TestMaliciousClient:
         # One distinct negative outside the profile per profile item.
         assert len(set(update.item_ids.tolist())) == 6
         assert update.is_malicious
+
+    def test_invalid_construction(self):
+        with pytest.raises(FederationError):
+            MaliciousClient(10, num_items=0, num_factors=4, learning_rate=0.1)
+        with pytest.raises(FederationError):
+            MaliciousClient(10, num_items=5, num_factors=4, learning_rate=0.0)
 
 
 class TestServer:
@@ -220,12 +228,6 @@ class TestServer:
         # An empty round is still a protocol round: the authoritative counter
         # must advance so attack schedules cannot drift from it.
         assert server.rounds_applied == 1
-
-    def test_snapshot_is_a_copy(self):
-        server = Server(NUM_ITEMS, FederatedConfig(num_factors=NUM_FACTORS), rng=0)
-        snapshot = server.snapshot_item_factors()
-        snapshot[0, 0] += 10.0
-        assert server.item_factors[0, 0] != snapshot[0, 0]
 
     def test_invalid_num_items(self):
         with pytest.raises(FederationError):

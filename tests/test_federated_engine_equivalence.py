@@ -80,6 +80,9 @@ def _assert_equivalent(result_a, result_b):
     np.testing.assert_allclose(
         result_a.item_factors, result_b.item_factors, atol=FACTOR_ATOL
     )
+    np.testing.assert_allclose(
+        result_a.user_factors, result_b.user_factors, atol=FACTOR_ATOL
+    )
     if result_a.accuracy is not None:
         assert result_a.accuracy.hr_at_10 == pytest.approx(result_b.accuracy.hr_at_10, abs=0.02)
         assert result_a.accuracy.ndcg_at_10 == pytest.approx(
@@ -124,7 +127,7 @@ class TestEngineEquivalence:
             num_malicious=4,
         )
         _assert_equivalent(result_loop, result_vec)
-        assert result_loop.final_er_at_5 == pytest.approx(result_vec.final_er_at_5, abs=0.02)
+        assert result_loop.exposure.er_at_5 == pytest.approx(result_vec.exposure.er_at_5, abs=0.02)
 
     @pytest.mark.parametrize("negatives", NEGATIVES)
     def test_under_fedrecattack(self, small_split, small_public, small_targets, negatives):
@@ -152,7 +155,7 @@ class TestEngineEquivalence:
             **_negatives(negatives),
         )
         _assert_equivalent(result_loop, result_vec)
-        assert result_loop.final_er_at_5 == pytest.approx(result_vec.final_er_at_5, abs=0.02)
+        assert result_loop.exposure.er_at_5 == pytest.approx(result_vec.exposure.er_at_5, abs=0.02)
         assert sim_loop.attack.last_attack_loss == pytest.approx(
             sim_vec.attack.last_attack_loss, rel=1e-6, abs=1e-9
         )
@@ -182,15 +185,6 @@ class TestEngineEquivalence:
         _, sim_vec = _run(small_split, small_targets, "library")
         assert sim_loop.server.rounds_applied == sim_vec.server.rounds_applied
         assert sim_loop.round_index == sim_vec.round_index
-
-    def test_participation_counts_agree(self, small_split, small_targets):
-        _, sim_loop = _run(small_split, small_targets, "oracle")
-        _, sim_vec = _run(small_split, small_targets, "library")
-        for user in range(small_split.train.num_users):
-            assert (
-                sim_loop.benign_clients[user].participation_count
-                == sim_vec.benign_clients[user].participation_count
-            )
 
     def test_observer_sees_equivalent_updates(self, small_split, small_targets):
         def collect(engine):
@@ -252,8 +246,3 @@ class TestBatchGeometry:
         (result_loop, sim_loop), (result_vec, sim_vec) = run("oracle"), run("library")
         _assert_equivalent(result_loop, result_vec)
         assert sim_loop.server.rounds_applied == sim_vec.server.rounds_applied
-        for user in range(small_split.train.num_users):
-            assert (
-                sim_loop.benign_clients[user].participation_count
-                == sim_vec.benign_clients[user].participation_count
-            )

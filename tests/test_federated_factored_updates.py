@@ -82,7 +82,6 @@ def _malicious_update(rng: np.random.Generator, client_id: int = 100) -> ClientU
         item_ids=ids,
         item_gradients=rng.normal(scale=0.4, size=(5, NUM_FACTORS)),
         is_malicious=True,
-        metadata={"attack": "test"},
     )
 
 
@@ -121,7 +120,6 @@ class TestMaterialize:
         sparse = factored.materialize()
         assert sparse.num_clients == factored.num_clients
         assert bool(sparse.malicious_mask[-1])
-        assert sparse.client_metadata(sparse.num_clients - 1) == {"attack": "test"}
 
     def test_to_client_updates_roundtrip(self, rng):
         factored = _make_factored(rng).extended([_malicious_update(rng)])

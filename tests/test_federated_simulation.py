@@ -9,7 +9,7 @@ from repro.attacks.shilling import RandomAttack
 from repro.exceptions import FederationError
 from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation
-from repro.rng import SeedSequenceFactory
+from repro.rng import SeedSequenceFactory, ensure_rng
 
 
 def _simulation(small_split, small_targets, attack=None, num_malicious=0, **config_kwargs):
@@ -31,8 +31,17 @@ def _simulation(small_split, small_targets, attack=None, num_malicious=0, **conf
 class TestConstruction:
     def test_builds_one_benign_client_per_user(self, small_split, small_targets):
         simulation = _simulation(small_split, small_targets)
-        assert len(simulation.benign_clients) == small_split.train.num_users
+        num_users = small_split.train.num_users
         assert len(simulation.malicious_clients) == 0
+        # One row per user, each drawn from the user's own seed as a client
+        # drawing its own vector would.
+        seeds = SeedSequenceFactory(3).generator("benign-clients").integers(
+            0, 2**62, size=num_users
+        )
+        expected = np.stack(
+            [ensure_rng(int(seed)).normal(0.0, 0.01, size=8) for seed in seeds]
+        )
+        np.testing.assert_array_equal(simulation.gather_user_factors(), expected)
 
     def test_malicious_clients_get_ids_after_benign(self, small_split, small_targets):
         attack = RandomAttack(kappa=10)
@@ -96,6 +105,16 @@ class TestTraining:
         simulation.run()
         assert not np.allclose(before, simulation.server.item_factors)
 
+    def test_snapshot_is_a_copy(self, small_split, small_targets):
+        simulation = _simulation(small_split, small_targets)
+        result = simulation.run()
+        snapshot = simulation.gather_user_factors()
+        snapshot[0, 0] += 10.0
+        assert simulation._trainer.user_factors[0, 0] != snapshot[0, 0]
+        # The result keeps the final parameters, not views of the live ones.
+        assert not np.shares_memory(result.user_factors, simulation._trainer.user_factors)
+        assert not np.shares_memory(result.item_factors, simulation.server.item_factors)
+
     def test_update_observer_sees_all_rounds(self, small_split, small_targets):
         observed = []
         config = FederatedConfig(num_factors=8, clients_per_round=32, num_epochs=2)
@@ -131,10 +150,13 @@ class TestTraining:
         simulation.run()
         score_block = simulation.score_block_function()
         users = np.array([0, 3], dtype=np.int64)
-        expected = np.stack(
-            [simulation.benign_clients[int(user)].user_vector for user in users]
-        ) @ simulation.server.item_factors.T
+        user_factors = simulation.gather_user_factors()
+        expected = user_factors[users] @ simulation.server.item_factors.T
         np.testing.assert_allclose(score_block(users), expected)
+        # The scorer holds a snapshot: later local steps do not reach it.
+        simulation._trainer.train_round(users, simulation.server.item_factors)
+        assert not np.array_equal(simulation.gather_user_factors()[users], user_factors[users])
+        np.testing.assert_array_equal(score_block(users), expected)
 
     def test_malicious_updates_marked(self, small_split, small_targets):
         observed_flags = []

@@ -167,7 +167,6 @@ def _round_fixture():
             item_gradients=np.array([[5.0, 6.0]]),
             loss=0.25,
             is_malicious=True,
-            metadata={"attack": "x"},
         ),
         ClientUpdate(
             client_id=7,
@@ -197,7 +196,6 @@ class TestSparseRoundUpdates:
             np.testing.assert_allclose(original.item_gradients, copy.item_gradients)
             assert original.loss == copy.loss
             assert original.is_malicious == copy.is_malicious
-            assert original.metadata == copy.metadata
 
     def test_sum_item_gradient_matches_dense_sum(self):
         updates, packed = _round_fixture()

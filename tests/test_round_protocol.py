@@ -21,11 +21,13 @@ same path: clip-only DP bounds every benign row, additive noise lands on the
 clipped rows with standard deviation ``mu * C`` (Eq. 5), a client trained
 in two consecutive rounds starts the second from its stepped vector, an
 empty round consumes no sampler stream, and fixed negatives
-(``resample_negatives_each_epoch=False``) stay fixed.
+(``resample_negatives_each_epoch=False``) stay fixed, also in a round that
+mixes clients with cached negatives and clients drawing their first.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -34,6 +36,7 @@ import pytest
 
 from repro.attacks.fedrecattack import FedRecAttack, FedRecAttackConfig
 from repro.data.dataset import InteractionDataset
+from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.federated import engine
 from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation, SimulationResult
@@ -169,8 +172,6 @@ class TestRoundProtocolGrid:
         assert [round_index for round_index, _ in run.observed] == list(
             range(NUM_EPOCHS * rounds_per_epoch)
         )
-        for user in range(num_users):
-            assert run.simulation.benign_clients[user].participation_count == NUM_EPOCHS
 
         benign_by_epoch: list[list[int]] = [[] for _ in range(NUM_EPOCHS)]
         malicious_uploads = 0
@@ -181,7 +182,6 @@ class TestRoundProtocolGrid:
                     assert update.client_id in run.simulation.malicious_clients
                     malicious_uploads += 1
                 else:
-                    assert update.client_id in run.simulation.benign_clients
                     benign_by_epoch[round_index // rounds_per_epoch].append(
                         update.client_id
                     )
@@ -303,21 +303,19 @@ class TestTrainerState:
         self, small_split, small_targets, negatives
     ):
         simulation = self._simulation(small_split, small_targets, negatives)
-        batch = sorted(simulation.benign_clients)[:8]
+        batch = np.arange(8)
         factors = simulation.server.item_factors
         first, _ = simulation._trainer.train_round(batch, factors)
-        stepped = np.stack([simulation.benign_clients[cid].user_vector for cid in batch])
+        stepped = simulation.gather_user_factors()[batch]
         second, _ = simulation._trainer.train_round(batch, factors)
 
         np.testing.assert_array_equal(second.user_vectors, stepped)
         assert not np.array_equal(second.user_vectors, first.user_vectors)
-        for cid in batch:
-            assert simulation.benign_clients[cid].participation_count == 2
 
     def test_empty_round_consumes_no_stream(self, small_split, small_targets, negatives):
         with_empty = self._simulation(small_split, small_targets, negatives)
         plain = self._simulation(small_split, small_targets, negatives)
-        batch = sorted(plain.benign_clients)[:16]
+        batch = np.arange(16)
 
         empty, empty_loss = with_empty._trainer.train_round([], with_empty.server.item_factors)
         assert empty.num_clients == 0 and empty_loss == 0.0
@@ -337,20 +335,22 @@ class TestTrainerState:
         # The draw is the same with or without ``num_positives``; passing the
         # store's cached degrees spares a popcount of the stacked masks.
         simulation = self._simulation(small_split, small_targets, negatives)
-        batch = sorted(simulation.benign_clients)[:8]
+        batch = np.arange(8)
         calls = []
         sample = engine.sample_uniform_negatives_batched
 
         def spy(rng, num_items, counts, masks, *, num_positives=None):
-            calls.append((masks.sum(axis=1), num_positives))
+            calls.append((counts, masks.sum(axis=1), num_positives))
             return sample(rng, num_items, counts, masks, num_positives=num_positives)
 
         monkeypatch.setattr(engine, "sample_uniform_negatives_batched", spy)
         simulation._trainer.draw_round_pairs(batch)
-        [(popcounts, num_positives)] = calls
+        [(counts, popcounts, num_positives)] = calls
         store = small_split.train.interaction_store()
         np.testing.assert_array_equal(num_positives, store.degrees[batch])
         np.testing.assert_array_equal(num_positives, popcounts)
+        # Each client asks for one negative per positive.
+        np.testing.assert_array_equal(counts, store.degrees[batch])
 
 
 class TestFixedNegatives:
@@ -361,12 +361,12 @@ class TestFixedNegatives:
     NUM_ITEMS = 20
     POSITIVES = {0: range(15), 1: range(5, 10), 2: range(10, 18)}
 
-    def _pairs_per_round(self, resample: bool) -> dict[int, list[tuple[list[int], list[int]]]]:
+    def _simulation(self, resample: bool) -> FederatedSimulation:
         interactions = [
             (user, item) for user, items in self.POSITIVES.items() for item in items
         ]
         dataset = InteractionDataset(len(self.POSITIVES), self.NUM_ITEMS, interactions)
-        simulation = FederatedSimulation(
+        return FederatedSimulation(
             train=dataset,
             config=FederatedConfig(
                 num_factors=4,
@@ -376,16 +376,20 @@ class TestFixedNegatives:
             ),
             seed=SeedSequenceFactory(3),
         )
+
+    def _pairs_per_round(self, resample: bool) -> dict[int, list[tuple[list[int], list[int]]]]:
+        simulation = self._simulation(resample)
         seen: dict[int, list[tuple[list[int], list[int]]]] = {
             user: [] for user in self.POSITIVES
         }
         draw = simulation._trainer.draw_round_pairs
 
         def recording(benign_ids):
-            pairs = draw(benign_ids)
-            for cid, (positives, negatives) in zip(benign_ids, pairs):
-                seen[cid].append((positives.tolist(), negatives.tolist()))
-            return pairs
+            offsets, positives, negatives = draw(benign_ids)
+            for row, cid in enumerate(benign_ids):
+                pairs = slice(offsets[row], offsets[row + 1])
+                seen[int(cid)].append((positives[pairs].tolist(), negatives[pairs].tolist()))
+            return offsets, positives, negatives
 
         simulation._trainer.draw_round_pairs = recording  # type: ignore[method-assign]
         simulation.run()
@@ -405,3 +409,37 @@ class TestFixedNegatives:
         for user, rounds in seen.items():
             assert len(rounds) == 4
             assert any(pairs != rounds[0] for pairs in rounds[1:]), user
+
+    def test_mixed_round_keeps_cached_rows_and_draws_the_rest(self):
+        # Under fixed negatives a round can mix a client that drew in an
+        # earlier round with clients that never drew: only the latter
+        # consume the stream, and rows come back in selection order.
+        simulation = self._simulation(resample=False)
+        store = simulation.train.interaction_store()
+        draw = simulation._trainer.draw_round_pairs
+        _, first_positives, first_negatives = draw(np.array([0]))
+        stream = copy.deepcopy(simulation._round_sampler_rng)
+
+        offsets, positives, negatives = draw(np.array([2, 0, 1]))
+
+        fresh = np.array([2, 1])
+        expected, expected_offsets = sample_uniform_negatives_batched(
+            stream,
+            self.NUM_ITEMS,
+            store.degrees[fresh],
+            store.mask_rows(fresh),
+            num_positives=store.degrees[fresh],
+        )
+        assert stream.bit_generator.state == simulation._round_sampler_rng.bit_generator.state
+        rows = {
+            0: (first_positives, first_negatives),
+            2: (store.positives(2), expected[expected_offsets[0] : expected_offsets[1]]),
+            1: (store.positives(1), expected[expected_offsets[1] : expected_offsets[2]]),
+        }
+        for row, user in enumerate((2, 0, 1)):
+            pairs = slice(offsets[row], offsets[row + 1])
+            want_positives, want_negatives = rows[user]
+            np.testing.assert_array_equal(negatives[pairs], want_negatives)
+            np.testing.assert_array_equal(
+                positives[pairs], want_positives[: want_negatives.shape[0]]
+            )
